@@ -3,10 +3,9 @@
 These time the inner-loop operations that dominate the Monte-Carlo
 experiments: HPD solves, aHPD rounds, the Wilson closed form, PPS
 cluster draws on the 100M-triple KG, a full evaluation run, and the
-solver hot path itself — cold solve-table build vs warm table hit, and
-the NumPy reference kernel vs the JIT native kernel at 1e2/1e4/1e6
-rows.  The solver scenarios additionally land machine-readable numbers
-in ``benchmarks/BENCH_solver.json`` (schema-versioned, deliberately
+solve table — cold build vs warm table hit.  The solve-table scenario
+additionally lands machine-readable numbers in
+``benchmarks/BENCH_solver.json`` (schema-versioned, deliberately
 outside ``benchmarks/results`` so the drift gate never diffs
 hardware-dependent wall-clock).
 """
@@ -24,7 +23,6 @@ from repro.estimators.base import Evidence
 from repro.evaluation.framework import KGAccuracyEvaluator
 from repro.intervals.ahpd import AdaptiveHPD
 from repro.intervals.hpd import hpd_bounds
-from repro.intervals.kernels import get_kernel, kernel_status, native_available
 from repro.intervals.posterior import BetaPosterior
 from repro.intervals.priors import JEFFREYS
 from repro.intervals.table import SolveTable
@@ -50,9 +48,8 @@ _TABLE_SPEEDUP_BAR = 5.0
 def _record_solver_bench(scenario: str, payload: dict) -> None:
     """Merge one scenario's numbers into ``BENCH_solver.json``.
 
-    Read-modify-write (same discipline as ``BENCH_runtime.json``) so
-    the table and kernel scenarios, run in either order or alone, each
-    update only their own key.
+    Read-modify-write (same discipline as ``BENCH_runtime.json``) so a
+    scenario run alone updates only its own key.
     """
     try:
         trajectory = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
@@ -193,77 +190,3 @@ def _timed(fn) -> float:
     elapsed = time.perf_counter() - start
     assert result is not None
     return elapsed
-
-
-def test_bench_kernel_newton_scaling():
-    """NumPy reference vs native JIT kernel at 1e2 / 1e4 / 1e6 rows.
-
-    Where numba is absent the native columns record ``null`` plus the
-    build-failure reason — the scenario still lands in
-    ``BENCH_solver.json`` so the trajectory shows *why* no ratio was
-    measured on this machine.
-    """
-    rng = np.random.default_rng(20250808)
-    numpy_kernel = get_kernel("numpy")
-    native_kernel = get_kernel("native") if native_available() else None
-    if native_kernel is not None:
-        # Trigger (and exclude) the one-time JIT compile.
-        warm = np.array([5.0, 9.5], dtype=float)
-        native_kernel.newton_interior(warm, warm, 0.05)
-
-    rows = []
-    for size in (10**2, 10**4, 10**6):
-        # Interior-mode posteriors across the realistic range: small
-        # pilot samples through multi-thousand-annotation audits.
-        a = 1.0 + rng.uniform(0.5, 2_000.0, size=size)
-        b = 1.0 + rng.uniform(0.5, 2_000.0, size=size)
-        start = time.perf_counter()
-        np_lower, np_upper, np_failed = numpy_kernel.newton_interior(a, b, 0.05)
-        numpy_seconds = time.perf_counter() - start
-        assert np.isfinite(np_lower[~np_failed]).all()
-        entry = {
-            "rows": size,
-            "numpy_seconds": round(numpy_seconds, 6),
-            "native_seconds": None,
-            "native_speedup": None,
-        }
-        if native_kernel is not None:
-            start = time.perf_counter()
-            nat_lower, nat_upper, nat_failed = native_kernel.newton_interior(
-                a, b, 0.05
-            )
-            native_seconds = time.perf_counter() - start
-            ok = ~(np_failed | nat_failed)
-            np.testing.assert_allclose(
-                nat_lower[ok], np_lower[ok], rtol=0.0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                nat_upper[ok], np_upper[ok], rtol=0.0, atol=1e-12
-            )
-            entry["native_seconds"] = round(native_seconds, 6)
-            entry["native_speedup"] = round(numpy_seconds / native_seconds, 2)
-        rows.append(entry)
-
-    status = kernel_status()
-    _record_solver_bench(
-        "kernel-newton",
-        {
-            "alpha": 0.05,
-            "native_available": status["native_available"],
-            "native_error": status["native_error"],
-            "sizes": rows,
-        },
-    )
-    lines = [f"\nkernel benchmark (damped-Newton HPD, alpha=0.05)"]
-    for entry in rows:
-        native = (
-            f"{entry['native_seconds'] * 1e3:9.3f} ms"
-            f"  ({entry['native_speedup']:.2f}x)"
-            if entry["native_seconds"] is not None
-            else "        (native unavailable)"
-        )
-        lines.append(
-            f"  {entry['rows']:>9,} rows : numpy "
-            f"{entry['numpy_seconds'] * 1e3:9.3f} ms | native {native}"
-        )
-    print("\n".join(lines) + f"\n[recorded in {BENCH_JSON}]")

@@ -309,6 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max coalesced callers per solve-batch flush "
         "(default: $REPRO_SOLVE_BATCH_MAX or 64)",
     )
+    serve.add_argument(
+        "--kernel",
+        default=None,
+        choices=("numpy",),
+        help="HPD solver kernel; numpy is the only one, accepted so "
+        "existing serve command lines keep working",
+    )
     _add_runtime_options(serve)
 
     submit = sub.add_parser(
@@ -488,15 +495,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "(default: $REPRO_TRACE_FILE or off)",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("auto", "numpy", "native"),
-        help="interval solver kernel: the numpy reference, the "
-        "JIT-compiled native kernel, or auto (native when numba is "
-        "available, loud fallback otherwise); results are identical "
-        "either way (default: $REPRO_KERNEL or numpy)",
-    )
-    parser.add_argument(
         "--solve-table",
         type=int,
         default=None,
@@ -522,7 +520,6 @@ def _context_from(args: argparse.Namespace, progress: bool = True) -> RunContext
         max_retries=args.max_retries,
         on_error=args.on_error,
         trace=args.trace,
-        kernel=args.kernel,
         solve_table=args.solve_table,
     )
 

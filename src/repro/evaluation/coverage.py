@@ -176,8 +176,8 @@ def coverage_profile(
     With *executor* (a :class:`repro.runtime.ParallelExecutor`), the
     per-mu cells fan out over its workers and result store; the seeds
     are identical either way, so the two paths agree bit for bit.  The
-    cells carry the method's *full* picklable payload (class, priors,
-    solver — see :func:`repro.runtime.cells.method_payload`), so ad-hoc
+    cells carry the method's *full* picklable payload (class and priors
+    — see :func:`repro.runtime.cells.method_payload`), so ad-hoc
     configurations such as informative-prior aHPD take the executor
     path too.  Only a method object the payload encoder does not know
     (e.g. a user-defined subclass) stays serial, and then with an
@@ -239,11 +239,7 @@ def _coverage_profile_cells(
     )
     from ..experiments.config import ExperimentSettings
 
-    settings = ExperimentSettings(
-        repetitions=repetitions,
-        seed=seed,
-        solver=getattr(method, "solver", "newton"),
-    )
+    settings = ExperimentSettings(repetitions=repetitions, seed=seed)
     plan = StudyPlan(settings=settings, cells=cells, name="coverage-profile")
     results = execute(plan, executor=executor).results
     return [results[(name, float(mu))] for mu in mus]

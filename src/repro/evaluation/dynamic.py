@@ -152,7 +152,6 @@ class DynamicAuditor:
         max_prior_strength: float = 200.0,
         annotator: Annotator | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        solver: str = "newton",
     ):
         check_in_unit_interval(carryover, "carryover")
         check_positive(max_prior_strength, "max_prior_strength")
@@ -162,7 +161,6 @@ class DynamicAuditor:
         self.max_prior_strength = max_prior_strength
         self.annotator = annotator if annotator is not None else OracleAnnotator()
         self.cost_model = cost_model
-        self.solver = solver
 
     def audit_round(
         self,
@@ -175,7 +173,7 @@ class DynamicAuditor:
         priors: tuple[BetaPrior, ...] = UNINFORMATIVE_PRIORS
         if carried_prior is not None:
             priors = priors + (carried_prior,)
-        method = AdaptiveHPD(priors=priors, solver=self.solver)
+        method = AdaptiveHPD(priors=priors)
         evaluator = KGAccuracyEvaluator(
             kg=kg,
             strategy=self.strategy,

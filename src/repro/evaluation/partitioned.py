@@ -535,12 +535,8 @@ def _audit_by_predicate_routed(
 
     settings = None
     if not reasons:
-        # A non-None payload implies a library method whose solver (if
-        # any) is validated, so settings construction cannot raise here.
         seed = int(rng)
-        settings = ExperimentSettings(
-            seed=seed, solver=getattr(method, "solver", "newton")
-        )
+        settings = ExperimentSettings(seed=seed)
         # Workers rebuild the KG from the spec; refuse to route when
         # that rebuild would audit a *different* KG than the caller's.
         # The triple list covers predicates and subjects (the partition

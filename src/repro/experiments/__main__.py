@@ -6,7 +6,6 @@ Usage::
     python -m repro.experiments table3               # paper protocol (1,000 reps)
     python -m repro.experiments table3 --reps 200    # faster
     python -m repro.experiments all --reps 100       # everything
-    python -m repro.experiments table2 --solver slsqp
 
 Output is written to stdout; redirect to capture EXPERIMENTS.md inputs.
 """
@@ -34,12 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--reps", type=int, default=1_000, help="Monte-Carlo repetitions")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument(
-        "--solver",
-        default="newton",
-        choices=("newton", "slsqp", "scalar"),
-        help="HPD solver (slsqp = the paper's optimizer)",
-    )
     parser.add_argument(
         "--csv",
         metavar="DIR",
@@ -115,14 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_TRACE_FILE or off)",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=("auto", "numpy", "native"),
-        help="interval solver kernel (numpy reference, JIT-compiled "
-        "native, or auto with loud fallback); never changes results "
-        "(default: $REPRO_KERNEL or numpy)",
-    )
-    parser.add_argument(
         "--solve-table",
         type=int,
         default=None,
@@ -162,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             max_retries=args.max_retries,
             on_error=args.on_error,
             trace=args.trace,
-            kernel=args.kernel,
             solve_table=args.solve_table,
         )
     )
@@ -171,9 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    settings = ExperimentSettings(
-        repetitions=args.reps, seed=args.seed, solver=args.solver
-    )
+    settings = ExperimentSettings(repetitions=args.reps, seed=args.seed)
     for name in requested:
         start = time.perf_counter()
         report = EXPERIMENTS[name](settings)

@@ -1,10 +1,10 @@
 """Shared experiment settings.
 
 The paper's evaluation protocol (Sec. 5) in one value object: which
-datasets, how many Monte-Carlo repetitions, which significance /
-precision levels, and which HPD solver to use.  Every experiment module
-accepts an :class:`ExperimentSettings` so that benchmarks can dial the
-repetition count down while the CLI reproduces the paper's 1,000.
+datasets, how many Monte-Carlo repetitions, and which significance /
+precision levels.  Every experiment module accepts an
+:class:`ExperimentSettings` so that benchmarks can dial the repetition
+count down while the CLI reproduces the paper's 1,000.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from typing import Mapping
 
 from .._validation import check_alpha, check_positive, check_positive_int
 from ..evaluation.framework import EvaluationConfig
-from ..exceptions import ValidationError
-from ..intervals.hpd import HPD_SOLVERS
 
 __all__ = ["ExperimentSettings", "DEFAULT_SETTINGS", "FAST_SETTINGS"]
 
@@ -46,9 +44,6 @@ class ExperimentSettings:
         every configuration audits the *same* realised KG.
     alpha / epsilon:
         Default significance level and MoE threshold (both 0.05).
-    solver:
-        HPD solver used in the hot loops (``newton`` by default; pass
-        ``slsqp`` for the paper's optimizer — identical to ~1e-8).
     datasets:
         Small-dataset roster for the real-data experiments.
     """
@@ -58,18 +53,12 @@ class ExperimentSettings:
     dataset_seed: int = 42
     alpha: float = 0.05
     epsilon: float = 0.05
-    solver: str = "newton"
     datasets: tuple[str, ...] = ("YAGO", "NELL", "DBPEDIA", "FACTBENCH")
 
     def __post_init__(self) -> None:
         check_positive_int(self.repetitions, "repetitions")
         check_alpha(self.alpha)
         check_positive(self.epsilon, "epsilon")
-        if self.solver not in HPD_SOLVERS:
-            known = ", ".join(sorted(HPD_SOLVERS))
-            raise ValidationError(
-                f"unknown HPD solver {self.solver!r}; expected one of: {known}"
-            )
 
     def evaluation_config(self, alpha: float | None = None) -> EvaluationConfig:
         """The evaluation-loop config at (optionally overridden) alpha."""

@@ -53,7 +53,7 @@ FIGURE2_SCENARIOS: tuple[SkewScenario, ...] = (
 )
 
 
-def et_waste_ratio(posterior: BetaPosterior, alpha: float, solver: str = "newton") -> float:
+def et_waste_ratio(posterior: BetaPosterior, alpha: float) -> float:
     """Worst-case mass ratio of ET's non-HPD coverage vs excluded HPD.
 
     Let ``w`` be the width of the HPD region that the ET interval
@@ -66,7 +66,7 @@ def et_waste_ratio(posterior: BetaPosterior, alpha: float, solver: str = "newton
     """
     alpha = check_alpha(alpha)
     l_et, u_et = et_bounds(posterior, alpha)
-    l_hpd, u_hpd = hpd_bounds(posterior, alpha, solver=solver)
+    l_hpd, u_hpd = hpd_bounds(posterior, alpha)
     if abs(l_hpd - l_et) < 1e-12 and abs(u_hpd - u_et) < 1e-12:
         return 1.0
     if l_hpd > l_et:
@@ -116,7 +116,7 @@ def run_figure2(
     for scenario in FIGURE2_SCENARIOS:
         posterior = scenario.posterior()
         l_et, u_et = et_bounds(posterior, alpha)
-        l_hpd, u_hpd = hpd_bounds(posterior, alpha, solver=settings.solver)
+        l_hpd, u_hpd = hpd_bounds(posterior, alpha)
         et_width = u_et - l_et
         hpd_width = u_hpd - l_hpd
         report.add_row(
@@ -128,7 +128,7 @@ def run_figure2(
             et_width=round(et_width, 4),
             hpd_width=round(hpd_width, 4),
             width_gain=f"{(et_width - hpd_width) / et_width:.1%}",
-            waste_ratio=f"{et_waste_ratio(posterior, alpha, settings.solver):.1%}",
+            waste_ratio=f"{et_waste_ratio(posterior, alpha):.1%}",
         )
     report.notes.append(
         "waste_ratio: mass of the best equal-width non-HPD region covered by ET "

@@ -26,8 +26,6 @@ import numpy as np
 
 from .._validation import check_alpha, check_positive_int
 from ..intervals.batch import hpd_bounds_batch, posterior_shapes_batch
-from ..intervals.hpd import hpd_bounds
-from ..intervals.posterior import BetaPosterior
 from ..intervals.priors import UNINFORMATIVE_PRIORS, BetaPrior
 from ..stats.binomial import binomial_pmf_matrix
 from .config import DEFAULT_SETTINGS, ExperimentSettings
@@ -36,27 +34,16 @@ from .report import ExperimentReport
 __all__ = ["expected_hpd_width", "run_figure3", "Figure3Series"]
 
 
-def hpd_width_by_outcome(
-    prior: BetaPrior, n: int, alpha: float, solver: str = "newton"
-) -> np.ndarray:
+def hpd_width_by_outcome(prior: BetaPrior, n: int, alpha: float) -> np.ndarray:
     """HPD width for every annotation outcome ``tau in 0..n``.
 
-    The default solver routes all ``n + 1`` posteriors through the
-    vectorised batch engine in one call; a non-default solver choice
-    falls back to the scalar per-outcome loop (the engines agree to
-    ~1e-8, so this only matters for solver ablations).
+    All ``n + 1`` posteriors go through the vectorised batch engine in
+    one call.
     """
-    if solver == "newton":
-        taus = np.arange(n + 1, dtype=float)
-        a, b = posterior_shapes_batch(prior, taus, np.full(n + 1, float(n)))
-        lower, upper = hpd_bounds_batch(a, b, alpha)
-        return upper - lower
-    widths = np.empty(n + 1, dtype=float)
-    for tau in range(n + 1):
-        posterior = BetaPosterior.from_counts(prior, float(tau), float(n))
-        lower, upper = hpd_bounds(posterior, alpha, solver=solver)
-        widths[tau] = upper - lower
-    return widths
+    taus = np.arange(n + 1, dtype=float)
+    a, b = posterior_shapes_batch(prior, taus, np.full(n + 1, float(n)))
+    lower, upper = hpd_bounds_batch(a, b, alpha)
+    return upper - lower
 
 
 def expected_hpd_width(
@@ -64,13 +51,12 @@ def expected_hpd_width(
     n: int,
     alpha: float,
     mus: Sequence[float] | np.ndarray,
-    solver: str = "newton",
 ) -> np.ndarray:
     """Expected ``1 - alpha`` HPD width under *prior* across *mus*."""
     alpha = check_alpha(alpha)
     n = check_positive_int(n, "n")
     mus_arr = np.asarray(mus, dtype=float)
-    widths = hpd_width_by_outcome(prior, n, alpha, solver=solver)
+    widths = hpd_width_by_outcome(prior, n, alpha)
     pmf = binomial_pmf_matrix(n, mus_arr)
     return pmf @ widths
 
@@ -104,12 +90,11 @@ def compute_figure3(
     alpha: float = 0.05,
     grid_points: int = 199,
     priors: Sequence[BetaPrior] = UNINFORMATIVE_PRIORS,
-    solver: str = "newton",
 ) -> Figure3Series:
     """Compute the Figure 3 series on a uniform accuracy grid."""
     mus = np.linspace(0.005, 0.995, grid_points)
     widths = {
-        prior.name: expected_hpd_width(prior, n, alpha, mus, solver=solver)
+        prior.name: expected_hpd_width(prior, n, alpha, mus)
         for prior in priors
     }
     return Figure3Series(mus=mus, widths_by_prior=widths, n=n, alpha=alpha)
@@ -121,9 +106,7 @@ def run_figure3(
     grid_points: int = 199,
 ) -> ExperimentReport:
     """Regenerate Figure 3 as a sampled table plus region summary."""
-    series = compute_figure3(
-        n=n, alpha=settings.alpha, grid_points=grid_points, solver=settings.solver
-    )
+    series = compute_figure3(n=n, alpha=settings.alpha, grid_points=grid_points)
     prior_names = list(series.widths_by_prior)
     report = ExperimentReport(
         experiment_id="figure3",

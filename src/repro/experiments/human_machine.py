@@ -36,7 +36,7 @@ def run_human_machine(
         distractor_rate=0.5, accuracy=accuracy, seed=settings.dataset_seed
     )
     strategy = TwoStageWeightedClusterSampling(m=3)
-    method = AdaptiveHPD(solver=settings.solver)
+    method = AdaptiveHPD()
     config = settings.evaluation_config()
 
     assisted = InferenceAssistedEvaluator(

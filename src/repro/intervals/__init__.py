@@ -14,12 +14,12 @@ binomial-interval literature the paper builds on [8].
 Every method also implements ``compute_batch``, backed by the
 vectorised batch engine in :mod:`repro.intervals.batch`, which solves
 whole arrays of evidences (or Beta posteriors) in one call — the hot
-path of the Monte-Carlo experiments.  Two further layers accelerate
-that path without touching results: a pluggable solver kernel
-(:mod:`repro.intervals.kernels` — the NumPy reference or a
-JIT-compiled native variant, selected by ``REPRO_KERNEL``) and a
-precomputed small-n solve table (:mod:`repro.intervals.table`) that
-turns repeat integer-count solves into memory-mapped lookups.
+path of the Monte-Carlo experiments.  Every batch HPD solve runs the
+one damped-Newton kernel in :mod:`repro.intervals.kernels`; the scalar
+solvers in :data:`HPD_SOLVERS` remain as its fallback and as reference
+oracles.  A precomputed small-n solve table
+(:mod:`repro.intervals.table`) turns repeat integer-count solves into
+memory-mapped lookups without touching results.
 """
 
 from .agresti_coull import AgrestiCoullInterval
@@ -39,14 +39,6 @@ from .batch import (
     et_bounds_batch,
     hpd_bounds_batch,
 )
-from .kernels import (
-    KERNEL_NAMES,
-    active_kernel,
-    get_kernel,
-    kernel_status,
-    native_available,
-    use_kernel,
-)
 from .payloads import build_method_from_payload, method_payload
 from .table import SolveTable, default_table, shared_table
 from .clopper_pearson import ClopperPearsonInterval
@@ -62,21 +54,15 @@ __all__ = [
     "Interval",
     "IntervalMethod",
     "BatchIntervals",
-    "KERNEL_NAMES",
     "SolveTable",
-    "active_kernel",
     "active_solve_pool",
     "active_solve_table",
     "build_method_from_payload",
     "compute_batch_pooled",
     "critical_value",
     "default_table",
-    "get_kernel",
-    "kernel_status",
     "method_payload",
-    "native_available",
     "shared_table",
-    "use_kernel",
     "use_solve_pool",
     "use_solve_table",
     "WaldInterval",

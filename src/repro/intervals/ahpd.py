@@ -31,7 +31,7 @@ from .batch import (
     hpd_bounds_batch,
     posterior_shapes_batch,
 )
-from .hpd import HPD_SOLVERS, hpd_bounds
+from .hpd import hpd_bounds
 from .posterior import BetaPosterior
 from .priors import UNINFORMATIVE_PRIORS, BetaPrior
 
@@ -47,27 +47,14 @@ class AdaptiveHPD(IntervalMethod):
         Candidate Beta priors; defaults to the paper's trio (Kerman,
         Jeffreys, Uniform).  There is no limit on how many priors can
         compete; informative priors are allowed.
-    solver:
-        Interior-mode HPD solver (see
-        :func:`repro.intervals.hpd.hpd_bounds`).
     """
 
-    def __init__(
-        self,
-        priors: Sequence[BetaPrior] = UNINFORMATIVE_PRIORS,
-        solver: str = "newton",
-    ):
+    def __init__(self, priors: Sequence[BetaPrior] = UNINFORMATIVE_PRIORS):
         priors = tuple(check_not_empty(list(priors), "priors"))
         for prior in priors:
             if not isinstance(prior, BetaPrior):
                 raise ValidationError(f"expected BetaPrior instances, got {type(prior)!r}")
-        if solver not in HPD_SOLVERS:
-            known = ", ".join(sorted(HPD_SOLVERS))
-            raise ValidationError(
-                f"unknown HPD solver {solver!r}; expected one of: {known}"
-            )
         self.priors = priors
-        self.solver = solver
         self.name = "aHPD"
 
     def compute_all(self, evidence: Evidence, alpha: float) -> Mapping[str, Interval]:
@@ -75,7 +62,7 @@ class AdaptiveHPD(IntervalMethod):
         intervals: dict[str, Interval] = {}
         for prior in self.priors:
             posterior = BetaPosterior.from_evidence(prior, evidence)
-            lower, upper = hpd_bounds(posterior, alpha, solver=self.solver)
+            lower, upper = hpd_bounds(posterior, alpha)
             intervals[prior.name] = Interval(
                 lower=lower,
                 upper=upper,
@@ -134,4 +121,4 @@ class AdaptiveHPD(IntervalMethod):
 
     def __repr__(self) -> str:
         names = ", ".join(prior.name for prior in self.priors)
-        return f"AdaptiveHPD(priors=[{names}], solver={self.solver!r})"
+        return f"AdaptiveHPD(priors=[{names}])"

@@ -40,7 +40,7 @@ from ..stats.beta import (
     beta_ppf_batch,
 )
 from .base import Interval, critical_value
-from .kernels import active_kernel
+from .kernels import KERNEL
 from .posterior import BetaPosterior
 from .priors import BetaPrior
 
@@ -65,9 +65,8 @@ __all__ = [
 #: Acceptable posterior-mass error for a solved HPD interval — shared
 #: with the scalar solver in hpd.py (single source of truth; the
 #: batch/scalar equivalence depends on the two validations agreeing).
-#: The iteration cap lives with the kernels now
-#: (:data:`repro.intervals.kernels.NEWTON_MAX_ITER`), imported by the
-#: scalar solver in hpd.py directly.
+#: The iteration cap lives with the kernel
+#: (:data:`repro.intervals.kernels.NEWTON_MAX_ITER`).
 _MASS_TOL = 1e-6
 #: Display prior attached to posteriors rebuilt for the scalar fallback.
 _FALLBACK_PRIOR = BetaPrior(1.0, 1.0, name="batch-fallback")
@@ -440,20 +439,16 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-Newton HPD solve over interior-mode posterior rows.
 
-    The iteration itself is pluggable: the ambient
-    :class:`~repro.intervals.kernels.SolverKernel` (NumPy oracle or the
-    JIT-compiled native kernel, selected by ``REPRO_KERNEL`` /
-    ``RunContext.kernel``) produces ``(lower, upper, failed)`` for the
-    interior rows; the posterior-mass validation and the per-row
-    scalar fallback below stay *here*, shared by every kernel, so a
-    kernel only ever has to reproduce the happy path.  The kernels run
-    on the raw (validation-free) beta primitives:
-    ``hpd_bounds_batch`` validated the shapes already, and
-    re-validating four times per iteration was the dominant cost of
+    :data:`~repro.intervals.kernels.KERNEL` iterates the interior rows
+    to ``(lower, upper, failed)``; the posterior-mass validation and
+    the per-row scalar fallback below keep the batch result never worse
+    than the scalar path.  The kernel runs on the raw (validation-free)
+    beta primitives: ``hpd_bounds_batch`` validated the shapes already,
+    and re-validating four times per iteration was the dominant cost of
     the small batches the memoised evaluator path produces.
     """
     target = 1.0 - alpha
-    lower, upper, failed = active_kernel().newton_interior(a, b, alpha)
+    lower, upper, failed = KERNEL.newton_interior(a, b, alpha)
 
     # Validate every row exactly as the scalar path does; anything that
     # missed the mass tolerance joins the scalar-fallback set.

@@ -14,11 +14,15 @@ Shape dispatch
   with the ET interval as the initial guess; that solver is implemented
   here verbatim (``solver="slsqp"``).  Two alternatives are provided:
   a damped Newton iteration on the optimality system ``f(l) = f(u)``,
-  ``F(u) - F(l) = 1 - alpha`` (``solver="newton"``, ~10x faster, used as
-  the default in the hot Monte-Carlo loops) and a bounded scalar
-  minimisation of ``w(l) = F^{-1}(F(l) + 1 - alpha) - l``
-  (``solver="scalar"``, the robust fallback).  The ablation benchmark
-  confirms all three agree to ~1e-8.
+  ``F(u) - F(l) = 1 - alpha`` (``solver="newton"``, ~10x faster, the
+  default) and a bounded scalar minimisation of
+  ``w(l) = F^{-1}(F(l) + 1 - alpha) - l`` (``solver="scalar"``, the
+  robust fallback of both Newton paths).  The ablation experiment
+  confirms all three agree to ~1e-8.  The interval *methods* below
+  always run Newton — vectorised in
+  :func:`~repro.intervals.batch.hpd_bounds_batch` on the batch path —
+  so the solver choice lives only here, for the ablation and the test
+  oracles.
 * **increasing** (``tau = n`` under an uninformative prior — Eq. 10):
   ``[qBeta(alpha), 1]``.
 * **decreasing** (``tau = 0`` — Eq. 11): ``[0, qBeta(1 - alpha)]``.
@@ -269,18 +273,10 @@ class HPDCredibleInterval(IntervalMethod):
     ----------
     prior:
         The Beta prior to update; defaults to Jeffreys.
-    solver:
-        Interior-mode solver name (see :func:`hpd_bounds`).
     """
 
-    def __init__(self, prior: BetaPrior = JEFFREYS, solver: str = "newton"):
-        if solver not in HPD_SOLVERS:
-            known = ", ".join(sorted(HPD_SOLVERS))
-            raise ValidationError(
-                f"unknown HPD solver {solver!r}; expected one of: {known}"
-            )
+    def __init__(self, prior: BetaPrior = JEFFREYS):
         self.prior = prior
-        self.solver = solver
         self.name = f"HPD[{prior.name}]"
 
     def posterior(self, evidence: Evidence) -> BetaPosterior:
@@ -289,7 +285,7 @@ class HPDCredibleInterval(IntervalMethod):
 
     def compute(self, evidence: Evidence, alpha: float) -> Interval:
         posterior = self.posterior(evidence)
-        lower, upper = hpd_bounds(posterior, alpha, solver=self.solver)
+        lower, upper = hpd_bounds(posterior, alpha)
         return Interval(lower=lower, upper=upper, alpha=alpha, method=self.name)
 
     def compute_batch(
@@ -297,9 +293,8 @@ class HPDCredibleInterval(IntervalMethod):
     ) -> BatchIntervals:
         """Vectorised HPD solve over all evidences at once.
 
-        Runs the batch damped-Newton engine regardless of the scalar
-        ``solver`` choice — all interior solvers agree to ~1e-8, and the
-        batch path falls back to the robust scalar solver row-wise.
+        The batch damped-Newton engine agrees with the scalar path to
+        ~1e-8 and falls back to the robust scalar solver row-wise.
         """
         alpha = check_alpha(alpha)
         _, _, n_eff, tau_eff = evidence_arrays(evidences)

@@ -1,136 +1,42 @@
-"""Pluggable solver kernels for the HPD hot path.
+"""The damped-Newton HPD kernel: the inner loop of every HPD solve.
 
-Every Monte-Carlo cell bottoms out in the same inner loop: the damped-
-Newton HPD solve over interior-mode Beta posteriors plus the raw beta
-pdf/cdf/ppf primitives.  This module makes that loop *pluggable*:
+Every Monte-Carlo cell bottoms out in the same loop: the damped-Newton
+HPD iteration over interior-mode Beta posteriors.  :class:`SolverKernel`
+holds it, vectorised over rows with NumPy, and :data:`KERNEL` is the one
+instance :func:`repro.intervals.batch.hpd_bounds_batch` runs.  The shape
+dispatch, the posterior-mass validation, and the per-row scalar fallback
+around the loop stay in :mod:`repro.intervals.batch`.
 
-* :class:`NumpyKernel` — the existing vectorised NumPy implementation,
-  moved here **verbatim** from ``repro.intervals.batch._newton_batch``.
-  It is the reference oracle: every other kernel is pinned to it by a
-  bit-identity-or-1e-12 property test over all nine interval methods.
-* :class:`NativeKernel` — a JIT-compiled (numba, *optional* dependency)
-  scalar transcription of the same iteration, calling the identical
-  ``scipy.special`` C routines through
-  ``scipy.special.cython_special`` function addresses, so the per-row
-  trajectory matches the NumPy loop step for step.  Compiled once per
-  process on first use; absent numba, requesting it raises.
-
-Selection (``REPRO_KERNEL`` / ``RunContext.kernel`` / ``--kernel``):
-
-* ``numpy`` — the default; the oracle, always available.
-* ``native`` — the JIT kernel; raises a
-  :class:`~repro.exceptions.ValidationError` when numba (or the
-  required ``cython_special`` symbols) is unavailable.
-* ``auto`` — ``native`` when it can be built, else a **loud** per-
-  process ``RuntimeWarning`` plus a ``kernel_fallback`` journal event
-  (emitted by the executor) and the NumPy oracle.  Never silent.
-
-Kernel choice is pure execution policy: it is *not* part of
-:class:`~repro.runtime.settings.RunContext`'s cache identity, never
-reaches :func:`~repro.runtime.spec.cache_token`, and must never change
-committed result bytes — the deterministic-fields-only rule of
-EXPERIMENTS.md extends to ``REPRO_KERNEL``.  The kernel travels as a
-context variable (:func:`use_kernel` / :func:`active_kernel`), same as
-the ambient solve pool, so concurrent service requests can run
-different kernels side by side.
+The method is looked up on :data:`KERNEL` at call time, so a profiler or
+tracer that wraps ``SolverKernel.newton_interior`` sees every Newton
+solve in the process.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
-import warnings
-from contextlib import contextmanager
-from typing import Any, Iterator
-
 import numpy as np
 
-from ..exceptions import ValidationError
 from ..stats.beta import _beta_cdf_raw, _beta_pdf_raw, _beta_ppf_raw
 
-__all__ = [
-    "KERNEL_NAMES",
-    "NEWTON_MAX_ITER",
-    "NativeKernel",
-    "NumpyKernel",
-    "SolverKernel",
-    "active_kernel",
-    "auto_fallback_info",
-    "get_kernel",
-    "kernel_status",
-    "native_available",
-    "use_kernel",
-]
-
-#: Valid ``REPRO_KERNEL`` / ``--kernel`` choices.
-KERNEL_NAMES = ("auto", "numpy", "native")
+__all__ = ["KERNEL", "NEWTON_MAX_ITER", "SolverKernel"]
 
 #: Maximum damped-Newton iterations before a row falls back to the
-#: scalar solver — the single source of truth shared by every kernel
-#: and by the scalar solver in :mod:`repro.intervals.hpd`.
+#: scalar solver — shared with the scalar Newton solver in
+#: :mod:`repro.intervals.hpd`.
 NEWTON_MAX_ITER = 60
 
 
 class SolverKernel:
-    """One implementation of the solver hot path.
+    """The vectorised damped-Newton HPD iteration.
 
-    A kernel provides the raw beta primitives and the interior-mode
-    Newton iteration; the shape dispatch, validation, and scalar
-    fallback around them stay in :mod:`repro.intervals.batch`, shared
-    by every kernel.  ``newton_interior`` receives positive, finite,
-    interior-mode ``(a, b)`` arrays (``a > 1``, ``b > 1``) and returns
+    ``newton_interior`` receives positive, finite, interior-mode
+    ``(a, b)`` arrays (``a > 1``, ``b > 1``) and returns
     ``(lower, upper, failed)``: the iterated bounds plus a boolean mask
     of rows the caller must re-solve with the robust scalar solver.
-    Rows are independent — a kernel may vectorise or loop, but row
-    ``i``'s output depends only on ``(a[i], b[i], alpha)``.
+    Rows are independent — row ``i``'s output depends only on
+    ``(a[i], b[i], alpha)`` — which is what lets batches be pooled,
+    sliced, and tabled bit-identically.
     """
-
-    name: str = "abstract"
-
-    def beta_pdf(self, x, a, b) -> np.ndarray:
-        """Raw (validation-free) Beta density over broadcast arrays."""
-        raise NotImplementedError
-
-    def beta_cdf(self, x, a, b) -> np.ndarray:
-        """Raw Beta CDF over broadcast arrays."""
-        raise NotImplementedError
-
-    def beta_ppf(self, q, a, b) -> np.ndarray:
-        """Raw Beta quantile function over broadcast arrays."""
-        raise NotImplementedError
-
-    def newton_interior(
-        self, a: np.ndarray, b: np.ndarray, alpha: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Damped-Newton HPD iteration over interior-mode rows."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class NumpyKernel(SolverKernel):
-    """The vectorised NumPy implementation — the reference oracle.
-
-    The Newton loop below is the former body of
-    ``repro.intervals.batch._newton_batch``, moved verbatim: same
-    bracketing, same Jacobian, same feasibility-limited damping, same
-    per-row convergence bookkeeping.  Nothing about the arithmetic
-    changed in the move, which is what keeps every pre-kernel golden
-    fixture byte-identical.
-    """
-
-    name = "numpy"
-
-    def beta_pdf(self, x, a, b) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _beta_pdf_raw(x, a, b)
-
-    def beta_cdf(self, x, a, b) -> np.ndarray:
-        return _beta_cdf_raw(x, a, b)
-
-    def beta_ppf(self, q, a, b) -> np.ndarray:
-        return _beta_ppf_raw(q, a, b)
 
     def newton_interior(
         self, a: np.ndarray, b: np.ndarray, alpha: float
@@ -228,379 +134,5 @@ class NumpyKernel(SolverKernel):
         return lower, upper, failed
 
 
-class NativeKernel(SolverKernel):
-    """JIT-compiled per-row transcription of the Newton iteration.
-
-    Built by :func:`_build_native` when numba is importable: the
-    compiled loop calls the same ``scipy.special`` C routines as the
-    NumPy ufuncs (through ``cython_special`` function addresses), so a
-    row's iterate sequence matches the oracle's — any residual
-    difference comes from scalar-vs-SIMD ``exp`` and stays within the
-    pinned 1e-12 tolerance.
-    """
-
-    name = "native"
-
-    def __init__(self, newton_rows, pdf_rows, cdf_rows, ppf_rows) -> None:
-        self._newton_rows = newton_rows
-        self._pdf_rows = pdf_rows
-        self._cdf_rows = cdf_rows
-        self._ppf_rows = ppf_rows
-
-    @staticmethod
-    def _broadcast(x, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-        x, a, b = np.broadcast_arrays(
-            np.asarray(x, dtype=float),
-            np.asarray(a, dtype=float),
-            np.asarray(b, dtype=float),
-        )
-        shape = x.shape
-        flat = (
-            np.ascontiguousarray(x, dtype=float).ravel(),
-            np.ascontiguousarray(a, dtype=float).ravel(),
-            np.ascontiguousarray(b, dtype=float).ravel(),
-        )
-        return (*flat, shape)
-
-    def beta_pdf(self, x, a, b) -> np.ndarray:
-        x, a, b, shape = self._broadcast(x, a, b)
-        out = np.empty(x.shape[0], dtype=float)
-        self._pdf_rows(out, x, a, b)
-        return out.reshape(shape)
-
-    def beta_cdf(self, x, a, b) -> np.ndarray:
-        x, a, b, shape = self._broadcast(x, a, b)
-        out = np.empty(x.shape[0], dtype=float)
-        self._cdf_rows(out, x, a, b)
-        return out.reshape(shape)
-
-    def beta_ppf(self, q, a, b) -> np.ndarray:
-        q, a, b, shape = self._broadcast(q, a, b)
-        out = np.empty(q.shape[0], dtype=float)
-        self._ppf_rows(out, q, a, b)
-        return out.reshape(shape)
-
-    def newton_interior(
-        self, a: np.ndarray, b: np.ndarray, alpha: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = np.ascontiguousarray(a, dtype=float)
-        b = np.ascontiguousarray(b, dtype=float)
-        lower = np.empty(a.shape[0], dtype=float)
-        upper = np.empty(a.shape[0], dtype=float)
-        failed = np.zeros(a.shape[0], dtype=np.bool_)
-        self._newton_rows(a, b, float(alpha), lower, upper, failed)
-        return lower, upper, failed
-
-
-def _cython_special_fn(name: str, arity: int, probe, expected: float):
-    """A ctypes handle on a ``scipy.special.cython_special`` double routine.
-
-    Fused-type routines export mangled symbols (``__pyx_fuse_1<name>``
-    for the double specialisation on current scipy, but the numbering
-    is an implementation detail) — so every candidate symbol is probed
-    against the ufunc's value at a known point and only a match is
-    accepted.  A float-specialisation hit through the double ABI would
-    produce garbage and fail the probe.
-    """
-    import ctypes
-
-    from numba.extending import get_cython_function_address
-
-    signature = ctypes.CFUNCTYPE(ctypes.c_double, *([ctypes.c_double] * arity))
-    for symbol in (name, f"__pyx_fuse_1{name}", f"__pyx_fuse_0{name}"):
-        try:
-            address = get_cython_function_address(
-                "scipy.special.cython_special", symbol
-            )
-        except ValueError:
-            continue
-        handle = signature(address)
-        got = handle(*probe)
-        if abs(got - expected) <= 1e-10 * max(1.0, abs(expected)):
-            return handle
-    raise ImportError(
-        f"scipy.special.cython_special exports no double-precision "
-        f"{name!r} symbol"
-    )
-
-
-def _build_native() -> NativeKernel:
-    """Compile the native kernel; raises ``ImportError`` without numba."""
-    import math
-
-    import numba
-    from scipy import special as _sp
-
-    betainc = _cython_special_fn(
-        "betainc", 3, (2.0, 3.0, 0.25), float(_sp.betainc(2.0, 3.0, 0.25))
-    )
-    betaincinv = _cython_special_fn(
-        "betaincinv", 3, (2.0, 3.0, 0.25), float(_sp.betaincinv(2.0, 3.0, 0.25))
-    )
-    xlogy = _cython_special_fn(
-        "xlogy", 2, (1.5, 0.25), float(_sp.xlogy(1.5, 0.25))
-    )
-    xlog1py = _cython_special_fn(
-        "xlog1py", 2, (1.5, -0.25), float(_sp.xlog1py(1.5, -0.25))
-    )
-    betaln = _cython_special_fn(
-        "betaln", 2, (2.0, 3.0), float(_sp.betaln(2.0, 3.0))
-    )
-
-    # cache=False: the compiled loops close over ctypes addresses that
-    # change per process, so numba's on-disk cache cannot hold them;
-    # the JIT'd dispatchers are cached per process on the kernel
-    # instance instead (one compile per service/worker lifetime).
-    @numba.njit(cache=False)
-    def pdf_one(x: float, a: float, b: float) -> float:
-        if x < 0.0 or x > 1.0:
-            return 0.0
-        return math.exp(xlogy(a - 1.0, x) + xlog1py(b - 1.0, -x) - betaln(a, b))
-
-    @numba.njit(cache=False)
-    def pdf_rows(out, x, a, b):
-        for i in range(out.shape[0]):
-            out[i] = pdf_one(x[i], a[i], b[i])
-
-    @numba.njit(cache=False)
-    def cdf_rows(out, x, a, b):
-        for i in range(out.shape[0]):
-            clipped = min(max(x[i], 0.0), 1.0)
-            out[i] = betainc(a[i], b[i], clipped)
-
-    @numba.njit(cache=False)
-    def ppf_rows(out, q, a, b):
-        for i in range(out.shape[0]):
-            out[i] = betaincinv(a[i], b[i], q[i])
-
-    @numba.njit(cache=False)
-    def newton_rows(a, b, alpha, lower, upper, failed):
-        # Scalar transcription of NumpyKernel.newton_interior: one row
-        # at a time, identical bracketing / Jacobian / damping, so each
-        # row walks the same iterate sequence as the vectorised oracle.
-        target = 1.0 - alpha
-        eps = 1e-12
-        max_iter = NEWTON_MAX_ITER
-        for i in range(a.shape[0]):
-            a_i = a[i]
-            b_i = b[i]
-            m_i = (a_i - 1.0) / (a_i + b_i - 2.0)
-            if m_i <= 2.0 * eps or m_i >= 1.0 - 2.0 * eps:
-                failed[i] = True
-                lower[i] = 0.0
-                upper[i] = 1.0
-                continue
-            l_i = betaincinv(a_i, b_i, alpha / 2.0)
-            u_i = betaincinv(a_i, b_i, 1.0 - alpha / 2.0)
-            l_i = min(max(l_i, eps), m_i - eps)
-            u_i = min(max(min(u_i, 1.0 - eps), m_i + eps), 1.0 - eps)
-            for _ in range(max_iter):
-                f_l = pdf_one(l_i, a_i, b_i)
-                f_u = pdf_one(u_i, a_i, b_i)
-                mass = betainc(a_i, b_i, u_i) - betainc(a_i, b_i, l_i)
-                r1 = f_l - f_u
-                r2 = mass - target
-                if (
-                    abs(r1) <= 1e-12 * max(max(f_l, f_u), 1.0)
-                    and abs(r2) <= 1e-12
-                ):
-                    break
-                j11 = f_l * ((a_i - 1.0) / l_i - (b_i - 1.0) / (1.0 - l_i))
-                j12 = -f_u * ((a_i - 1.0) / u_i - (b_i - 1.0) / (1.0 - u_i))
-                j21 = -f_l
-                j22 = f_u
-                det = j11 * j22 - j12 * j21
-                singular = det == 0.0 or not math.isfinite(det)
-                if singular:
-                    det = 1.0
-                step_l = (r1 * j22 - r2 * j12) / det
-                step_u = (r2 * j11 - r1 * j21) / det
-                if step_l > 0.0:
-                    s_l = l_i / step_l
-                elif step_l < 0.0:
-                    s_l = (m_i - l_i) / -step_l
-                else:
-                    s_l = np.inf
-                if step_u < 0.0:
-                    s_u = (1.0 - u_i) / -step_u
-                elif step_u > 0.0:
-                    s_u = (u_i - m_i) / step_u
-                else:
-                    s_u = np.inf
-                scale = min(1.0, 0.9 * min(s_l, s_u))
-                if (
-                    singular
-                    or not math.isfinite(step_l)
-                    or not math.isfinite(step_u)
-                    or scale <= 1e-6
-                ):
-                    # Stuck: keep the previous iterate (the oracle never
-                    # writes the stuck step either) and hand the row to
-                    # the scalar fallback.
-                    failed[i] = True
-                    break
-                l_i = l_i - scale * step_l
-                u_i = u_i - scale * step_u
-            lower[i] = l_i
-            upper[i] = u_i
-
-    # Warm the dispatchers now so "native kernel ready" means compiled:
-    # misconfigured numba/scipy combinations fail here, at selection
-    # time, not mid-run inside a solve.
-    probe = np.array([2.5], dtype=float)
-    out = np.empty(1, dtype=float)
-    pdf_rows(out, np.array([0.5]), probe, probe)
-    cdf_rows(out, np.array([0.5]), probe, probe)
-    ppf_rows(out, np.array([0.5]), probe, probe)
-    newton_rows(
-        probe,
-        probe,
-        0.05,
-        np.empty(1, dtype=float),
-        np.empty(1, dtype=float),
-        np.zeros(1, dtype=np.bool_),
-    )
-    return NativeKernel(newton_rows, pdf_rows, cdf_rows, ppf_rows)
-
-
-# ----------------------------------------------------------------------
-# Registry, resolution, and the ambient-kernel context variable
-# ----------------------------------------------------------------------
-
-_NUMPY_KERNEL = NumpyKernel()
-_BUILD_LOCK = threading.Lock()
-#: Build-once memo: the native kernel instance, or the failure text.
-_NATIVE_KERNEL: NativeKernel | None = None
-_NATIVE_ERROR: str | None = None
-_AUTO_WARNED = False
-
-#: The ambient solver kernel, if any; ``None`` resolves ``REPRO_KERNEL``
-#: lazily (see :func:`active_kernel`).  A context variable, like the
-#: ambient solve pool, so concurrent requests pick kernels independently.
-_KERNEL: contextvars.ContextVar[SolverKernel | None] = contextvars.ContextVar(
-    "repro-solver-kernel", default=None
-)
-
-
-def _try_native() -> NativeKernel | None:
-    """The native kernel, building it on first call; ``None`` on failure."""
-    global _NATIVE_KERNEL, _NATIVE_ERROR
-    if _NATIVE_KERNEL is not None:
-        return _NATIVE_KERNEL
-    if _NATIVE_ERROR is not None:
-        return None
-    with _BUILD_LOCK:
-        if _NATIVE_KERNEL is not None or _NATIVE_ERROR is not None:
-            return _NATIVE_KERNEL
-        try:
-            _NATIVE_KERNEL = _build_native()
-        except Exception as exc:  # noqa: BLE001 - any build failure degrades
-            _NATIVE_ERROR = f"{type(exc).__name__}: {exc}"
-            return None
-    return _NATIVE_KERNEL
-
-
-def native_available() -> bool:
-    """Whether the JIT kernel can be (or already was) built here."""
-    return _try_native() is not None
-
-
-def get_kernel(name: str) -> SolverKernel:
-    """The kernel instance for resolved choice *name*.
-
-    ``native`` raises when the JIT kernel cannot be built; ``auto``
-    degrades to the NumPy oracle **loudly** — one ``RuntimeWarning``
-    per process (the executor additionally journals a
-    ``kernel_fallback`` event per run).
-    """
-    global _AUTO_WARNED
-    choice = str(name).strip().lower()
-    if choice == "numpy":
-        return _NUMPY_KERNEL
-    if choice == "native":
-        kernel = _try_native()
-        if kernel is None:
-            raise ValidationError(
-                "the native solver kernel is unavailable "
-                f"({_NATIVE_ERROR}); install numba or select "
-                "--kernel numpy / REPRO_KERNEL=auto"
-            )
-        return kernel
-    if choice == "auto":
-        kernel = _try_native()
-        if kernel is not None:
-            return kernel
-        if not _AUTO_WARNED:
-            _AUTO_WARNED = True
-            warnings.warn(
-                "REPRO_KERNEL=auto: native solver kernel unavailable "
-                f"({_NATIVE_ERROR}); falling back to the NumPy oracle "
-                "kernel (results are unaffected — the kernels are "
-                "pinned bit-identical-or-1e-12)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _NUMPY_KERNEL
-    raise ValidationError(
-        f"unknown solver kernel {name!r}; expected one of: "
-        + ", ".join(KERNEL_NAMES)
-    )
-
-
-def auto_fallback_info(name: str) -> dict[str, Any] | None:
-    """Describes the ``auto`` → ``numpy`` degradation, or ``None``.
-
-    The executor journals this as a per-run ``kernel_fallback`` event
-    so a trace reader sees the degradation even when the per-process
-    warning fired in an earlier run.
-    """
-    if str(name).strip().lower() != "auto" or native_available():
-        return None
-    return {
-        "requested": "auto",
-        "resolved": "numpy",
-        "reason": _NATIVE_ERROR or "native kernel unavailable",
-    }
-
-
-def active_kernel() -> SolverKernel:
-    """The kernel the solver hot path dispatches through.
-
-    An ambient kernel installed by :func:`use_kernel` wins; otherwise
-    the ``REPRO_KERNEL`` knob resolves lazily (default ``numpy``), so a
-    bare ``compute_batch`` call — no executor, no context — still
-    honours the environment on a native CI leg.
-    """
-    kernel = _KERNEL.get()
-    if kernel is not None:
-        return kernel
-    from ..runtime.settings import resolve_kernel  # import-leaf, cycle-safe
-
-    return get_kernel(resolve_kernel(None))
-
-
-@contextmanager
-def use_kernel(kernel: "SolverKernel | str | None") -> Iterator[SolverKernel]:
-    """Install *kernel* (an instance or a choice name) as ambient.
-
-    ``None`` is a no-op install that leaves resolution lazy — useful
-    for unconditional ``with`` statements.  Kernels never change what
-    is computed, only which implementation computes it.
-    """
-    if isinstance(kernel, str):
-        kernel = get_kernel(kernel)
-    token = _KERNEL.set(kernel)
-    try:
-        yield kernel if kernel is not None else active_kernel()
-    finally:
-        _KERNEL.reset(token)
-
-
-def kernel_status() -> dict[str, Any]:
-    """JSON-ready kernel facts (service ``ping``, diagnostics)."""
-    ambient = _KERNEL.get()
-    return {
-        "active": None if ambient is None else ambient.name,
-        "native_available": native_available(),
-        "native_error": _NATIVE_ERROR,
-    }
+#: The process's one kernel instance.
+KERNEL = SolverKernel()

@@ -1,11 +1,11 @@
 """Picklable method payloads: primitive tuples describing methods.
 
 Spec strings cover the stock methods, but they are lossy: an
-informative-prior aHPD, a non-default ET/HPD prior, or a non-default
-solver has no faithful spec.  Payloads close that gap — a primitive
-tuple carrying the *full* configuration, decodable in any worker and
-hashed into the cache token — so such methods can take the executor
-path instead of silently falling back to serial loops.
+informative-prior aHPD or a non-default ET/HPD prior has no faithful
+spec.  Payloads close that gap — a primitive tuple carrying the *full*
+configuration, decodable in any worker and hashed into the cache token
+— so such methods can take the executor path instead of silently
+falling back to serial loops.
 
 The machinery lives here (not in :mod:`repro.runtime.cells`, which
 re-exports it) because the intervals layer itself needs payload keys:
@@ -56,8 +56,8 @@ def _prior_payload(prior: BetaPrior) -> tuple[float, float, str]:
 def method_payload(method: IntervalMethod) -> tuple | None:
     """A primitive tuple fully describing *method*, or ``None``.
 
-    The payload captures everything the method reads — class, priors,
-    solver — for the library's method classes (exact types only: a
+    The payload captures everything the method reads — class and
+    priors — for the library's method classes (exact types only: a
     subclass may carry state the payload cannot see and is therefore
     not encodable).  ``None`` means the method cannot take the executor
     path; callers must then fall back *loudly* (``warnings.warn``), per
@@ -69,13 +69,9 @@ def method_payload(method: IntervalMethod) -> tuple | None:
     if type(method) is ETCredibleInterval:
         return ("et", _prior_payload(method.prior))
     if type(method) is HPDCredibleInterval:
-        return ("hpd", _prior_payload(method.prior), method.solver)
+        return ("hpd", _prior_payload(method.prior))
     if type(method) is AdaptiveHPD:
-        return (
-            "ahpd",
-            tuple(_prior_payload(prior) for prior in method.priors),
-            method.solver,
-        )
+        return ("ahpd", tuple(_prior_payload(prior) for prior in method.priors))
     return None
 
 
@@ -88,8 +84,7 @@ def build_method_from_payload(payload: tuple) -> IntervalMethod:
     if kind == "et":
         return ETCredibleInterval(prior=BetaPrior(*payload[1]))
     if kind == "hpd":
-        return HPDCredibleInterval(prior=BetaPrior(*payload[1]), solver=payload[2])
+        return HPDCredibleInterval(prior=BetaPrior(*payload[1]))
     if kind == "ahpd":
-        priors = tuple(BetaPrior(*entry) for entry in payload[1])
-        return AdaptiveHPD(priors=priors, solver=payload[2])
+        return AdaptiveHPD(priors=tuple(BetaPrior(*entry) for entry in payload[1]))
     raise ValidationError(f"unknown method payload kind {kind!r}")

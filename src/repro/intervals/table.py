@@ -11,9 +11,9 @@ indexing, which turns the dominant per-rep root-find into a gather.
 Because the table rows *are* ``compute_batch`` outputs — built by the
 very method instance being served, stored at full float64 — a served
 batch is bit-identical to a freshly solved one.  Tables therefore sit
-on the same side of the determinism line as the solve pool and the
-kernels: they change wall-clock, never numbers, and never participate
-in cache identity.
+on the same side of the determinism line as the solve pool: they
+change wall-clock, never numbers, and never participate in cache
+identity.
 
 Serving is strict full-hit-or-``None``: a batch is served only when
 *every* evidence row is table-eligible (an exact integer-count SRS
@@ -254,24 +254,26 @@ class SolveTable:
         alpha: float,
         n: int,
         build: bool,
-    ) -> tuple | None:
+    ) -> tuple[tuple | None, bool]:
+        """``(entry, in_memory)``: the table (``None`` if absent and not
+        built) and whether it was already in memory before this call."""
         key = (payload, float(alpha), int(n))
         with self._checked_lock():
             entry = self._entries.get(key)
             if entry is not None:
-                return entry
+                return entry, True
             entry = self._load_sidecar(payload, alpha, n)
             if entry is not None:
                 self._loads += 1
                 self._entries[key] = entry
-                return entry
+                return entry, False
             if not build:
-                return None
+                return None, False
             lower, upper, labels = self._build_entry(method, alpha, n)
             self._store_sidecar(payload, alpha, n, lower, upper, labels)
             entry = (lower, upper, labels)
             self._entries[key] = entry
-            return entry
+            return entry, False
 
     # -- the serving API ----------------------------------------------
 
@@ -291,6 +293,12 @@ class SolveTable:
 
         A non-``None`` return is bit-identical to
         ``method.compute_batch(evidences, alpha)``.
+
+        Every eligible call counts once in :meth:`stats`: a *hit* when
+        every needed ``(payload, alpha, n)`` table was already in
+        memory, a *miss* when one had to be loaded, built, or (with
+        ``build=False``) was absent; ineligible calls count as
+        ``ineligible``.
         """
         if self.cap <= 0:
             return None
@@ -303,12 +311,14 @@ class SolveTable:
             self._ineligible += 1
             return None
         entries: dict[int, tuple] = {}
+        in_memory = True
         for n in sorted({int(n) for n in pairs[:, 1]}):
-            entry = self._entry_for(payload, method, alpha, n, build)
+            entry, cached = self._entry_for(payload, method, alpha, n, build)
             if entry is None:
                 self._misses += 1
                 return None
             entries[n] = entry
+            in_memory &= cached
         count = pairs.shape[0]
         lower = np.empty(count, dtype=float)
         upper = np.empty(count, dtype=float)
@@ -325,7 +335,10 @@ class SolveTable:
                     labels[row] = (
                         entry_labels[tau] if entry_labels is not None else method.name
                     )
-        self._hits += 1
+        if in_memory:
+            self._hits += 1
+        else:
+            self._misses += 1
         self._rows_served += count
         return BatchIntervals(
             lower=lower,
@@ -399,8 +412,8 @@ def default_table() -> SolveTable | None:
     base.run_task` falls back to this — ``REPRO_SOLVE_TABLE`` for the
     cap, ``REPRO_CACHE_DIR`` for sidecar persistence.
     """
-    # Deferred: settings is a runtime-layer import leaf, same pattern
-    # as kernels.active_kernel — keeps the intervals layer cycle-free.
+    # Deferred: settings is a runtime-layer import leaf; importing it
+    # lazily keeps the intervals layer cycle-free.
     from ..runtime.settings import resolve_cache_dir, resolve_solve_table
 
     cap = resolve_solve_table(None)

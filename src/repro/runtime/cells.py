@@ -171,7 +171,6 @@ def _prior(name: str) -> BetaPrior:
 
 def build_method(
     spec: str,
-    solver: str = "newton",
     priors: tuple[tuple[float, float, str], ...] | None = None,
 ) -> IntervalMethod:
     """Instantiate the interval method described by *spec*.
@@ -198,14 +197,12 @@ def build_method(
     if name == "et":
         return ETCredibleInterval(prior=_prior(arg)) if arg else ETCredibleInterval()
     if name == "hpd":
-        if arg:
-            return HPDCredibleInterval(prior=_prior(arg), solver=solver)
-        return HPDCredibleInterval(solver=solver)
+        return HPDCredibleInterval(prior=_prior(arg)) if arg else HPDCredibleInterval()
     if name == "ahpd":
         if priors is not None:
             candidates = tuple(BetaPrior(a, b, name=label) for a, b, label in priors)
-            return AdaptiveHPD(priors=candidates, solver=solver)
-        return AdaptiveHPD(solver=solver)
+            return AdaptiveHPD(priors=candidates)
+        return AdaptiveHPD()
     raise ValidationError(f"unknown interval method spec {spec!r}")
 
 
@@ -219,7 +216,7 @@ def build_method(
 # re-exported here, unchanged, for every existing runtime import site.
 
 
-def cell_method(cell: CellSpec, settings: "ExperimentSettings") -> IntervalMethod:
+def cell_method(cell: CellSpec) -> IntervalMethod:
     """The interval method a cell's runner (or reducer) should use.
 
     A :attr:`~repro.runtime.spec.CellSpec.method_payload` wins over the
@@ -228,11 +225,7 @@ def cell_method(cell: CellSpec, settings: "ExperimentSettings") -> IntervalMetho
     """
     if cell.method_payload is not None:
         return build_method_from_payload(cell.method_payload)
-    return build_method(
-        cell.method,
-        solver=settings.solver,
-        priors=getattr(cell, "priors", None),
-    )
+    return build_method(cell.method, priors=getattr(cell, "priors", None))
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +372,7 @@ def _study_evaluator(cell: StudyCell, settings: "ExperimentSettings") -> KGAccur
     return KGAccuracyEvaluator(
         kg=kg,
         strategy=build_strategy(cell.strategy),
-        method=cell_method(cell, settings),
+        method=cell_method(cell),
         config=config,
     )
 
@@ -404,7 +397,7 @@ def run_study_cell(cell: StudyCell, settings: "ExperimentSettings") -> StudyResu
 @register_cell_runner(CoverageCell)
 def run_coverage_cell(cell: CoverageCell, settings: "ExperimentSettings") -> CoverageResult:
     """One fixed-n empirical coverage cell."""
-    method = cell_method(cell, settings)
+    method = cell_method(cell)
     alpha = settings.alpha if cell.alpha is None else cell.alpha
     repetitions = settings.repetitions if cell.repetitions is None else cell.repetitions
     return empirical_coverage(
@@ -422,7 +415,7 @@ def run_sequential_coverage_cell(
     cell: SequentialCoverageCell, settings: "ExperimentSettings"
 ) -> SequentialCoverageResult:
     """One stopped-interval coverage cell (full iterative procedure)."""
-    method = cell_method(cell, settings)
+    method = cell_method(cell)
     config = settings.evaluation_config(alpha=cell.alpha)
     repetitions = settings.repetitions if cell.repetitions is None else cell.repetitions
     return sequential_coverage(
@@ -513,7 +506,7 @@ def merge_coverage_cell_shards(
 ) -> CoverageResult:
     """Sum shard histograms and solve the merged outcome set once."""
     counts = np.sum(partials, axis=0)
-    method = cell_method(cell, settings)
+    method = cell_method(cell)
     alpha = settings.alpha if cell.alpha is None else cell.alpha
     return coverage_from_counts(
         method,
@@ -533,7 +526,7 @@ def run_sequential_coverage_cell_shard(
     rep_stop: int,
 ) -> tuple[int, np.ndarray]:
     """Raw ``(hits, stopping)`` replay outcomes of one repetition window."""
-    method = cell_method(cell, settings)
+    method = cell_method(cell)
     config = settings.evaluation_config(alpha=cell.alpha)
     return sequential_replays(
         method,
@@ -556,7 +549,7 @@ def merge_sequential_coverage_cell_shards(
     (mean/std over the full array) are computed on identical input —
     bit-identical output.
     """
-    method = cell_method(cell, settings)
+    method = cell_method(cell)
     config = settings.evaluation_config(alpha=cell.alpha)
     hits = sum(int(h) for h, _ in partials)
     stopping = np.concatenate([s for _, s in partials])
@@ -605,7 +598,6 @@ def _dynamic_auditor(cell: DynamicAuditCell, settings: "ExperimentSettings") -> 
         config=settings.evaluation_config(alpha=cell.alpha),
         carryover=cell.carryover,
         max_prior_strength=cell.max_prior_strength,
-        solver=settings.solver,
     )
 
 
@@ -712,7 +704,7 @@ def _partition_trajectory_window(
         names[start:stop],
         members,
         order,
-        cell_method(cell, settings),
+        cell_method(cell),
         alpha,
         cell.epsilon,
         cell.min_per_partition,
@@ -768,7 +760,7 @@ def merge_partitioned_audit_cell_shards(
         allocated,
         done,
         total,
-        cell_method(cell, settings),
+        cell_method(cell),
         alpha,
         cell.epsilon,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "resolve_chaos_seed",
     "resolve_chunk_seconds",
     "resolve_chunk_size",
-    "resolve_kernel",
     "resolve_max_retries",
     "resolve_on_error",
     "resolve_progress",
@@ -159,12 +158,6 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
         _parse_int("REPRO_SOLVE_BATCH_MAX"),
         "max coalesced callers per cross-request solve batch flush "
         "(int >= 1; default 64)",
-    ),
-    "REPRO_KERNEL": (
-        _parse_text("REPRO_KERNEL"),
-        "interval solver kernel: numpy | native | auto "
-        "(default numpy; auto degrades loudly to numpy without numba; "
-        "never part of cache identity)",
     ),
     "REPRO_SOLVE_TABLE": (
         _parse_int("REPRO_SOLVE_TABLE"),
@@ -385,28 +378,6 @@ def resolve_solve_batch_max(max_batch: int | None) -> int:
     return max_batch
 
 
-def resolve_kernel(kernel: str | None) -> str:
-    """Explicit choice, or the ``REPRO_KERNEL`` default (``"numpy"``).
-
-    Returns a validated kernel *name* (``numpy`` | ``native`` |
-    ``auto``) — instances are resolved later, at solve time, by
-    :func:`repro.intervals.kernels.get_kernel`, so contexts stay
-    picklable/JSON-describable and ``auto`` can degrade per process.
-    The default is the NumPy oracle, not ``auto``: installing numba
-    must never silently change which kernel a run uses.
-    """
-    if kernel is None:
-        kernel = env_knob("REPRO_KERNEL")
-        if kernel is None:
-            return "numpy"
-    kernel = str(kernel).strip().lower()
-    if kernel not in ("auto", "numpy", "native"):
-        raise ValidationError(
-            f"kernel must be one of auto, numpy, native; got {kernel!r}"
-        )
-    return kernel
-
-
 def resolve_solve_table(cap: int | None) -> int:
     """Explicit cap, or the ``REPRO_SOLVE_TABLE`` default (2048).
 
@@ -506,10 +477,10 @@ class RunContext:
       shared infrastructure rather than per-run configuration, so it
       has no environment fallback and is threaded in explicitly (the
       audit service passes its process-wide broker here)
-    * ``kernel`` — solver-kernel choice ``"numpy"`` | ``"native"`` |
-      ``"auto"`` (``REPRO_KERNEL``; default ``"numpy"``); resolved to
-      an implementation at run time and **never** part of cache
-      identity — results are pinned kernel-independent
+    * ``kernel`` — always ``"numpy"``, the one HPD solver kernel
+      (:mod:`repro.intervals.kernels`); accepted as ``None`` or
+      ``"numpy"`` so recorded contexts still construct, and never part
+      of cache identity
     * ``solve_table`` — small-n solve-table cap (``REPRO_SOLVE_TABLE``;
       default 2048, ``0`` disables); pure memoisation, also outside
       cache identity
@@ -581,7 +552,12 @@ class RunContext:
         set_field("store", resolve_store(self.store))
         set_field("progress", resolve_progress(self.progress))
         set_field("trace", resolve_trace_file(self.trace))
-        set_field("kernel", resolve_kernel(self.kernel))
+        if self.kernel not in (None, "numpy"):
+            raise ValidationError(
+                f"kernel must be 'numpy', the only HPD solver kernel; "
+                f"got {self.kernel!r}"
+            )
+        set_field("kernel", "numpy")
         set_field("solve_table", resolve_solve_table(self.solve_table))
         if self.solve_pool is not None and not callable(
             getattr(self.solve_pool, "channel", None)

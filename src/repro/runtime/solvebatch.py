@@ -17,7 +17,7 @@ Grouping and correctness
 
 Pending work is grouped by ``(method, alpha)``, with the method keyed
 through :func:`~repro.runtime.cells.method_payload` — a primitive tuple
-capturing class, priors and solver — so two requests configured with
+capturing class and priors — so two requests configured with
 *equal* methods coalesce even though they hold distinct instances.
 Methods the payload cannot encode fall back to identity keying and
 simply never cross-coalesce (still correct, just unbatched across

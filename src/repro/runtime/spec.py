@@ -50,8 +50,8 @@ __all__ = [
 #: the evaluators, interval solvers, or cell semantics makes previously
 #: cached payloads stale.  2: cells grew the picklable ``method_payload``
 #: field (full method configuration in the token, not just the spec
-#: string).
-CACHE_VERSION = 2
+#: string).  3: the HPD ``solver`` left settings and method payloads.
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ class CellSpec:
     method_payload:
         Full picklable method configuration — the primitive tuple
         produced by :func:`repro.runtime.cells.method_payload` — for
-        methods whose configuration (informative priors, solver) is not
-        captured by the ``method`` spec string.  When set, runners build
+        methods whose configuration (informative priors) is not captured
+        by the ``method`` spec string.  When set, runners build
         the method from this payload (``method`` stays as the display
         name) and the payload participates in the cache token, so two
         ad-hoc methods with the same display name can never share an
@@ -296,7 +296,7 @@ class StudyPlan:
     ----------
     settings:
         The shared :class:`~repro.experiments.config.ExperimentSettings`
-        (repetitions, seeds, alpha/epsilon, HPD solver).
+        (repetitions, seeds, alpha/epsilon).
     cells:
         The grid, in deterministic plan order.  Keys must be unique.
     name:
@@ -327,7 +327,6 @@ _SETTINGS_TOKEN_FIELDS = (
     "dataset_seed",
     "alpha",
     "epsilon",
-    "solver",
 )
 
 

@@ -8,7 +8,7 @@ properties the execution layer relies on:
 * **re-run skipping** — an unchanged grid is served entirely from disk;
 * **resume after interruption** — cells are persisted one by one as
   they complete, so a killed grid continues where it stopped;
-* **safety** — any input change (seed, repetitions, solver, code
+* **safety** — any input change (seed, repetitions, alpha, code
   version) changes the token, so stale payloads are unreachable rather
   than wrong.
 

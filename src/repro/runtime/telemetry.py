@@ -61,8 +61,11 @@ __all__ = [
 
 #: Journal schema version, stamped into every ``run_start`` event and
 #: into emitted metric summaries.  Bump when event names or field
-#: meanings change incompatibly.
-TRACE_SCHEMA_VERSION = 1
+#: meanings change incompatibly.  2: ``solve_table`` hits count only
+#: serves answered from tables already in memory (a first-touch build
+#: or sidecar load is a miss), and the solver-kernel fallback event is
+#: gone with the kernel choice.
+TRACE_SCHEMA_VERSION = 2
 
 #: Every event type the runtime emits.  The journal-schema check (CI
 #: and ``python -m repro trace check``) rejects anything else, so a
@@ -90,7 +93,6 @@ EVENT_TYPES = frozenset(
         "chaos_inject",  # the chaos backend faulted a unit
         "solve_batch_flush",  # cross-request interval-solve batch flushed
         "solve_table",  # run's small-n solve-table usage (hits/builds)
-        "kernel_fallback",  # requested solver kernel degraded (auto→numpy)
         "run_finish",  # run over; status ok/aborted, wall seconds
     }
 )
@@ -331,7 +333,6 @@ class MetricsAggregate:
         self.table_build_seconds = 0.0
         self.table_rows_served = 0
         self.table_cap: int | None = None
-        self.kernel_fallbacks: list[dict] = []
         self.execute_seconds = 0.0
         self.queue_wait_seconds = 0.0
         self.wall_seconds = 0.0
@@ -391,8 +392,6 @@ class MetricsAggregate:
             self.table_rows_served += int(fields.get("rows_served", 0))
             if fields.get("cap") is not None:
                 self.table_cap = int(fields["cap"])
-        elif event.event == "kernel_fallback":
-            self.kernel_fallbacks.append(dict(fields))
         elif event.event == "cell_finished":
             if not fields.get("cached", False):
                 self.cache_misses += 1
@@ -493,9 +492,6 @@ class MetricsAggregate:
                 "builds": self.table_builds,
                 "build_seconds": round(self.table_build_seconds, 6),
                 "rows_served": self.table_rows_served,
-            },
-            "kernel": {
-                "fallbacks": list(self.kernel_fallbacks),
             },
             "by_kind": {
                 kind: {
@@ -673,21 +669,15 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
             f"  max callers/flush  : {batching['max_callers']}",
         ]
     table = aggregate.get("solve_table", {})
-    if table.get("hits") or table.get("builds"):
+    if table.get("hits") or table.get("misses"):
         lines += [
             "",
             "solve table",
-            f"  serves / misses    : {table['hits']} / {table['misses']}",
+            f"  hits / misses      : {table['hits']} / {table['misses']}",
             f"  rows served        : {table['rows_served']}",
             f"  tables built       : {table['builds']}"
             f"  ({table['build_seconds']:.3f}s)",
         ]
-    kernel = aggregate.get("kernel", {})
-    for fallback in kernel.get("fallbacks", []):
-        lines.append(
-            f"kernel fallback: {fallback.get('requested')} -> "
-            f"{fallback.get('resolved')} ({fallback.get('reason')})"
-        )
     if aggregate["by_kind"]:
         lines += ["", "per cell kind (units, execute s, queue-wait s)"]
         for kind, totals in aggregate["by_kind"].items():

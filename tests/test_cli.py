@@ -35,7 +35,11 @@ class TestCLI:
         assert "completed in" in out
 
     def test_solver_flag(self, capsys):
-        assert main(["figure2", "--reps", "3", "--solver", "slsqp"]) == 0
+        # Every HPD method runs the one Newton solver; the flag is gone
+        # (the solver ablation is its own experiment, ablation-hpd).
+        with pytest.raises(SystemExit):
+            main(["figure2", "--reps", "3", "--solver", "slsqp"])
+        assert "--solver" in capsys.readouterr().err
 
     def test_multiple_experiments(self, capsys):
         assert main(["table1", "figure2", "--reps", "3"]) == 0

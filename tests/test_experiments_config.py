@@ -39,8 +39,11 @@ class TestSettings:
         assert derived.seed == DEFAULT_SETTINGS.seed
 
     def test_rejects_unknown_solver(self):
-        with pytest.raises(ValidationError):
+        # Settings carry no HPD solver: every method runs Newton.
+        with pytest.raises(TypeError):
             ExperimentSettings(solver="nope")
+        with pytest.raises(TypeError):
+            ExperimentSettings(solver="newton")
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValidationError):

@@ -84,8 +84,11 @@ class TestPriorSets:
             AdaptiveHPD(priors=("Jeffreys",))  # type: ignore[arg-type]
 
     def test_rejects_unknown_solver(self):
-        with pytest.raises(ValidationError):
+        # aHPD always runs the Newton solver; there is no knob to pass.
+        with pytest.raises(TypeError):
             AdaptiveHPD(solver="bogus")
+        with pytest.raises(TypeError):
+            AdaptiveHPD(solver="newton")
 
     def test_repr_lists_priors(self):
         text = repr(AdaptiveHPD())

@@ -131,8 +131,12 @@ class TestHPDMethodObject:
         assert interval.upper < 1.0
 
     def test_rejects_unknown_solver(self):
-        with pytest.raises(ValidationError):
+        # The method always runs the Newton solver; only hpd_bounds
+        # takes a solver name (the ablation and the test oracles).
+        with pytest.raises(TypeError):
             HPDCredibleInterval(solver="gradient-descent")
+        with pytest.raises(TypeError):
+            HPDCredibleInterval(solver="slsqp")
 
     def test_hpd_bounds_rejects_unknown_solver(self):
         post = BetaPosterior.from_counts(JEFFREYS, 10, 30)

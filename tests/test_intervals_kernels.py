@@ -1,190 +1,82 @@
-"""Solver-kernel registry tests: selection, fallback, equivalence.
+"""Solver-kernel tests: one kernel, one instance, no knob.
 
-The kernel registry (:mod:`repro.intervals.kernels`) promises that the
-kernel choice is *observation-free*: every kernel produces bounds that
-are bit-identical or within 1e-12 of the NumPy reference, selection
-degrades loudly (never silently), and the choice never reaches cache
-identity.  These tests pin each clause; the native-vs-numpy property
-runs only where the optional ``numba`` dependency is installed.
+:mod:`repro.intervals.kernels` holds the single damped-Newton HPD
+kernel.  These tests pin that every batch HPD solve runs through its
+module-level instance, that ``RunContext`` still accepts only the
+``numpy`` name recorded contexts carry, and that the kernel never
+reaches cache identity.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.intervals import hpd_bounds_batch
-from repro.intervals import kernels as kernels_module
-from repro.intervals.kernels import (
-    KERNEL_NAMES,
-    NumpyKernel,
-    active_kernel,
-    auto_fallback_info,
-    get_kernel,
-    kernel_status,
-    native_available,
-    use_kernel,
-)
-from repro.runtime.settings import resolve_kernel
+from repro.intervals.kernels import KERNEL, SolverKernel
+from repro.runtime import ParallelExecutor, RunContext
 
 
 class TestRegistry:
     def test_kernel_names_cover_the_knob(self):
-        assert KERNEL_NAMES == ("auto", "numpy", "native")
-        for name in ("auto", "numpy", "native"):
-            assert resolve_kernel(name) == name
+        # ``serve --kernel`` and ``RunContext(kernel=...)`` accept the
+        # same single name, and every accepted form resolves to it.
+        from repro.cli import _build_parser as build_parser
+
+        serve = build_parser().parse_args(["serve", "--kernel", "numpy"])
+        assert serve.kernel == "numpy"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--kernel", "native"])
+        for name in (None, "numpy"):
+            assert RunContext(kernel=name).kernel == "numpy"
 
     def test_numpy_kernel_is_a_singleton(self):
-        assert get_kernel("numpy") is get_kernel("numpy")
-        assert isinstance(get_kernel("numpy"), NumpyKernel)
-        assert get_kernel("numpy").name == "numpy"
+        from repro.intervals import batch
+
+        assert isinstance(KERNEL, SolverKernel)
+        assert batch.KERNEL is KERNEL
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValidationError, match="kernel"):
-            get_kernel("fortran")
-        with pytest.raises(ValidationError, match="REPRO_KERNEL|kernel"):
-            resolve_kernel("fortran")
+            RunContext(kernel="fortran")
 
     def test_native_unavailable_raises_loudly(self):
-        if native_available():
-            pytest.skip("numba present: native kernel is available")
-        with pytest.raises(ValidationError, match="native"):
-            get_kernel("native")
-
-    def test_auto_degrades_with_a_warning_not_silence(self, monkeypatch):
-        if native_available():
-            kernel = get_kernel("auto")
-            assert kernel.name == "native"
-            assert auto_fallback_info("auto") is None
-            return
-        # The warning fires once per process; rearm it for this test.
-        monkeypatch.setattr(kernels_module, "_AUTO_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="REPRO_KERNEL=auto"):
-            kernel = get_kernel("auto")
-        assert kernel.name == "numpy"
-        info = auto_fallback_info("auto")
-        assert info is not None
-        assert info["requested"] == "auto"
-        assert info["resolved"] == "numpy"
-        assert info["reason"]
-
-    def test_fallback_info_only_for_degraded_auto(self):
-        assert auto_fallback_info("numpy") is None
-        assert auto_fallback_info(None) is None
-
-    def test_status_reports_availability(self):
-        status = kernel_status()
-        assert set(status) == {"active", "native_available", "native_error"}
-        assert status["native_available"] == native_available()
-        if not native_available():
-            assert "numba" in status["native_error"]
+        for retired in ("native", "auto"):
+            with pytest.raises(ValidationError, match="numpy"):
+                RunContext(kernel=retired)
+        with pytest.raises(TypeError):
+            ParallelExecutor(kernel="numpy")
 
 
 class TestAmbientSelection:
-    def test_use_kernel_installs_and_restores(self):
-        kernel = get_kernel("numpy")
-        with use_kernel(kernel):
-            assert active_kernel() is kernel
-            assert kernel_status()["active"] == "numpy"
-        # Outside the block the ambient selection falls back to the
-        # environment default (numpy in the test environment).
-        assert active_kernel().name == "numpy"
-
-    def test_use_kernel_accepts_names_and_none(self):
-        with use_kernel("numpy") as kernel:
-            assert kernel.name == "numpy"
-            # None is a no-op install: the ambient kernel is unchanged.
-            with use_kernel(None):
-                assert active_kernel() is kernel
-
-    def test_hpd_bounds_flow_through_the_ambient_kernel(self):
-        a = np.array([3.5, 12.0, 80.5])
-        b = np.array([2.5, 4.0, 20.5])
+    def test_hpd_bounds_flow_through_the_ambient_kernel(self, monkeypatch):
+        a = np.array([3.5, 12.0, 80.5, 0.5, 1.0])
+        b = np.array([2.5, 4.0, 20.5, 3.0, 1.0])
         direct = hpd_bounds_batch(a, b, 0.05)
-        with use_kernel("numpy"):
-            ambient = hpd_bounds_batch(a, b, 0.05)
-        assert np.array_equal(direct[0], ambient[0])
-        assert np.array_equal(direct[1], ambient[1])
+        seen = []
+        newton = SolverKernel.newton_interior
 
+        def spy(self, a_rows, b_rows, alpha):
+            seen.append(len(a_rows))
+            return newton(self, a_rows, b_rows, alpha)
 
-@pytest.mark.skipif(not native_available(), reason="numba not installed")
-class TestNativeEquivalence:
-    """Native-vs-numpy pin, run only where the JIT kernel exists."""
-
-    @given(
-        tau=st.integers(min_value=0, max_value=40),
-        n=st.integers(min_value=1, max_value=40),
-        alpha=st.sampled_from([0.01, 0.05, 0.1]),
-    )
-    @hyp_settings(max_examples=60, deadline=None)
-    def test_all_methods_agree_bitwise_or_1e12(self, tau, n, alpha):
-        from repro.estimators.base import Evidence
-        from repro.intervals import (
-            AdaptiveHPD,
-            AgrestiCoullInterval,
-            ArcsineInterval,
-            ClopperPearsonInterval,
-            ETCredibleInterval,
-            HPDCredibleInterval,
-            LogitInterval,
-            WaldInterval,
-            WilsonInterval,
-        )
-
-        tau = min(tau, n)
-        evidences = [Evidence.from_counts(tau, n)]
-        methods = [
-            WaldInterval(), WilsonInterval(), AgrestiCoullInterval(),
-            ClopperPearsonInterval(), ArcsineInterval(), LogitInterval(),
-            ETCredibleInterval(), HPDCredibleInterval(), AdaptiveHPD(),
-        ]
-        for method in methods:
-            with use_kernel("numpy"):
-                reference = method.compute_batch(evidences, alpha)
-            with use_kernel("native"):
-                native = method.compute_batch(evidences, alpha)
-            np.testing.assert_allclose(
-                native.lower, reference.lower, rtol=0.0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                native.upper, reference.upper, rtol=0.0, atol=1e-12
-            )
-            assert native.labels == reference.labels
-
-    def test_newton_interior_matches_reference(self):
-        rng = np.random.default_rng(7)
-        a = 1.0 + rng.uniform(0.5, 400.0, size=256)
-        b = 1.0 + rng.uniform(0.5, 400.0, size=256)
-        ref_l, ref_u, ref_f = get_kernel("numpy").newton_interior(a, b, 0.05)
-        nat_l, nat_u, nat_f = get_kernel("native").newton_interior(a, b, 0.05)
-        np.testing.assert_allclose(nat_l, ref_l, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(nat_u, ref_u, rtol=0.0, atol=1e-12)
-        assert np.array_equal(nat_f, ref_f)
+        # Patching the class method reaches every solve: the instance
+        # is looked up at call time, never bound at import.
+        monkeypatch.setattr(SolverKernel, "newton_interior", spy)
+        spied = hpd_bounds_batch(a, b, 0.05)
+        assert seen == [3]  # the interior-mode rows only
+        assert np.array_equal(direct[0], spied[0])
+        assert np.array_equal(direct[1], spied[1])
 
 
 class TestEnvironmentResolution:
-    def test_env_knob_feeds_active_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel(None) == "numpy"
-        assert active_kernel().name == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        with pytest.raises(ValidationError):
-            resolve_kernel(None)
-
     def test_kernel_never_enters_cache_identity(self):
-        # The cache token is a pure function of ExperimentSettings and
-        # the cell spec; neither knows the kernel knob exists.
         from repro.experiments.config import ExperimentSettings
+        from repro.runtime.spec import _SETTINGS_TOKEN_FIELDS
 
         settings = ExperimentSettings(repetitions=3, seed=0)
         assert not hasattr(settings, "kernel")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with use_kernel("auto"):
-                pass  # installing any kernel never touches settings
-        assert not hasattr(settings, "kernel")
+        assert "kernel" not in _SETTINGS_TOKEN_FIELDS
+        assert RunContext().kernel == RunContext(kernel="numpy").kernel == "numpy"
+        assert RunContext().describe()["kernel"] == "numpy"

@@ -94,7 +94,8 @@ class TestBitIdentity:
         with use_solve_table(table):
             served = method.solve_batch(evidences, 0.05)
         assert batches_equal(direct, served)
-        assert table.stats()["hits"] == 1
+        # The first serve builds the table: answered, but a miss.
+        assert (table.stats()["hits"], table.stats()["misses"]) == (0, 1)
         assert table.stats()["rows_served"] == 13
 
     def test_pooled_broker_flush_serves_from_the_table(self, tmp_path):
@@ -129,6 +130,54 @@ class TestBitIdentity:
             warm = method.solve_batch(evidences, 0.05)
         assert batches_equal(direct, warm)
         assert broker.rows_solved <= 3 * len(evidences)
+
+
+class TestCounters:
+    def test_first_serve_misses_and_repeat_hits(self, tmp_path):
+        method = AdaptiveHPD()
+        evidences = [Evidence.from_counts(tau, 9) for tau in range(10)]
+        table = SolveTable(tmp_path, cap=16)
+        assert table.serve(method, evidences, 0.05) is not None
+        assert (table.stats()["hits"], table.stats()["misses"]) == (0, 1)
+        assert table.serve(method, evidences, 0.05) is not None
+        assert (table.stats()["hits"], table.stats()["misses"]) == (1, 1)
+        # A sidecar load is not an in-memory hit either.
+        fresh = SolveTable(tmp_path, cap=16)
+        assert fresh.serve(method, evidences, 0.05, build=False) is not None
+        assert (fresh.stats()["hits"], fresh.stats()["misses"]) == (0, 1)
+
+    def test_a_batch_needing_one_new_table_is_a_miss(self, tmp_path):
+        method = WilsonInterval()
+        table = SolveTable(None, cap=16)
+        table.serve(method, [Evidence.from_counts(2, 5)], 0.05)
+        mixed = [Evidence.from_counts(2, 5), Evidence.from_counts(3, 7)]
+        assert table.serve(method, mixed, 0.05) is not None
+        assert (table.stats()["hits"], table.stats()["misses"]) == (0, 2)
+        assert table.serve(method, mixed, 0.05) is not None
+        assert (table.stats()["hits"], table.stats()["misses"]) == (1, 2)
+
+    def test_every_serve_call_is_counted_once(self, tmp_path):
+        table = SolveTable(tmp_path, cap=16)
+        stratified = Evidence(
+            mu_hat=0.5, variance=0.01, n_effective=12.5,
+            tau_effective=6.25, n_annotated=12,
+        )
+        calls = [
+            (HPDCredibleInterval(), [Evidence.from_counts(3, 8)], True),
+            (HPDCredibleInterval(), [Evidence.from_counts(5, 8)], True),
+            (HPDCredibleInterval(), [Evidence.from_counts(4, 9)], False),
+            (WilsonInterval(), [stratified], True),
+            (WilsonInterval(), [Evidence.from_counts(1, 40)], True),
+            (WilsonInterval(), [], True),
+            (ETCredibleInterval(), [Evidence.from_counts(0, 3)], False),
+            (ETCredibleInterval(), [Evidence.from_counts(0, 3)], True),
+            (ETCredibleInterval(), [Evidence.from_counts(3, 3)], False),
+        ]
+        for method, evidences, build in calls:
+            table.serve(method, evidences, 0.05, build=build)
+        stats = table.stats()
+        assert stats["hits"] + stats["misses"] + stats["ineligible"] == len(calls)
+        assert (stats["hits"], stats["misses"], stats["ineligible"]) == (2, 4, 3)
 
 
 class TestPersistence:

@@ -514,8 +514,8 @@ class TestMethodPayload:
         ArcsineInterval(),
         LogitInterval(),
         ETCredibleInterval(prior=KERMAN),
-        HPDCredibleInterval(prior=BetaPrior(3.0, 2.0, name="Custom"), solver="scalar"),
-        AdaptiveHPD(solver="slsqp"),
+        HPDCredibleInterval(prior=BetaPrior(3.0, 2.0, name="Custom")),
+        AdaptiveHPD(),
         AdaptiveHPD(
             priors=UNINFORMATIVE_PRIORS + (BetaPrior(80.0, 20.0, name="Similar"),)
         ),
@@ -528,7 +528,6 @@ class TestMethodPayload:
         rebuilt = build_method_from_payload(payload)
         assert type(rebuilt) is type(method)
         assert rebuilt.name == method.name
-        assert getattr(rebuilt, "solver", None) == getattr(method, "solver", None)
         assert getattr(rebuilt, "prior", None) == getattr(method, "prior", None)
         assert getattr(rebuilt, "priors", None) == getattr(method, "priors", None)
 

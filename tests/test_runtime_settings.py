@@ -49,7 +49,6 @@ class TestKnobRegistry:
             "REPRO_CHAOS_SEED",
             "REPRO_CHUNK_SECONDS",
             "REPRO_CHUNK_SIZE",
-            "REPRO_KERNEL",
             "REPRO_MAX_RETRIES",
             "REPRO_ON_ERROR",
             "REPRO_SERVICE",

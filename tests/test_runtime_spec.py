@@ -80,7 +80,6 @@ class TestCacheToken:
             {"dataset_seed": 43},
             {"alpha": 0.01},
             {"epsilon": 0.04},
-            {"solver": "slsqp"},
         ):
             settings = ExperimentSettings(
                 **{"repetitions": 5, **change}  # type: ignore[arg-type]
@@ -99,8 +98,9 @@ class TestCacheToken:
     def test_version_pinned(self):
         # Bumping CACHE_VERSION is the documented way to invalidate old
         # payloads; this guards against accidental bumps.  2: cells grew
-        # the picklable method_payload field.
-        assert CACHE_VERSION == 2
+        # the picklable method_payload field.  3: the HPD solver left
+        # settings and method payloads.
+        assert CACHE_VERSION == 3
 
 
 class TestBuildStrategy:
@@ -140,9 +140,8 @@ class TestBuildMethod:
         et = build_method("ET:Kerman")
         assert isinstance(et, ETCredibleInterval)
         assert et.name == "ET[Kerman]"
-        hpd = build_method("HPD:Kerman", solver="slsqp")
+        hpd = build_method("HPD:Kerman")
         assert isinstance(hpd, HPDCredibleInterval)
-        assert hpd.solver == "slsqp"
         assert hpd.prior == KERMAN
 
     def test_ahpd_informative(self):

@@ -223,7 +223,7 @@ class TestMetrics:
         assert outcome.metrics.status == "ok"
         snapshot = outcome.metrics.as_dict()
         json.dumps(snapshot)  # JSON-ready, no numpy leakage
-        assert snapshot["schema_version"] == 1
+        assert snapshot["schema_version"] == 2
 
     def test_replay_reproduces_the_live_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
