@@ -167,6 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     partition.add_argument("--seed", type=int, default=0)
     _add_runtime_options(partition)
+    partition.add_argument(
+        "--quiet", action="store_true", help="suppress per-cell progress lines"
+    )
 
     plan = sub.add_parser("plan", help="predict the annotation budget")
     plan.add_argument("--mu", type=float, required=True, help="expected accuracy")
@@ -204,6 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
     study.add_argument("--epsilon", type=float, default=0.05)
     study.add_argument("--seed", type=int, default=0)
     _add_runtime_options(study)
+    study.add_argument(
+        "--quiet", action="store_true", help="suppress per-cell progress lines"
+    )
 
     worker = sub.add_parser(
         "worker",
@@ -317,6 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "existing serve command lines keep working",
     )
     _add_runtime_options(serve)
+    serve.add_argument(
+        "--quiet", action="store_true", help="suppress per-request log lines"
+    )
 
     submit = sub.add_parser(
         "submit",
@@ -503,17 +512,14 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "precomputed table persisted beside the result store; 0 "
         "disables (default: $REPRO_SOLVE_TABLE or 2048)",
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress lines"
-    )
 
 
-def _context_from(args: argparse.Namespace, progress: bool = True) -> RunContext:
-    """Resolve the :class:`RunContext` a parallel subcommand asked for."""
+def _context_from(args: argparse.Namespace, progress: bool) -> RunContext:
+    """Resolve the :class:`RunContext` a runtime-routed command asked for."""
     return RunContext(
         workers=args.workers,
         store=args.cache_dir,
-        progress=progress and not args.quiet,
+        progress=progress,
         chunk_size=args.chunk_size,
         chunk_seconds=args.chunk_seconds,
         backend=args.backend,
@@ -526,7 +532,7 @@ def _context_from(args: argparse.Namespace, progress: bool = True) -> RunContext
 
 def _executor_from(args: argparse.Namespace) -> ParallelExecutor:
     """Build the runtime executor a parallel subcommand asked for."""
-    return ParallelExecutor.from_context(_context_from(args))
+    return ParallelExecutor.from_context(_context_from(args, not args.quiet))
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -220,7 +220,7 @@ def coverage_profile(
 def _coverage_profile_cells(
     method, payload, mus, n, alpha, repetitions, seed, executor
 ) -> list[CoverageResult]:
-    from ..runtime import CoverageCell, StudyPlan, execute
+    from ..runtime import CoverageCell, StudyPlan
 
     name = method.name
     cells = tuple(
@@ -241,5 +241,5 @@ def _coverage_profile_cells(
 
     settings = ExperimentSettings(repetitions=repetitions, seed=seed)
     plan = StudyPlan(settings=settings, cells=cells, name="coverage-profile")
-    results = execute(plan, executor=executor).results
+    results = executor.run(plan).results
     return [results[(name, float(mu))] for mu in mus]

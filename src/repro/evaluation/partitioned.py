@@ -508,7 +508,7 @@ def _audit_by_predicate_routed(
 
     # Imported lazily: the runtime layer sits above the evaluators, so
     # a top-level import here would be circular.
-    from ..runtime import PartitionedAuditCell, StudyPlan, execute, method_payload
+    from ..runtime import PartitionedAuditCell, StudyPlan, method_payload
 
     if dataset is None:
         raise ValidationError(
@@ -580,4 +580,4 @@ def _audit_by_predicate_routed(
         seed=seed,
     )
     plan = StudyPlan(settings=settings, cells=(cell,), name="partitioned-audit")
-    return execute(plan, executor=executor).results[cell.key]
+    return executor.run(plan).results[cell.key]

@@ -1,48 +1,20 @@
 """Internal helpers shared by the study-based experiment modules.
 
 Experiment modules describe their Monte-Carlo grids as
-:class:`~repro.runtime.spec.StudyCell` tuples and execute them through
-:func:`run_cells`, which routes through the runtime layer — giving
-every grid-shaped workload worker-process parallelism, disk caching,
-and resume for free (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``, or an
-explicit executor).
-
-``run_configuration`` remains the serial single-cell primitive (the
-runtime's study runner reproduces it exactly), and ``build_strategy``
-the by-name strategy factory; both predate the runtime layer and stay
-for direct use.
+:class:`~repro.runtime.spec.StudyCell` tuples and run them with
+``execute(plan)``, so every grid-shaped workload gets worker-process
+parallelism, disk caching, and resume from the run context
+(``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``, or one installed with
+:func:`~repro.runtime.use_context`).  :func:`strategy_spec`
+names a cell's sampling strategy.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from ..evaluation.framework import KGAccuracyEvaluator
-from ..evaluation.runner import StudyResult, run_study
 from ..exceptions import ValidationError
-from ..intervals.base import IntervalMethod
-from ..kg.base import TripleStore
-from ..runtime import ParallelExecutor, RunContext, StudyPlan, execute
-from ..sampling.base import SamplingStrategy
-from ..sampling.srs import SimpleRandomSampling
-from ..sampling.twcs import TwoStageWeightedClusterSampling
-from ..stats.rng import derive_seed
-from .config import TWCS_M, ExperimentSettings
+from .config import TWCS_M
 
-__all__ = ["build_strategy", "run_configuration", "strategy_spec", "run_cells"]
-
-
-def build_strategy(kind: str, dataset: str) -> SamplingStrategy:
-    """Instantiate a sampling strategy by name with the paper's m."""
-    kind = kind.upper()
-    if kind == "SRS":
-        return SimpleRandomSampling()
-    if kind == "TWCS":
-        m = TWCS_M.get(dataset.upper())
-        if m is None:
-            raise ValidationError(f"no TWCS second-stage size configured for {dataset!r}")
-        return TwoStageWeightedClusterSampling(m=m)
-    raise ValidationError(f"unknown sampling strategy {kind!r}")
+__all__ = ["strategy_spec"]
 
 
 def strategy_spec(kind: str, dataset: str) -> str:
@@ -60,47 +32,3 @@ def strategy_spec(kind: str, dataset: str) -> str:
     if kind in ("SRS", "WCS", "STRAT"):
         return kind
     raise ValidationError(f"unknown sampling strategy {kind!r}")
-
-
-def run_cells(
-    plan: StudyPlan,
-    executor: ParallelExecutor | None = None,
-    context: "RunContext | None" = None,
-) -> Mapping[tuple, StudyResult]:
-    """Execute *plan* through the runtime; results keyed by cell key.
-
-    Pass an *executor*, an immutable per-request *context* (see
-    :class:`~repro.runtime.settings.RunContext`), or neither to run
-    under the session default installed by
-    :func:`~repro.runtime.executor.configure`.
-    """
-    return execute(plan, executor=executor, context=context).results
-
-
-def run_configuration(
-    kg: TripleStore,
-    strategy: SamplingStrategy,
-    method: IntervalMethod,
-    settings: ExperimentSettings,
-    alpha: float | None = None,
-    label: str = "",
-    seed_stream: int = 0,
-) -> StudyResult:
-    """Run one (dataset, strategy, method) Monte-Carlo study.
-
-    Per-configuration seeds are derived from the settings seed and a
-    caller-provided stream index so that adding configurations never
-    perturbs existing ones.
-    """
-    evaluator = KGAccuracyEvaluator(
-        kg=kg,
-        strategy=strategy,
-        method=method,
-        config=settings.evaluation_config(alpha=alpha),
-    )
-    return run_study(
-        evaluator,
-        repetitions=settings.repetitions,
-        seed=derive_seed(settings.seed, seed_stream),
-        label=label or f"{strategy.name}/{method.name}",
-    )

@@ -17,9 +17,8 @@ positively-correlated KGs.
 
 from __future__ import annotations
 
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells
 from .report import ExperimentReport
 
 __all__ = ["run_m_ablation", "m_ablation_plan"]
@@ -49,11 +48,10 @@ def run_m_ablation(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     dataset: str = "DBPEDIA",
     ms: tuple[int, ...] = (1, 2, 3, 5, 8, 12),
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Sweep the TWCS stage-2 cap on one dataset under aHPD."""
     plan = m_ablation_plan(settings, dataset=dataset, ms=ms)
-    studies = run_cells(plan, executor=executor)
+    studies = execute(plan).results
     report = ExperimentReport(
         experiment_id="ablation-m",
         title=(

@@ -20,9 +20,8 @@ import numpy as np
 from ..intervals.hpd import HPD_SOLVERS, hpd_bounds
 from ..intervals.posterior import BetaPosterior
 from ..intervals.priors import JEFFREYS
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells
 from .report import ExperimentReport
 
 __all__ = ["run_hpd_solver_ablation", "run_batch_size_ablation", "batch_size_plan"]
@@ -105,11 +104,10 @@ def run_batch_size_ablation(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     dataset: str = "NELL",
     batch_sizes: tuple[int, ...] = (1, 5, 10, 30),
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Sensitivity of the converged sample size to batch granularity."""
     plan = batch_size_plan(settings, dataset=dataset, batch_sizes=batch_sizes)
-    studies = run_cells(plan, executor=executor)
+    studies = execute(plan).results
     report = ExperimentReport(
         experiment_id="ablation-batch",
         title=(

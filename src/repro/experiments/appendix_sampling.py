@@ -17,9 +17,8 @@ triples and cost so the designs' cost/precision trade-offs are visible:
 from __future__ import annotations
 
 from ..evaluation.runner import StudyResult
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells
 from .report import ExperimentReport
 
 __all__ = ["run_appendix_sampling", "appendix_sampling_plan", "appendix_sampling_studies"]
@@ -51,11 +50,10 @@ def appendix_sampling_plan(
 
 def appendix_sampling_studies(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    executor: ParallelExecutor | None = None,
 ) -> dict[tuple[str, str], StudyResult]:
     """Studies keyed by ``(dataset, strategy)`` under aHPD."""
     plan = appendix_sampling_plan(settings)
-    return dict(run_cells(plan, executor=executor))
+    return execute(plan).results
 
 
 def run_appendix_sampling(

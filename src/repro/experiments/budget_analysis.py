@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from ..evaluation.runner import StudyResult
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells
 from .report import ExperimentReport
 
 __all__ = ["run_budget_analysis", "budget_plan", "completion_probability"]
@@ -57,7 +56,6 @@ def run_budget_analysis(
     dataset: str = "YAGO",
     alpha: float = 0.01,
     budgets: Sequence[float] | None = None,
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Completion probability per budget for Wald / Wilson / aHPD.
 
@@ -71,7 +69,7 @@ def run_budget_analysis(
         methods' cost ranges.
     """
     plan = budget_plan(settings, dataset=dataset, alpha=alpha)
-    by_key = run_cells(plan, executor=executor)
+    by_key = execute(plan).results
     methods = ("Wald", "Wilson", "aHPD")
     studies = {name: by_key[(name,)] for name in methods}
     if budgets is None:

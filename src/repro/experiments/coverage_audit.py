@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..runtime import CoverageCell, ParallelExecutor, StudyPlan, execute
+from ..runtime import CoverageCell, StudyPlan, execute
 from ..stats.rng import derive_seed
 from .config import DEFAULT_SETTINGS, ExperimentSettings
 from .report import ExperimentReport
@@ -54,11 +54,10 @@ def run_coverage_audit(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     mus: Sequence[float] = COVERAGE_MUS,
     n: int = 30,
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Empirical coverage of each method at sample size *n*."""
     plan = coverage_audit_plan(settings, mus=mus, n=n)
-    results = execute(plan, executor=executor).results
+    results = execute(plan).results
     report = ExperimentReport(
         experiment_id="coverage",
         title=(

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..kg.evolution import UpdateBatchSpec, build_evolving_kg
 from ..kg.graph import KnowledgeGraph
-from ..runtime import DynamicAuditCell, ParallelExecutor, StudyPlan, execute
+from ..runtime import DynamicAuditCell, StudyPlan, execute
 from ..stats.rng import derive_seed
 from .config import DEFAULT_SETTINGS, ExperimentSettings
 from .report import ExperimentReport
@@ -118,7 +118,6 @@ def _mean_sd(values: np.ndarray) -> str:
 
 def run_dynamic_audit(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Compare carried-prior audits against independent re-audits.
 
@@ -128,7 +127,7 @@ def run_dynamic_audit(
     cell as mean ± sample sd of the annotated-triples cost per round.
     """
     plan = dynamic_audit_plan(settings)
-    results = execute(plan, executor=executor).results
+    results = execute(plan).results
     replications = _replications(settings)
     report = ExperimentReport(
         experiment_id="dynamic",

@@ -10,9 +10,9 @@ triples / 2.55 ± 0.95 hours with the uninformative trio.
 from __future__ import annotations
 
 from ..intervals.priors import BetaPrior
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells, strategy_spec
+from ._studies import strategy_spec
 from .report import ExperimentReport
 
 __all__ = ["run_example2", "example2_plan", "EXAMPLE2_INFORMATIVE_PRIORS"]
@@ -55,11 +55,10 @@ def example2_plan(settings: ExperimentSettings = DEFAULT_SETTINGS) -> StudyPlan:
 
 def run_example2(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Compare informative-prior aHPD with uninformative aHPD on DBPEDIA."""
     plan = example2_plan(settings)
-    studies = run_cells(plan, executor=executor)
+    studies = execute(plan).results
     report = ExperimentReport(
         experiment_id="example2",
         title=(

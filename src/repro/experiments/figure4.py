@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from ..evaluation.metrics import cost_reduction
 from ..evaluation.runner import StudyResult
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells, strategy_spec
+from ._studies import strategy_spec
 from .report import ExperimentReport
 
 __all__ = ["run_figure4", "figure4_plan", "figure4_studies", "FIGURE4_ALPHAS"]
@@ -59,11 +59,10 @@ def figure4_studies(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     alphas: tuple[float, ...] = FIGURE4_ALPHAS,
     strategies: tuple[str, ...] = ("SRS", "TWCS"),
-    executor: ParallelExecutor | None = None,
 ) -> dict[tuple[str, str, float, str], StudyResult]:
     """Studies keyed by ``(dataset, strategy, alpha, method)``."""
     plan = figure4_plan(settings, alphas=alphas, strategies=strategies)
-    return dict(run_cells(plan, executor=executor))
+    return execute(plan).results
 
 
 def run_figure4(

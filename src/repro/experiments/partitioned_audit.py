@@ -12,7 +12,7 @@ bit-identically to the serial loop.
 
 from __future__ import annotations
 
-from ..runtime import ParallelExecutor, PartitionedAuditCell, StudyPlan, execute
+from ..runtime import PartitionedAuditCell, StudyPlan, execute
 from ..stats.rng import derive_seed
 from .config import DEFAULT_SETTINGS, ExperimentSettings
 from .report import ExperimentReport
@@ -40,11 +40,10 @@ def partitioned_audit_plan(
 
 def run_partitioned_audit(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Audit every predicate of the NELL profile under a shared budget."""
     plan = partitioned_audit_plan(settings)
-    result = execute(plan, executor=executor).results[("partitions", _DATASET)]
+    result = execute(plan).results[("partitions", _DATASET)]
     report = ExperimentReport(
         experiment_id="partitions",
         title=(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..runtime import ParallelExecutor, SequentialCoverageCell, StudyPlan, execute
+from ..runtime import SequentialCoverageCell, StudyPlan, execute
 from ..stats.rng import derive_seed
 from .config import DEFAULT_SETTINGS, ExperimentSettings
 from .report import ExperimentReport
@@ -46,11 +46,10 @@ def sequential_coverage_plan(
 def run_sequential_coverage(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     mus: Sequence[float] = SEQUENTIAL_MUS,
-    executor: ParallelExecutor | None = None,
 ) -> ExperimentReport:
     """Coverage of the stopped interval per method and accuracy."""
     plan = sequential_coverage_plan(settings, mus=mus)
-    results = execute(plan, executor=executor).results
+    results = execute(plan).results
     report = ExperimentReport(
         experiment_id="sequential-coverage",
         title=(

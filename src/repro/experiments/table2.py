@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from ..evaluation.runner import StudyResult
 from ..intervals.priors import UNINFORMATIVE_PRIORS
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells
 from .report import ExperimentReport
 
 __all__ = ["run_table2", "table2_plan", "table2_studies"]
@@ -53,11 +52,10 @@ def table2_plan(settings: ExperimentSettings = DEFAULT_SETTINGS) -> StudyPlan:
 
 def table2_studies(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    executor: ParallelExecutor | None = None,
 ) -> dict[tuple[str, str], StudyResult]:
     """All Table 2 studies keyed by ``(dataset, method-label)``."""
     plan = table2_plan(settings)
-    return dict(run_cells(plan, executor=executor))
+    return execute(plan).results
 
 
 def run_table2(settings: ExperimentSettings = DEFAULT_SETTINGS) -> ExperimentReport:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from ..evaluation.runner import StudyResult
 from ..evaluation.significance import significance_markers
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, ExperimentSettings
-from ._studies import run_cells, strategy_spec
+from ._studies import strategy_spec
 from .report import ExperimentReport
 
 __all__ = ["run_table3", "table3_plan", "table3_studies"]
@@ -54,11 +54,10 @@ def table3_plan(
 def table3_studies(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     strategies: tuple[str, ...] = ("SRS", "TWCS"),
-    executor: ParallelExecutor | None = None,
 ) -> dict[tuple[str, str, str], StudyResult]:
     """All Table 3 studies keyed by ``(dataset, strategy, method)``."""
     plan = table3_plan(settings, strategies=strategies)
-    return dict(run_cells(plan, executor=executor))
+    return execute(plan).results
 
 
 def run_table3(

@@ -13,9 +13,8 @@ from __future__ import annotations
 from ..evaluation.runner import StudyResult
 from ..evaluation.significance import significance_markers
 from ..kg.datasets import SYN100M_ACCURACIES
-from ..runtime import ParallelExecutor, StudyCell, StudyPlan
+from ..runtime import StudyCell, StudyPlan, execute
 from .config import DEFAULT_SETTINGS, TWCS_M, ExperimentSettings
-from ._studies import run_cells
 from .report import ExperimentReport
 
 __all__ = ["run_table4", "table4_plan", "table4_studies"]
@@ -55,11 +54,10 @@ def table4_studies(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     accuracies: tuple[float, ...] = SYN100M_ACCURACIES,
     strategies: tuple[str, ...] = ("SRS", "TWCS"),
-    executor: ParallelExecutor | None = None,
 ) -> dict[tuple[float, str, str], StudyResult]:
     """All Table 4 studies keyed by ``(mu, strategy, method)``."""
     plan = table4_plan(settings, accuracies=accuracies, strategies=strategies)
-    return dict(run_cells(plan, executor=executor))
+    return execute(plan).results
 
 
 def run_table4(

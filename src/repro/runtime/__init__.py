@@ -24,12 +24,15 @@ once, at context construction, and
 ``ParallelExecutor.from_context(ctx)`` / ``execute(plan, context=ctx)``
 thread the snapshot through scheduler and backend without touching
 process state, so differently-configured runs coexist in one process
-(the basis of ``python -m repro serve``).
+(the basis of ``python -m repro serve``).  Code that calls
+``execute(plan)`` without a context — the experiments' ``run_*``
+report functions — runs under ``with use_context(ctx):``.
 
-Environment knobs (read when :func:`execute` builds the default
-executor): ``REPRO_WORKERS`` sets the worker count, ``REPRO_CACHE_DIR``
-roots a result store, ``REPRO_CHUNK_SIZE`` turns on repetition
-sharding at a fixed granularity, ``REPRO_CHUNK_SECONDS`` turns on
+Environment knobs (read when :func:`execute` finds neither an
+explicit nor an installed context): ``REPRO_WORKERS`` sets the worker
+count, ``REPRO_CACHE_DIR`` roots a result store, ``REPRO_CHUNK_SIZE``
+turns on repetition sharding at a fixed granularity,
+``REPRO_CHUNK_SECONDS`` turns on
 *adaptive* sharding (reps-per-shard calibrated from a timed pilot
 shard to target seconds-per-shard; mutually exclusive with the fixed
 size), and ``REPRO_BACKEND`` picks the execution backend (``serial``,
@@ -100,11 +103,8 @@ from .executor import (
     ChunkCalibration,
     ParallelExecutor,
     PlanOutcome,
-    configure,
-    default_context,
-    default_executor,
     execute,
-    reset_defaults,
+    use_context,
 )
 from .settings import KNOBS, RunContext, env_knob
 from .solvebatch import BrokerChannel, SolveBroker
@@ -196,12 +196,9 @@ __all__ = [
     "RunContext",
     "BrokerChannel",
     "SolveBroker",
-    "configure",
-    "default_context",
-    "default_executor",
     "env_knob",
     "execute",
-    "reset_defaults",
+    "use_context",
     "EVENT_TYPES",
     "JsonlTraceSink",
     "MetricsAggregate",

@@ -59,11 +59,12 @@ snapshot, and :meth:`ParallelExecutor.from_context` builds an executor
 from a ready-made context — which is how the service front end
 (:mod:`repro.runtime.service`) runs many concurrently-configured
 requests in one process.  The module-level :func:`execute` is the
-convenience entry point the experiment modules use: it accepts an
-explicit ``context`` or builds the module-default context from
-:func:`configure` overrides plus the environment, read at call time so
-CI can flip the whole suite to parallel, sharded, spool-dispatched,
-fault-injected, or journalled execution without code changes.
+entry point the experiment modules use: it runs under an explicit
+``context``, else the one :func:`use_context` installed for the
+calling block, else a ``RunContext()`` resolved from the environment
+at call time, so CI can flip the whole suite to parallel, sharded,
+spool-dispatched, fault-injected, or journalled execution without code
+changes.
 
 Every run additionally narrates itself into a structured telemetry
 stream (:mod:`repro.runtime.telemetry`): an in-memory metrics
@@ -75,12 +76,12 @@ it never changes results, cache tokens, or seeds.
 
 from __future__ import annotations
 
+import contextvars
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Union
 
-from ..exceptions import ValidationError
 from ..intervals.base import use_solve_pool, use_solve_table
 from ..intervals.table import SolveTable, shared_table
 from .backends import (
@@ -129,11 +130,8 @@ __all__ = [
     "RetryPolicy",
     "RunContext",
     "TaskFailure",
-    "configure",
-    "default_context",
-    "default_executor",
     "execute",
-    "reset_defaults",
+    "use_context",
 ]
 
 
@@ -662,167 +660,39 @@ class ParallelExecutor:
         )
 
 
-# ----------------------------------------------------------------------
-# Module-default context: thin wrappers over RunContext for the
-# pre-context API (configure()/default_executor()/execute(plan)).
-# ----------------------------------------------------------------------
-
-_UNSET = object()
-_overrides: dict[str, Any] = {
-    "workers": None,
-    "cache_dir": None,
-    "progress": None,
-    "chunk_size": None,
-    "chunk_seconds": None,
-    "backend": None,
-    "max_retries": None,
-    "on_error": None,
-    "trace": None,
-    "solve_table": None,
-}
+#: The context :func:`execute` falls back to when no ``context=`` is
+#: passed.  A context variable, like the ambient solve pool, so an
+#: installation is scoped to the ``with`` block and the calling thread:
+#: concurrent requests never see each other's configuration.
+_CONTEXT: contextvars.ContextVar[RunContext | None] = contextvars.ContextVar(
+    "repro-run-context", default=None
+)
 
 
-def configure(
-    workers=_UNSET,
-    cache_dir=_UNSET,
-    progress=_UNSET,
-    chunk_size=_UNSET,
-    chunk_seconds=_UNSET,
-    backend=_UNSET,
-    max_retries=_UNSET,
-    on_error=_UNSET,
-    trace=_UNSET,
-    solve_table=_UNSET,
-    context: RunContext | None = None,
-) -> None:
-    """Set process-wide defaults for :func:`execute`.
+@contextmanager
+def use_context(context: RunContext) -> Iterator[RunContext]:
+    """Run every :func:`execute` call in the ``with`` block under *context*.
 
-    Thin wrapper over the per-request API: the values set here become
-    the module-default :class:`~repro.runtime.settings.RunContext` that
-    :func:`default_context` builds at call time (unset values fall back
-    to the ``REPRO_*`` environment knobs via
-    :mod:`repro.runtime.settings`).  Used by CLIs to route every
-    subsequently-run experiment through a configured executor without
-    threading parameters through each ``run_*`` signature.  New code
-    that needs isolated or concurrent configurations should build a
-    :class:`~repro.runtime.settings.RunContext` and pass it to
-    :func:`execute` or :meth:`ParallelExecutor.from_context` instead of
-    mutating process-wide state.
-
-    Passing ``context=`` adopts every setting of an already-resolved
-    :class:`~repro.runtime.settings.RunContext` as the module defaults
-    in one call (mutually exclusive with the individual keywords).
+    This is how code that calls ``execute(plan)`` without a context —
+    the experiments' ``run_*`` report functions — runs under a chosen
+    configuration.  The installation ends with the block and is
+    invisible to other threads, which resolve from ``REPRO_*`` as
+    before.
     """
-    if context is not None:
-        if any(
-            value is not _UNSET
-            for value in (
-                workers, cache_dir, progress, chunk_size, chunk_seconds,
-                backend, max_retries, on_error, trace, solve_table,
-            )
-        ):
-            raise ValidationError(
-                "configure(context=...) is mutually exclusive with the "
-                "individual keyword overrides"
-            )
-        _overrides.update(
-            workers=context.workers,
-            cache_dir=context.store,
-            progress=context.progress,
-            chunk_size=context.chunk_size,
-            chunk_seconds=context.chunk_seconds,
-            backend=context.backend,
-            max_retries=None,
-            on_error=context.on_error,
-            trace=context.trace,
-            solve_table=context.solve_table,
-        )
-        _overrides["retry_policy"] = context.retry_policy
-        return
-    _overrides.pop("retry_policy", None)
-    if workers is not _UNSET:
-        _overrides["workers"] = workers
-    if cache_dir is not _UNSET:
-        _overrides["cache_dir"] = cache_dir
-    if progress is not _UNSET:
-        _overrides["progress"] = progress
-    if chunk_size is not _UNSET:
-        _overrides["chunk_size"] = chunk_size
-    if chunk_seconds is not _UNSET:
-        _overrides["chunk_seconds"] = chunk_seconds
-    if backend is not _UNSET:
-        _overrides["backend"] = backend
-    if max_retries is not _UNSET:
-        _overrides["max_retries"] = max_retries
-    if on_error is not _UNSET:
-        _overrides["on_error"] = on_error
-    if trace is not _UNSET:
-        _overrides["trace"] = trace
-    if solve_table is not _UNSET:
-        _overrides["solve_table"] = solve_table
+    token = _CONTEXT.set(context)
+    try:
+        yield context
+    finally:
+        _CONTEXT.reset(token)
 
 
-def reset_defaults() -> None:
-    """Clear every :func:`configure` override (back to env fallback).
+def execute(plan: StudyPlan, context: RunContext | None = None) -> PlanOutcome:
+    """Run *plan* under *context*, the installed context, or the environment.
 
-    After this, :func:`default_context` resolves purely from the
-    ``REPRO_*`` environment again — what a fresh process sees.  Mainly
-    for tests and long-lived hosts embedding several CLIs.
+    An explicit *context* wins; otherwise the one installed by
+    :func:`use_context` applies; otherwise a fresh ``RunContext()``
+    resolves every knob from ``REPRO_*`` at call time, so a CI leg
+    exporting ``REPRO_BACKEND`` switches every run without code changes.
     """
-    for key in _overrides:
-        _overrides[key] = None
-    _overrides.pop("retry_policy", None)
-
-
-def default_context() -> RunContext:
-    """The module-default :class:`RunContext`, built fresh at call time.
-
-    :func:`configure` overrides are applied where set; everything else
-    resolves through the ``REPRO_*`` environment knobs *now*, so a CI
-    leg exporting ``REPRO_BACKEND`` after import still takes effect.
-    """
-    return RunContext(
-        workers=_overrides["workers"],
-        store=_overrides["cache_dir"],
-        progress=_overrides["progress"],
-        chunk_size=_overrides["chunk_size"],
-        chunk_seconds=_overrides["chunk_seconds"],
-        backend=_overrides["backend"],
-        max_retries=_overrides["max_retries"],
-        on_error=_overrides["on_error"],
-        retry_policy=_overrides.get("retry_policy"),
-        trace=_overrides["trace"],
-        solve_table=_overrides["solve_table"],
-    )
-
-
-def default_executor() -> ParallelExecutor:
-    """An executor over :func:`default_context`.
-
-    Thin wrapper kept for the pre-context API; equivalent to
-    ``ParallelExecutor.from_context(default_context())``.
-    """
-    return ParallelExecutor.from_context(default_context())
-
-
-def execute(
-    plan: StudyPlan,
-    executor: ParallelExecutor | None = None,
-    context: RunContext | None = None,
-) -> PlanOutcome:
-    """Run *plan* on *executor*, *context*, or the module default.
-
-    Passing ``context=`` executes under that exact
-    :class:`~repro.runtime.settings.RunContext` (mutually exclusive
-    with ``executor=``); with neither, the :func:`configure`/
-    environment default context applies.
-    """
-    if executor is not None and context is not None:
-        raise ValidationError(
-            "execute() takes an executor or a context, not both"
-        )
-    if context is not None:
-        executor = ParallelExecutor.from_context(context)
-    elif executor is None:
-        executor = default_executor()
-    return executor.run(plan)
+    context = context or _CONTEXT.get() or RunContext()
+    return ParallelExecutor.from_context(context).run(plan)

@@ -5,7 +5,8 @@ depend on where work physically executes: the cache scan (merged cell
 entries first, then per-shard resume entries), the ready queue of
 remaining units, the merge barriers of in-flight sharded cells, the
 persistence of fresh results into the
-:class:`~repro.runtime.store.ResultStore`, and progress reporting.  The
+:class:`~repro.runtime.store.ResultStore`, and the completion events
+progress reporting subscribes to.  The
 :class:`~repro.runtime.executor.ParallelExecutor` pairs one scheduler
 with one :class:`~repro.runtime.backends.ExecutionBackend` per run and
 shuttles completions between them.
@@ -22,7 +23,7 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from ..exceptions import ValidationError
 from .cells import (
@@ -33,7 +34,7 @@ from .cells import (
 from .faults import TaskFailure
 from .spec import CellShard, CellSpec, StudyPlan, cache_token, shard_ranges, shard_token
 from .store import ResultStore
-from .telemetry import ProgressSubscriber, RunTelemetry
+from .telemetry import RunTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import ExperimentSettings
@@ -206,9 +207,6 @@ class PlanScheduler:
         The plan under execution.
     store:
         Result store for cache lookups and persistence, or ``None``.
-    progress:
-        Per-cell progress callable (``(done, total, CellResult)``), or
-        ``None``.
     default_chunk:
         Effective repetition-sharding granularity for cells without
         their own ``chunk_size`` — the executor's fixed chunk size or
@@ -230,32 +228,16 @@ class PlanScheduler:
         plan: StudyPlan,
         *,
         store: ResultStore | None = None,
-        progress: Callable[[int, int, CellResult], None] | None = None,
         default_chunk: int | None = None,
         pilot: tuple | None = None,
         telemetry: RunTelemetry | None = None,
-        context=None,
     ):
-        if context is not None:
-            # A RunContext supplies the scheduler-relevant settings the
-            # caller didn't pass explicitly; explicit keywords win so
-            # the executor can still override the chunk size with a
-            # calibrated one.
-            if store is None:
-                store = context.store
-            if progress is None:
-                progress = context.progress
-            if default_chunk is None:
-                default_chunk = context.chunk_size
         self.plan = plan
         self.settings: "ExperimentSettings" = plan.settings
         self.store = store
-        self.progress = progress
         self.default_chunk = default_chunk
         self.pilot = pilot
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        if progress is not None:
-            self.telemetry.subscribe(ProgressSubscriber(progress))
         self._entries: dict[int, CellResult] = {}
         self._failed: dict[int, TaskFailure] = {}
         self._done = 0

@@ -14,14 +14,12 @@ result store, backend spec, chunking, retry policy, error mode, trace
 sink, progress — built once (environment fallbacks applied at
 construction time) and then *threaded* through the runtime instead of
 being read from module globals.  ``ParallelExecutor.from_context(ctx)``
-and ``execute(plan, context=ctx)`` consume it directly; the service
-front end (:mod:`repro.runtime.service`) builds one per request, which
-is what makes concurrent, differently-configured runs in one process
-possible.
-
-The pre-context API keeps working: :func:`repro.runtime.configure` and
-:func:`repro.runtime.default_executor` are thin wrappers that build a
-module-default :class:`RunContext` at call time.
+and ``execute(plan, context=ctx)`` consume it directly, and
+``with use_context(ctx):`` scopes it over every ``execute(plan)`` call
+in a block (how ``python -m repro.experiments`` configures its runs);
+the service front end (:mod:`repro.runtime.service`) builds one per
+request, which is what makes concurrent, differently-configured runs in
+one process possible.
 """
 
 from __future__ import annotations

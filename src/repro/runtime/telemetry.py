@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Union
 
 from ..exceptions import ValidationError
-from . import settings as _settings
 
 __all__ = [
     "EVENT_TYPES",
@@ -55,7 +54,6 @@ __all__ = [
     "read_journal",
     "render_summary",
     "replay_metrics",
-    "resolve_trace_file",
     "summarize_journal",
 ]
 
@@ -189,15 +187,6 @@ class RunTelemetry:
             f"RunTelemetry(run_id={self.run_id!r}, "
             f"subscribers={len(self._subscribers)})"
         )
-
-
-def resolve_trace_file(trace: Union[str, Path, None]) -> Path | None:
-    """Explicit journal path, or the ``REPRO_TRACE_FILE`` default (off).
-
-    Thin delegate kept for import stability; the resolution logic lives
-    in :func:`repro.runtime.settings.resolve_trace_file`.
-    """
-    return _settings.resolve_trace_file(trace)
 
 
 class JsonlTraceSink:

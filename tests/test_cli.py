@@ -5,15 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.runtime import reset_defaults
-
-
-@pytest.fixture(autouse=True)
-def _fresh_runtime_defaults():
-    # main() installs its RunContext as the process-wide default via
-    # configure(context=...); don't leak it into other tests.
-    yield
-    reset_defaults()
 
 
 class TestCLI:
@@ -45,3 +36,11 @@ class TestCLI:
         assert main(["table1", "figure2", "--reps", "3"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "figure2" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--workers", "0"), ("--reps", "0"), ("--chunk-size", "2", "--chunk-seconds", "1")],
+    )
+    def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, flags):
+        assert main(["table1", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -4,21 +4,62 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from repro.estimators.base import Evidence
 from repro.evaluation.coverage import coverage_profile, empirical_coverage
 from repro.exceptions import ValidationError
 from repro.intervals.ahpd import AdaptiveHPD
-from repro.intervals.hpd import HPDCredibleInterval
 from repro.intervals.wald import WaldInterval
 from repro.intervals.wilson import WilsonInterval
+from repro.runtime.cells import build_method
 from repro.stats.rng import spawn_rng
+
+#: Every interval method, as runtime method specs.
+METHOD_SPECS = ("Wald", "Wilson", "AC", "CP", "Arcsine", "Logit", "ET", "HPD", "aHPD")
+
+
+def exact_coverage(spec: str, n: int, mu: float, alpha: float = 0.05) -> float:
+    """P(mu in interval) for tau ~ Bin(n, mu): a finite sum over the pmf.
+
+    Built from the scalar ``compute`` path, independent of the batch
+    engine ``empirical_coverage`` solves through.
+    """
+    method = build_method(spec)
+    return sum(
+        binom.pmf(tau, n, mu)
+        * method.compute(Evidence.from_counts(tau, n), alpha).contains(mu)
+        for tau in range(n + 1)
+    )
+
+
+class TestExactCoverageOracle:
+    """Monte-Carlo coverage agrees with the exact coverage in distribution.
+
+    The hit count of ``repetitions`` draws is ``Bin(repetitions, p)``
+    for the exact coverage ``p``, so it must fall in that binomial's
+    ``1 - 1e-6`` central interval: no tolerance to guess.
+    """
+
+    REPETITIONS = 2_000
+
+    @pytest.mark.parametrize("mu", (0.05, 0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("n", (10, 30, 100))
+    @pytest.mark.parametrize("spec", METHOD_SPECS)
+    def test_hit_count_within_binomial_interval(self, spec, n, mu):
+        p = exact_coverage(spec, n, mu)
+        low, high = binom.interval(1 - 1e-6, self.REPETITIONS, p)
+        for seed in range(3):
+            result = empirical_coverage(
+                build_method(spec), mu, n, repetitions=self.REPETITIONS, rng=seed
+            )
+            hits = round(result.coverage * self.REPETITIONS)
+            assert low <= hits <= high, f"seed {seed}: {hits} hits, exact p = {p:.4f}"
 
 
 class TestEmpiricalCoverage:
     def test_wilson_near_nominal(self):
-        result = empirical_coverage(WilsonInterval(), mu=0.85, n=60, repetitions=3_000, rng=0)
-        assert result.coverage == pytest.approx(0.95, abs=0.03)
+        assert exact_coverage("Wilson", n=60, mu=0.85) == pytest.approx(0.95, abs=0.03)
 
     def test_wald_undercover_near_boundary(self):
         # The Example 1 pathology: at mu = 0.99 and n = 30 the unanimous
@@ -29,10 +70,7 @@ class TestEmpiricalCoverage:
         assert wilson.coverage > wald.coverage
 
     def test_hpd_calibrated_mid_range(self):
-        result = empirical_coverage(
-            HPDCredibleInterval(), mu=0.7, n=100, repetitions=3_000, rng=0
-        )
-        assert result.coverage == pytest.approx(0.95, abs=0.03)
+        assert exact_coverage("HPD", n=100, mu=0.7) == pytest.approx(0.95, abs=0.03)
 
     def test_shortfall_sign(self):
         result = empirical_coverage(WaldInterval(), mu=0.99, n=30, repetitions=500, rng=0)

@@ -638,16 +638,14 @@ class TestAdaptiveChunkSizing:
         assert store.contains(cache_token(cell, plan.settings))
 
     def test_env_chunk_seconds(self, monkeypatch):
-        from repro.runtime import default_executor
-
         monkeypatch.setenv("REPRO_CHUNK_SECONDS", "0.25")
         monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-        assert default_executor().chunk_seconds == 0.25
+        assert ParallelExecutor().chunk_seconds == 0.25
         monkeypatch.setenv("REPRO_CHUNK_SECONDS", "nope")
         with pytest.raises(ValidationError):
-            default_executor()
+            ParallelExecutor()
         monkeypatch.delenv("REPRO_CHUNK_SECONDS")
-        assert default_executor().chunk_seconds is None
+        assert ParallelExecutor().chunk_seconds is None
 
     def test_explicit_conflict_raises(self):
         with pytest.raises(ValidationError, match="mutually exclusive"):

@@ -34,8 +34,6 @@ from repro.runtime import (
     StudyCell,
     StudyPlan,
     cache_token,
-    configure,
-    default_executor,
     make_backend,
     register_cell_runner,
     shard_ranges,
@@ -129,19 +127,11 @@ class TestBackendSelection:
         with pytest.raises(ValidationError):
             ParallelExecutor()
 
-    def test_configure_flows_into_default_executor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        configure(backend="serial")
-        try:
-            assert default_executor().backend == "serial"
-        finally:
-            configure(backend=None)
-
     def test_env_read_when_unconfigured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert default_executor().backend == "process"
+        assert ParallelExecutor().backend == "process"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert default_executor().backend is None
+        assert ParallelExecutor().backend is None
 
     def test_make_backend_parses_specs(self, tmp_path):
         assert isinstance(make_backend("serial"), SerialBackend)

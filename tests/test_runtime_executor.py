@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +20,13 @@ from repro.runtime import (
     CellSpec,
     ParallelExecutor,
     ResultStore,
+    RunContext,
     StudyCell,
     StudyPlan,
     cache_token,
-    default_executor,
+    execute,
     register_cell_runner,
+    use_context,
 )
 
 
@@ -313,13 +317,13 @@ class TestExecutionOverlap:
 class TestConfiguration:
     def test_env_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_executor().workers == 3
+        assert ParallelExecutor().workers == 3
         monkeypatch.delenv("REPRO_WORKERS")
-        assert default_executor().workers == 1
+        assert ParallelExecutor().workers == 1
 
     def test_env_cache_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-        executor = default_executor()
+        executor = ParallelExecutor()
         assert executor.store is not None
         assert executor.store.root == tmp_path / "c"
 
@@ -346,6 +350,70 @@ class TestConfiguration:
         summary = executor.run(plan).summary()
         assert "4 cells" in summary
         assert "4 cached" in summary
+
+
+class RecordingPool:
+    """A solve pool that counts the runs that opened a channel on it."""
+
+    def __init__(self):
+        self.channels = 0
+
+    @contextmanager
+    def channel(self, telemetry):
+        self.channels += 1
+        yield None  # a None pool installs nothing: solves run directly
+
+
+class TestUseContext:
+    """``execute(plan)`` runs under the context ``use_context`` installed."""
+
+    @pytest.fixture
+    def ran_under(self, monkeypatch) -> list:
+        """The context of every executor run, in order."""
+        contexts = []
+        run = ParallelExecutor.run
+
+        def spy(executor, plan):
+            contexts.append(executor.context)
+            return run(executor, plan)
+
+        monkeypatch.setattr(ParallelExecutor, "run", spy)
+        return contexts
+
+    @staticmethod
+    def plan() -> StudyPlan:
+        cell = SleepCell(key=("x",), label="x", method="-", duration=0.0)
+        return StudyPlan(
+            settings=ExperimentSettings(repetitions=1), cells=(cell,), name="one"
+        )
+
+    def test_execute_runs_under_installed_context(self, ran_under):
+        pool = RecordingPool()
+        ctx = RunContext(workers=2, backend="serial", max_retries=1, solve_pool=pool)
+        with use_context(ctx):
+            outcome = execute(self.plan())
+        (seen,) = ran_under
+        assert seen.describe() == ctx.describe()
+        assert seen.solve_pool is pool
+        assert pool.channels == 1
+        assert outcome.workers == 2 and outcome.backend == "serial"
+
+    def test_explicit_context_beats_installed(self, ran_under):
+        installed = RunContext(workers=1, backend="serial")
+        explicit = RunContext(workers=1, backend="serial", max_retries=2)
+        with use_context(installed):
+            execute(self.plan(), context=explicit)
+        assert ran_under == [explicit]
+
+    def test_env_fallback_after_block_and_in_new_thread(self, ran_under, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        with use_context(RunContext(workers=1, backend="serial", max_retries=2)):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(execute, self.plan()).result()
+        execute(self.plan())
+        assert [ctx.workers for ctx in ran_under] == [3, 3]
+        assert all(ctx.describe() == RunContext().describe() for ctx in ran_under)
 
 
 class TestCoverageProfileRouting:

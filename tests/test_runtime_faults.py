@@ -434,19 +434,23 @@ class TestCliWiring:
     def test_experiments_cli_configures_fault_knobs(self, monkeypatch):
         import repro.experiments.__main__ as exp_main
 
-        captured = {}
-        monkeypatch.setattr(
-            exp_main, "configure", lambda **kwargs: captured.update(kwargs)
-        )
-        # An unknown experiment id exits right after configure() — the
-        # wiring is exercised without running a real grid.
+        installed = []
+        use_context = exp_main.use_context
+
+        def spy(context):
+            installed.append(context)
+            return use_context(context)
+
+        monkeypatch.setattr(exp_main, "use_context", spy)
+        # table1 only describes the datasets, so the wiring is exercised
+        # without running a Monte-Carlo grid.
         rc = exp_main.main(
-            ["nope", "--max-retries", "3", "--on-error", "continue"]
+            ["table1", "--max-retries", "3", "--on-error", "continue"]
         )
-        assert rc == 2
-        context = captured["context"].describe()
-        assert context["max_retries"] == 3
-        assert context["on_error"] == "continue"
+        assert rc == 0
+        (context,) = installed
+        assert context.describe()["max_retries"] == 3
+        assert context.describe()["on_error"] == "continue"
 
     def test_study_cli_reports_failed_cells_and_exits_nonzero(
         self, monkeypatch, capsys, tmp_path

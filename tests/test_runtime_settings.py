@@ -9,14 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.runtime import (
-    ParallelExecutor,
-    ResultStore,
-    configure,
-    default_context,
-    default_executor,
-    reset_defaults,
-)
+from repro.runtime import ResultStore
 from repro.runtime.settings import (
     KNOBS,
     RunContext,
@@ -30,12 +23,6 @@ from repro.runtime.settings import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_defaults():
-    yield
-    reset_defaults()
 
 
 class TestKnobRegistry:
@@ -198,53 +185,3 @@ class TestRunContext:
         with pytest.raises(ValidationError, match="unknown execution backend"):
             RunContext(backend="quantum")
 
-
-class TestWrapperEquivalence:
-    """configure()/default_executor() are thin wrappers over RunContext."""
-
-    def test_default_executor_equals_from_context(self, tmp_path):
-        kwargs = dict(
-            workers=2,
-            chunk_size=4,
-            backend="serial",
-            max_retries=1,
-            on_error="continue",
-        )
-        configure(cache_dir=tmp_path / "cache", **kwargs)
-        via_wrapper = default_executor()
-        via_context = ParallelExecutor.from_context(
-            RunContext(store=tmp_path / "cache", **kwargs)
-        )
-        for attr in (
-            "workers", "chunk_size", "chunk_seconds", "backend", "on_error",
-        ):
-            assert getattr(via_wrapper, attr) == getattr(via_context, attr)
-        assert via_wrapper.retry_policy == via_context.retry_policy
-        assert via_wrapper.store.root == via_context.store.root
-
-    def test_configure_context_bulk_install(self):
-        ctx = RunContext(workers=3, backend="serial", max_retries=2)
-        configure(context=ctx)
-        installed = default_context()
-        assert installed.workers == 3
-        assert installed.backend == "serial"
-        assert installed.retry_policy.max_retries == 2
-
-    def test_configure_context_excludes_kwargs(self):
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            configure(workers=2, context=RunContext())
-
-    def test_reset_defaults_restores_env_fallback(self, monkeypatch):
-        configure(context=RunContext(workers=2))
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert default_executor().workers == 2  # override wins
-        reset_defaults()
-        assert default_executor().workers == 5  # env fallback again
-
-    def test_execute_rejects_executor_and_context(self):
-        from repro.runtime import execute
-        from repro.runtime.spec import StudyPlan
-
-        plan = StudyPlan.__new__(StudyPlan)  # never run; validation first
-        with pytest.raises(ValidationError, match="not both"):
-            execute(plan, executor=default_executor(), context=RunContext())

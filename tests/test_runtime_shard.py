@@ -121,18 +121,16 @@ class TestShardPlanning:
             ParallelExecutor(chunk_size=0)
 
     def test_env_chunk_size(self, monkeypatch):
-        from repro.runtime import default_executor
-
         # Both env knobs together are a (tested elsewhere) conflict, so
         # pin this test to the fixed-size one whatever the CI leg set.
         monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "7")
-        assert default_executor().chunk_size == 7
+        assert ParallelExecutor().chunk_size == 7
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "nope")
         with pytest.raises(ValidationError):
-            default_executor()
+            ParallelExecutor()
         monkeypatch.delenv("REPRO_CHUNK_SIZE")
-        assert default_executor().chunk_size is None
+        assert ParallelExecutor().chunk_size is None
 
     def test_builtin_kinds_are_shardable(self):
         settings = ExperimentSettings(repetitions=6)

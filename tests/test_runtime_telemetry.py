@@ -49,7 +49,7 @@ from repro.runtime import (
     summarize_journal,
 )
 from repro.runtime.backends.spool import _claim
-from repro.runtime.telemetry import resolve_trace_file
+from repro.runtime.settings import resolve_trace_file
 
 
 def study_cell(method: str = "Wilson") -> StudyCell:
