@@ -28,8 +28,8 @@ the expensive one over worker processes:
    interval solves on the allocated integer evidence.
 
 :func:`audit_by_predicate` composes the three serially; the runtime's
-``PartitionedAuditCell`` runs stage 1 as partition shards and stages
-2-3 in the shard reducer.  With the default (rng-free) oracle annotator
+``PartitionedAuditCell`` runs stage 1 as partition windows and stages
+2-3 in its merge.  With the default (rng-free) oracle annotator
 the two paths are bit-identical for any sharding — the guarantee the
 hypothesis suite enforces.  Non-oracle annotators draw their label
 noise per partition (in partition order) rather than interleaved

@@ -12,10 +12,11 @@ work queue served by detached ``python -m repro worker`` processes
 content-addressed disk store (:class:`ResultStore`), and reported cell
 by cell (:class:`ProgressReporter`).
 
-Cells themselves shard: with a chunk size configured, a cell's
-repetitions split into independent sub-cell windows (:class:`CellShard`)
-that fan out across workers and merge back bit-identically, so one
-1,000-repetition cell no longer serialises on a single worker.
+Every cell runs as repetition windows (:class:`CellShard`) plus a
+merge: one whole-cell window by default, and with a chunk size
+configured, independent windows that fan out across workers and merge
+back bit-identically, so one 1,000-repetition cell no longer
+serialises on a single worker.
 
 Execution configuration is an immutable per-request :class:`RunContext`
 (:mod:`repro.runtime.settings`): every knob below resolves — explicit
@@ -83,20 +84,15 @@ from .backends import (
     run_worker,
 )
 from .cells import (
+    CellKind,
     build_kg,
     build_method,
     build_method_from_payload,
     build_strategy,
     cell_method,
-    cell_repetitions,
-    is_shardable,
+    kind_for,
     method_payload,
     register_cell_runner,
-    register_shard_reducer,
-    register_shard_runner,
-    runner_for,
-    shard_reducer_for,
-    shard_runner_for,
 )
 from .executor import (
     CellResult,
@@ -178,20 +174,15 @@ __all__ = [
     "make_backend",
     "register_backend",
     "run_worker",
+    "CellKind",
     "build_kg",
     "build_method",
     "build_method_from_payload",
     "build_strategy",
     "cell_method",
-    "cell_repetitions",
-    "is_shardable",
+    "kind_for",
     "method_payload",
     "register_cell_runner",
-    "register_shard_runner",
-    "register_shard_reducer",
-    "runner_for",
-    "shard_runner_for",
-    "shard_reducer_for",
     "KNOBS",
     "RunContext",
     "BrokerChannel",

@@ -1,7 +1,7 @@
 """Pluggable execution backends for the study-execution runtime.
 
-``repro.runtime`` separates *scheduling* (what runs next, how shard
-results merge, what the cache can serve — :mod:`repro.runtime.
+``repro.runtime`` separates *scheduling* (what runs next, how window
+payloads merge, what the cache can serve — :mod:`repro.runtime.
 scheduler`) from *dispatch* (where a unit of work physically executes —
 this package).  Three backends ship:
 
@@ -26,12 +26,9 @@ unchanged, so a run interrupted on one backend resumes on another.
 from .base import (
     BackendFuture,
     ExecutionBackend,
-    Task,
     make_backend,
     register_backend,
     resolve_backend_spec,
-    run_cell,
-    run_shard,
     run_task,
 )
 from .chaos import ChaosBackend, ChaosFault
@@ -48,12 +45,9 @@ __all__ = [
     "SerialBackend",
     "SpoolBackend",
     "SpoolTaskError",
-    "Task",
     "make_backend",
     "register_backend",
     "resolve_backend_spec",
-    "run_cell",
-    "run_shard",
     "run_task",
     "run_worker",
 ]

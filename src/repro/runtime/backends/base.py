@@ -1,10 +1,10 @@
 """Execution backends: where a unit of work physically runs.
 
 The scheduler core (:mod:`repro.runtime.scheduler`) decides *what* runs
-next, which cache entries to reuse, and how shard partials merge back
+next, which cache entries to reuse, and how window payloads merge back
 into cell results.  An :class:`ExecutionBackend` decides *where* a unit
-of work — a whole :class:`~repro.runtime.spec.CellSpec` or one
-:class:`~repro.runtime.spec.CellShard` — physically executes: in the
+of work — one :class:`~repro.runtime.spec.CellShard`, a repetition
+window of a cell or the whole cell — physically executes: in the
 scheduler's process (:class:`~repro.runtime.backends.serial.
 SerialBackend`), on a local process pool (:class:`~repro.runtime.
 backends.pool.ProcessPoolBackend`), or through a file-based work queue
@@ -12,15 +12,14 @@ served by detached workers (:class:`~repro.runtime.backends.spool.
 SpoolBackend`).
 
 The contract is deliberately narrow.  A backend receives fully
-self-contained tasks (cells and shards are frozen dataclasses of
-primitives; runners rebuild everything from spec), returns future-like
-handles, and surfaces completions through :meth:`ExecutionBackend.
-wait_any`.  Everything that makes results *correct* — plan-time
-seeding, globally-indexed shard windows, lossless reducers — lives
-outside the backend, which is why every backend is bit-identical to
-every other and why cache tokens never depend on the backend choice: a
-run started on one backend resumes on any other at the finished-shard
-boundary.
+self-contained units (frozen dataclasses of primitives; runners rebuild
+everything from spec), returns future-like handles, and surfaces
+completions through :meth:`ExecutionBackend.wait_any`.  Everything that
+makes results *correct* — plan-time seeding, globally-indexed
+repetition windows, lossless merges — lives outside the backend, which
+is why every backend is bit-identical to every other and why cache
+tokens never depend on the backend choice: a run started on one backend
+resumes on any other at the finished-shard boundary.
 
 Backends register under a spec-string name (``"serial"``,
 ``"process"``, ``"spool"``/``"spool:<dir>"``) resolved by
@@ -31,16 +30,15 @@ default (see :func:`resolve_backend_spec`).
 from __future__ import annotations
 
 import abc
-import inspect
 import time
 from typing import TYPE_CHECKING, Any, Callable, Union
 
 from ...exceptions import ValidationError
 from ...intervals.base import active_solve_table, use_solve_table
 from ...intervals.table import default_table
-from ..cells import runner_for, shard_runner_for
+from ..cells import kind_for
 from ..settings import resolve_backend
-from ..spec import CellShard, CellSpec
+from ..spec import CellShard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...experiments.config import ExperimentSettings
@@ -48,63 +46,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BackendFuture",
     "ExecutionBackend",
-    "Task",
-    "close_backend",
     "make_backend",
-    "open_backend",
     "register_backend",
     "resolve_backend_spec",
-    "run_cell",
-    "run_shard",
     "run_task",
 ]
 
-#: One schedulable unit of work: a whole cell or one repetition shard.
-Task = Union[CellSpec, CellShard]
 
+def run_task(task: CellShard, settings: "ExperimentSettings") -> tuple[Any, float]:
+    """Execute one unit of work; returns ``(payload, seconds)``.
 
-def run_cell(cell: CellSpec, settings: "ExperimentSettings") -> tuple[Any, float]:
-    """Execute one cell; module-level so it pickles into workers."""
-    start = time.perf_counter()
-    value = runner_for(cell)(cell, settings)
-    return value, time.perf_counter() - start
-
-
-def run_shard(shard: CellShard, settings: "ExperimentSettings") -> tuple[Any, float]:
-    """Execute one repetition shard; module-level so it pickles."""
-    start = time.perf_counter()
-    value = shard_runner_for(shard.cell)(
-        shard.cell, settings, shard.rep_start, shard.rep_stop
-    )
-    return value, time.perf_counter() - start
-
-
-def run_task(task: Task, settings: "ExperimentSettings") -> tuple[Any, float]:
-    """Execute one unit of work, cell or shard; returns (value, seconds).
-
-    The single entry point every backend dispatches through, so a task
-    produces the same value no matter which process — scheduler, pool
-    worker, or detached spool worker — runs it.
+    The single entry point every backend dispatches through, so a unit
+    produces the same payload no matter which process — scheduler, pool
+    worker, or detached spool worker — runs it.  Module-level, so it
+    pickles into workers.
 
     Spawned pool workers and detached spool workers carry no ambient
     run context, so when no solve table is installed the
     environment-resolved shared table (``REPRO_SOLVE_TABLE`` /
-    ``REPRO_CACHE_DIR``) is installed for the task — the worker-side
+    ``REPRO_CACHE_DIR``) is installed for the unit — the worker-side
     mirror of the executor's run-scoped install.  Tables are pure
     memoisation, so this changes worker wall-clock, never results.
     """
-    if active_solve_table() is None:
-        table = default_table()
-        if table is not None:
-            with use_solve_table(table):
-                return _run_task_inner(task, settings)
-    return _run_task_inner(task, settings)
-
-
-def _run_task_inner(task: Task, settings: "ExperimentSettings") -> tuple[Any, float]:
-    if isinstance(task, CellShard):
-        return run_shard(task, settings)
-    return run_cell(task, settings)
+    table = active_solve_table()
+    with use_solve_table(table if table is not None else default_table()):
+        start = time.perf_counter()
+        value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
+        return value, time.perf_counter() - start
 
 
 class BackendFuture(abc.ABC):
@@ -139,10 +107,7 @@ class ExecutionBackend(abc.ABC):
     #: with their own observability (chaos injections, spool worker
     #: spans, lease reclaims) emit through it when present — strictly
     #: optional, and strictly non-semantic: a backend must behave
-    #: identically with telemetry attached or not.  Pre-telemetry
-    #: backends whose ``open`` lacks the keyword still work: the
-    #: executor falls back to assigning this slot (see
-    #: :func:`open_backend`).
+    #: identically with telemetry attached or not.
     telemetry = None
 
     def open(
@@ -157,13 +122,8 @@ class ExecutionBackend(abc.ABC):
         *telemetry* is the run's event bus (or ``None``); the base hook
         binds it for the duration of the run.  Overrides should call
         ``super().open(workers, tasks, settings, telemetry)`` first.
-        Passing ``None`` leaves an already-attached bus alone, so code
-        written against the legacy slot protocol (assign
-        ``backend.telemetry``, then ``open()``) still observes its bus
-        during the run; :meth:`close` detaches either way.
         """
-        if telemetry is not None:
-            self.telemetry = telemetry
+        self.telemetry = telemetry
 
     def close(self) -> None:
         """Release run-scoped resources (lifecycle hook).
@@ -174,8 +134,8 @@ class ExecutionBackend(abc.ABC):
         self.telemetry = None
 
     @abc.abstractmethod
-    def submit(self, task: Task, settings: "ExperimentSettings") -> BackendFuture:
-        """Enqueue *task*; returns its future-like handle."""
+    def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
+        """Enqueue one unit of work; returns its future-like handle."""
 
     def wait_any(
         self, outstanding: set[BackendFuture]
@@ -194,54 +154,6 @@ class ExecutionBackend(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def open_backend(
-    backend: ExecutionBackend,
-    *,
-    workers: int,
-    tasks: int,
-    settings: "ExperimentSettings",
-    telemetry=None,
-) -> None:
-    """Open *backend* with the run's context-scoped telemetry bus.
-
-    The bus travels as the ``telemetry`` keyword of
-    :meth:`ExecutionBackend.open` — per-run state, so two concurrently
-    executing contexts in one process never trample each other's
-    observability.  Custom backends written against the pre-telemetry
-    protocol (``open(workers, tasks, settings)``) are still honoured:
-    when the signature doesn't accept the keyword, the bus is assigned
-    to the legacy ``telemetry`` slot around the call instead.
-    """
-    try:
-        parameters = inspect.signature(backend.open).parameters
-        accepts = "telemetry" in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-    except (TypeError, ValueError):  # uninspectable callable: assume legacy
-        accepts = False
-    if accepts:
-        backend.open(
-            workers=workers, tasks=tasks, settings=settings, telemetry=telemetry
-        )
-    else:
-        backend.telemetry = telemetry
-        backend.open(workers=workers, tasks=tasks, settings=settings)
-
-
-def close_backend(backend: ExecutionBackend) -> None:
-    """Close *backend* and detach any telemetry bus it still holds.
-
-    The trailing slot-clear is what keeps legacy backends (attached via
-    the slot by :func:`open_backend`) from leaking one run's bus into
-    the next; for context-scoped backends it is a no-op.
-    """
-    try:
-        backend.close()
-    finally:
-        backend.telemetry = None
 
 
 # ----------------------------------------------------------------------

@@ -36,15 +36,8 @@ from typing import TYPE_CHECKING, Any, Union
 from ...exceptions import ReproError
 from ..faults import _unit_fraction, unit_token
 from ..settings import resolve_chaos_rate, resolve_chaos_seed
-from .base import (
-    BackendFuture,
-    ExecutionBackend,
-    Task,
-    close_backend,
-    make_backend,
-    open_backend,
-    register_backend,
-)
+from ..spec import CellShard
+from .base import BackendFuture, ExecutionBackend, make_backend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...experiments.config import ExperimentSettings
@@ -138,16 +131,10 @@ class ChaosBackend(ExecutionBackend):
         # Forward the run's telemetry bus so the inner backend's own
         # events (spool worker spans, lease reclaims) still surface
         # when wrapped in chaos.
-        open_backend(
-            self.inner,
-            workers=workers,
-            tasks=tasks,
-            settings=settings,
-            telemetry=telemetry,
-        )
+        self.inner.open(workers, tasks, settings, telemetry=telemetry)
 
     def close(self) -> None:
-        close_backend(self.inner)
+        self.inner.close()
         super().close()
 
     def _fault_for(self, token: str) -> str | None:
@@ -158,7 +145,7 @@ class ChaosBackend(ExecutionBackend):
         bucket = _unit_fraction(f"chaos:{self.seed}:{token}:kind")
         return _FAULT_KINDS[int(bucket * len(_FAULT_KINDS)) % len(_FAULT_KINDS)]
 
-    def submit(self, task: Task, settings: "ExperimentSettings") -> BackendFuture:
+    def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
         token = unit_token(task, settings)
         kind = None
         if token not in self._injected:
@@ -166,11 +153,9 @@ class ChaosBackend(ExecutionBackend):
         if kind is not None:
             # At most one fault per unit per run, so retries converge.
             self._injected.add(token)
-        label = getattr(task, "label", repr(task))
+        label = task.label
         if kind is not None and self.telemetry is not None:
-            self.telemetry.emit(
-                "chaos_inject", kind=kind, token=token, label=str(label)
-            )
+            self.telemetry.emit("chaos_inject", kind=kind, token=token, label=label)
         if kind == "before":
             return _FailedFuture(
                 ChaosFault(f"injected fault before executing {label}")

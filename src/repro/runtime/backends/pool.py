@@ -21,7 +21,8 @@ from concurrent.futures import Future as _Future
 from concurrent.futures import wait as _wait
 from typing import TYPE_CHECKING, Any
 
-from .base import BackendFuture, ExecutionBackend, Task, register_backend, run_task
+from ..spec import CellShard
+from .base import BackendFuture, ExecutionBackend, register_backend, run_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...experiments.config import ExperimentSettings
@@ -82,7 +83,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool = None
         super().close()
 
-    def submit(self, task: Task, settings: "ExperimentSettings") -> BackendFuture:
+    def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
         return _PoolFuture(self._pool.submit(run_task, task, settings))
 
     def wait_any(self, outstanding):

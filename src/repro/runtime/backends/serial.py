@@ -4,9 +4,9 @@ Execution is *lazy*: :meth:`SerialBackend.submit` only enqueues, and
 each :meth:`wait_any` call runs exactly one task — the next in submit
 (= plan) order — before handing it back.  That keeps the scheduler's
 persistence incremental, exactly like the pre-backend serial loop: every
-completed cell/shard hits the :class:`~repro.runtime.store.ResultStore`
-before the next one starts, so an interrupted run loses at most the unit
-in flight.
+completed unit — a split cell's window, an unsplit cell's merged
+result — hits the :class:`~repro.runtime.store.ResultStore` before the
+next one starts, so an interrupted run loses at most the unit in flight.
 
 A task that raises completes its future with the error, surfaced by
 :meth:`_SerialFuture.result` exactly like the pool and spool backends
@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from .base import BackendFuture, ExecutionBackend, Task, register_backend, run_task
+from ..spec import CellShard
+from .base import BackendFuture, ExecutionBackend, register_backend, run_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...experiments.config import ExperimentSettings
@@ -32,7 +33,7 @@ __all__ = ["SerialBackend"]
 class _SerialFuture(BackendFuture):
     """A lazily-executed task; ``_run`` is driven by ``wait_any``."""
 
-    def __init__(self, task: Task, settings: "ExperimentSettings"):
+    def __init__(self, task: CellShard, settings: "ExperimentSettings"):
         self._task = task
         self._settings = settings
         self._value: tuple[Any, float] | None = None
@@ -74,7 +75,7 @@ class SerialBackend(ExecutionBackend):
         self._queue.clear()
         super().close()
 
-    def submit(self, task: Task, settings: "ExperimentSettings") -> BackendFuture:
+    def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
         future = _SerialFuture(task, settings)
         self._queue.append(future)
         return future

@@ -65,7 +65,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Union
 
 from ..settings import resolve_spool_dir
-from .base import BackendFuture, ExecutionBackend, Task, register_backend, run_task
+from ..spec import CellShard
+from .base import BackendFuture, ExecutionBackend, register_backend, run_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...experiments.config import ExperimentSettings
@@ -544,7 +545,7 @@ class SpoolBackend(ExecutionBackend):
         self._submitted = []
         super().close()
 
-    def submit(self, task: Task, settings: "ExperimentSettings") -> BackendFuture:
+    def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
         task_id = f"{self._run_id}-{self._seq:06d}"
         self._seq += 1
         future = _SpoolFuture(self, task_id)

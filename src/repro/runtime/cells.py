@@ -1,31 +1,29 @@
-"""Cell runners: turn picklable cell specs into computed results.
+"""Cell kinds: turn picklable cell specs into computed results.
 
-Workers (or the serial fallback) receive a :class:`~.spec.CellSpec`
-plus the plan settings and nothing else, so everything a cell needs —
-the KG, the sampling strategy, the interval method — is rebuilt from
-spec strings here.  Builders are deterministic: the same spec and
-settings always construct identical objects, which is what makes
-parallel execution bit-identical to serial and cache keys meaningful.
+Every cell runs as repetition windows plus a merge.  A worker (or the
+serial path) receives one :class:`~.spec.CellShard` — a cell and its
+window, the whole cell when unsplit — plus the plan settings and
+nothing else, so everything a window needs — the KG, the sampling
+strategy, the interval method — is rebuilt from spec strings here; the
+scheduler merges the window payloads into the cell's result.  Builders
+are deterministic: the same spec and settings always construct
+identical objects, which is what makes parallel execution bit-identical
+to serial and cache keys meaningful.
 
-The runner registry is open: downstream code (and the test suite) can
+The kind registry is open: downstream code (and the test suite) can
 register additional cell types with :func:`register_cell_runner`
 without touching the executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from ..annotation.annotator import OracleAnnotator
-from ..evaluation.coverage import (
-    CoverageResult,
-    coverage_from_counts,
-    empirical_coverage,
-    tau_counts,
-)
+from ..evaluation.coverage import CoverageResult, coverage_from_counts, tau_counts
 from ..evaluation.dynamic import DynamicAuditor, DynamicAuditStudy
 from ..evaluation.framework import KGAccuracyEvaluator
 from ..evaluation.partitioned import (
@@ -38,7 +36,6 @@ from ..evaluation.partitioned import (
 from ..evaluation.runner import StudyResult, run_study
 from ..evaluation.sequential import (
     SequentialCoverageResult,
-    sequential_coverage,
     sequential_from_replays,
     sequential_replays,
 )
@@ -79,20 +76,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import ExperimentSettings
 
 __all__ = [
+    "CellKind",
     "build_kg",
     "build_method",
     "build_method_from_payload",
     "build_strategy",
     "cell_method",
-    "cell_repetitions",
-    "is_shardable",
+    "kind_for",
     "method_payload",
     "register_cell_runner",
-    "register_shard_runner",
-    "register_shard_reducer",
-    "runner_for",
-    "shard_runner_for",
-    "shard_reducer_for",
     "run_study_cell",
     "run_coverage_cell",
     "run_sequential_coverage_cell",
@@ -217,7 +209,7 @@ def build_method(
 
 
 def cell_method(cell: CellSpec) -> IntervalMethod:
-    """The interval method a cell's runner (or reducer) should use.
+    """The interval method a cell's runner (or merge) should use.
 
     A :attr:`~repro.runtime.spec.CellSpec.method_payload` wins over the
     ``method`` spec string; both construct deterministically, which is
@@ -229,142 +221,91 @@ def cell_method(cell: CellSpec) -> IntervalMethod:
 
 
 # ----------------------------------------------------------------------
-# Runner registry
-# ----------------------------------------------------------------------
-
-_RUNNERS: dict[type, Callable[[Any, "ExperimentSettings"], Any]] = {}
-
-
-def register_cell_runner(cell_type: type):
-    """Class decorator-style registration of a cell runner.
-
-    The executor dispatches on the cell's type (walking the MRO, so
-    subclasses inherit their parent's runner unless they register their
-    own).
-    """
-
-    def decorate(fn: Callable[[Any, "ExperimentSettings"], Any]):
-        _RUNNERS[cell_type] = fn
-        return fn
-
-    return decorate
-
-
-def runner_for(cell: CellSpec) -> Callable[[Any, "ExperimentSettings"], Any]:
-    """The registered runner for *cell*'s type."""
-    runner = _lookup(_RUNNERS, cell)
-    if runner is None:
-        raise ValidationError(f"no runner registered for cell type {type(cell)!r}")
-    return runner
-
-
-# ----------------------------------------------------------------------
-# Repetition-sharding registry
+# Cell kinds
 # ----------------------------------------------------------------------
 #
-# A cell type opts into repetition sharding by registering three pieces:
-# a repetition counter (how many independent repetitions the cell runs),
-# a shard runner (execute one half-open repetition window, returning a
-# picklable partial payload), and a reducer (merge the in-order partial
-# payloads into exactly the value the unsharded runner returns).  The
-# contract every implementation must honour — and the hypothesis suite
-# enforces — is *bit-identity*: for any chunking, reducing the shard
-# payloads reproduces the unsharded result exactly.  The built-in kinds
-# achieve that by keeping per-repetition seed streams keyed on global
-# repetition indices and merging via lossless operations only (integer
-# sums, array concatenation) before any shared float reduction.
-
-_SHARD_RUNNERS: dict[type, Callable[[Any, "ExperimentSettings", int, int], Any]] = {}
-_SHARD_REDUCERS: dict[type, Callable[[Any, "ExperimentSettings", list], Any]] = {}
-_REP_COUNTERS: dict[type, Callable[[Any, "ExperimentSettings"], int]] = {}
+# Every cell runs as one or more repetition windows plus a merge.  A
+# kind registers one window runner ``(cell, settings, rep_range)`` —
+# ``rep_range=None`` means every repetition — and, to be splittable,
+# the merge of its in-order window payloads and a repetition counter.
+# The contract every splittable kind honours — and the hypothesis
+# suite enforces — is *bit-identity*: for any chunking, merging the
+# window payloads reproduces ``merge([run(rep_range=None)])`` exactly.
+# The built-in kinds achieve that by keeping per-repetition seed
+# streams keyed on global repetition indices and merging via lossless
+# operations only (integer sums, array concatenation) before any
+# shared float reduction.
 
 
-def register_shard_runner(
-    cell_type: type, repetitions: Callable[[Any, "ExperimentSettings"], int]
+def _single(cell: CellSpec, settings: "ExperimentSettings", partials: list) -> Any:
+    """The merge of a kind that never splits: its one payload."""
+    (value,) = partials
+    return value
+
+
+@dataclass(frozen=True)
+class CellKind:
+    """How the runtime executes one cell type.
+
+    ``run(cell, settings, rep_range)`` computes one window's payload;
+    ``merge(cell, settings, partials)`` turns the in-order payloads
+    into the cell's result.  ``repetitions(cell, settings)`` counts the
+    repetitions its windows partition; a kind without it always runs
+    as one window.
+    """
+
+    run: Callable[[Any, "ExperimentSettings", tuple[int, int] | None], Any]
+    merge: Callable[[Any, "ExperimentSettings", list], Any] = _single
+    repetitions: Callable[[Any, "ExperimentSettings"], int] | None = None
+
+
+_KINDS: dict[type, CellKind] = {}
+
+
+def register_cell_runner(
+    cell_type: type,
+    *,
+    merge: Callable[[Any, "ExperimentSettings", list], Any] | None = None,
+    repetitions: Callable[[Any, "ExperimentSettings"], int] | None = None,
 ):
-    """Register a shard runner (and repetition counter) for *cell_type*.
+    """Decorator registering *cell_type*'s window runner.
 
-    The runner receives ``(cell, settings, rep_start, rep_stop)`` and
-    returns a picklable partial payload for that window; *repetitions*
-    maps ``(cell, settings)`` to the cell's total repetition count.
+    The runner receives ``(cell, settings, rep_range)``.  A splittable
+    kind passes *merge* and *repetitions* too (both or neither).  The
+    executor dispatches on the cell's type, walking the MRO, so
+    subclasses inherit their parent's kind unless they register their
+    own.
     """
+    if (merge is None) != (repetitions is None):
+        raise ValidationError(
+            "a splittable cell kind registers merge= and repetitions= together"
+        )
 
-    def decorate(fn: Callable[[Any, "ExperimentSettings", int, int], Any]):
-        _SHARD_RUNNERS[cell_type] = fn
-        _REP_COUNTERS[cell_type] = repetitions
+    def decorate(fn: Callable[[Any, "ExperimentSettings", Any], Any]):
+        _KINDS[cell_type] = CellKind(
+            run=fn, merge=merge or _single, repetitions=repetitions
+        )
         return fn
 
     return decorate
 
 
-def register_shard_reducer(cell_type: type):
-    """Register the merge step for *cell_type*'s shard payloads.
-
-    The reducer receives ``(cell, settings, partials)`` with partials in
-    shard order and must return exactly what the unsharded runner would.
-    """
-
-    def decorate(fn: Callable[[Any, "ExperimentSettings", list], Any]):
-        _SHARD_REDUCERS[cell_type] = fn
-        return fn
-
-    return decorate
-
-
-def _lookup(registry: dict, cell: CellSpec):
+def kind_for(cell: CellSpec) -> CellKind:
+    """The registered :class:`CellKind` of *cell*'s type."""
     for klass in type(cell).__mro__:
-        entry = registry.get(klass)
-        if entry is not None:
-            return entry
-    return None
-
-
-def is_shardable(cell: CellSpec) -> bool:
-    """Whether *cell*'s type registered the full sharding triple."""
-    return (
-        _lookup(_SHARD_RUNNERS, cell) is not None
-        and _lookup(_SHARD_REDUCERS, cell) is not None
-        and _lookup(_REP_COUNTERS, cell) is not None
-    )
-
-
-def cell_repetitions(cell: CellSpec, settings: "ExperimentSettings") -> int:
-    """Total independent repetitions *cell* runs under *settings*."""
-    counter = _lookup(_REP_COUNTERS, cell)
-    if counter is None:
-        raise ValidationError(
-            f"cell type {type(cell)!r} has no registered repetition counter"
-        )
-    return int(counter(cell, settings))
-
-
-def shard_runner_for(cell: CellSpec) -> Callable[[Any, "ExperimentSettings", int, int], Any]:
-    """The registered shard runner for *cell*'s type."""
-    runner = _lookup(_SHARD_RUNNERS, cell)
-    if runner is None:
-        raise ValidationError(
-            f"no shard runner registered for cell type {type(cell)!r}"
-        )
-    return runner
-
-
-def shard_reducer_for(cell: CellSpec) -> Callable[[Any, "ExperimentSettings", list], Any]:
-    """The registered shard reducer for *cell*'s type."""
-    reducer = _lookup(_SHARD_REDUCERS, cell)
-    if reducer is None:
-        raise ValidationError(
-            f"no shard reducer registered for cell type {type(cell)!r}"
-        )
-    return reducer
+        kind = _KINDS.get(klass)
+        if kind is not None:
+            return kind
+    raise ValidationError(f"no runner registered for cell type {type(cell)!r}")
 
 
 # ----------------------------------------------------------------------
-# Built-in runners
+# Built-in kinds
 # ----------------------------------------------------------------------
 
 
 def _study_evaluator(cell: StudyCell, settings: "ExperimentSettings") -> KGAccuracyEvaluator:
-    """The deterministic evaluator behind a study cell (or its shards)."""
+    """The deterministic evaluator behind a study cell's windows."""
     kg = build_kg(cell.dataset, settings.dataset_seed)
     config = settings.evaluation_config(alpha=cell.alpha)
     if cell.units_per_iteration is not None:
@@ -377,61 +318,6 @@ def _study_evaluator(cell: StudyCell, settings: "ExperimentSettings") -> KGAccur
     )
 
 
-@register_cell_runner(StudyCell)
-def run_study_cell(cell: StudyCell, settings: "ExperimentSettings") -> StudyResult:
-    """One (dataset, strategy, method) Monte-Carlo study.
-
-    Mirrors the pre-runtime ``run_configuration`` path exactly: the
-    evaluator configuration, the per-cell ``derive_seed`` stream, and
-    the per-repetition seeding are unchanged, so routed experiments
-    reproduce their serial numbers bit for bit.
-    """
-    return run_study(
-        _study_evaluator(cell, settings),
-        repetitions=settings.repetitions,
-        seed=derive_seed(settings.seed, *cell.seed_stream),
-        label=cell.label,
-    )
-
-
-@register_cell_runner(CoverageCell)
-def run_coverage_cell(cell: CoverageCell, settings: "ExperimentSettings") -> CoverageResult:
-    """One fixed-n empirical coverage cell."""
-    method = cell_method(cell)
-    alpha = settings.alpha if cell.alpha is None else cell.alpha
-    repetitions = settings.repetitions if cell.repetitions is None else cell.repetitions
-    return empirical_coverage(
-        method,
-        cell.mu,
-        cell.n,
-        alpha=alpha,
-        repetitions=repetitions,
-        rng=cell.seed,
-    )
-
-
-@register_cell_runner(SequentialCoverageCell)
-def run_sequential_coverage_cell(
-    cell: SequentialCoverageCell, settings: "ExperimentSettings"
-) -> SequentialCoverageResult:
-    """One stopped-interval coverage cell (full iterative procedure)."""
-    method = cell_method(cell)
-    config = settings.evaluation_config(alpha=cell.alpha)
-    repetitions = settings.repetitions if cell.repetitions is None else cell.repetitions
-    return sequential_coverage(
-        method,
-        cell.mu,
-        config=config,
-        repetitions=repetitions,
-        seed=cell.seed,
-    )
-
-
-# ----------------------------------------------------------------------
-# Built-in shard runners and reducers
-# ----------------------------------------------------------------------
-
-
 def _study_cell_repetitions(cell: StudyCell, settings: "ExperimentSettings") -> int:
     return settings.repetitions
 
@@ -440,34 +326,14 @@ def _audit_cell_repetitions(cell, settings: "ExperimentSettings") -> int:
     return settings.repetitions if cell.repetitions is None else cell.repetitions
 
 
-@register_shard_runner(StudyCell, repetitions=_study_cell_repetitions)
-def run_study_cell_shard(
-    cell: StudyCell, settings: "ExperimentSettings", rep_start: int, rep_stop: int
-) -> StudyResult:
-    """Repetitions ``[rep_start, rep_stop)`` of a study cell.
-
-    Per-repetition seeds stay keyed on the global repetition index, so
-    the shard's arrays are exactly the corresponding slice of the
-    unsharded run's.
-    """
-    return run_study(
-        _study_evaluator(cell, settings),
-        repetitions=settings.repetitions,
-        seed=derive_seed(settings.seed, *cell.seed_stream),
-        label=cell.label,
-        rep_range=(rep_start, rep_stop),
-    )
-
-
-@register_shard_reducer(StudyCell)
-def merge_study_cell_shards(
+def merge_study_cell(
     cell: StudyCell, settings: "ExperimentSettings", partials: list
 ) -> StudyResult:
-    """Concatenate in-order study shards back into the full-cell result.
+    """Concatenate in-order study windows into the cell's result.
 
     Concatenation of the per-repetition arrays is lossless, and the
     summaries on :class:`StudyResult` are derived lazily from them, so
-    the merged result is bit-identical to the unsharded run.
+    the merged result is bit-identical for any chunking.
     """
     return StudyResult(
         label=cell.label,
@@ -479,32 +345,33 @@ def merge_study_cell_shards(
     )
 
 
-@register_shard_runner(CoverageCell, repetitions=_audit_cell_repetitions)
-def run_coverage_cell_shard(
-    cell: CoverageCell, settings: "ExperimentSettings", rep_start: int, rep_stop: int
-) -> np.ndarray:
-    """Outcome histogram of one repetition window of a coverage cell.
+@register_cell_runner(
+    StudyCell, merge=merge_study_cell, repetitions=_study_cell_repetitions
+)
+def run_study_cell(
+    cell: StudyCell, settings: "ExperimentSettings", rep_range: tuple[int, int] | None
+) -> StudyResult:
+    """Repetitions *rep_range* of one (dataset, strategy, method) study.
 
-    The partial payload is the integer ``tau`` histogram of the window;
-    histograms of a partition sum exactly to the full histogram, and the
-    reducer performs the (cheap, deduplicated) interval solves once on
-    the merged counts — the identical computation the unsharded runner
-    does.
+    Mirrors the pre-runtime ``run_configuration`` path exactly: the
+    evaluator configuration, the per-cell ``derive_seed`` stream, and
+    the per-repetition seeding are unchanged, and per-repetition seeds
+    stay keyed on the global repetition index, so a window's arrays are
+    exactly the corresponding slice of the whole run's.
     """
-    return tau_counts(
-        cell.mu,
-        cell.n,
-        _audit_cell_repetitions(cell, settings),
-        rng=cell.seed,
-        rep_range=(rep_start, rep_stop),
+    return run_study(
+        _study_evaluator(cell, settings),
+        repetitions=settings.repetitions,
+        seed=derive_seed(settings.seed, *cell.seed_stream),
+        label=cell.label,
+        rep_range=rep_range,
     )
 
 
-@register_shard_reducer(CoverageCell)
-def merge_coverage_cell_shards(
+def merge_coverage_cell(
     cell: CoverageCell, settings: "ExperimentSettings", partials: list
 ) -> CoverageResult:
-    """Sum shard histograms and solve the merged outcome set once."""
+    """Sum window histograms and solve the merged outcome set once."""
     counts = np.sum(partials, axis=0)
     method = cell_method(cell)
     alpha = settings.alpha if cell.alpha is None else cell.alpha
@@ -518,34 +385,35 @@ def merge_coverage_cell_shards(
     )
 
 
-@register_shard_runner(SequentialCoverageCell, repetitions=_audit_cell_repetitions)
-def run_sequential_coverage_cell_shard(
-    cell: SequentialCoverageCell,
-    settings: "ExperimentSettings",
-    rep_start: int,
-    rep_stop: int,
-) -> tuple[int, np.ndarray]:
-    """Raw ``(hits, stopping)`` replay outcomes of one repetition window."""
-    method = cell_method(cell)
-    config = settings.evaluation_config(alpha=cell.alpha)
-    return sequential_replays(
-        method,
+@register_cell_runner(
+    CoverageCell, merge=merge_coverage_cell, repetitions=_audit_cell_repetitions
+)
+def run_coverage_cell(
+    cell: CoverageCell, settings: "ExperimentSettings", rep_range: tuple[int, int] | None
+) -> np.ndarray:
+    """Outcome histogram of one repetition window of a coverage cell.
+
+    The payload is the integer ``tau`` histogram of the window;
+    histograms of a partition sum exactly to the full histogram, and
+    the merge performs the (cheap, deduplicated) interval solves once
+    on the summed counts.
+    """
+    return tau_counts(
         cell.mu,
-        config=config,
-        repetitions=_audit_cell_repetitions(cell, settings),
-        seed=cell.seed,
-        rep_range=(rep_start, rep_stop),
+        cell.n,
+        _audit_cell_repetitions(cell, settings),
+        rng=cell.seed,
+        rep_range=rep_range,
     )
 
 
-@register_shard_reducer(SequentialCoverageCell)
-def merge_sequential_coverage_cell_shards(
+def merge_sequential_coverage_cell(
     cell: SequentialCoverageCell, settings: "ExperimentSettings", partials: list
 ) -> SequentialCoverageResult:
     """Sum hit counts, concatenate stopping sizes, summarise once.
 
     Hit counts are integers and the stopping-size concatenation is the
-    unsharded run's array element for element, so the float summaries
+    whole run's array element for element, so the float summaries
     (mean/std over the full array) are computed on identical input —
     bit-identical output.
     """
@@ -556,12 +424,35 @@ def merge_sequential_coverage_cell_shards(
     return sequential_from_replays(method.name, cell.mu, config, hits, stopping)
 
 
+@register_cell_runner(
+    SequentialCoverageCell,
+    merge=merge_sequential_coverage_cell,
+    repetitions=_audit_cell_repetitions,
+)
+def run_sequential_coverage_cell(
+    cell: SequentialCoverageCell,
+    settings: "ExperimentSettings",
+    rep_range: tuple[int, int] | None,
+) -> tuple[int, np.ndarray]:
+    """Raw ``(hits, stopping)`` replay outcomes of one repetition window."""
+    method = cell_method(cell)
+    config = settings.evaluation_config(alpha=cell.alpha)
+    return sequential_replays(
+        method,
+        cell.mu,
+        config=config,
+        repetitions=_audit_cell_repetitions(cell, settings),
+        seed=cell.seed,
+        rep_range=rep_range,
+    )
+
+
 # ----------------------------------------------------------------------
 # Dynamic (evolving-KG) audit cells
 # ----------------------------------------------------------------------
 
 #: Per-process snapshot-stream memo, mirroring the KG cache: every
-#: repetition shard of a dynamic cell replays the same evolving KG, so
+#: repetition window of a dynamic cell replays the same evolving KG, so
 #: workers build each stream once.  FIFO-capped like the KG cache.
 _SNAPSHOT_CACHE: dict[tuple, list] = {}
 _SNAPSHOT_CACHE_LIMIT = 4
@@ -601,57 +492,14 @@ def _dynamic_auditor(cell: DynamicAuditCell, settings: "ExperimentSettings") -> 
     )
 
 
-@register_cell_runner(DynamicAuditCell)
-def run_dynamic_audit_cell(
-    cell: DynamicAuditCell, settings: "ExperimentSettings"
-) -> DynamicAuditStudy:
-    """All replications of one evolving-KG audit stream.
-
-    Repetition 0 reproduces ``DynamicAuditor.audit_stream`` on the
-    cell's audit seed exactly, so routing a single-replication
-    experiment through the runtime changes scheduling, never numbers.
-    """
-    return _dynamic_auditor(cell, settings).audit_study(
-        _dynamic_snapshots(cell),
-        repetitions=_audit_cell_repetitions(cell, settings),
-        seed=cell.seed,
-        label=cell.label,
-    )
-
-
-@register_shard_runner(DynamicAuditCell, repetitions=_audit_cell_repetitions)
-def run_dynamic_audit_cell_shard(
-    cell: DynamicAuditCell,
-    settings: "ExperimentSettings",
-    rep_start: int,
-    rep_stop: int,
-) -> tuple:
-    """Stream replications ``[rep_start, rep_stop)`` of a dynamic cell.
-
-    Each replication is a complete multi-round stream with the carried
-    prior threaded through its rounds, and its seed window is keyed on
-    the global repetition index — so the shard payload is exactly the
-    corresponding slice of the unsharded study's streams.
-    """
-    study = _dynamic_auditor(cell, settings).audit_study(
-        _dynamic_snapshots(cell),
-        repetitions=_audit_cell_repetitions(cell, settings),
-        seed=cell.seed,
-        label=cell.label,
-        rep_range=(rep_start, rep_stop),
-    )
-    return study.streams
-
-
-@register_shard_reducer(DynamicAuditCell)
-def merge_dynamic_audit_cell_shards(
+def merge_dynamic_audit_cell(
     cell: DynamicAuditCell, settings: "ExperimentSettings", partials: list
 ) -> DynamicAuditStudy:
-    """Concatenate in-order stream windows back into the full study.
+    """Concatenate in-order stream windows into the full study.
 
     Concatenation is lossless (the records themselves are the payload,
     carried-prior state included), so the merged study is bit-identical
-    to the unsharded run for any chunking.
+    for any chunking.
     """
     return DynamicAuditStudy(
         label=cell.label,
@@ -659,14 +507,44 @@ def merge_dynamic_audit_cell_shards(
     )
 
 
+@register_cell_runner(
+    DynamicAuditCell,
+    merge=merge_dynamic_audit_cell,
+    repetitions=_audit_cell_repetitions,
+)
+def run_dynamic_audit_cell(
+    cell: DynamicAuditCell,
+    settings: "ExperimentSettings",
+    rep_range: tuple[int, int] | None,
+) -> tuple:
+    """Stream replications *rep_range* of one evolving-KG audit cell.
+
+    Each replication is a complete multi-round stream with the carried
+    prior threaded through its rounds, and its seed window is keyed on
+    the global repetition index — so the payload is exactly the
+    corresponding slice of the whole study's streams.  Repetition 0
+    reproduces ``DynamicAuditor.audit_stream`` on the cell's audit seed
+    exactly, so routing a single-replication experiment through the
+    runtime changes scheduling, never numbers.
+    """
+    study = _dynamic_auditor(cell, settings).audit_study(
+        _dynamic_snapshots(cell),
+        repetitions=_audit_cell_repetitions(cell, settings),
+        seed=cell.seed,
+        label=cell.label,
+        rep_range=rep_range,
+    )
+    return study.streams
+
+
 # ----------------------------------------------------------------------
 # Partitioned (per-predicate) audit cells
 # ----------------------------------------------------------------------
 #
-# The shard dimension here is the *partition list*, not Monte-Carlo
+# The window dimension here is the *partition list*, not Monte-Carlo
 # repetitions: "repetition" i is predicate i in the KG's deterministic
-# sorted order.  Shards compute the expensive budget-independent
-# trajectories of their partition window; the reducer merges the
+# sorted order.  Windows compute the expensive budget-independent
+# trajectories of their partitions; the merge concatenates the
 # integer-evidence partials, replays the budget allocation, and runs
 # the shared interval solves once.
 
@@ -689,60 +567,7 @@ def _partitioned_cell_partitions(
     return len(TripleIndex(_partitioned_kg(cell, settings)).predicates)
 
 
-def _partition_trajectory_window(
-    cell: PartitionedAuditCell,
-    settings: "ExperimentSettings",
-    start: int,
-    stop: int | None,
-) -> tuple:
-    kg = _partitioned_kg(cell, settings)
-    generator = spawn_rng(cell.seed)
-    names, members, order = partition_order(kg, rng=generator)
-    alpha = settings.alpha if cell.alpha is None else cell.alpha
-    trajectories = partition_trajectories(
-        kg,
-        names[start:stop],
-        members,
-        order,
-        cell_method(cell),
-        alpha,
-        cell.epsilon,
-        cell.min_per_partition,
-        cell.max_triples,
-        OracleAnnotator(),
-        rng=generator,
-    )
-    return tuple(trajectories)
-
-
-@register_cell_runner(PartitionedAuditCell)
-def run_partitioned_audit_cell(
-    cell: PartitionedAuditCell, settings: "ExperimentSettings"
-) -> PartitionedAuditResult:
-    """One whole partitioned audit (trajectories + allocation + solve)."""
-    trajectories = _partition_trajectory_window(cell, settings, 0, None)
-    return merge_partitioned_audit_cell_shards(cell, settings, [trajectories])
-
-
-@register_shard_runner(PartitionedAuditCell, repetitions=_partitioned_cell_partitions)
-def run_partitioned_audit_cell_shard(
-    cell: PartitionedAuditCell,
-    settings: "ExperimentSettings",
-    rep_start: int,
-    rep_stop: int,
-) -> tuple:
-    """Trajectories of partitions ``[rep_start, rep_stop)``.
-
-    Every shard replays the full permutation schedule (cheap) and
-    annotates only its own partitions (rng-free under the oracle
-    annotator), so its payload is exactly the corresponding slice of
-    the serial trajectory list.
-    """
-    return _partition_trajectory_window(cell, settings, rep_start, rep_stop)
-
-
-@register_shard_reducer(PartitionedAuditCell)
-def merge_partitioned_audit_cell_shards(
+def merge_partitioned_audit_cell(
     cell: PartitionedAuditCell, settings: "ExperimentSettings", partials: list
 ) -> PartitionedAuditResult:
     """Merge integer trajectories, replay the budget, solve once.
@@ -764,3 +589,41 @@ def merge_partitioned_audit_cell_shards(
         alpha,
         cell.epsilon,
     )
+
+
+@register_cell_runner(
+    PartitionedAuditCell,
+    merge=merge_partitioned_audit_cell,
+    repetitions=_partitioned_cell_partitions,
+)
+def run_partitioned_audit_cell(
+    cell: PartitionedAuditCell,
+    settings: "ExperimentSettings",
+    rep_range: tuple[int, int] | None,
+) -> tuple:
+    """Trajectories of the partitions in *rep_range* (all when ``None``).
+
+    Every window replays the full permutation schedule (cheap) and
+    annotates only its own partitions (rng-free under the oracle
+    annotator), so its payload is exactly the corresponding slice of
+    the serial trajectory list.
+    """
+    kg = _partitioned_kg(cell, settings)
+    generator = spawn_rng(cell.seed)
+    names, members, order = partition_order(kg, rng=generator)
+    start, stop = rep_range or (0, None)
+    alpha = settings.alpha if cell.alpha is None else cell.alpha
+    trajectories = partition_trajectories(
+        kg,
+        names[start:stop],
+        members,
+        order,
+        cell_method(cell),
+        alpha,
+        cell.epsilon,
+        cell.min_per_partition,
+        cell.max_triples,
+        OracleAnnotator(),
+        rng=generator,
+    )
+    return tuple(trajectories)

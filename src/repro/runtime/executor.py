@@ -14,13 +14,13 @@ Because every cell is seeded at plan-build time and runners rebuild
 their inputs from specs, all backends are bit-identical — the backend
 changes wall-clock and placement, never numbers.
 
-Two levels of parallelism compose here.  Cells fan out across workers,
-and — when a chunk size is configured — a cell's *repetitions* are
-sharded into sub-cell windows that fan out the same way and merge
-through per-kind reducers (see :mod:`repro.runtime.cells`), so a single
-expensive 1,000-repetition cell no longer serialises on one worker.
-Chunking is pure scheduling: for any chunk size, the merged result is
-bit-identical to the unsharded run.
+Every cell runs as repetition windows plus a merge (see
+:mod:`repro.runtime.cells`): one window when unsplit, and — when a
+chunk size is configured — several, so a single expensive
+1,000-repetition cell no longer serialises on one worker.  Windows of
+all cells fan out across workers alike.  Chunking is pure scheduling:
+for any chunk size, the merged result is bit-identical to the unsplit
+run.
 
 Cells completed earlier — in this run, a previous run, or a run that
 was interrupted — are served from the optional
@@ -89,10 +89,9 @@ from .backends import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
-    run_shard,
+    run_task,
 )
-from .backends.base import close_backend, open_backend
-from .cells import cell_repetitions, is_shardable
+from .cells import kind_for
 from .faults import (
     PlanExecutionError,
     RetryPolicy,
@@ -105,7 +104,6 @@ from .scheduler import (
     ChunkCalibration,
     PlanOutcome,
     PlanScheduler,
-    task_of,
 )
 from .settings import RunContext
 from .spec import CellShard, StudyPlan, cache_token, shard_token
@@ -135,16 +133,13 @@ __all__ = [
 ]
 
 
-def _unit_fields(item: tuple) -> dict:
-    """Identifying telemetry fields of one pending-queue entry."""
-    task = task_of(item)
-    if isinstance(task, CellShard):
-        return {
-            "unit": "shard",
-            "label": task.label,
-            "kind": type(task.cell).__name__,
-        }
-    return {"unit": "cell", "label": task.label, "kind": type(task).__name__}
+def _unit_fields(shard: CellShard) -> dict:
+    """Identifying telemetry fields of one unit of work."""
+    return {
+        "unit": "cell" if shard.rep_range is None else "shard",
+        "label": shard.label,
+        "kind": type(shard.cell).__name__,
+    }
 
 
 class ParallelExecutor:
@@ -166,16 +161,16 @@ class ParallelExecutor:
         ``(done, total, CellResult) -> None`` for custom reporting, or
         ``None``/``False`` for silence.
     chunk_size:
-        Repetition-sharding granularity: shardable cells with more
-        repetitions than this are split into sub-cell windows of at
-        most ``chunk_size`` repetitions that fan out like cells and
-        merge bit-identically.  ``None`` reads ``REPRO_CHUNK_SIZE``
+        Repetition-sharding granularity: splittable cells with more
+        repetitions than this are split into windows of at most
+        ``chunk_size`` repetitions that fan out like cells and merge
+        bit-identically.  ``None`` reads ``REPRO_CHUNK_SIZE``
         (default: no sharding).  A cell's own ``chunk_size`` field
         overrides this value.
     chunk_seconds:
         Adaptive chunk sizing: instead of a fixed reps-per-shard, aim
         for shards of roughly this many wall-clock seconds.  Each run
-        times one pilot shard of its first uncached shardable cell,
+        times one pilot shard of its first uncached splittable cell,
         derives reps-per-shard from the measured rate, and shards the
         whole plan at that granularity (the pilot window is reused when
         it aligns with the chosen chunking).  ``None`` reads
@@ -330,22 +325,26 @@ class ParallelExecutor:
     ) -> tuple[ChunkCalibration | None, tuple | None]:
         """Derive reps-per-shard from one timed pilot shard.
 
-        Picks the first uncached shardable cell of the plan, executes
+        Picks the first uncached splittable cell of the plan, executes
         its leading repetition window ``[0, pilot)`` in-process, and
         converts the measured rate into a chunk size targeting
         ``chunk_seconds`` per shard.  The pilot's partial payload is
         persisted to the store (under its ordinary shard token) and
         returned for in-memory reuse, so the timed work is not wasted
-        when the chosen chunking's first window happens to align.
+        when the chosen chunking's first window happens to align.  A
+        pilot that raises measures nothing: the next candidate is tried,
+        and the failing cell's own units then fail through the
+        backend's retry and quarantine policy.
 
         Calibration affects scheduling only: whatever chunk size comes
         out, merged results and cache tokens are identical to any fixed
         chunking — the property the test suite pins down.
         """
         for index, cell in enumerate(plan.cells):
-            if not is_shardable(cell) or cell.chunk_size is not None:
+            counter = kind_for(cell).repetitions
+            if counter is None or cell.chunk_size is not None:
                 continue
-            repetitions = cell_repetitions(cell, settings)
+            repetitions = int(counter(cell, settings))
             if repetitions < 2:
                 continue
             if self.store is not None and self.store.contains(
@@ -353,14 +352,13 @@ class ParallelExecutor:
             ):
                 continue
             pilot_reps = max(1, min(self._PILOT_REPS, repetitions // 2))
-            shard = CellShard(
-                cell=cell,
-                index=0,
-                shards=1,
-                rep_start=0,
-                rep_stop=pilot_reps,
-            )
-            value, seconds = run_shard(shard, settings)
+            shard = CellShard(cell=cell, rep_stop=pilot_reps)
+            try:
+                value, seconds = run_task(shard, settings)
+            except Exception:
+                # No measurement; the cell's own units re-raise this
+                # through the retry policy, which records the failure.
+                continue
             if self.store is not None:
                 self.store.save(
                     shard_token(shard, settings, repetitions),
@@ -392,14 +390,14 @@ class ParallelExecutor:
         """Execute *plan*; returns results for every cell, plan-ordered.
 
         The scheduler core serves the cache first — merged cell
-        entries, then per-shard entries for sharded cells — and the
-        remaining units of work (whole cells and repetition shards
-        alike) dispatch through the run's backend.  Each fresh result
-        is persisted to the store from the scheduler process as soon as
-        it completes: whole cells and shards one by one, so
-        interruption at any point loses at most the work still in
-        flight, and a killed sharded cell resumes at its last finished
-        shard — on this backend or any other.
+        entries, then per-window entries for split cells — and the
+        remaining windows dispatch through the run's backend.  Each
+        fresh result is persisted to the store from the scheduler
+        process as soon as it completes: merged cells and the windows
+        of split cells one by one, so interruption at any point loses
+        at most the work still in flight, and a killed split cell
+        resumes at its last finished window — on this backend or any
+        other.
 
         With ``chunk_seconds`` configured, a timed pilot shard runs
         first and fixes this run's reps-per-shard (see
@@ -480,45 +478,41 @@ class ParallelExecutor:
             backend = self._backend_for(len(pending))
             failure_log: list[TaskFailure] = []
             if pending:
-                tokens = {
-                    id(item): unit_token(task_of(item), settings)
-                    for item in pending
-                }
-                for item in pending:
+                tokens = {id(shard): unit_token(shard, settings) for shard in pending}
+                for shard in pending:
                     telemetry.emit(
-                        "unit_queued", token=tokens[id(item)], **_unit_fields(item)
+                        "unit_queued", token=tokens[id(shard)], **_unit_fields(shard)
                     )
-                open_backend(
-                    backend,
+                backend.open(
                     workers=self.workers,
                     tasks=len(pending),
                     settings=settings,
                     telemetry=telemetry,
                 )
                 try:
-                    # future -> (queue item, attempt number); failed
-                    # futures are replaced by their retry's future, so the
-                    # map always holds exactly the in-flight attempts.
+                    # future -> (unit, attempt number); failed futures are
+                    # replaced by their retry's future, so the map always
+                    # holds exactly the in-flight attempts.
                     futures: dict = {}
-                    for item in pending:
+                    for shard in pending:
                         telemetry.emit(
                             "unit_submitted",
-                            token=tokens[id(item)],
+                            token=tokens[id(shard)],
                             attempt=1,
                             backend=backend.name,
-                            **_unit_fields(item),
+                            **_unit_fields(shard),
                         )
-                        futures[backend.submit(task_of(item), settings)] = (item, 1)
+                        futures[backend.submit(shard, settings)] = (shard, 1)
                     outstanding = set(futures)
                     while outstanding:
                         ready, outstanding = backend.wait_any(outstanding)
                         for future in ready:
-                            item, attempt = futures.pop(future)
+                            shard, attempt = futures.pop(future)
                             try:
                                 value, seconds = future.result()
                             except Exception as exc:
                                 retried = self._handle_failure(
-                                    backend, settings, item, attempt, exc,
+                                    backend, settings, shard, attempt, exc,
                                     futures, outstanding, failure_log,
                                     scheduler, telemetry,
                                 )
@@ -526,15 +520,15 @@ class ParallelExecutor:
                                 continue
                             telemetry.emit(
                                 "unit_finished",
-                                token=tokens[id(item)],
+                                token=tokens[id(shard)],
                                 attempt=attempt,
                                 seconds=round(seconds, 6),
                                 backend=backend.name,
-                                **_unit_fields(item),
+                                **_unit_fields(shard),
                             )
-                            scheduler.finish(item, value, seconds)
+                            scheduler.finish(shard, value, seconds)
                 finally:
-                    close_backend(backend)
+                    backend.close()
             status = "ok"
         finally:
             pool_stack.close()
@@ -578,7 +572,7 @@ class ParallelExecutor:
         self,
         backend: ExecutionBackend,
         settings: "ExperimentSettings",
-        item: tuple,
+        shard: CellShard,
         attempt: int,
         exc: Exception,
         futures: dict,
@@ -595,9 +589,8 @@ class ParallelExecutor:
         (``on_error="continue"``) or the run aborts with a
         :class:`PlanExecutionError` carrying the full failure history.
         """
-        task = task_of(item)
-        token = unit_token(task, settings)
-        failure = failure_from(task, token, attempt, exc, backend.name)
+        token = unit_token(shard, settings)
+        failure = failure_from(shard, token, attempt, exc, backend.name)
         failure_log.append(failure)
         telemetry.emit(
             "unit_failed",
@@ -605,7 +598,7 @@ class ParallelExecutor:
             attempt=attempt,
             error=f"{type(exc).__name__}: {exc}",
             backend=backend.name,
-            **_unit_fields(item),
+            **_unit_fields(shard),
         )
         policy = self.retry_policy
         if attempt <= policy.max_retries:
@@ -617,7 +610,7 @@ class ParallelExecutor:
                 attempt=attempt + 1,
                 max_attempts=policy.attempts,
                 delay=round(delay, 6),
-                **_unit_fields(item),
+                **_unit_fields(shard),
             )
             if delay > 0.0:
                 time.sleep(delay)
@@ -626,21 +619,21 @@ class ParallelExecutor:
                 token=token,
                 attempt=attempt + 1,
                 backend=backend.name,
-                **_unit_fields(item),
+                **_unit_fields(shard),
             )
-            replacement = backend.submit(task, settings)
-            futures[replacement] = (item, attempt + 1)
+            replacement = backend.submit(shard, settings)
+            futures[replacement] = (shard, attempt + 1)
             outstanding.add(replacement)
             return 1
         if self.on_error == "continue":
-            scheduler.quarantine(item, failure)
+            scheduler.quarantine(shard, failure)
             telemetry.emit(
                 "quarantine",
                 payload=failure,
                 token=token,
                 attempts=failure.attempts,
                 error=failure.error,
-                **_unit_fields(item),
+                **_unit_fields(shard),
             )
             return 0
         raise PlanExecutionError(

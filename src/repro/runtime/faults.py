@@ -40,20 +40,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError, ValidationError
-from . import settings as _settings
 from .spec import CellShard, cache_token
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import ExperimentSettings
-    from .backends.base import Task
 
 __all__ = [
     "PlanExecutionError",
     "RetryPolicy",
     "TaskFailure",
     "failure_from",
-    "resolve_max_retries",
-    "resolve_on_error",
     "unit_token",
 ]
 
@@ -62,20 +58,21 @@ __all__ = [
 ON_ERROR_MODES = ("raise", "continue")
 
 
-def unit_token(task: "Task", settings: "ExperimentSettings") -> str:
+def unit_token(shard: CellShard, settings: "ExperimentSettings") -> str:
     """Stable hex identity of one unit of work under *settings*.
 
-    Cells use their ordinary cache token; shards extend it with their
-    repetition window.  The token seeds the retry jitter and the chaos
-    backend's fault schedule, so both are reproducible across reruns —
-    it is a *fault identity*, deliberately independent of the backend
-    and of which attempt is executing.
+    The whole-cell unit uses its cell's ordinary cache token; a window
+    of a split cell extends it with its repetition window.  The token
+    seeds the retry jitter and the chaos backend's fault schedule, so
+    both are reproducible across reruns — it is a *fault identity*,
+    deliberately independent of the backend and of which attempt is
+    executing.
     """
-    if isinstance(task, CellShard):
-        base = cache_token(task.cell, settings)
-        blob = f"{base}:unit:{task.rep_start}:{task.rep_stop}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return cache_token(task, settings)
+    token = cache_token(shard.cell, settings)
+    if shard.rep_range is None:
+        return token
+    blob = f"{token}:unit:{shard.rep_start}:{shard.rep_stop}"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _unit_fraction(text: str) -> float:
@@ -214,42 +211,18 @@ def _worker_traceback(exc: BaseException) -> str | None:
 
 
 def failure_from(
-    task: "Task",
+    shard: CellShard,
     token: str,
     attempts: int,
     exc: BaseException,
     backend: str,
 ) -> TaskFailure:
     """Build the :class:`TaskFailure` record for one failed attempt."""
-    label = getattr(task, "label", repr(task))
     return TaskFailure(
-        label=label,
+        label=shard.label,
         token=token,
         attempts=attempts,
         error=f"{type(exc).__name__}: {exc}",
         traceback=_worker_traceback(exc),
         backend=backend,
     )
-
-
-# ----------------------------------------------------------------------
-# Environment resolution (mirrors the executor's other knobs)
-# ----------------------------------------------------------------------
-
-
-def resolve_max_retries(max_retries: int | None) -> int:
-    """Explicit retry count, or the ``REPRO_MAX_RETRIES`` default (0).
-
-    Thin delegate kept for import stability; the resolution logic lives
-    in :func:`repro.runtime.settings.resolve_max_retries`.
-    """
-    return _settings.resolve_max_retries(max_retries)
-
-
-def resolve_on_error(on_error: str | None) -> str:
-    """Explicit mode, or the ``REPRO_ON_ERROR`` default (``"raise"``).
-
-    Thin delegate kept for import stability; the resolution logic lives
-    in :func:`repro.runtime.settings.resolve_on_error`.
-    """
-    return _settings.resolve_on_error(on_error)

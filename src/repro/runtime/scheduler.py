@@ -1,18 +1,20 @@
 """Backend-agnostic scheduling core for plan executions.
 
-:class:`PlanScheduler` owns everything about a run that must *not*
-depend on where work physically executes: the cache scan (merged cell
-entries first, then per-shard resume entries), the ready queue of
-remaining units, the merge barriers of in-flight sharded cells, the
-persistence of fresh results into the
-:class:`~repro.runtime.store.ResultStore`, and the completion events
-progress reporting subscribes to.  The
+Every cell runs as repetition windows plus a merge: the unit of work
+is a :class:`~repro.runtime.spec.CellShard`, and an unsplit cell is the
+single whole-cell window ``CellShard(cell)``.  :class:`PlanScheduler`
+owns everything about a run that must *not* depend on where work
+physically executes: the cache scan (merged cell entries first, then
+per-window resume entries of split cells), the ready queue of remaining
+windows, the merge barrier of every cell in flight, the persistence of
+fresh results into the :class:`~repro.runtime.store.ResultStore`, and
+the completion events progress reporting subscribes to.  The
 :class:`~repro.runtime.executor.ParallelExecutor` pairs one scheduler
 with one :class:`~repro.runtime.backends.ExecutionBackend` per run and
 shuttles completions between them.
 
 That split is what makes backends interchangeable: because every
-correctness decision — which shard windows exist, how partials merge,
+correctness decision — which windows exist, how partials merge,
 what tokens identify results — is made here, on the scheduler side, a
 unit of work produces the same bytes on the serial path, a local
 process pool, or a spool-directory worker on another host, and a run
@@ -26,11 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..exceptions import ValidationError
-from .cells import (
-    cell_repetitions,
-    is_shardable,
-    shard_reducer_for,
-)
+from .cells import kind_for
 from .faults import TaskFailure
 from .spec import CellShard, CellSpec, StudyPlan, cache_token, shard_ranges, shard_token
 from .store import ResultStore
@@ -44,7 +42,6 @@ __all__ = [
     "ChunkCalibration",
     "PlanOutcome",
     "PlanScheduler",
-    "task_of",
 ]
 
 
@@ -91,7 +88,7 @@ class PlanOutcome:
     """Everything a plan execution produced, in plan order.
 
     ``calibration`` records the adaptive chunk-sizing pilot when the
-    run was configured with ``chunk_seconds`` and had shardable work to
+    run was configured with ``chunk_seconds`` and had splittable work to
     calibrate on; ``None`` otherwise.  ``backend`` names the execution
     backend the run's fresh work dispatched through (``"serial"`` when
     everything came from cache) — reporting only: results and cache
@@ -160,18 +157,24 @@ class PlanOutcome:
 
 
 @dataclass
-class _ShardedCell:
-    """Merge-barrier bookkeeping for one sharded cell in flight."""
+class _CellRun:
+    """Windows and merge barrier of one cell in flight."""
 
     index: int
     cell: CellSpec
     token: str | None
-    repetitions: int
+    #: The repetition count a split cell's windows cover; ``None`` for
+    #: an unsplit cell, whose repetition counter is never called.
+    repetitions: int | None
     shards: tuple[CellShard, ...]
     partials: dict[int, Any] = field(default_factory=dict)
     shard_tokens: dict[int, str] = field(default_factory=dict)
     seconds: float = 0.0
     cached_shards: int = 0
+
+    @property
+    def split(self) -> bool:
+        return len(self.shards) > 1
 
     @property
     def complete(self) -> bool:
@@ -186,18 +189,11 @@ class _ShardedCell:
         )
 
 
-def task_of(item: tuple) -> CellSpec | CellShard:
-    """The submittable unit of a pending queue entry."""
-    # Both entry shapes carry their unit at index 2:
-    # ("cell", index, cell, token) and ("shard", state, shard).
-    return item[2]
-
-
 class PlanScheduler:
     """The ready-queue / merge-barrier / resume core of one execution.
 
     Lifecycle: construct per run, call :meth:`scan` once to serve the
-    cache and obtain the pending queue, feed every completion to
+    cache and obtain the pending windows, feed every completion to
     :meth:`finish` (any order — the merge barriers handle interleaving),
     and collect :meth:`cells` when the queue has drained.
 
@@ -239,33 +235,38 @@ class PlanScheduler:
         self.pilot = pilot
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
         self._entries: dict[int, CellResult] = {}
+        self._runs: dict[tuple, _CellRun] = {}
         self._failed: dict[int, TaskFailure] = {}
         self._done = 0
 
-    # -- shard planning -------------------------------------------------
+    # -- window planning ------------------------------------------------
 
-    def shards_for(
-        self, cell: CellSpec
-    ) -> tuple[int, tuple[CellShard, ...]] | None:
-        """The shard decomposition of *cell*, or ``None`` to run whole.
+    def shards_for(self, cell: CellSpec) -> tuple[int | None, tuple[CellShard, ...]]:
+        """The repetition count and windows of *cell*.
 
-        A cell shards when its type registered the sharding triple and
-        the effective chunk size (cell override, else the scheduler's
-        ``default_chunk``) splits its repetitions into more than one
-        window.
+        A cell splits when its kind is splittable and the effective
+        chunk size (cell override, else the scheduler's
+        ``default_chunk``) cuts its repetitions into more than one
+        window.  Otherwise it runs as the single whole-cell window
+        ``CellShard(cell)``, and without a chunk size its kind's
+        repetition counter is never called.
         """
+        whole = None, (CellShard(cell),)
         chunk = (
             cell.chunk_size if cell.chunk_size is not None else self.default_chunk
         )
-        if chunk is None or not is_shardable(cell):
-            return None
+        if chunk is None:
+            return whole
+        counter = kind_for(cell).repetitions
+        if counter is None:
+            return whole
         if chunk < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk}")
-        repetitions = cell_repetitions(cell, self.settings)
+        repetitions = int(counter(cell, self.settings))
         ranges = shard_ranges(repetitions, chunk)
         if len(ranges) < 2:
-            return None
-        shards = tuple(
+            return whole
+        return repetitions, tuple(
             CellShard(
                 cell=cell,
                 index=i,
@@ -275,22 +276,18 @@ class PlanScheduler:
             )
             for i, (start, stop) in enumerate(ranges)
         )
-        return repetitions, shards
 
     # -- cache scan / ready queue ---------------------------------------
 
-    def scan(self) -> list[tuple]:
-        """Serve the cache; returns the queue of units still to run.
+    def scan(self) -> list[CellShard]:
+        """Serve the cache; returns the windows still to run, plan-ordered.
 
         Cache lookups happen in two passes per cell — the merged cell
-        entry, then per-shard entries for sharded cells — so a resumed
-        run recomputes only the windows that never finished.  Queue
-        entries are ``("cell", index, cell, token)`` or
-        ``("shard", state, shard)``; either way :func:`task_of` yields
-        the unit a backend should execute.
+        entry, then per-window entries of split cells — so a resumed
+        run recomputes only the windows that never finished.
         """
         self.telemetry.emit("scan_start", cells=len(self.plan.cells))
-        pending: list[tuple] = []
+        pending: list[CellShard] = []
         for index, cell in enumerate(self.plan.cells):
             # Explicit None check: an empty ResultStore has len() == 0
             # and would read as falsy.
@@ -311,18 +308,15 @@ class PlanScheduler:
                     )
                     self._report(self._entries[index])
                     continue
-            decomposition = self.shards_for(cell)
-            if decomposition is None:
-                pending.append(("cell", index, cell, token))
-                continue
-            repetitions, shards = decomposition
-            state = _ShardedCell(
+            repetitions, shards = self.shards_for(cell)
+            run = _CellRun(
                 index=index,
                 cell=cell,
                 token=token,
                 repetitions=repetitions,
                 shards=shards,
             )
+            self._runs[cell.key] = run
             incomplete = []
             for shard in shards:
                 if (
@@ -334,16 +328,16 @@ class PlanScheduler:
                     # The calibration pilot already computed this exact
                     # window in-process; count it as compute performed
                     # this run (it was), not as a cache hit.
-                    state.partials[0] = self.pilot[2]
-                    state.seconds += self.pilot[3]
+                    run.partials[0] = self.pilot[2]
+                    run.seconds += self.pilot[3]
                     continue
-                if self.store is not None:
+                if run.split and self.store is not None:
                     stoken = shard_token(shard, self.settings, repetitions)
-                    state.shard_tokens[shard.index] = stoken
+                    run.shard_tokens[shard.index] = stoken
                     payload = self.store.load(stoken, group=token)
                     if payload is not None:
                         # seconds stays at compute-performed-this-run:
-                        # resumed shards contribute their value, not
+                        # resumed windows contribute their value, not
                         # their historical wall-clock.
                         self.telemetry.emit(
                             "shard_cache_hit",
@@ -351,16 +345,16 @@ class PlanScheduler:
                             kind=type(cell).__name__,
                             token=stoken,
                         )
-                        state.partials[shard.index] = payload["value"]
-                        state.cached_shards += 1
+                        run.partials[shard.index] = payload["value"]
+                        run.cached_shards += 1
                         continue
-                incomplete.append(("shard", state, shard))
-            if state.cached_shards:
-                self._shard_progress(state)
-            if state.complete:
-                # Every shard was already on disk (an interrupted run
-                # that died between its last shard and the merge).
-                self._merge_cell(state)
+                incomplete.append(shard)
+            if run.cached_shards:
+                self._shard_progress(run)
+            if run.complete:
+                # Every window was already on disk (an interrupted run
+                # that died between its last window and the merge).
+                self._merge_cell(run)
             else:
                 pending.extend(incomplete)
         self.telemetry.emit(
@@ -372,30 +366,41 @@ class PlanScheduler:
 
     # -- completions ----------------------------------------------------
 
-    def finish(self, item: tuple, value: Any, seconds: float) -> None:
-        """Record one completed unit (from any backend, in any order)."""
-        if item[0] == "cell":
-            _, index, cell, token = item
-            self._finish_cell(index, cell, token, value, seconds)
-        else:
-            _, state, shard = item
-            self._finish_shard(state, shard, value, seconds)
+    def finish(self, shard: CellShard, value: Any, seconds: float) -> None:
+        """Record one completed window (from any backend, in any order).
 
-    def quarantine(self, item: tuple, failure: TaskFailure) -> None:
-        """Mark the cell behind *item* failed; the queue keeps draining.
+        A split cell persists each window as resume scaffolding; an
+        unsplit cell persists only its merged result.
+        """
+        run = self._runs[shard.cell.key]
+        token = run.shard_tokens.get(shard.index)
+        if token is not None:
+            self.store.save(
+                token,
+                {"value": value, "label": shard.label, "seconds": seconds},
+                group=run.token,
+            )
+        run.partials[shard.index] = value
+        run.seconds += seconds
+        if run.split:
+            self._shard_progress(run)
+        if run.complete and run.index not in self._failed:
+            self._merge_cell(run)
 
-        The ``on_error="continue"`` path: the failed unit's cell is
-        excluded from :meth:`cells` (a sharded cell with one exhausted
-        shard can never merge, so the whole cell is quarantined).
-        Sibling shards already in flight still persist their partials
+    def quarantine(self, shard: CellShard, failure: TaskFailure) -> None:
+        """Mark the cell behind *shard* failed; the queue keeps draining.
+
+        The ``on_error="continue"`` path: the failed window's cell is
+        excluded from :meth:`cells` (a split cell with one exhausted
+        window can never merge, so the whole cell is quarantined).
+        Sibling windows already in flight still persist their partials
         on completion — a later run with the fault fixed resumes at the
         finished-shard boundary — but the quarantined cell produces no
         result and no merged cache entry this run.
         """
-        index = item[1] if item[0] == "cell" else item[1].index
-        # First failure wins: a second shard of the same cell failing
+        # First failure wins: a second window of the same cell failing
         # later must not overwrite the failure that quarantined it.
-        self._failed.setdefault(index, failure)
+        self._failed.setdefault(self._runs[shard.cell.key].index, failure)
 
     def failed(self) -> tuple[TaskFailure, ...]:
         """Final failure per quarantined cell, in plan order."""
@@ -431,82 +436,46 @@ class PlanScheduler:
             shards_cached=result.shards_cached,
         )
 
-    def _finish_cell(
-        self, index: int, cell: CellSpec, token: str | None, value, seconds
-    ) -> None:
-        if token is not None:
+    def _merge_cell(self, run: _CellRun) -> None:
+        partials = [run.partials[i] for i in range(len(run.shards))]
+        value = kind_for(run.cell).merge(run.cell, self.settings, partials)
+        if run.token is not None:
             self.store.save(
-                token, {"value": value, "label": cell.label, "seconds": seconds}
+                run.token,
+                {"value": value, "label": run.cell.label, "seconds": run.seconds},
             )
-            # An unsharded completion also sweeps any shard
-            # scaffolding filed under this cell's group — a
-            # calibration pilot whose chunking ended up unsharded,
-            # or windows left by an interrupted sharded run.
-            self.store.discard_group(token)
-        self._entries[index] = CellResult(
-            cell=cell, value=value, seconds=seconds, cached=False
-        )
-        self._report(self._entries[index])
-
-    def _merge_cell(self, state: _ShardedCell) -> None:
-        partials = [state.partials[i] for i in range(len(state.shards))]
-        value = shard_reducer_for(state.cell)(state.cell, self.settings, partials)
-        if state.token is not None:
-            self.store.save(
-                state.token,
-                {
-                    "value": value,
-                    "label": state.cell.label,
-                    "seconds": state.seconds,
-                },
+            # Window entries are scaffolding for resume; once the
+            # merged result is durable they only cost disk.  The group
+            # is keyed by the chunking-independent cell token, so this
+            # also sweeps stale windows left by interrupted runs under a
+            # different chunk size, or by a calibration pilot.
+            self.store.discard_group(run.token)
+        if run.split:
+            self.telemetry.emit(
+                "shard_merged",
+                label=run.cell.label,
+                kind=type(run.cell).__name__,
+                shards=len(run.shards),
+                shards_cached=run.cached_shards,
+                seconds=round(run.seconds, 6),
             )
-            # Shard entries are scaffolding for resume; once the
-            # merged result is durable they only cost disk.  The
-            # group is keyed by the chunking-independent cell token,
-            # so this also sweeps stale windows left by interrupted
-            # runs under a different chunk size.
-            self.store.discard_group(state.token)
-        self.telemetry.emit(
-            "shard_merged",
-            label=state.cell.label,
-            kind=type(state.cell).__name__,
-            shards=len(state.shards),
-            shards_cached=state.cached_shards,
-            seconds=round(state.seconds, 6),
-        )
-        self._entries[state.index] = CellResult(
-            cell=state.cell,
+        self._entries[run.index] = CellResult(
+            cell=run.cell,
             value=value,
-            seconds=state.seconds,
-            cached=len(state.partials) == state.cached_shards,
-            shards=len(state.shards),
-            shards_cached=state.cached_shards,
+            seconds=run.seconds,
+            cached=len(run.partials) == run.cached_shards,
+            shards=len(run.shards),
+            shards_cached=run.cached_shards,
         )
-        self._report(self._entries[state.index])
+        self._report(self._entries[run.index])
 
-    def _shard_progress(self, state: _ShardedCell) -> None:
+    def _shard_progress(self, run: _CellRun) -> None:
         self.telemetry.emit(
             "shard_progress",
-            payload=state.cell,
-            label=state.cell.label,
-            shards_done=len(state.partials),
-            shards_total=len(state.shards),
-            reps_done=state.reps_done,
-            reps_total=state.repetitions,
+            payload=run.cell,
+            label=run.cell.label,
+            shards_done=len(run.partials),
+            shards_total=len(run.shards),
+            reps_done=run.reps_done,
+            reps_total=run.repetitions,
         )
-
-    def _finish_shard(
-        self, state: _ShardedCell, shard: CellShard, value, seconds
-    ) -> None:
-        token = state.shard_tokens.get(shard.index)
-        if token is not None:
-            self.store.save(
-                token,
-                {"value": value, "label": shard.label, "seconds": seconds},
-                group=state.token,
-            )
-        state.partials[shard.index] = value
-        state.seconds += seconds
-        self._shard_progress(state)
-        if state.complete and state.index not in self._failed:
-            self._merge_cell(state)

@@ -9,9 +9,11 @@ explicit value: experiment modules *describe* their grid as a tuple of
 them (serially, or fanned out over worker processes) and whether a cell
 can be served from the :class:`~repro.runtime.store.ResultStore`.
 
-Cells are frozen dataclasses of primitives only — strings, numbers,
-tuples — so they pickle across process boundaries and hash stably into
-cache keys.  Everything stochastic is pinned at plan-build time: a
+The unit of work is a :class:`CellShard`: one repetition window of a
+cell, the whole cell when it is not split.  Cells are frozen
+dataclasses of primitives only — strings, numbers, tuples — so they
+(and their windows) pickle across process boundaries and hash stably
+into cache keys.  Everything stochastic is pinned at plan-build time: a
 study cell carries the ``derive_seed(settings.seed, *seed_stream)``
 stream indices of the existing seeding scheme, and audit cells carry
 their concrete base seed, so parallel and serial execution (and any
@@ -76,10 +78,11 @@ class CellSpec:
         alpha.
     chunk_size:
         Repetition-sharding override for this cell: split its
-        repetitions into shards of at most this many, each executed as
-        an independent unit of work and merged bit-identically (see
-        :func:`repro.runtime.cells.shard_reducer_for`).  ``None`` defers
-        to the executor's chunk size (``REPRO_CHUNK_SIZE`` by default).
+        repetitions into windows of at most this many, each executed as
+        an independent unit of work and merged bit-identically by its
+        kind's merge (see :class:`repro.runtime.cells.CellKind`).
+        ``None`` defers to the executor's chunk size
+        (``REPRO_CHUNK_SIZE`` by default).
         Deliberately excluded from :func:`cache_token`: chunking changes
         scheduling, never numbers, so any chunking of a cell shares one
         cache entry for its merged result.
@@ -213,9 +216,9 @@ class PartitionedAuditCell(CellSpec):
 
     The cell shards over *partitions* rather than repetitions: the
     runtime's repetition index enumerates the KG's predicates (in their
-    deterministic sorted order), each shard computes the budget-
-    independent annotation trajectories of its partition window, and
-    the reducer merges the integer-evidence partials, replays the
+    deterministic sorted order), each window computes the budget-
+    independent annotation trajectories of its partitions, and the
+    kind's merge concatenates the integer-evidence partials, replays the
     budget allocation, and performs the shared interval solves once —
     bit-identical to the serial :func:`~repro.evaluation.partitioned.
     audit_by_predicate` for any chunking.
@@ -243,30 +246,39 @@ class PartitionedAuditCell(CellSpec):
 
 @dataclass(frozen=True)
 class CellShard:
-    """One contiguous repetition window of a sharded cell.
+    """One unit of work: a contiguous repetition window of a cell.
 
-    Shards are fixed at plan-schedule time: the parent cell, the shard's
-    position, and its half-open ``[rep_start, rep_stop)`` window fully
-    determine the work, and the per-repetition seed sub-streams are the
-    *global* repetition indices of the parent cell's ``derive_seed``
-    stream — which is what makes the merged result bit-identical to the
-    unsharded run for any chunking.
+    ``CellShard(cell)`` is the whole cell — the single window of an
+    unsplit cell, executed with ``rep_range=None``.  The windows of a
+    split cell are fixed at plan-schedule time: the parent cell, the
+    window's position, and its half-open ``[rep_start, rep_stop)``
+    range fully determine the work, and the per-repetition seed
+    sub-streams are the *global* repetition indices of the parent
+    cell's ``derive_seed`` stream — which is what makes the merged
+    result bit-identical to the whole-cell run for any chunking.
     """
 
     cell: CellSpec
-    index: int
-    shards: int
-    rep_start: int
-    rep_stop: int
+    index: int = 0
+    shards: int = 1
+    rep_start: int = 0
+    rep_stop: int | None = None
+
+    @property
+    def rep_range(self) -> tuple[int, int] | None:
+        """The runner's window argument; ``None`` for the whole cell."""
+        return None if self.rep_stop is None else (self.rep_start, self.rep_stop)
 
     @property
     def repetitions(self) -> int:
-        """Repetitions covered by this shard."""
+        """Repetitions covered by this window (split cells only)."""
         return self.rep_stop - self.rep_start
 
     @property
     def label(self) -> str:
-        """Progress label: the parent label plus the rep window."""
+        """Progress label: the cell label, plus the window when split."""
+        if self.rep_stop is None:
+            return self.cell.label
         return f"{self.cell.label}[{self.rep_start}:{self.rep_stop}]"
 
 

@@ -74,7 +74,7 @@ EVENT_TYPES = frozenset(
         "scan_start",  # cache scan beginning
         "cache_hit",  # one cell served whole from the store
         "shard_cache_hit",  # one shard window resumed from the store
-        "unit_queued",  # one cell/shard entered the ready queue
+        "unit_queued",  # one unit (whole cell or window) entered the queue
         "scan_finish",  # cache scan done; pending unit count
         "calibration",  # adaptive chunk-sizing pilot outcome
         "unit_submitted",  # one unit handed to the backend (per attempt)

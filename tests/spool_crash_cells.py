@@ -30,7 +30,7 @@ class SlowCell(CellSpec):
 
 
 @register_cell_runner(SlowCell)
-def _run_slow(cell, settings):
+def _run_slow(cell, settings, rep_range):
     root = Path(cell.marker_dir)
     root.mkdir(parents=True, exist_ok=True)
     start = 1

@@ -56,11 +56,9 @@ from repro.runtime import (
     StudyPlan,
     build_method_from_payload,
     cache_token,
-    cell_repetitions,
-    is_shardable,
+    kind_for,
     method_payload,
     shard_ranges,
-    shard_runner_for,
     shard_token,
 )
 from repro.sampling.twcs import TwoStageWeightedClusterSampling
@@ -123,6 +121,12 @@ def plan_of(cells, repetitions=3, seed=0):
     return StudyPlan(settings=settings, cells=tuple(cells), name="audit-cells")
 
 
+def merged_whole(cell, settings):
+    """``merge([run(rep_range=None)])``: the unsplit cell, computed directly."""
+    kind = kind_for(cell)
+    return kind.merge(cell, settings, [kind.run(cell, settings, None)])
+
+
 def assert_records_equal(a, b) -> None:
     assert a.round_index == b.round_index
     assert a.carried_prior == b.carried_prior
@@ -178,9 +182,10 @@ class TestDynamicCellSharding:
     def test_registered_and_counted(self):
         settings = ExperimentSettings(repetitions=6)
         cell = dynamic_cell(repetitions=None)
-        assert is_shardable(cell)
-        assert cell_repetitions(cell, settings) == 6
-        assert cell_repetitions(dynamic_cell(repetitions=4), settings) == 4
+        count = kind_for(cell).repetitions
+        assert count is not None
+        assert count(cell, settings) == 6
+        assert count(dynamic_cell(repetitions=4), settings) == 4
 
     @given(
         seed=st.integers(0, 2**16),
@@ -194,6 +199,9 @@ class TestDynamicCellSharding:
         serial = ParallelExecutor(workers=1).run(plan)
         chunked = ParallelExecutor(workers=1, chunk_size=chunk).run(plan)
         assert_studies_equal(serial.results[cell.key], chunked.results[cell.key])
+        assert_studies_equal(
+            merged_whole(cell, plan.settings), chunked.results[cell.key]
+        )
 
     def test_parallel_workers_match_serial(self):
         cell = dynamic_cell(repetitions=4)
@@ -237,7 +245,7 @@ class TestDynamicCellSharding:
                 cell=cell, index=index, shards=len(ranges),
                 rep_start=start, rep_stop=stop,
             )
-            value = shard_runner_for(cell)(cell, settings, start, stop)
+            value = kind_for(cell).run(cell, settings, shard.rep_range)
             store.save(
                 shard_token(shard, settings, 4),
                 {"value": value, "label": shard.label, "seconds": 1.0},
@@ -329,8 +337,9 @@ class TestPartitionedCellSharding:
     def test_partition_count_is_the_shard_dimension(self):
         settings = ExperimentSettings()
         cell = partitioned_cell()
-        assert is_shardable(cell)
-        assert cell_repetitions(cell, settings) == 10  # NELL's predicates
+        count = kind_for(cell).repetitions
+        assert count is not None
+        assert count(cell, settings) == 10  # NELL's predicates
 
     @given(chunk=st.integers(1, 12))
     @hyp_settings(max_examples=6, deadline=None)
@@ -340,6 +349,7 @@ class TestPartitionedCellSharding:
         serial = ParallelExecutor(workers=1).run(plan)
         chunked = ParallelExecutor(workers=1, chunk_size=chunk).run(plan)
         assert serial.results[cell.key] == chunked.results[cell.key]
+        assert merged_whole(cell, plan.settings) == chunked.results[cell.key]
 
     def test_parallel_workers_match_serial_function(self):
         kg = load_dataset("NELL", seed=42)
@@ -373,7 +383,7 @@ class TestPartitionedCellSharding:
                 cell=cell, index=index, shards=len(ranges),
                 rep_start=start, rep_stop=stop,
             )
-            value = shard_runner_for(cell)(cell, settings, start, stop)
+            value = kind_for(cell).run(cell, settings, shard.rep_range)
             store.save(
                 shard_token(shard, settings, 10),
                 {"value": value, "label": shard.label, "seconds": 1.0},

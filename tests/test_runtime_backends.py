@@ -34,10 +34,10 @@ from repro.runtime import (
     StudyCell,
     StudyPlan,
     cache_token,
+    kind_for,
     make_backend,
     register_cell_runner,
     shard_ranges,
-    shard_runner_for,
     shard_token,
 )
 
@@ -235,9 +235,7 @@ class TestCrossBackendResume:
         ]
         group = cache_token(cell, settings)
         for shard in (shards[0], shards[2]):  # non-contiguous subset
-            value = shard_runner_for(cell)(
-                cell, settings, shard.rep_start, shard.rep_stop
-            )
+            value = kind_for(cell).run(cell, settings, shard.rep_range)
             store.save(
                 shard_token(shard, settings, 10),
                 {"value": value, "label": shard.label, "seconds": 1.0},
@@ -277,7 +275,7 @@ class FailingCell(CellSpec):
 
 
 @register_cell_runner(FailingCell)
-def _run_failing_cell(cell, settings):
+def _run_failing_cell(cell, settings, rep_range):
     raise ValidationError("intentional failure")
 
 
@@ -315,7 +313,7 @@ class TestSpoolMechanics:
             pass
 
         @register_cell_runner(LocalCell)
-        def _run_local(cell, settings):
+        def _run_local(cell, settings, rep_range):
             return ("ran", cell.key)
 
         cell = LocalCell(key=("local",), label="local", method="-")
@@ -351,7 +349,7 @@ class TestSpoolMechanics:
         cell = study_cell()
         backend.open(workers=1, tasks=1, settings=settings)
         try:
-            future = backend.submit(cell, settings)
+            future = backend.submit(CellShard(cell), settings)
             task_file = next((spool_dir / "tasks").glob("*.task"))
             claimed = spool_dir / "claimed" / task_file.name
             os.rename(task_file, claimed)  # the crashed worker's lease
@@ -374,7 +372,7 @@ class UnpicklableResultCell(CellSpec):
 
 
 @register_cell_runner(UnpicklableResultCell)
-def _run_unpicklable_result(cell, settings):
+def _run_unpicklable_result(cell, settings, rep_range):
     return lambda: None  # a value no process boundary could carry
 
 
@@ -439,13 +437,15 @@ class TestCustomBackendProtocol:
             def __init__(self):
                 self._inner = SerialBackend()
 
-            def open(self, workers, tasks, settings):
-                events.append(("open", workers, tasks))
-                self._inner.open(workers, tasks, settings)
+            def open(self, workers, tasks, settings, telemetry=None):
+                super().open(workers, tasks, settings, telemetry)
+                events.append(("open", workers, tasks, telemetry is not None))
+                self._inner.open(workers, tasks, settings, telemetry)
 
             def close(self):
                 events.append(("close",))
                 self._inner.close()
+                super().close()
 
             def submit(self, task, settings):
                 events.append(("submit", type(task).__name__))
@@ -458,8 +458,9 @@ class TestCustomBackendProtocol:
         backend = RecordingBackend()
         outcome = ParallelExecutor(workers=3, backend=backend, chunk_size=2).run(plan)
         assert outcome.backend == "recording"
-        assert events[0] == ("open", 3, 8)  # 2 reps-shards + 6 cov-shards
+        assert events[0] == ("open", 3, 8, True)  # 2 reps-shards + 6 cov-shards
         assert events[-1] == ("close",)
+        assert backend.telemetry is None  # the run's bus is detached on close
         assert [e for e in events if e[0] == "submit"] == [
             ("submit", "CellShard")
         ] * 8

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
+    CellShard,
     ChaosBackend,
     ParallelExecutor,
     ProcessPoolBackend,
@@ -148,7 +149,7 @@ class TestFaultSchedule:
         expected = sum(
             1
             for cell in plan.cells
-            if backend._fault_for(unit_token(cell, plan.settings)) != "delay"
+            if backend._fault_for(unit_token(CellShard(cell), plan.settings)) != "delay"
         )
         outcome = ParallelExecutor(
             backend=backend,
@@ -166,7 +167,7 @@ class TestFaultSchedule:
         failing = [
             cell
             for cell in plan.cells
-            if backend._fault_for(unit_token(cell, plan.settings)) != "delay"
+            if backend._fault_for(unit_token(CellShard(cell), plan.settings)) != "delay"
         ]
         assert failing  # seed 1 chosen so at least one unit fails
         with pytest.raises(PlanExecutionError, match="injected") as info:

@@ -279,7 +279,7 @@ class SleepCell(CellSpec):
 
 
 @register_cell_runner(SleepCell)
-def _run_sleep_cell(cell: SleepCell, settings) -> tuple:
+def _run_sleep_cell(cell: SleepCell, settings, rep_range) -> tuple:
     time.sleep(cell.duration)
     return cell.key
 

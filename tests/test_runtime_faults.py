@@ -19,6 +19,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
+    CellShard,
     CellSpec,
     ParallelExecutor,
     PlanExecutionError,
@@ -31,7 +32,7 @@ from repro.runtime import (
     register_cell_runner,
     unit_token,
 )
-from repro.runtime.faults import resolve_max_retries, resolve_on_error
+from repro.runtime.settings import resolve_max_retries, resolve_on_error
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def attempts_recorded(marker_dir) -> int:
 
 
 @register_cell_runner(FlakyCell)
-def _run_flaky(cell, settings):
+def _run_flaky(cell, settings, rep_range):
     attempt = _record_attempt(cell.marker_dir)
     if attempt <= cell.fail_times:
         raise ValidationError(f"transient failure #{attempt}")
@@ -77,7 +78,27 @@ class BrokenCell(CellSpec):
 
 
 @register_cell_runner(BrokenCell)
-def _run_broken(cell, settings):
+def _run_broken(cell, settings, rep_range):
+    raise ValidationError("persistent failure")
+
+
+@dataclass(frozen=True)
+class BrokenSplittableCell(CellSpec):
+    """Fails every window of a splittable kind: a doomed calibration pilot."""
+
+
+def _merge_broken(cell, settings, partials):  # pragma: no cover - never merges
+    return partials
+
+
+def _count_settings_repetitions(cell, settings):
+    return settings.repetitions
+
+
+@register_cell_runner(
+    BrokenSplittableCell, merge=_merge_broken, repetitions=_count_settings_repetitions
+)
+def _run_broken_splittable(cell, settings, rep_range):
     raise ValidationError("persistent failure")
 
 
@@ -281,7 +302,7 @@ class TestOnErrorRaise:
         assert all(f.label == "broken" for f in failures)
         assert all(f.backend == "serial" for f in failures)
         assert all("ValidationError: persistent failure" in f.error for f in failures)
-        token = unit_token(broken, plan.settings)
+        token = unit_token(CellShard(broken), plan.settings)
         assert all(f.token == token for f in failures)
 
     def test_failure_record_carries_a_traceback(self, tmp_path):
@@ -346,19 +367,13 @@ class TestOnErrorContinue:
         from repro.runtime import PlanScheduler
         from repro.runtime.backends import run_task
         from repro.runtime.faults import failure_from
-        from repro.runtime.scheduler import task_of
 
         plan = plan_of([study_cell()], repetitions=4)
         scheduler = PlanScheduler(plan, default_chunk=2)
-        items = scheduler.scan()
-        shard_items = [item for item in items if item[0] == "shard"]
-        assert len(shard_items) == 2
-        bad, good = shard_items
-        failure = failure_from(
-            task_of(bad), "token", 1, ValidationError("shard died"), "serial"
-        )
+        bad, good = scheduler.scan()
+        failure = failure_from(bad, "token", 1, ValidationError("shard died"), "serial")
         scheduler.quarantine(bad, failure)
-        value, seconds = run_task(task_of(good), plan.settings)
+        value, seconds = run_task(good, plan.settings)
         scheduler.finish(good, value, seconds)
         assert scheduler.cells() == ()
         assert [f.label for f in scheduler.failed()] == [failure.label]
@@ -395,6 +410,41 @@ class TestOnErrorContinue:
         err = capsys.readouterr().err
         assert "[retry 2/2] broken" in err
         assert "[quarantined] broken" in err
+
+
+#: The two ways to split a plan's cells: fixed, and calibrated by a
+#: timed pilot window run in-process before the backend opens.
+_CHUNKINGS = (dict(chunk_size=2), dict(chunk_seconds=0.05))
+
+
+class TestFailingCalibrationPilot:
+    """A pilot that raises must not bypass the retry/quarantine policy."""
+
+    def plan(self):
+        broken = BrokenSplittableCell(key=("broken",), label="broken", method="-")
+        return plan_of([broken, study_cell()], repetitions=4)
+
+    @pytest.mark.parametrize("chunking", _CHUNKINGS)
+    def test_continue_quarantines_only_the_failing_cell(self, chunking):
+        outcome = ParallelExecutor(
+            workers=1, on_error="continue", max_retries=1, **chunking
+        ).run(self.plan())
+        assert set(outcome.results) == {study_cell().key}
+        assert [f.label.split("[")[0] for f in outcome.failures] == ["broken"]
+
+    @pytest.mark.parametrize("chunking", _CHUNKINGS)
+    def test_raise_aborts_with_plan_execution_error(self, chunking):
+        with pytest.raises(PlanExecutionError, match="persistent failure"):
+            ParallelExecutor(
+                workers=1, on_error="raise", max_retries=1, **chunking
+            ).run(self.plan())
+
+    def test_calibration_falls_through_to_the_next_candidate(self):
+        outcome = ParallelExecutor(
+            workers=1, on_error="continue", chunk_seconds=0.05
+        ).run(self.plan())
+        assert outcome.calibration is not None
+        assert outcome.calibration.cell_key == study_cell().key
 
 
 class TestCliWiring:

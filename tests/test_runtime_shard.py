@@ -29,11 +29,11 @@ from repro.runtime import (
     StudyCell,
     StudyPlan,
     cache_token,
-    cell_repetitions,
-    is_shardable,
+    kind_for,
+    read_journal,
     shard_ranges,
-    shard_runner_for,
     shard_token,
+    unit_token,
 )
 
 
@@ -44,12 +44,32 @@ from repro.runtime import CellSpec, register_cell_runner
 
 @dataclass(frozen=True)
 class PlainCell(CellSpec):
-    """A cell with no registered sharding triple (and nothing else)."""
+    """A cell whose kind registers a runner only: it never splits."""
 
 
 @register_cell_runner(PlainCell)
-def _run_plain(cell, settings):
+def _run_plain(cell, settings, rep_range):
     return cell.key
+
+
+@dataclass(frozen=True)
+class UncountableCell(CellSpec):
+    """A splittable kind whose repetition counter must never run unsplit."""
+
+
+def _merge_uncountable(cell, settings, partials):
+    return tuple(partials)
+
+
+def _count_uncountable(cell, settings):
+    raise AssertionError("an unsplit cell's repetition counter was called")
+
+
+@register_cell_runner(
+    UncountableCell, merge=_merge_uncountable, repetitions=_count_uncountable
+)
+def _run_uncountable(cell, settings, rep_range):
+    return rep_range
 
 
 def study_cell(**overrides) -> StudyCell:
@@ -132,16 +152,34 @@ class TestShardPlanning:
         monkeypatch.delenv("REPRO_CHUNK_SIZE")
         assert ParallelExecutor().chunk_size is None
 
-    def test_builtin_kinds_are_shardable(self):
+    def test_builtin_kinds_are_splittable(self):
         settings = ExperimentSettings(repetitions=6)
-        assert is_shardable(study_cell())
-        assert is_shardable(coverage_cell())
-        assert is_shardable(
-            SequentialCoverageCell(key=("s",), label="s", method="Wilson")
-        )
-        assert cell_repetitions(study_cell(), settings) == 6
-        assert cell_repetitions(coverage_cell(), settings) == 40
-        assert cell_repetitions(coverage_cell(repetitions=None), settings) == 6
+        sequential = SequentialCoverageCell(key=("s",), label="s", method="Wilson")
+        for cell in (study_cell(), coverage_cell(), sequential):
+            assert kind_for(cell).repetitions is not None
+        assert kind_for(study_cell()).repetitions(study_cell(), settings) == 6
+        assert kind_for(coverage_cell()).repetitions(coverage_cell(), settings) == 40
+        unset = coverage_cell(repetitions=None)
+        assert kind_for(unset).repetitions(unset, settings) == 6
+        assert kind_for(sequential).repetitions(sequential, settings) == 6
+
+    def test_merge_and_repetitions_register_together(self):
+        @dataclass(frozen=True)
+        class HalfCell(CellSpec):
+            pass
+
+        with pytest.raises(ValidationError, match="together"):
+            register_cell_runner(HalfCell, merge=lambda c, s, p: p)
+        with pytest.raises(ValidationError, match="together"):
+            register_cell_runner(HalfCell, repetitions=lambda c, s: 1)
+
+    def test_unregistered_cell_type_is_loud(self):
+        @dataclass(frozen=True)
+        class StrayCell(CellSpec):
+            pass
+
+        with pytest.raises(ValidationError, match="no runner registered"):
+            kind_for(StrayCell(key=("x",), label="x", method="-"))
 
 
 class TestShardTokens:
@@ -173,6 +211,12 @@ def plan_of(cells, repetitions=6, seed=0):
     return StudyPlan(settings=settings, cells=tuple(cells), name="shard-test")
 
 
+def merged_whole(cell, settings):
+    """``merge([run(rep_range=None)])``: the unsplit cell, computed directly."""
+    kind = kind_for(cell)
+    return kind.merge(cell, settings, [kind.run(cell, settings, None)])
+
+
 class TestChunkedEqualsSerial:
     @given(
         seed=st.integers(0, 2**16),
@@ -194,8 +238,11 @@ class TestChunkedEqualsSerial:
         )
         serial = ParallelExecutor(workers=1).run(plan)
         chunked = ParallelExecutor(workers=1, chunk_size=chunk).run(plan)
-        for key in serial.results:
-            assert_results_equal(serial.results[key], chunked.results[key])
+        for cell in plan.cells:
+            assert_results_equal(serial.results[cell.key], chunked.results[cell.key])
+            assert_results_equal(
+                merged_whole(cell, plan.settings), chunked.results[cell.key]
+            )
 
     def test_parallel_chunked_matches_serial(self):
         plan = plan_of([study_cell(), coverage_cell()], repetitions=10)
@@ -212,6 +259,7 @@ class TestChunkedEqualsSerial:
         serial = ParallelExecutor(workers=1).run(plan)
         ragged = ParallelExecutor(workers=2, chunk_size=2).run(plan)
         assert serial.results[cell.key] == ragged.results[cell.key]
+        assert merged_whole(cell, plan.settings) == ragged.results[cell.key]
 
     def test_cell_level_chunk_size_overrides_executor(self):
         plan = plan_of([study_cell(chunk_size=2)], repetitions=6)
@@ -231,16 +279,67 @@ class TestChunkedEqualsSerial:
         assert outcome.cells[0].shards == 1
 
     def test_unshardable_cells_ignore_chunking(self):
-        # CellSpec subclasses without a registered sharding triple run
-        # whole even under an executor-wide chunk size.  (PlainCell is
-        # module-level so the plan survives a process/spool/chaos
-        # backend forced through REPRO_BACKEND.)
+        # A kind that registers only a runner runs whole even under an
+        # executor-wide chunk size, and its one payload is the result.
+        # (PlainCell is module-level so the plan survives a
+        # process/spool/chaos backend forced through REPRO_BACKEND.)
         settings = ExperimentSettings(repetitions=5)
         cell = PlainCell(key=("s",), label="s", method="-")
+        assert kind_for(cell).repetitions is None
         plan = StudyPlan(settings=settings, cells=(cell,), name="plain")
         outcome = ParallelExecutor(workers=1, chunk_size=1).run(plan)
         assert outcome.cells[0].shards == 1
         assert outcome.results[("s",)] == ("s",)
+
+
+class TestUnsplitCell:
+    """An unsplit cell is one whole-cell window, observably a plain cell."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_chunking(self, monkeypatch):
+        # These tests pin the unsplit path, so a CI leg's chunking
+        # environment must not split the cells under test.
+        monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
+        monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
+
+    def test_whole_cell_unit_is_labelled_and_tokened_as_its_cell(self):
+        settings = ExperimentSettings(repetitions=5)
+        cell = study_cell()
+        whole = CellShard(cell)
+        assert whole.rep_range is None
+        assert whole.label == cell.label
+        assert unit_token(whole, settings) == cache_token(cell, settings)
+        window = CellShard(cell=cell, index=0, shards=2, rep_start=0, rep_stop=3)
+        assert window.rep_range == (0, 3)
+        assert window.label == f"{cell.label}[0:3]"
+        assert unit_token(window, settings) != cache_token(cell, settings)
+
+    def test_repetition_counter_is_never_called_unsplit(self):
+        cell = UncountableCell(key=("u",), label="u", method="-")
+        plan = plan_of([cell], repetitions=4)
+        outcome = ParallelExecutor(workers=1).run(plan)
+        assert outcome.results[("u",)] == (None,)
+        assert outcome.cells[0].shards == 1
+
+    def test_unsplit_run_persists_and_journals_cells_only(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        journal = tmp_path / "run.jsonl"
+        sequential = SequentialCoverageCell(
+            key=("seq",), label="seq", method="Wilson", mu=0.9, seed=2
+        )
+        plan = plan_of([study_cell(), coverage_cell(), sequential], repetitions=4)
+        outcome = ParallelExecutor(workers=1, store=store, trace=journal).run(plan)
+        assert [entry.shards for entry in outcome.cells] == [1, 1, 1]
+        assert len(store) == len(plan.cells)
+        events = read_journal(journal)
+        kinds = [event["event"] for event in events]
+        assert "shard_merged" not in kinds
+        assert "shard_progress" not in kinds
+        finished = [event for event in events if event["event"] == "unit_finished"]
+        assert sorted((e["label"], e["token"], e["unit"]) for e in finished) == sorted(
+            (cell.label, cache_token(cell, plan.settings), "cell")
+            for cell in plan.cells
+        )
 
 
 class TestShardStoreIntegration:
@@ -282,9 +381,7 @@ class TestShardStoreIntegration:
         ]
         group = cache_token(cell, settings)
         for shard in (shards[0], shards[2]):  # non-contiguous subset
-            value = shard_runner_for(cell)(
-                cell, settings, shard.rep_start, shard.rep_stop
-            )
+            value = kind_for(cell).run(cell, settings, shard.rep_range)
             store.save(
                 shard_token(shard, settings, 10),
                 {"value": value, "label": shard.label, "seconds": 1.0},
@@ -314,7 +411,7 @@ class TestShardStoreIntegration:
             shard = CellShard(
                 cell=cell, index=i, shards=len(ranges), rep_start=a, rep_stop=b
             )
-            value = shard_runner_for(cell)(cell, settings, a, b)
+            value = kind_for(cell).run(cell, settings, (a, b))
             store.save(
                 shard_token(shard, settings, 6),
                 {"value": value, "label": shard.label, "seconds": 1.0},
@@ -340,7 +437,7 @@ class TestShardStoreIntegration:
         plan = StudyPlan(settings=settings, cells=(cell,), name="stale")
         group = cache_token(cell, settings)
         stale = CellShard(cell=cell, index=0, shards=2, rep_start=0, rep_stop=3)
-        value = shard_runner_for(cell)(cell, settings, 0, 3)
+        value = kind_for(cell).run(cell, settings, stale.rep_range)
         store.save(
             shard_token(stale, settings, 6),
             {"value": value, "label": stale.label, "seconds": 1.0},

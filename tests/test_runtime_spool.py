@@ -25,6 +25,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
+    CellShard,
     ParallelExecutor,
     SpoolBackend,
     StudyCell,
@@ -55,7 +56,7 @@ class LeaseStealingCell(CellSpec):
 
 
 @register_cell_runner(LeaseStealingCell)
-def _run_lease_stealing(cell, settings):
+def _run_lease_stealing(cell, settings, rep_range):
     for lease in (Path(cell.spool_root) / "claimed").glob("*.task"):
         lease.unlink()
     return "computed"
@@ -119,8 +120,8 @@ class TestRunWorker:
         backend = SpoolBackend(spool_dir, participate=False)
         backend.open(workers=1, tasks=2, settings=settings)
         futures = [
-            backend.submit(study_cell("Wilson"), settings),
-            backend.submit(study_cell("aHPD"), settings),
+            backend.submit(CellShard(study_cell("Wilson")), settings),
+            backend.submit(CellShard(study_cell("aHPD")), settings),
         ]
         executed = run_worker(spool_dir, poll_interval=0.01, max_tasks=1)
         assert executed == 1
@@ -163,11 +164,13 @@ class TestRunWorker:
         backend = SpoolBackend(spool_root, participate=False)
         backend.open(workers=1, tasks=1, settings=settings)
         backend.submit(
-            LeaseStealingCell(
-                key=("steal",),
-                label="steal",
-                method="-",
-                spool_root=str(spool_root),
+            CellShard(
+                LeaseStealingCell(
+                    key=("steal",),
+                    label="steal",
+                    method="-",
+                    spool_root=str(spool_root),
+                )
             ),
             settings,
         )
@@ -185,7 +188,7 @@ class TestRunWorker:
         settings = ExperimentSettings(repetitions=2, seed=0)
         backend = SpoolBackend(spool_root, participate=False)
         backend.open(workers=1, tasks=1, settings=settings)
-        backend.submit(study_cell(), settings)
+        backend.submit(CellShard(study_cell()), settings)
         task_file = next((spool_root / "tasks").glob("*.task"))
         os.rename(task_file, spool_root / "claimed" / task_file.name)
         backend.close()
@@ -206,7 +209,7 @@ class TestRunWorker:
         settings = ExperimentSettings(repetitions=2, seed=0)
         backend = SpoolBackend(spool_dir, participate=False)
         backend.open(workers=1, tasks=1, settings=settings)
-        future = backend.submit(study_cell(), settings)
+        future = backend.submit(CellShard(study_cell()), settings)
         messages = []
         executed = run_worker(
             spool_dir, poll_interval=0.01, idle_timeout=0.2, log=messages.append
@@ -224,7 +227,7 @@ class TestRunWorker:
         settings = ExperimentSettings(repetitions=2, seed=0)
         backend = SpoolBackend(spool_dir, participate=False)
         backend.open(workers=1, tasks=1, settings=settings)
-        future = backend.submit(study_cell(), settings)
+        future = backend.submit(CellShard(study_cell()), settings)
         messages = []
         executed = run_worker(
             spool_dir, poll_interval=0.01, idle_timeout=0.2, log=messages.append
@@ -243,7 +246,7 @@ class TestWorkerCli:
         settings = ExperimentSettings(repetitions=2, seed=0)
         backend = SpoolBackend(spool_dir, participate=False)
         backend.open(workers=1, tasks=1, settings=settings)
-        future = backend.submit(study_cell(), settings)
+        future = backend.submit(CellShard(study_cell()), settings)
         assert (
             main(
                 [
@@ -318,7 +321,7 @@ class BoomCell(CellSpec):
 
 
 @register_cell_runner(BoomCell)
-def _run_boom(cell, settings):
+def _run_boom(cell, settings, rep_range):
     raise ValidationError("boom in a worker")
 
 
@@ -330,7 +333,7 @@ class TestSpoolFutureGuard:
     def test_result_before_done_raises_clearly(self, tmp_path):
         backend = SpoolBackend(tmp_path / "q", participate=False)
         backend.open(workers=1, tasks=1, settings=_settings())
-        future = backend.submit(study_cell(), _settings())
+        future = backend.submit(CellShard(study_cell()), _settings())
         with pytest.raises(RuntimeError, match=r"result\(\) before done\(\)"):
             future.result()
         backend.close()
@@ -340,7 +343,7 @@ class TestSpoolFutureGuard:
         backend = SpoolBackend(spool_dir, participate=False)
         backend.open(workers=1, tasks=1, settings=_settings())
         future = backend.submit(
-            BoomCell(key=("boom",), label="boom", method="-"), _settings()
+            CellShard(BoomCell(key=("boom",), label="boom", method="-")), _settings()
         )
         run_worker(spool_dir, poll_interval=0.01, idle_timeout=0.2)
         assert future.done()
@@ -357,7 +360,7 @@ class TestDeadLetter:
         _ensure_layout(root)
         payload = {
             "id": "aaaa-000000",
-            "task": study_cell(),
+            "task": CellShard(study_cell()),
             "settings": _settings(),
             "deliveries": 0,
         }
@@ -386,7 +389,7 @@ class TestDeadLetter:
             root, participate=False, reclaim_seconds=0.0, redeliver_cap=2
         )
         backend.open(workers=1, tasks=1, settings=_settings())
-        future = backend.submit(study_cell(), _settings())
+        future = backend.submit(CellShard(study_cell()), _settings())
         task_id = future.task_id
         for _ in range(3):  # three stale leases: 2 requeues, then burial
             claimed = _claim(root, root / "tasks" / f"{task_id}.task")

@@ -29,6 +29,7 @@ from repro.cli import main
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
+    CellShard,
     CellSpec,
     ChaosBackend,
     EVENT_TYPES,
@@ -333,7 +334,7 @@ class UnclaimableCell(CellSpec):
 
 
 @register_cell_runner(UnclaimableCell)
-def _run_unclaimable(cell, settings):  # pragma: no cover - never reached
+def _run_unclaimable(cell, settings, rep_range):  # pragma: no cover - never reached
     raise AssertionError("should be buried before execution")
 
 
@@ -373,11 +374,11 @@ class TestWorkerSpans:
         backend = SpoolBackend(
             root, participate=False, reclaim_seconds=0.0, redeliver_cap=1
         )
-        backend.telemetry = bus
         settings = ExperimentSettings(repetitions=1, seed=0)
-        backend.open(workers=1, tasks=1, settings=settings)
+        backend.open(workers=1, tasks=1, settings=settings, telemetry=bus)
         future = backend.submit(
-            UnclaimableCell(key=("lost",), label="lost", method="-"), settings
+            CellShard(UnclaimableCell(key=("lost",), label="lost", method="-")),
+            settings,
         )
         task_id = future.task_id
         for _ in range(2):  # one reclaim under cap, then burial
@@ -388,7 +389,7 @@ class TestWorkerSpans:
             backend._reclaim_stale({future})
         assert future.done()  # reads the burial result, emits dead_letter
         backend.close()
-        backend.telemetry = None
+        assert backend.telemetry is None
         bus.close()
         reclaims = journal_events(journal, "lease_reclaim")
         assert len(reclaims) == 2
