@@ -65,6 +65,7 @@ result store.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .annotation.ledger import AnnotationLedger
@@ -77,7 +78,7 @@ from .intervals.wilson import WilsonInterval
 from .kg.datasets import PROFILES, load_dataset
 from .kg.io import load_kg, save_kg
 from .kg.stats import describe_kg
-from .runtime import ParallelExecutor, RunContext
+from .runtime import PartitionedAuditCell, RunContext, StudyPlan, execute
 from .sampling.srs import SimpleRandomSampling
 from .sampling.stratified import StratifiedPredicateSampling
 from .sampling.twcs import TwoStageWeightedClusterSampling
@@ -530,11 +531,6 @@ def _context_from(args: argparse.Namespace, progress: bool) -> RunContext:
     )
 
 
-def _executor_from(args: argparse.Namespace) -> ParallelExecutor:
-    """Build the runtime executor a parallel subcommand asked for."""
-    return ParallelExecutor.from_context(_context_from(args, not args.quiet))
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     kg = load_kg(args.kg)
     stats = describe_kg(kg, name=args.kg)
@@ -577,19 +573,30 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition_audit(args: argparse.Namespace) -> int:
-    from .evaluation.partitioned import audit_by_predicate
+    from .experiments.config import ExperimentSettings
 
-    kg = load_kg(args.kg)
-    result = audit_by_predicate(
-        kg,
+    # Workers rebuild the KG from the spec, possibly in another working
+    # directory (a detached spool worker), so the path must be absolute.
+    dataset = f"file:{os.path.abspath(args.kg)}"
+    cell = PartitionedAuditCell(
+        key=("partitioned", dataset),
+        label=f"partitioned/{dataset}",
+        method="aHPD",
         alpha=args.alpha,
+        dataset=dataset,
         epsilon=args.epsilon,
         min_per_partition=args.min_per_partition,
         max_triples=args.max_triples,
-        rng=args.seed,
-        dataset=f"file:{args.kg}",
-        executor=_executor_from(args),
+        seed=args.seed,
     )
+    settings = ExperimentSettings(seed=args.seed)
+    plan = StudyPlan(settings=settings, cells=(cell,), name="partitioned-audit")
+    outcome = execute(plan, _context_from(args, not args.quiet))
+    for failure in outcome.failures:
+        print(f"FAILED {failure.summary()}", file=sys.stderr)
+    if outcome.failures:
+        return 1
+    result = outcome.results[cell.key]
     print(
         f"{'predicate':<20} {'share':>7} {'annotated':>9} {'estimate':>9} "
         f"{'interval':<18} {'converged':>9}"
@@ -658,7 +665,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
     request = _study_request(args)
     plan = request.build_plan()
-    outcome = _executor_from(args).run(plan)
+    outcome = execute(plan, _context_from(args, not args.quiet))
     print(render_study_table(plan, outcome))
     for failure in outcome.failures:
         print(f"FAILED {failure.summary()}", file=sys.stderr)

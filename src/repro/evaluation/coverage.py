@@ -10,6 +10,10 @@ a true accuracy ``mu`` and sample size ``n``, how often each method's
 Wald's under-coverage near the accuracy boundaries and the credible
 intervals' calibration are both visible here, complementing the
 efficiency story of the main tables.
+
+A measurement is two stages, :func:`tau_counts` (draw) and
+:func:`coverage_from_counts` (solve); the runtime's ``CoverageCell``
+calls down into them, its windows drawing and its merge solving.
 """
 
 from __future__ import annotations
@@ -169,77 +173,21 @@ def coverage_profile(
     alpha: float = 0.05,
     repetitions: int = 2_000,
     seed: int = 0,
-    executor=None,
 ) -> list[CoverageResult]:
     """Coverage of *method* across an accuracy sweep (one seed per mu).
 
-    With *executor* (a :class:`repro.runtime.ParallelExecutor`), the
-    per-mu cells fan out over its workers and result store; the seeds
-    are identical either way, so the two paths agree bit for bit.  The
-    cells carry the method's *full* picklable payload (class and priors
-    — see :func:`repro.runtime.cells.method_payload`), so ad-hoc
-    configurations such as informative-prior aHPD take the executor
-    path too.  Only a method object the payload encoder does not know
-    (e.g. a user-defined subclass) stays serial, and then with an
-    explicit :class:`RuntimeWarning` — never silently.
+    Mu ``i`` runs :func:`empirical_coverage` on seed ``seed + i``; to
+    fan a sweep out over workers, run one ``CoverageCell`` per mu (with
+    those seeds) as a runtime plan — each cell equals its call here.
     """
-    if executor is not None:
-        # Imported lazily: the runtime layer sits above the evaluators,
-        # so a top-level import here would be circular.
-        from ..runtime import method_payload
-
-        payload = method_payload(method)
-        if payload is None:
-            import warnings
-
-            warnings.warn(
-                f"coverage_profile: method {method.name!r} has no picklable "
-                "runtime payload; falling back to the serial loop",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            return _coverage_profile_cells(
-                method, payload, mus, n, alpha, repetitions, seed, executor
-            )
-    results = []
-    for i, mu in enumerate(mus):
-        results.append(
-            empirical_coverage(
-                method,
-                mu,
-                n,
-                alpha=alpha,
-                repetitions=repetitions,
-                rng=spawn_rng(seed + i),
-            )
-        )
-    return results
-
-
-def _coverage_profile_cells(
-    method, payload, mus, n, alpha, repetitions, seed, executor
-) -> list[CoverageResult]:
-    from ..runtime import CoverageCell, StudyPlan
-
-    name = method.name
-    cells = tuple(
-        CoverageCell(
-            key=(name, float(mu)),
-            label=f"coverage-profile/{name}/mu={mu:g}",
-            method=name,
-            method_payload=payload,
+    return [
+        empirical_coverage(
+            method,
+            mu,
+            n,
             alpha=alpha,
-            mu=float(mu),
-            n=n,
-            seed=seed + i,
             repetitions=repetitions,
+            rng=spawn_rng(seed + i),
         )
         for i, mu in enumerate(mus)
-    )
-    from ..experiments.config import ExperimentSettings
-
-    settings = ExperimentSettings(repetitions=repetitions, seed=seed)
-    plan = StudyPlan(settings=settings, cells=cells, name="coverage-profile")
-    results = executor.run(plan).results
-    return [results[(name, float(mu))] for mu in mus]
+    ]

@@ -15,6 +15,11 @@ where a Wald evaluation of NELL halts at exactly ``n = 30``):
   defined);
 * one unit per iteration afterwards — a triple for SRS, a cluster for
   TWCS — so halting sizes like 32 are representable.
+
+:meth:`KGAccuracyEvaluator.run` is the one copy of this loop (the
+paper's Algorithm 1): variants such as the inference-assisted evaluator
+override its annotation step (``_ingest``) and result record
+(``_result``), never the loop.
 """
 
 from __future__ import annotations
@@ -36,69 +41,8 @@ __all__ = [
     "EvaluationConfig",
     "IterationRecord",
     "EvaluationResult",
-    "IntervalMemo",
     "KGAccuracyEvaluator",
 ]
-
-
-class IntervalMemo:
-    """Evidence-state interval memoisation shared by the evaluators.
-
-    Interval methods are deterministic functions of the evidence
-    summary, and iterative stop rules (and Monte-Carlo replays of them)
-    revisit the same evidence states constantly — so solves are memoised,
-    keyed on the method instance plus everything the methods read: tau
-    and n (effective), the design variance (Wald), and alpha.
-
-    The cache persists across runs of the host evaluator.  Because the
-    method instance is part of the key, *reassigning* ``self.method``
-    never serves another method's intervals; mutating a method's
-    configuration in place (e.g. swapping its ``prior`` attribute) is
-    not detectable here and requires :meth:`clear_interval_cache`.
-    """
-
-    #: Entries kept before the interval memo resets (a full reset is
-    #: cheaper and simpler than LRU bookkeeping at this hit rate).
-    _CACHE_LIMIT = 100_000
-
-    method: IntervalMethod
-
-    def _init_interval_cache(self) -> None:
-        self._interval_cache: dict[tuple, Interval] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def _compute_interval(self, evidence, alpha: float) -> Interval:
-        """Memoised ``method.solve_batch`` over already-seen evidence states.
-
-        Misses go through the batch engine (as a batch of one) rather
-        than the scalar path so that cached intervals are bit-identical
-        to batch-solved ones everywhere — including when an ambient
-        solve pool coalesces this miss with other callers' work.
-        """
-        key = (
-            self.method,
-            evidence.tau_effective,
-            evidence.n_effective,
-            evidence.variance,
-            alpha,
-        )
-        interval = self._interval_cache.get(key)
-        if interval is None:
-            self.cache_misses += 1
-            if len(self._interval_cache) >= self._CACHE_LIMIT:
-                self._interval_cache.clear()
-            interval = self.method.solve_batch((evidence,), alpha)[0]
-            self._interval_cache[key] = interval
-        else:
-            self.cache_hits += 1
-        return interval
-
-    def clear_interval_cache(self) -> None:
-        """Drop memoised solves (e.g. after mutating ``method``)."""
-        self._interval_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
 
 @dataclass(frozen=True)
@@ -212,7 +156,7 @@ class EvaluationResult:
         return self.cost.hours
 
 
-class KGAccuracyEvaluator(IntervalMemo):
+class KGAccuracyEvaluator:
     """Runs the paper's iterative evaluation on one KG.
 
     Parameters
@@ -231,7 +175,18 @@ class KGAccuracyEvaluator(IntervalMemo):
     config:
         Loop parameters; defaults to the paper's (alpha=0.05,
         epsilon=0.05).
+
+    Interval solves are memoised across :meth:`run` calls, keyed on the
+    method instance plus everything methods read (effective tau and n,
+    design variance, alpha): the stop rule and its Monte-Carlo replays
+    revisit the same evidence states constantly.  Reassigning
+    ``self.method`` is safe; mutating a method in place (e.g. its
+    ``prior``) requires :meth:`clear_interval_cache`.
     """
+
+    #: Entries kept before the interval memo resets (a full reset is
+    #: cheaper and simpler than LRU bookkeeping at this hit rate).
+    _CACHE_LIMIT = 100_000
 
     def __init__(
         self,
@@ -252,7 +207,9 @@ class KGAccuracyEvaluator(IntervalMemo):
         #: Optional durable judgement record; every annotated batch is
         #: appended, enabling suspend/resume of real audits.
         self.ledger = ledger
-        self._init_interval_cache()
+        self._interval_cache: dict[tuple, Interval] = {}
+        self.cache_hits = 0
+        self.cache_misses = 0
 
     def run(self, rng: RandomSource = None, keep_trace: bool = False) -> EvaluationResult:
         """Execute one full evaluation (phases 1-4 until convergence)."""
@@ -293,6 +250,38 @@ class KGAccuracyEvaluator(IntervalMemo):
                 return self._result(state, evidence.mu_hat, interval, iterations, False, trace)
             self._ingest(state, cfg.units_per_iteration, rng)
 
+    def _compute_interval(self, evidence, alpha: float) -> Interval:
+        """Memoised ``method.solve_batch`` over already-seen evidence states.
+
+        Misses go through the batch engine (as a batch of one) rather
+        than the scalar path so that cached intervals are bit-identical
+        to batch-solved ones everywhere — including when an ambient
+        solve pool coalesces this miss with other callers' work.
+        """
+        key = (
+            self.method,
+            evidence.tau_effective,
+            evidence.n_effective,
+            evidence.variance,
+            alpha,
+        )
+        interval = self._interval_cache.get(key)
+        if interval is None:
+            self.cache_misses += 1
+            if len(self._interval_cache) >= self._CACHE_LIMIT:
+                self._interval_cache.clear()
+            interval = self.method.solve_batch((evidence,), alpha)[0]
+            self._interval_cache[key] = interval
+        else:
+            self.cache_hits += 1
+        return interval
+
+    def clear_interval_cache(self) -> None:
+        """Drop memoised solves (e.g. after mutating ``method``)."""
+        self._interval_cache.clear()
+        self.cache_hits = 0
+        self.cache_misses = 0
+
     def _ingest(self, state, units: int, rng) -> None:
         batch = self.strategy.draw(self.kg, state, units, rng)
         labels = self.annotator.annotate(self.kg, batch.indices, rng=rng)
@@ -325,7 +314,7 @@ class KGAccuracyEvaluator(IntervalMemo):
 
     def __repr__(self) -> str:
         return (
-            f"KGAccuracyEvaluator(strategy={self.strategy.name}, "
+            f"{type(self).__name__}(strategy={self.strategy.name}, "
             f"method={self.method.name}, alpha={self.config.alpha}, "
             f"epsilon={self.config.epsilon})"
         )

@@ -27,14 +27,17 @@ the expensive one over worker processes:
 3. :func:`finalize_audit` — the per-partition and stratified-global
    interval solves on the allocated integer evidence.
 
-:func:`audit_by_predicate` composes the three serially; the runtime's
-``PartitionedAuditCell`` runs stage 1 as partition windows and stages
-2-3 in its merge.  With the default (rng-free) oracle annotator
-the two paths are bit-identical for any sharding — the guarantee the
-hypothesis suite enforces.  Non-oracle annotators draw their label
-noise per partition (in partition order) rather than interleaved
-across partitions, which keeps the trajectory of each partition
-independent of every other.
+:func:`audit_by_predicate` composes the three serially, checking stop
+rules on demand (:func:`allocation_stop_rule`).  The runtime's
+``PartitionedAuditCell`` calls down into the same stages — windows run
+stage 1 with precomputed stops so partitions shard, its merge runs
+stages 2-3 — and a sharded or cached audit is that one-cell plan, as
+``python -m repro partition-audit`` builds.  With the default
+(rng-free) oracle annotator the two paths are bit-identical for any
+sharding — the guarantee the hypothesis suite enforces.  Non-oracle
+annotators draw their label noise per partition (in partition order)
+rather than interleaved across partitions, which keeps the trajectory
+of each partition independent of every other.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .._validation import check_alpha, check_positive_int
+from .._validation import check_alpha, check_positive, check_positive_int
 from ..annotation.annotator import Annotator, OracleAnnotator
 from ..annotation.cost import DEFAULT_COST_MODEL, AnnotationCost, CostModel
 from ..estimators.base import Evidence
@@ -236,7 +239,14 @@ def partition_trajectories(
     the serial path uses it together with
     :func:`allocation_stop_rule`, solving only at the sample sizes the
     budget actually reaches — the pre-refactor work profile.
+
+    Validates the audit's knobs for both paths: a non-positive
+    *epsilon* would annotate every partition to exhaustion.
     """
+    check_alpha(alpha)
+    check_positive(epsilon, "epsilon")
+    check_positive_int(min_per_partition, "min_per_partition")
+    check_positive_int(max_triples, "max_triples")
     total = kg.num_triples
     trajectories: list[PartitionTrajectory] = []
     for name in names:
@@ -419,8 +429,6 @@ def audit_by_predicate(
     min_per_partition: int = 30,
     max_triples: int = 50_000,
     rng: RandomSource = None,
-    dataset: str | None = None,
-    executor=None,
 ) -> PartitionedAuditResult:
     """Audit every predicate of *kg* plus the stratified global accuracy.
 
@@ -453,32 +461,11 @@ def audit_by_predicate(
         order, rather than interleaved across partitions — seeded
         non-oracle results differ from releases before the trajectory
         refactor.
-    dataset:
-        Runtime KG spec string describing *kg* (a profile name,
-        ``"SYN100M:<mu>"``, or ``"file:<path>"``) — required for the
-        executor path, which rebuilds the KG inside worker processes.
-    executor:
-        A :class:`repro.runtime.ParallelExecutor`; when given (with
-        *dataset*), the per-partition trajectory stage fans out over
-        its workers and result store via a ``PartitionedAuditCell``,
-        bit-identically to the serial path.  Methods that cannot be
-        captured as a picklable runtime payload, or non-default
-        annotators, fall back to the serial loop with an explicit
-        :class:`RuntimeWarning` — never silently.
     """
     alpha = check_alpha(alpha)
-    check_positive_int(min_per_partition, "min_per_partition")
-    check_positive_int(max_triples, "max_triples")
     if not isinstance(kg, KnowledgeGraph):
         raise ValidationError("partitioned audits need a materialised KnowledgeGraph")
     method = method if method is not None else AdaptiveHPD()
-    if executor is not None:
-        routed = _audit_by_predicate_routed(
-            kg, alpha, epsilon, method, annotator, cost_model,
-            min_per_partition, max_triples, rng, dataset, executor,
-        )
-        if routed is not None:
-            return routed
     annotator = annotator if annotator is not None else OracleAnnotator()
     generator = spawn_rng(rng)
     names, members, order = partition_order(kg, rng=generator)
@@ -497,87 +484,3 @@ def audit_by_predicate(
     return finalize_audit(
         trajectories, allocated, done, total, method, alpha, epsilon, cost_model
     )
-
-
-def _audit_by_predicate_routed(
-    kg, alpha, epsilon, method, annotator, cost_model,
-    min_per_partition, max_triples, rng, dataset, executor,
-) -> PartitionedAuditResult | None:
-    """The executor path, or ``None`` (with a warning) when ineligible."""
-    import warnings
-
-    # Imported lazily: the runtime layer sits above the evaluators, so
-    # a top-level import here would be circular.
-    from ..runtime import PartitionedAuditCell, StudyPlan, method_payload
-
-    if dataset is None:
-        raise ValidationError(
-            "audit_by_predicate(executor=...) needs a `dataset` spec string "
-            "so worker processes can rebuild the KG; pass e.g. "
-            'dataset="NELL" or dataset="file:/path/to/kg.tsv"'
-        )
-    reasons = []
-    if annotator is not None and not isinstance(annotator, OracleAnnotator):
-        reasons.append(f"non-oracle annotator {annotator!r}")
-    if cost_model is not DEFAULT_COST_MODEL:
-        reasons.append("non-default cost model")
-    if not isinstance(rng, (int, np.integer)):
-        # None means fresh OS entropy on the serial path — a routed run
-        # would have to pin some seed (and a store would then replay one
-        # frozen result forever), so routing requires an explicit seed.
-        reasons.append("rng must be an int seed so workers can replay it")
-    payload = method_payload(method)
-    if payload is None:
-        reasons.append(
-            f"method {method.name!r} has no picklable runtime payload"
-        )
-    from ..experiments.config import ExperimentSettings
-
-    settings = None
-    if not reasons:
-        seed = int(rng)
-        settings = ExperimentSettings(seed=seed)
-        # Workers rebuild the KG from the spec; refuse to route when
-        # that rebuild would audit a *different* KG than the caller's.
-        # The triple list covers predicates and subjects (the partition
-        # structure and the entity-cost driver), not just size/labels.
-        # build_kg memoises per process, so the comparison load is also
-        # the one the serial-mode cell runner would perform.
-        from ..runtime import build_kg
-
-        rebuilt = build_kg(dataset, settings.dataset_seed)
-        same = rebuilt is kg or (
-            rebuilt.num_triples == kg.num_triples
-            and np.array_equal(
-                rebuilt.labels(np.arange(rebuilt.num_triples)),
-                kg.labels(np.arange(kg.num_triples)),
-            )
-            and rebuilt.triples == kg.triples
-        )
-        if not same:
-            reasons.append(
-                f"dataset spec {dataset!r} rebuilds a different KG than "
-                "the one passed in"
-            )
-    if reasons:
-        warnings.warn(
-            "audit_by_predicate: falling back to the serial loop "
-            f"({'; '.join(reasons)})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    cell = PartitionedAuditCell(
-        key=("partitioned", dataset),
-        label=f"partitioned/{dataset}",
-        method=method.name,
-        method_payload=payload,
-        alpha=alpha,
-        dataset=dataset,
-        epsilon=epsilon,
-        min_per_partition=min_per_partition,
-        max_triples=max_triples,
-        seed=seed,
-    )
-    plan = StudyPlan(settings=settings, cells=(cell,), name="partitioned-audit")
-    return executor.run(plan).results[cell.key]

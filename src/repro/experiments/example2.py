@@ -9,8 +9,9 @@ triples / 2.55 ± 0.95 hours with the uninformative trio.
 
 from __future__ import annotations
 
+from ..intervals.ahpd import AdaptiveHPD
 from ..intervals.priors import BetaPrior
-from ..runtime import StudyCell, StudyPlan, execute
+from ..runtime import StudyCell, StudyPlan, execute, method_payload
 from .config import DEFAULT_SETTINGS, ExperimentSettings
 from ._studies import strategy_spec
 from .report import ExperimentReport
@@ -26,9 +27,6 @@ EXAMPLE2_INFORMATIVE_PRIORS: tuple[BetaPrior, ...] = (
 
 def example2_plan(settings: ExperimentSettings = DEFAULT_SETTINGS) -> StudyPlan:
     """The Example 2 pair: informative vs uninformative aHPD."""
-    informative = tuple(
-        (prior.a, prior.b, prior.name) for prior in EXAMPLE2_INFORMATIVE_PRIORS
-    )
     twcs = strategy_spec("TWCS", "DBPEDIA")
     cells = (
         # Paired seeds: both configurations audit the same sample paths.
@@ -39,7 +37,9 @@ def example2_plan(settings: ExperimentSettings = DEFAULT_SETTINGS) -> StudyPlan:
             dataset="DBPEDIA",
             strategy=twcs,
             seed_stream=(5_000,),
-            priors=informative,
+            method_payload=method_payload(
+                AdaptiveHPD(priors=EXAMPLE2_INFORMATIVE_PRIORS)
+            ),
         ),
         StudyCell(
             key=("aHPD uninformative",),

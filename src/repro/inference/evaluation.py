@@ -11,6 +11,10 @@ correct regardless of their source (rules are sound), so the point
 estimate stays unbiased and the interval machinery applies unchanged.
 Only the *cost accounting* differs — which is precisely the efficiency
 mechanism of Qi et al. [46] that the paper suggests aHPD slots into.
+
+The evaluator is therefore the framework's Algorithm 1 loop with two
+steps replaced: annotation (rule-engine short-circuit) and the result
+record (manual-only cost).
 """
 
 from __future__ import annotations
@@ -19,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..annotation.annotator import Annotator, OracleAnnotator
+from ..annotation.annotator import Annotator
 from ..annotation.cost import DEFAULT_COST_MODEL, AnnotationCost, CostModel
-from ..exceptions import ConvergenceError
+from ..evaluation.framework import EvaluationConfig, KGAccuracyEvaluator
 from ..intervals.base import Interval, IntervalMethod
 from ..kg.graph import KnowledgeGraph
 from ..sampling.base import SamplingStrategy
-from ..stats.rng import RandomSource, spawn_rng
-from ..evaluation.framework import EvaluationConfig, IntervalMemo
 from .engine import InferenceEngine
 
 __all__ = ["AssistedEvaluationResult", "InferenceAssistedEvaluator"]
@@ -69,16 +71,19 @@ class AssistedEvaluationResult:
         return self.n_inferred_used / self.n_annotated
 
 
-class InferenceAssistedEvaluator(IntervalMemo):
+class InferenceAssistedEvaluator(KGAccuracyEvaluator):
     """The Fig. 1 loop with a rule engine short-circuiting annotations.
 
     Parameters
     ----------
     kg / strategy / method / annotator / cost_model / config:
         As in :class:`~repro.evaluation.framework.KGAccuracyEvaluator`.
-    engine:
-        The inference engine (rules prepared over *kg*).  A fresh
-        engine state is used per :meth:`run`.
+    engine_factory:
+        Zero-argument callable building the inference engine (rules
+        prepared over *kg*).  A fresh engine is built per :meth:`run`.
+
+    :meth:`run` returns an :class:`AssistedEvaluationResult`;
+    ``keep_trace`` has no effect, as that record carries no trace.
     """
 
     def __init__(
@@ -91,84 +96,52 @@ class InferenceAssistedEvaluator(IntervalMemo):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         config: EvaluationConfig = EvaluationConfig(),
     ):
-        self.kg = kg
-        self.strategy = strategy
-        self.method = method
+        super().__init__(kg, strategy, method, annotator, cost_model, config)
         self.engine_factory = engine_factory
-        self.annotator = annotator if annotator is not None else OracleAnnotator()
-        self.cost_model = cost_model
-        self.config = config
-        # Same evidence-state interval memo as KGAccuracyEvaluator (the
-        # shared IntervalMemo base): the stop rule and its Monte-Carlo
-        # replays revisit the same (tau, n) states constantly.
-        self._init_interval_cache()
 
-    def run(self, rng: RandomSource = None) -> AssistedEvaluationResult:
-        """Execute one inference-assisted evaluation."""
-        rng = spawn_rng(rng)
-        cfg = self.config
-        strategy = self.strategy
-        state = strategy.new_state()
-        engine: InferenceEngine = self.engine_factory()
+    def _ingest(self, state, units: int, rng) -> None:
+        if state.n_units == 0:
+            # Every ingest adds at least one unit, so an empty state is
+            # the first ingest of a run: start its engine and tallies.
+            self._engine: InferenceEngine = self.engine_factory()
+            self._manual_triples: set[int] = set()
+            self._manual_entities: set[int] = set()
+            self._inferred_used = 0
+        batch = self.strategy.draw(self.kg, state, units, rng)
+        labels = np.empty(batch.indices.size, dtype=bool)
+        # Sequential processing: a manual verification may infer the
+        # labels of later facts in the *same* batch (e.g. verifying the
+        # correct candidate of a functional group frees its siblings
+        # drawn by the same cluster unit).
+        for pos, idx in enumerate(batch.indices):
+            idx = int(idx)
+            known = self._engine.label_of(idx)
+            if known is not None:
+                labels[pos] = known
+                self._inferred_used += 1
+                continue
+            judged = bool(
+                self.annotator.annotate(self.kg, np.asarray([idx]), rng=rng)[0]
+            )
+            labels[pos] = judged
+            self._engine.add_verification(idx, judged)
+            self._manual_triples.add(idx)
+            self._manual_entities.add(int(batch.subjects[pos]))
+        self.strategy.update(state, batch, labels)
 
-        manual_triples: set[int] = set()
-        manual_entities: set[int] = set()
-        inferred_used = 0
-
-        def ingest(units: int) -> int:
-            nonlocal inferred_used
-            batch = strategy.draw(self.kg, state, units, rng)
-            labels = np.empty(batch.indices.size, dtype=bool)
-            # Sequential processing: a manual verification may infer the
-            # labels of later facts in the *same* batch (e.g. verifying
-            # the correct candidate of a functional group frees its
-            # siblings drawn by the same cluster unit).
-            for pos, idx in enumerate(batch.indices):
-                idx = int(idx)
-                known = engine.label_of(idx)
-                if known is not None:
-                    labels[pos] = known
-                    inferred_used += 1
-                    continue
-                judged = bool(
-                    self.annotator.annotate(self.kg, np.asarray([idx]), rng=rng)[0]
-                )
-                labels[pos] = judged
-                engine.add_verification(idx, judged)
-                manual_triples.add(idx)
-                manual_entities.add(int(batch.subjects[pos]))
-            strategy.update(state, batch, labels)
-            return batch.num_triples
-
-        while state.n_annotated < cfg.min_triples or state.n_units < strategy.min_units:
-            ingest(cfg.units_per_iteration)
-
-        iterations = 0
-        while True:
-            iterations += 1
-            evidence = strategy.evidence(state)
-            interval = self._compute_interval(evidence, cfg.alpha)
-            if interval.moe <= cfg.epsilon:
-                converged = True
-                break
-            if state.n_annotated >= cfg.max_triples:
-                if cfg.raise_on_budget:
-                    raise ConvergenceError(
-                        f"annotation budget exhausted at {state.n_annotated} triples"
-                    )
-                converged = False
-                break
-            ingest(cfg.units_per_iteration)
-
-        cost = self.cost_model.price(len(manual_entities), len(manual_triples))
+    def _result(
+        self, state, mu_hat, interval, iterations, converged, trace
+    ) -> AssistedEvaluationResult:
+        manual_entities = len(self._manual_entities)
+        manual_triples = len(self._manual_triples)
         return AssistedEvaluationResult(
-            mu_hat=evidence.mu_hat,
+            mu_hat=mu_hat,
             interval=interval,
             n_annotated=state.n_annotated,
-            n_manual=len(manual_triples),
-            n_inferred_used=inferred_used,
-            n_entities_manual=len(manual_entities),
-            cost=cost,
+            n_manual=manual_triples,
+            n_inferred_used=self._inferred_used,
+            n_entities_manual=manual_entities,
+            cost=self.cost_model.price(manual_entities, manual_triples),
             iterations=iterations,
             converged=converged,
         )

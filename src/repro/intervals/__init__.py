@@ -40,7 +40,7 @@ from .batch import (
     hpd_bounds_batch,
 )
 from .payloads import build_method_from_payload, method_payload
-from .table import SolveTable, default_table, shared_table
+from .table import SolveTable, shared_table
 from .clopper_pearson import ClopperPearsonInterval
 from .et import ETCredibleInterval, et_bounds
 from .transforms import ArcsineInterval, LogitInterval
@@ -60,7 +60,6 @@ __all__ = [
     "build_method_from_payload",
     "compute_batch_pooled",
     "critical_value",
-    "default_table",
     "method_payload",
     "shared_table",
     "use_solve_pool",

@@ -4,8 +4,7 @@ Spec strings cover the stock methods, but they are lossy: an
 informative-prior aHPD or a non-default ET/HPD prior has no faithful
 spec.  Payloads close that gap — a primitive tuple carrying the *full*
 configuration, decodable in any worker and hashed into the cache token
-— so such methods can take the executor path instead of silently
-falling back to serial loops.
+— so a cell can carry any library method (``CellSpec.method_payload``).
 
 The machinery lives here (not in :mod:`repro.runtime.cells`, which
 re-exports it) because the intervals layer itself needs payload keys:
@@ -59,9 +58,8 @@ def method_payload(method: IntervalMethod) -> tuple | None:
     The payload captures everything the method reads — class and
     priors — for the library's method classes (exact types only: a
     subclass may carry state the payload cannot see and is therefore
-    not encodable).  ``None`` means the method cannot take the executor
-    path; callers must then fall back *loudly* (``warnings.warn``), per
-    the no-silent-fallback contract.
+    not encodable).  ``None`` means no cell can carry the method; the
+    solve table skips it and the solve broker keys it by identity.
     """
     kind = _PLAIN_METHOD_KINDS.get(type(method))
     if kind is not None:

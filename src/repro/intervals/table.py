@@ -29,6 +29,10 @@ label-carrying selectors like aHPD), so a warm store serves even the
 first solve of a new process without rebuilding.  Sidecars are written
 atomically (tmp + ``os.replace``) and are invisible to the result
 store itself, which only ever walks ``.pkl`` entries.
+
+The runtime resolves the cap and store root (``REPRO_SOLVE_TABLE``,
+``REPRO_CACHE_DIR``) and installs a :func:`shared_table` per run and
+per unit of work; this module reads no environment.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "DEFAULT_TABLE_CAP",
     "SolveTable",
     "TABLE_SCHEMA_VERSION",
-    "default_table",
     "peek_tables",
     "reset_shared_tables",
     "shared_table",
@@ -402,24 +405,6 @@ def shared_table(
             table = SolveTable(root=root, cap=cap)
             _REGISTRY[key] = table
         return table
-
-
-def default_table() -> SolveTable | None:
-    """The environment-resolved shared table, or ``None`` when disabled.
-
-    The worker-side install: spawned pool workers and detached spool
-    workers have no ambient context, so :func:`~repro.runtime.backends.
-    base.run_task` falls back to this — ``REPRO_SOLVE_TABLE`` for the
-    cap, ``REPRO_CACHE_DIR`` for sidecar persistence.
-    """
-    # Deferred: settings is a runtime-layer import leaf; importing it
-    # lazily keeps the intervals layer cycle-free.
-    from ..runtime.settings import resolve_cache_dir, resolve_solve_table
-
-    cap = resolve_solve_table(None)
-    if cap <= 0:
-        return None
-    return shared_table(resolve_cache_dir(None), cap)
 
 
 def peek_tables() -> list[dict]:

@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING, Any, Callable, Union
 
 from ...exceptions import ValidationError
 from ...intervals.base import active_solve_table, use_solve_table
-from ...intervals.table import default_table
+from ...intervals.table import shared_table
 from ..cells import kind_for
-from ..settings import resolve_backend
+from ..settings import resolve_backend, resolve_cache_dir, resolve_solve_table
 from ..spec import CellShard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,7 +69,11 @@ def run_task(task: CellShard, settings: "ExperimentSettings") -> tuple[Any, floa
     memoisation, so this changes worker wall-clock, never results.
     """
     table = active_solve_table()
-    with use_solve_table(table if table is not None else default_table()):
+    if table is None:
+        cap = resolve_solve_table(None)
+        if cap > 0:
+            table = shared_table(resolve_cache_dir(None), cap)
+    with use_solve_table(table):
         start = time.perf_counter()
         value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
         return value, time.perf_counter() - start

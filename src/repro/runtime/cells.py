@@ -161,16 +161,13 @@ def _prior(name: str) -> BetaPrior:
     return prior
 
 
-def build_method(
-    spec: str,
-    priors: tuple[tuple[float, float, str], ...] | None = None,
-) -> IntervalMethod:
+def build_method(spec: str) -> IntervalMethod:
     """Instantiate the interval method described by *spec*.
 
     Accepted forms (case-insensitive): ``Wald``, ``Wilson``, ``AC``,
     ``CP``, ``Arcsine``, ``Logit``, ``ET[:prior]``, ``HPD[:prior]``,
-    and ``aHPD``.  *priors* (``(a, b, name)`` triples) equips aHPD with
-    informative candidates instead of the uninformative trio.
+    and ``aHPD``.  Configurations a spec cannot express (informative
+    aHPD priors) travel as a :func:`method_payload` instead.
     """
     head, _, arg = spec.partition(":")
     name = head.strip().lower()
@@ -191,9 +188,6 @@ def build_method(
     if name == "hpd":
         return HPDCredibleInterval(prior=_prior(arg)) if arg else HPDCredibleInterval()
     if name == "ahpd":
-        if priors is not None:
-            candidates = tuple(BetaPrior(a, b, name=label) for a, b, label in priors)
-            return AdaptiveHPD(priors=candidates)
         return AdaptiveHPD()
     raise ValidationError(f"unknown interval method spec {spec!r}")
 
@@ -217,7 +211,7 @@ def cell_method(cell: CellSpec) -> IntervalMethod:
     """
     if cell.method_payload is not None:
         return build_method_from_payload(cell.method_payload)
-    return build_method(cell.method, priors=getattr(cell, "priors", None))
+    return build_method(cell.method)
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,9 @@ __all__ = [
 #: cached payloads stale.  2: cells grew the picklable ``method_payload``
 #: field (full method configuration in the token, not just the spec
 #: string).  3: the HPD ``solver`` left settings and method payloads.
-CACHE_VERSION = 3
+#: 4: ``StudyCell.priors`` left (informative priors travel as
+#: ``method_payload``), which changes every study cell's token.
+CACHE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -125,17 +127,12 @@ class StudyCell(CellSpec):
     units_per_iteration:
         Optional override of the evaluation loop's batch granularity
         (used by the batch-size ablation).
-    priors:
-        Optional ``(a, b, name)`` triples for an informative-prior
-        aHPD (paper Example 2); kept as plain tuples so the cell stays
-        picklable and cache-hashable.
     """
 
     dataset: str = "NELL"
     strategy: str = "SRS"
     seed_stream: tuple[int, ...] = (0,)
     units_per_iteration: int | None = None
-    priors: tuple[tuple[float, float, str], ...] | None = None
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,13 @@ class TestEdgeCases:
         with pytest.raises(ValidationError):
             audit_by_predicate(SyntheticKG(100, 10, accuracy=0.9, seed=0))
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1])
+    def test_rejects_non_positive_epsilon(self, mixed_quality_kg, epsilon):
+        # No interval can meet epsilon <= 0: the audit would annotate the
+        # whole KG and report every partition converged by exhaustion.
+        with pytest.raises(ValidationError, match="epsilon"):
+            audit_by_predicate(mixed_quality_kg, epsilon=epsilon, rng=0)
+
     def test_unannotated_partition_reports_ignorance(self):
         triples = [Triple(f"e:{i}", "p1", f"v:{i}") for i in range(100)]
         triples.append(Triple("e:q", "p2", "v:q"))

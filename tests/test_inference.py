@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.evaluation.framework import EvaluationConfig
+from repro.exceptions import ConvergenceError, ValidationError
 from repro.inference.engine import InferenceEngine
-from repro.inference.evaluation import InferenceAssistedEvaluator
+from repro.inference.evaluation import (
+    AssistedEvaluationResult,
+    InferenceAssistedEvaluator,
+)
 from repro.inference.generators import default_rules, generate_inferable_kg
 from repro.inference.rules import FunctionalPredicateRule, InversePredicateRule
 from repro.intervals.ahpd import AdaptiveHPD
@@ -195,6 +199,36 @@ class TestAssistedEvaluator:
         kg, evaluator = setup
         result = evaluator.run(rng=2)
         assert 0.0 <= result.inference_share <= 1.0
+
+    def _budgeted(self, kg, raise_on_budget):
+        return InferenceAssistedEvaluator(
+            kg=kg,
+            strategy=TwoStageWeightedClusterSampling(m=3),
+            method=AdaptiveHPD(),
+            engine_factory=lambda: InferenceEngine(kg, default_rules()),
+            config=EvaluationConfig(max_triples=40, raise_on_budget=raise_on_budget),
+        )
+
+    def test_budget_returns_non_converged_result(self, setup):
+        kg, _ = setup
+        result = self._budgeted(kg, raise_on_budget=False).run(rng=0)
+        assert isinstance(result, AssistedEvaluationResult)
+        assert not result.converged
+        assert result.moe > 0.05
+        assert (result.n_annotated, result.n_manual, result.n_inferred_used) == (
+            42,
+            28,
+            14,
+        )
+
+    def test_budget_raises_by_default(self, setup):
+        kg, _ = setup
+        with pytest.raises(ConvergenceError, match="budget exhausted"):
+            self._budgeted(kg, raise_on_budget=True).run(rng=0)
+
+    def test_repr_names_the_subclass(self, setup):
+        _, evaluator = setup
+        assert repr(evaluator).startswith("InferenceAssistedEvaluator(")
 
 
 class TestIntervalMemoisation:

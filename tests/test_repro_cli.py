@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -114,3 +116,50 @@ class TestStudy:
     def test_unknown_strategy_errors(self, capsys):
         assert main(["study", "--strategies", "bogus", "--reps", "2"]) == 1
         assert "unknown strategy" in capsys.readouterr().err
+
+
+@pytest.fixture
+def nell_file(tmp_path, nell_kg):
+    path = tmp_path / "nell.tsv"
+    save_kg(nell_kg, path)
+    return str(path)
+
+
+class TestPartitionAudit:
+    def test_split_run_prints_the_unsplit_stdout(self, nell_file, capsys):
+        assert main(["partition-audit", nell_file, "--quiet"]) == 0
+        unsplit = capsys.readouterr().out
+        assert "curation priority" in unsplit
+        split = ["--workers", "2", "--chunk-size", "3"]
+        assert main(["partition-audit", nell_file, "--quiet", *split]) == 0
+        assert capsys.readouterr().out == unsplit
+
+    @pytest.mark.parametrize(
+        "on_error, marker", [("raise", "error:"), ("continue", "FAILED")]
+    )
+    def test_non_positive_epsilon_errors(self, nell_file, on_error, marker, capsys):
+        argv = ["partition-audit", nell_file, "--quiet", "--epsilon", "-1"]
+        assert main(argv + ["--on-error", on_error]) == 1
+        err = capsys.readouterr().err
+        assert marker in err and "epsilon" in err
+
+    def test_relative_kg_path_becomes_an_absolute_spec(
+        self, nell_file, tmp_path, monkeypatch, capsys
+    ):
+        # Detached workers may run in another directory, so the cell
+        # must name the KG by absolute path.
+        import repro.cli as cli
+
+        plans = []
+        real_execute = cli.execute
+
+        def recording_execute(plan, context=None):
+            plans.append(plan)
+            return real_execute(plan, context)
+
+        monkeypatch.setattr(cli, "execute", recording_execute)
+        monkeypatch.chdir(tmp_path)
+        assert main(["partition-audit", "nell.tsv", "--quiet"]) == 0
+        capsys.readouterr()
+        (cell,) = plans[0].cells
+        assert cell.dataset == f"file:{Path.cwd() / 'nell.tsv'}"

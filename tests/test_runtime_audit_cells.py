@@ -11,9 +11,9 @@ Three contracts are pinned down here:
   pre-refactor serial outputs (``tests/fixtures/golden_*.json``)
   bit for bit, guarding the refactor itself, not just internal
   consistency;
-* **no silent fallbacks** — methods that cannot take the executor path
-  (no picklable payload) fall back with an explicit RuntimeWarning,
-  and everything encodable (informative-prior aHPD included) routes.
+* **one implementation** — a cell carrying any encodable method
+  (informative-prior aHPD included) equals the library call it runs
+  (``audit_by_predicate``, ``empirical_coverage``).
 
 Adaptive chunk sizing (``chunk_seconds`` / ``REPRO_CHUNK_SECONDS``)
 rides the same guarantee: whatever chunk the pilot calibration picks,
@@ -23,14 +23,13 @@ results and cache tokens match every fixed chunking.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.evaluation.coverage import coverage_profile
+from repro.evaluation.coverage import empirical_coverage
 from repro.evaluation.dynamic import DynamicAuditor
 from repro.evaluation.partitioned import audit_by_predicate
 from repro.exceptions import ValidationError
@@ -353,11 +352,22 @@ class TestPartitionedCellSharding:
 
     def test_parallel_workers_match_serial_function(self):
         kg = load_dataset("NELL", seed=42)
-        serial = audit_by_predicate(kg, method=WilsonInterval(), rng=11)
-        cell = partitioned_cell()
-        plan = plan_of([cell])
-        routed = ParallelExecutor(workers=2, chunk_size=3).run(plan).results[cell.key]
-        assert routed == serial
+        informative = AdaptiveHPD(
+            priors=UNINFORMATIVE_PRIORS + (BetaPrior(85.0, 15.0, name="Similar"),)
+        )
+        for method, cell in (
+            (WilsonInterval(), partitioned_cell()),
+            (
+                informative,
+                partitioned_cell(
+                    method="aHPD", method_payload=method_payload(informative)
+                ),
+            ),
+        ):
+            serial = audit_by_predicate(kg, method=method, rng=11)
+            plan = plan_of([cell])
+            executor = ParallelExecutor(workers=2, chunk_size=3)
+            assert executor.run(plan).results[cell.key] == serial
 
     def test_budget_starved_audit_shards_identically(self):
         kg = load_dataset("NELL", seed=42)
@@ -396,74 +406,6 @@ class TestPartitionedCellSharding:
         assert entry.shards_cached == 2
         reference = ParallelExecutor(workers=1).run(plan)
         assert reference.results[cell.key] == outcome.results[cell.key]
-
-
-class TestAuditByPredicateRouting:
-    @pytest.fixture(scope="class")
-    def kg(self):
-        return load_dataset("NELL", seed=42)
-
-    def test_executor_path_matches_serial(self, kg):
-        serial = audit_by_predicate(kg, rng=11)
-        routed = audit_by_predicate(
-            kg,
-            rng=11,
-            dataset="NELL",
-            executor=ParallelExecutor(workers=2, chunk_size=3),
-        )
-        assert routed == serial
-
-    def test_informative_prior_method_routes(self, kg):
-        method = AdaptiveHPD(
-            priors=UNINFORMATIVE_PRIORS + (BetaPrior(85.0, 15.0, name="Similar"),)
-        )
-        serial = audit_by_predicate(kg, method=method, rng=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            routed = audit_by_predicate(
-                kg,
-                method=method,
-                rng=3,
-                dataset="NELL",
-                executor=ParallelExecutor(workers=1, chunk_size=4),
-            )
-        assert routed == serial
-
-    def test_executor_without_dataset_spec_raises(self, kg):
-        with pytest.raises(ValidationError):
-            audit_by_predicate(kg, rng=0, executor=ParallelExecutor(workers=1))
-
-    def test_rng_none_warns_and_stays_serial(self, kg):
-        # None means fresh OS entropy serially; a routed run would pin
-        # an arbitrary seed (and a store would freeze it), so routing
-        # must refuse loudly instead of silently changing semantics.
-        with pytest.warns(RuntimeWarning, match="int seed"):
-            result = audit_by_predicate(
-                kg, dataset="NELL", executor=ParallelExecutor(workers=1)
-            )
-        assert result.partitions  # served by the serial loop
-
-    def test_non_oracle_annotator_warns_and_stays_serial(self, kg):
-        from repro.annotation.annotator import NoisyAnnotator
-
-        with pytest.warns(RuntimeWarning, match="non-oracle annotator"):
-            result = audit_by_predicate(
-                kg,
-                annotator=NoisyAnnotator(error_rate=0.1, seed=0),
-                rng=0,
-                dataset="NELL",
-                executor=ParallelExecutor(workers=1),
-            )
-        assert result.partitions  # served by the serial loop
-
-    def test_mismatched_dataset_spec_warns_and_stays_serial(self, kg):
-        # YAGO rebuilds a different KG than the NELL object passed in;
-        # routing would silently audit the wrong KG, so it must refuse.
-        with pytest.warns(RuntimeWarning, match="different KG"):
-            result = audit_by_predicate(
-                kg, rng=0, dataset="YAGO", executor=ParallelExecutor(workers=1)
-            )
-        assert result == audit_by_predicate(kg, rng=0)
 
 
 class TestPartitionedGolden:
@@ -568,44 +510,38 @@ class TestMethodPayload:
         assert cache_token(bare, settings) != cache_token(informative, settings)
 
 
-class TestCoverageProfileNoSilentFallback:
-    def test_informative_prior_ahpd_takes_executor_path(self):
-        method = AdaptiveHPD(
-            priors=UNINFORMATIVE_PRIORS + (BetaPrior(80.0, 20.0, name="Similar"),)
-        )
-        serial = coverage_profile(method, mus=[0.5, 0.9], n=20, repetitions=100, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the routed path must not warn
-            routed = coverage_profile(
-                method,
-                mus=[0.5, 0.9],
+class TestCoverageCellMatchesLibrary:
+    @pytest.mark.parametrize(
+        "method",
+        [
+            WilsonInterval(),
+            AdaptiveHPD(
+                priors=UNINFORMATIVE_PRIORS
+                + (BetaPrior(80.0, 20.0, name="Similar"),)
+            ),
+        ],
+        ids=["stock", "informative-ahpd"],
+    )
+    def test_cells_equal_empirical_coverage(self, method):
+        mus = (0.5, 0.9)
+        cells = tuple(
+            CoverageCell(
+                key=(mu,),
+                label=f"cov/{mu}",
+                method=method.name,
+                method_payload=method_payload(method),
+                mu=mu,
                 n=20,
+                seed=3 + i,
                 repetitions=100,
-                seed=3,
-                executor=ParallelExecutor(workers=2),
             )
-        assert [(r.coverage, r.mean_width) for r in routed] == [
-            (r.coverage, r.mean_width) for r in serial
-        ]
-
-    def test_unencodable_method_warns_and_matches_serial(self):
-        class Adhoc(WilsonInterval):
-            name = "Adhoc"
-
-        method = Adhoc()
-        serial = coverage_profile(method, mus=[0.5], n=20, repetitions=50, seed=1)
-        with pytest.warns(RuntimeWarning, match="no picklable"):
-            fallback = coverage_profile(
-                method,
-                mus=[0.5],
-                n=20,
-                repetitions=50,
-                seed=1,
-                executor=ParallelExecutor(workers=1),
+            for i, mu in enumerate(mus)
+        )
+        results = ParallelExecutor(workers=2).run(plan_of(cells)).results
+        for i, mu in enumerate(mus):
+            assert results[(mu,)] == empirical_coverage(
+                method, mu, 20, repetitions=100, rng=3 + i
             )
-        assert [(r.coverage, r.mean_width) for r in fallback] == [
-            (r.coverage, r.mean_width) for r in serial
-        ]
 
 
 class TestAdaptiveChunkSizing:

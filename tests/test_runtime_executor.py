@@ -12,10 +12,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.evaluation.coverage import coverage_profile
 from repro.evaluation.runner import StudyResult
 from repro.experiments.config import ExperimentSettings
-from repro.intervals.wilson import WilsonInterval
 from repro.runtime import (
     CellSpec,
     ParallelExecutor,
@@ -414,21 +412,3 @@ class TestUseContext:
         execute(self.plan())
         assert [ctx.workers for ctx in ran_under] == [3, 3]
         assert all(ctx.describe() == RunContext().describe() for ctx in ran_under)
-
-
-class TestCoverageProfileRouting:
-    def test_executor_path_matches_serial(self):
-        method = WilsonInterval()
-        serial = coverage_profile(
-            method, mus=[0.5, 0.9], n=30, repetitions=200, seed=11
-        )
-        routed = coverage_profile(
-            method,
-            mus=[0.5, 0.9],
-            n=30,
-            repetitions=200,
-            seed=11,
-            executor=ParallelExecutor(workers=2),
-        )
-        assert [r.coverage for r in routed] == [r.coverage for r in serial]
-        assert [r.mean_width for r in routed] == [r.mean_width for r in serial]

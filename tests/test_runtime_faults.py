@@ -453,16 +453,11 @@ class TestCliWiring:
 
         captured = {}
 
-        class FakeExecutor:
-            @classmethod
-            def from_context(cls, context):
-                captured.update(context.describe())
-                return cls()
+        def fake_execute(plan, context=None):
+            captured.update(context.describe())
+            raise ValidationError("stop here")
 
-            def run(self, plan):
-                raise ValidationError("stop here")
-
-        monkeypatch.setattr(cli, "ParallelExecutor", FakeExecutor)
+        monkeypatch.setattr(cli, "execute", fake_execute)
         rc = cli.main(
             [
                 "study",
@@ -518,15 +513,7 @@ class TestCliWiring:
             backend=SerialBackend(), on_error="continue", max_retries=0
         ).run(plan_of([broken, study_cell()]))
 
-        class CannedExecutor:
-            @classmethod
-            def from_context(cls, context):
-                return cls()
-
-            def run(self, plan):
-                return outcome
-
-        monkeypatch.setattr(cli, "ParallelExecutor", CannedExecutor)
+        monkeypatch.setattr(cli, "execute", lambda plan, context=None: outcome)
         rc = main(["study", "--datasets", "NELL", "--reps", "2", "--quiet"])
         assert rc == 1
         captured = capsys.readouterr()

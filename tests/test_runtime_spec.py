@@ -11,7 +11,7 @@ from repro.intervals.ahpd import AdaptiveHPD
 from repro.intervals.clopper_pearson import ClopperPearsonInterval
 from repro.intervals.et import ETCredibleInterval
 from repro.intervals.hpd import HPDCredibleInterval
-from repro.intervals.priors import KERMAN
+from repro.intervals.priors import KERMAN, BetaPrior
 from repro.intervals.wald import WaldInterval
 from repro.runtime import (
     CACHE_VERSION,
@@ -22,6 +22,8 @@ from repro.runtime import (
     build_method,
     build_strategy,
     cache_token,
+    cell_method,
+    method_payload,
 )
 from repro.sampling.srs import SimpleRandomSampling
 from repro.sampling.stratified import StratifiedPredicateSampling
@@ -68,8 +70,12 @@ class TestCacheToken:
         assert cache_token(_cell(method="Wilson"), SETTINGS) != base
         assert cache_token(_cell(strategy="TWCS:3"), SETTINGS) != base
         assert cache_token(_cell(alpha=0.01), SETTINGS) != base
+        informative = AdaptiveHPD(priors=(BetaPrior(80.0, 20.0, name="p"),))
         assert (
-            cache_token(_cell(priors=((80.0, 20.0, "p"),)), SETTINGS) != base
+            cache_token(
+                _cell(method_payload=method_payload(informative)), SETTINGS
+            )
+            != base
         )
 
     def test_covers_settings_fields(self):
@@ -99,8 +105,10 @@ class TestCacheToken:
         # Bumping CACHE_VERSION is the documented way to invalidate old
         # payloads; this guards against accidental bumps.  2: cells grew
         # the picklable method_payload field.  3: the HPD solver left
-        # settings and method payloads.
-        assert CACHE_VERSION == 3
+        # settings and method payloads.  4: StudyCell.priors left
+        # (informative priors travel as method_payload), changing every
+        # study cell's token.
+        assert CACHE_VERSION == 4
 
 
 class TestBuildStrategy:
@@ -145,7 +153,8 @@ class TestBuildMethod:
         assert hpd.prior == KERMAN
 
     def test_ahpd_informative(self):
-        method = build_method("aHPD", priors=((80.0, 20.0, "Similar"),))
+        informative = AdaptiveHPD(priors=(BetaPrior(80.0, 20.0, name="Similar"),))
+        method = cell_method(_cell(method_payload=method_payload(informative)))
         assert isinstance(method, AdaptiveHPD)
         assert [p.name for p in method.priors] == ["Similar"]
 
