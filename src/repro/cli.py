@@ -510,8 +510,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="serve integer-count interval solves with n <= N from a "
-        "precomputed table persisted beside the result store; 0 "
-        "disables (default: $REPRO_SOLVE_TABLE or 2048)",
+        "table filled on demand and persisted beside the result store; "
+        "0 disables (default: $REPRO_SOLVE_TABLE or 2048)",
     )
 
 
@@ -871,8 +871,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     sidecars = sidecar_summary(cache_dir)
     print(f"solve tables     : {sidecars['entries']} "
-          f"({sidecars['bytes']:,} bytes, {sidecars['rows']} rows)")
+          f"({sidecars['bytes']:,} bytes, {sidecars['rows_solved']} rows solved)")
     print(f"  sidecar path   : {sidecars['path']}")
+    print(f"  stale files    : {sidecars['stale_files']} "
+          f"({sidecars['stale_bytes']:,} bytes; never read, safe to delete)")
     print(f"  n cap (env)    : {resolve_solve_table(None)}")
     return 0
 

@@ -17,9 +17,9 @@ whole arrays of evidences (or Beta posteriors) in one call — the hot
 path of the Monte-Carlo experiments.  Every batch HPD solve runs the
 one damped-Newton kernel in :mod:`repro.intervals.kernels`; the scalar
 solvers in :data:`HPD_SOLVERS` remain as its fallback and as reference
-oracles.  A precomputed small-n solve table
+oracles.  A small-n solve table filled on demand
 (:mod:`repro.intervals.table`) turns repeat integer-count solves into
-memory-mapped lookups without touching results.
+lookups without touching results.
 """
 
 from .agresti_coull import AgrestiCoullInterval

@@ -81,30 +81,36 @@ class AdaptiveHPD(IntervalMethod):
     ) -> BatchIntervals:
         """Element-wise shortest interval across the candidate priors.
 
-        One vectorised HPD solve per prior; ties resolve to the earliest
-        prior, matching the scalar ``min`` over insertion order.  The
-        winning prior of each element is preserved as its label, like
-        the scalar path's ``aHPD[<prior>]`` annotation.
+        One vectorised HPD solve over every prior's posteriors stacked
+        (``P * N`` rows); the kernel is row-independent, so each row
+        equals a per-prior solve bit for bit.  Ties resolve to the
+        earliest prior, matching the scalar ``min`` over insertion
+        order.  The winning prior of each element is preserved as its
+        label, like the scalar path's ``aHPD[<prior>]`` annotation.
         """
         alpha = check_alpha(alpha)
         _, _, n_eff, tau_eff = evidence_arrays(evidences)
-        best_lower = best_upper = best_width = winner = None
-        for prior_index, prior in enumerate(self.priors):
-            a, b = posterior_shapes_batch(prior, tau_eff, n_eff)
-            lower, upper = hpd_bounds_batch(a, b, alpha)
-            width = upper - lower
-            if best_width is None:
-                best_lower, best_upper, best_width = lower, upper, width
-                winner = np.zeros(len(lower), dtype=int)
-            else:
-                shorter = width < best_width
-                best_lower = np.where(shorter, lower, best_lower)
-                best_upper = np.where(shorter, upper, best_upper)
-                best_width = np.where(shorter, width, best_width)
-                winner = np.where(shorter, prior_index, winner)
+        shapes = [
+            posterior_shapes_batch(prior, tau_eff, n_eff) for prior in self.priors
+        ]
+        lowers, uppers = hpd_bounds_batch(
+            np.concatenate([a for a, _ in shapes]),
+            np.concatenate([b for _, b in shapes]),
+            alpha,
+        )
+        lowers = lowers.reshape(len(self.priors), -1)
+        uppers = uppers.reshape(len(self.priors), -1)
+        widths = uppers - lowers
+        best_width = widths[0]
+        winner = np.zeros(widths.shape[1], dtype=int)
+        for prior_index in range(1, len(self.priors)):
+            shorter = widths[prior_index] < best_width
+            best_width = np.where(shorter, widths[prior_index], best_width)
+            winner[shorter] = prior_index
+        columns = np.arange(widths.shape[1])
         return BatchIntervals(
-            lower=best_lower,
-            upper=best_upper,
+            lower=lowers[winner, columns],
+            upper=uppers[winner, columns],
             alpha=alpha,
             method=self.name,
             labels=tuple(f"aHPD[{self.priors[i].name}]" for i in winner),

@@ -74,10 +74,11 @@ def use_solve_pool(pool: Any) -> Iterator[Any]:
 #: The ambient small-n solve table, if any.  A table is an object with
 #: a ``serve(method, evidences, alpha, build=...) -> BatchIntervals |
 #: None`` method that short-circuits solves over integer-count
-#: evidences by slicing a precomputed (method, alpha, n) interval table
-#: (see :mod:`repro.intervals.table`).  Like the solve pool, it lives
-#: in a context variable so concurrent requests route independently —
-#: and like the pool, it changes wall-clock, never numbers.
+#: evidences by indexing a (method, alpha, n) interval table that fills
+#: row by row on demand (see :mod:`repro.intervals.table`).  Like the
+#: solve pool, it lives in a context variable so concurrent requests
+#: route independently — and like the pool, it changes wall-clock,
+#: never numbers.
 _SOLVE_TABLE: contextvars.ContextVar[Any] = contextvars.ContextVar(
     "repro-solve-table", default=None
 )
@@ -225,7 +226,8 @@ class IntervalMethod(ABC):
         solves and flush them as one vectorised call.  Under
         :func:`use_solve_table` the ambient table is consulted first —
         integer-count evidences below the table's ``n`` cap are served
-        from the precomputed (method, alpha, n) table without solving.
+        from its (method, alpha, n) table, which solves only the rows it
+        does not hold yet.
         Because every built-in batch kernel is row-independent, a
         pooled slice or a table slice is bit-identical to a direct
         :meth:`compute_batch` — routing changes wall-clock, never
@@ -234,10 +236,10 @@ class IntervalMethod(ABC):
         pool = _SOLVE_POOL.get()
         table = _SOLVE_TABLE.get()
         if table is not None:
-            # With a pool installed, only already-built tables may
-            # short-circuit here (build=False): a cold build would
-            # serialise callers behind table construction, whereas the
-            # broker's flush builds once for every pooled caller.
+            # With a pool installed, only rows the table already holds
+            # may short-circuit here (build=False): a fill would
+            # serialise callers behind it, whereas the broker's flush
+            # fills once for every pooled caller.
             served = table.serve(self, evidences, alpha, build=pool is None)
             if served is not None:
                 return served

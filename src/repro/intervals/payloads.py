@@ -10,8 +10,8 @@ The machinery lives here (not in :mod:`repro.runtime.cells`, which
 re-exports it) because the intervals layer itself needs payload keys:
 the cross-request :class:`~repro.runtime.solvebatch.SolveBroker` groups
 pending solves by payload, and the small-n
-:class:`~repro.intervals.table.SolveTable` keys its precomputed
-interval tables the same way.  Payload bytes are part of the cache
+:class:`~repro.intervals.table.SolveTable` keys its interval
+tables the same way.  Payload bytes are part of the cache
 contract — two equal-configured method instances must produce equal
 payloads, and the payload of any method must be stable across
 processes and PRs.

@@ -67,16 +67,23 @@ def run_task(task: CellShard, settings: "ExperimentSettings") -> tuple[Any, floa
     ``REPRO_CACHE_DIR``) is installed for the unit — the worker-side
     mirror of the executor's run-scoped install.  Tables are pure
     memoisation, so this changes worker wall-clock, never results.
+    When the unit ends, the table writes the rows it solved to its
+    sidecars (:meth:`~repro.intervals.table.SolveTable.flush`), in
+    whichever process ran the unit.
     """
     table = active_solve_table()
     if table is None:
         cap = resolve_solve_table(None)
         if cap > 0:
             table = shared_table(resolve_cache_dir(None), cap)
-    with use_solve_table(table):
-        start = time.perf_counter()
-        value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
-        return value, time.perf_counter() - start
+    try:
+        with use_solve_table(table):
+            start = time.perf_counter()
+            value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
+            return value, time.perf_counter() - start
+    finally:
+        if table is not None:
+            table.flush()
 
 
 class BackendFuture(abc.ABC):

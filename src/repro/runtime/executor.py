@@ -224,8 +224,8 @@ class ParallelExecutor:
         solves are bit-identical to direct ones.
     solve_table:
         Small-n solve-table cap: integer-count solves with ``n`` at or
-        below this are served from a precomputed, memory-mapped
-        (method, alpha, n) interval table rooted in the result store
+        below this are served from a (method, alpha, n) interval table
+        that fills row by row on demand and persists in the result store
         (see :mod:`repro.intervals.table`).  ``0`` disables; ``None``
         reads ``REPRO_SOLVE_TABLE`` (default 2048).  Tables are pure
         memoisation — served rows are bit-identical to solved ones.
@@ -533,21 +533,23 @@ class ParallelExecutor:
         finally:
             pool_stack.close()
             if table is not None and table_before is not None:
+                # Merges solve outside any unit (run_task flushes units),
+                # so the run writes the rows they filled.
+                table.flush()
                 # The table is shared process-wide; journal this run's
                 # *delta* so concurrent runs' summaries stay additive.
                 after = table.stats()
+                counts = (
+                    "hits", "misses", "ineligible", "builds",
+                    "rows_solved", "sidecar_loads", "rows_served",
+                )
                 telemetry.emit(
                     "solve_table",
                     cap=table.cap,
-                    hits=after["hits"] - table_before["hits"],
-                    misses=after["misses"] - table_before["misses"],
-                    ineligible=after["ineligible"] - table_before["ineligible"],
-                    builds=after["builds"] - table_before["builds"],
+                    **{name: after[name] - table_before[name] for name in counts},
                     build_seconds=round(
                         after["build_seconds"] - table_before["build_seconds"], 6
                     ),
-                    rows_served=after["rows_served"]
-                    - table_before["rows_served"],
                     entries=after["entries"],
                 )
             telemetry.emit(

@@ -159,8 +159,8 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
     ),
     "REPRO_SOLVE_TABLE": (
         _parse_int("REPRO_SOLVE_TABLE"),
-        "small-n solve-table cap: precompute/memoise interval tables "
-        "for integer-count evidences with n <= cap "
+        "small-n solve-table cap: memoise interval solves of "
+        "integer-count evidences with n <= cap, row by row on demand "
         "(int >= 0; 0 disables; default 2048)",
     ),
 }
@@ -380,10 +380,10 @@ def resolve_solve_table(cap: int | None) -> int:
     """Explicit cap, or the ``REPRO_SOLVE_TABLE`` default (2048).
 
     The largest evidence count ``n`` the small-n
-    :class:`~repro.intervals.table.SolveTable` precomputes full
-    ``(method, alpha, n)`` interval tables for; ``0`` disables the
-    table entirely.  Table serving is pure memoisation — served rows
-    are bit-identical to freshly solved ones.
+    :class:`~repro.intervals.table.SolveTable` keeps ``(method, alpha,
+    n)`` interval tables for, filling each row on first demand; ``0``
+    disables the table entirely.  Table serving is pure memoisation —
+    served rows are bit-identical to freshly solved ones.
     """
     if cap is None:
         cap = env_knob("REPRO_SOLVE_TABLE")

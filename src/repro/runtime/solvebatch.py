@@ -25,11 +25,11 @@ requests).
 
 When a small-n solve table (:mod:`repro.intervals.table`) is installed,
 each entry captures its caller's ambient table at enqueue time; the
-flush serves table-eligible entries by lookup — building the table
-once, on the leader's thread, for every pooled caller to share — and
-pools only the remainder.  Warm-table solves never reach the broker at
-all: ``solve_batch`` consults the table (without building) before
-enqueueing.
+flush serves table-eligible entries by lookup — each entry solving
+only the rows its table does not hold yet, on the leader's thread,
+for every pooled caller to share — and pools only the remainder.
+Warm-table solves never reach the broker at all: ``solve_batch``
+consults the table (without solving) before enqueueing.
 
 The broker is also fork-aware: a fork-start process-pool worker clones
 the submitting thread, context (and any installed channel) included,
@@ -313,10 +313,10 @@ class SolveBroker:
             "rows": rows,
         }
         # Solve tables first: entries whose captured table can serve the
-        # whole segment (building the table here, once, on the leader's
-        # thread) skip the pooled solve entirely; the rest pool.  A
-        # table serve is bit-identical to the pooled slice, so the mix
-        # is invisible to callers.
+        # whole segment (solving its missing rows here, on the leader's
+        # thread) skip the pooled solve entirely; the rest pool.  A table
+        # serve is bit-identical to the pooled slice, so the mix is
+        # invisible to callers.
         served: dict[int, "BatchIntervals"] = {}
         for index, entry in enumerate(entries):
             if entry.table is None:

@@ -62,8 +62,10 @@ __all__ = [
 #: meanings change incompatibly.  2: ``solve_table`` hits count only
 #: serves answered from tables already in memory (a first-touch build
 #: or sidecar load is a miss), and the solver-kernel fallback event is
-#: gone with the kernel choice.
-TRACE_SCHEMA_VERSION = 2
+#: gone with the kernel choice.  3: tables fill on demand, so
+#: ``solve_table.builds`` counts fill solves (not whole tables) and the
+#: event gains ``rows_solved`` and ``sidecar_loads``.
+TRACE_SCHEMA_VERSION = 3
 
 #: Every event type the runtime emits.  The journal-schema check (CI
 #: and ``python -m repro trace check``) rejects anything else, so a
@@ -319,6 +321,8 @@ class MetricsAggregate:
         self.table_misses = 0
         self.table_ineligible = 0
         self.table_builds = 0
+        self.table_rows_solved = 0
+        self.table_sidecar_loads = 0
         self.table_build_seconds = 0.0
         self.table_rows_served = 0
         self.table_cap: int | None = None
@@ -377,6 +381,8 @@ class MetricsAggregate:
             self.table_misses += int(fields.get("misses", 0))
             self.table_ineligible += int(fields.get("ineligible", 0))
             self.table_builds += int(fields.get("builds", 0))
+            self.table_rows_solved += int(fields.get("rows_solved", 0))
+            self.table_sidecar_loads += int(fields.get("sidecar_loads", 0))
             self.table_build_seconds += float(fields.get("build_seconds", 0.0))
             self.table_rows_served += int(fields.get("rows_served", 0))
             if fields.get("cap") is not None:
@@ -479,6 +485,8 @@ class MetricsAggregate:
                 "misses": self.table_misses,
                 "ineligible": self.table_ineligible,
                 "builds": self.table_builds,
+                "rows_solved": self.table_rows_solved,
+                "sidecar_loads": self.table_sidecar_loads,
                 "build_seconds": round(self.table_build_seconds, 6),
                 "rows_served": self.table_rows_served,
             },
@@ -664,8 +672,9 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
             "solve table",
             f"  hits / misses      : {table['hits']} / {table['misses']}",
             f"  rows served        : {table['rows_served']}",
-            f"  tables built       : {table['builds']}"
-            f"  ({table['build_seconds']:.3f}s)",
+            f"  rows solved        : {table['rows_solved']}"
+            f"  in {table['builds']} fill(s) ({table['build_seconds']:.3f}s)",
+            f"  sidecar loads      : {table['sidecar_loads']}",
         ]
     if aggregate["by_kind"]:
         lines += ["", "per cell kind (units, execute s, queue-wait s)"]

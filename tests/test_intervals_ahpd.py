@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.estimators.base import Evidence
-from repro.exceptions import ValidationError
+from repro.exceptions import IntervalError, ValidationError
+from repro.experiments.example2 import EXAMPLE2_INFORMATIVE_PRIORS
 from repro.intervals.ahpd import AdaptiveHPD
+from repro.intervals.batch import (
+    BatchIntervals,
+    evidence_arrays,
+    hpd_bounds_batch,
+    posterior_shapes_batch,
+)
 from repro.intervals.hpd import HPDCredibleInterval
+from repro.intervals.kernels import SolverKernel
 from repro.intervals.priors import JEFFREYS, KERMAN, UNIFORM, BetaPrior
 
 
@@ -103,3 +112,106 @@ class TestLimitingCases:
     def test_all_incorrect_uses_limiting_case(self):
         interval = AdaptiveHPD().compute(Evidence.from_counts(0, 30), 0.05)
         assert interval.lower == 0.0
+
+
+def per_prior_oracle(method: AdaptiveHPD, evidences, alpha: float) -> BatchIntervals:
+    """aHPD's batch selection as one ``hpd_bounds_batch`` per prior,
+    keeping the earlier prior unless a later one is strictly shorter."""
+    _, _, n_eff, tau_eff = evidence_arrays(evidences)
+    best_lower = best_upper = best_width = winner = None
+    for prior_index, prior in enumerate(method.priors):
+        a, b = posterior_shapes_batch(prior, tau_eff, n_eff)
+        lower, upper = hpd_bounds_batch(a, b, alpha)
+        width = upper - lower
+        if best_width is None:
+            best_lower, best_upper, best_width = lower, upper, width
+            winner = np.zeros(len(lower), dtype=int)
+        else:
+            shorter = width < best_width
+            best_lower = np.where(shorter, lower, best_lower)
+            best_upper = np.where(shorter, upper, best_upper)
+            best_width = np.where(shorter, width, best_width)
+            winner = np.where(shorter, prior_index, winner)
+    return BatchIntervals(
+        lower=best_lower,
+        upper=best_upper,
+        alpha=alpha,
+        method=method.name,
+        labels=tuple(f"aHPD[{method.priors[i].name}]" for i in winner),
+    )
+
+
+def integer_evidence():
+    return [
+        Evidence.from_counts(tau, n) for n in (1, 2, 7, 30, 120) for tau in range(n + 1)
+    ]
+
+
+def twcs_like_evidence():
+    # Fractional effective counts, as cluster designs produce them.
+    rng = np.random.default_rng(7)
+    n_eff = rng.uniform(2.0, 400.0, 300)
+    tau_eff = n_eff * rng.uniform(0.0, 1.0, 300)
+    return [
+        Evidence(
+            mu_hat=t / n, variance=0.01, n_effective=n, tau_effective=t,
+            n_annotated=int(n),
+        )
+        for n, t in zip(n_eff, tau_eff)
+    ]
+
+
+class TestOneNewtonBatch:
+    @pytest.mark.parametrize(
+        "priors",
+        [None, EXAMPLE2_INFORMATIVE_PRIORS],
+        ids=["uninformative", "example2-informative"],
+    )
+    @pytest.mark.parametrize(
+        "evidence", [integer_evidence, twcs_like_evidence], ids=["integer", "twcs-like"]
+    )
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_equals_per_prior_oracle_bit_for_bit(self, priors, evidence, alpha):
+        method = AdaptiveHPD() if priors is None else AdaptiveHPD(priors=priors)
+        evidences = evidence()
+        got = method.compute_batch(evidences, alpha)
+        want = per_prior_oracle(method, evidences, alpha)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert got.upper.tobytes() == want.upper.tobytes()
+        assert got.labels == want.labels
+        assert (got.alpha, got.method) == (want.alpha, want.method)
+
+    def test_exact_ties_go_to_the_earliest_prior(self):
+        twin = BetaPrior(1.0, 1.0, name="Flat")
+        method = AdaptiveHPD(priors=(UNIFORM, twin, KERMAN))
+        evidences = integer_evidence()
+        got = method.compute_batch(evidences, 0.05)
+        want = per_prior_oracle(method, evidences, 0.05)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert got.upper.tobytes() == want.upper.tobytes()
+        assert got.labels == want.labels
+        assert "aHPD[Flat]" not in got.labels
+        assert "aHPD[Uniform]" in got.labels
+
+    def test_one_newton_call_per_solve(self, monkeypatch):
+        calls = []
+        newton = SolverKernel.newton_interior
+
+        def counting(self, a, b, alpha):
+            calls.append(len(a))
+            return newton(self, a, b, alpha)
+
+        monkeypatch.setattr(SolverKernel, "newton_interior", counting)
+        evidences = [Evidence.from_counts(tau, 30) for tau in range(1, 30)]
+        AdaptiveHPD().compute_batch(evidences, 0.05)
+        assert calls == [3 * len(evidences)]
+
+    def test_u_shaped_row_still_raises(self):
+        # n_effective 0.5: the Kerman and Jeffreys posteriors are U-shaped.
+        bathtub = Evidence(
+            mu_hat=0.5, variance=0.25, n_effective=0.5, tau_effective=0.25,
+            n_annotated=1,
+        )
+        evidences = [Evidence.from_counts(3, 10), bathtub]
+        with pytest.raises(IntervalError, match="U-shaped"):
+            AdaptiveHPD().compute_batch(evidences, 0.05)

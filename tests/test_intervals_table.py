@@ -5,19 +5,23 @@ memoisation: for every method, alpha, and eligible batch, the served
 bounds must be *bitwise* equal to a direct ``compute_batch`` — and to a
 pooled :class:`~repro.runtime.solvebatch.SolveBroker` flush, which is
 the other consult point.  These tests pin that three-way identity for
-all nine methods, the mmap sidecar round-trip (including a genuinely
-fresh process), and the table's strict fall-through for anything it
-cannot serve exactly.
+all nine methods, on-demand fills (a serve solves only the rows the
+table lacks), the mmap sidecar round-trip of full and partial tables
+(including a genuinely fresh process) and its commit order, and the
+table's strict fall-through for anything it cannot serve exactly.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -38,6 +42,7 @@ from repro.intervals import (
 from repro.intervals.base import use_solve_pool, use_solve_table
 from repro.intervals.table import (
     DEFAULT_TABLE_CAP,
+    TABLE_SCHEMA_VERSION,
     SolveTable,
     shared_table,
     sidecar_summary,
@@ -60,6 +65,44 @@ def batches_equal(a, b) -> bool:
         and a.method == b.method
         and a.labels == b.labels
     )
+
+
+def fresh_process_serve(root, n: int, taus, build: bool) -> list[str] | None:
+    """Serve aHPD rows *taus* of *n* from a table in a new interpreter.
+
+    Returns ``[lower hex, upper hex, labels, builds, rows_solved]`` or
+    ``None`` when the table fell through.
+    """
+    script = (
+        "from repro.estimators.base import Evidence\n"
+        "from repro.intervals import AdaptiveHPD\n"
+        "from repro.intervals.table import SolveTable\n"
+        f"table = SolveTable({str(root)!r}, cap=256)\n"
+        f"evs = [Evidence.from_counts(t, {n}) for t in {list(taus)!r}]\n"
+        f"served = table.serve(AdaptiveHPD(), evs, 0.05, build={build!r})\n"
+        "stats = table.stats()\n"
+        "print('none' if served is None else '\\n'.join([\n"
+        "    served.lower.tobytes().hex(), served.upper.tobytes().hex(),\n"
+        "    '|'.join(served.labels), str(stats['builds']),\n"
+        "    str(stats['rows_solved'])]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1]) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    return None if lines == ["none"] else lines
+
+
+def sidecar_pair(root) -> tuple[Path, Path]:
+    """The one table's .npy and its (possibly absent) .labels.json."""
+    (npy,) = (Path(root) / "solvetable").glob("*.npy")
+    return npy, npy.with_name(npy.name[: -len(".npy")] + ".labels.json")
 
 
 class TestBitIdentity:
@@ -142,6 +185,7 @@ class TestCounters:
         assert table.serve(method, evidences, 0.05) is not None
         assert (table.stats()["hits"], table.stats()["misses"]) == (1, 1)
         # A sidecar load is not an in-memory hit either.
+        assert table.flush() == 1
         fresh = SolveTable(tmp_path, cap=16)
         assert fresh.serve(method, evidences, 0.05, build=False) is not None
         assert (fresh.stats()["hits"], fresh.stats()["misses"]) == (0, 1)
@@ -177,7 +221,9 @@ class TestCounters:
             table.serve(method, evidences, 0.05, build=build)
         stats = table.stats()
         assert stats["hits"] + stats["misses"] + stats["ineligible"] == len(calls)
-        assert (stats["hits"], stats["misses"], stats["ineligible"]) == (2, 4, 3)
+        # Every eligible call needed a row its table did not hold yet
+        # (a new tau at a touched n is a miss too), so none is a hit.
+        assert (stats["hits"], stats["misses"], stats["ineligible"]) == (0, 6, 3)
 
 
 class TestPersistence:
@@ -185,7 +231,9 @@ class TestPersistence:
         method = ETCredibleInterval()
         evidences = [Evidence.from_counts(tau, 9) for tau in range(10)]
         direct = method.compute_batch(evidences, 0.05)
-        SolveTable(tmp_path, cap=16).serve(method, evidences, 0.05)
+        table = SolveTable(tmp_path, cap=16)
+        table.serve(method, evidences, 0.05)
+        table.flush()
         fresh = SolveTable(tmp_path, cap=16)
         served = fresh.serve(method, evidences, 0.05, build=False)
         assert served is not None and batches_equal(direct, served)
@@ -196,34 +244,16 @@ class TestPersistence:
         method = AdaptiveHPD()  # the label-carrying selector
         evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
         direct = method.compute_batch(evidences, 0.05)
-        SolveTable(tmp_path, cap=16).serve(method, evidences, 0.05)
-        script = (
-            "import numpy as np\n"
-            "from repro.estimators.base import Evidence\n"
-            "from repro.intervals import AdaptiveHPD\n"
-            "from repro.intervals.table import SolveTable\n"
-            f"table = SolveTable({str(tmp_path)!r}, cap=16)\n"
-            "evs = [Evidence.from_counts(t, 6) for t in range(7)]\n"
-            "served = table.serve(AdaptiveHPD(), evs, 0.05, build=False)\n"
-            "assert served is not None, 'sidecar not served'\n"
-            "assert table.stats()['builds'] == 0\n"
-            "print(served.lower.tobytes().hex())\n"
-            "print(served.upper.tobytes().hex())\n"
-            "print('|'.join(served.labels))\n"
+        table = SolveTable(tmp_path, cap=16)
+        table.serve(method, evidences, 0.05)
+        table.flush()
+        lower_hex, upper_hex, labels, builds, _ = fresh_process_serve(
+            tmp_path, 6, range(7), build=False
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1]) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lower_hex, upper_hex, labels = proc.stdout.strip().splitlines()
         assert lower_hex == direct.lower.tobytes().hex()
         assert upper_hex == direct.upper.tobytes().hex()
         assert tuple(labels.split("|")) == direct.labels
+        assert builds == "0"
 
     def test_corrupt_sidecar_is_rebuilt_not_served(self, tmp_path):
         method = WilsonInterval()
@@ -245,7 +275,9 @@ class TestPersistence:
         before = store.stats()
         method = HPDCredibleInterval()
         evidences = [Evidence.from_counts(2, 4)]
-        SolveTable(tmp_path, cap=8).serve(method, evidences, 0.05)
+        table = SolveTable(tmp_path, cap=8)
+        table.serve(method, evidences, 0.05)
+        table.flush()
         assert sidecar_summary(tmp_path)["entries"] == 1
         store.save("b" * 40, {"value": 2, "label": "after", "seconds": 0.0})
         # The store never sees the sidecars: entry counts and bytes
@@ -257,6 +289,278 @@ class TestPersistence:
         # And the table still serves beside the new entries.
         fresh = SolveTable(tmp_path, cap=8)
         assert fresh.serve(method, evidences, 0.05, build=False) is not None
+
+
+class TestOnDemandFill:
+    def test_one_row_serve_solves_one_row(self, tmp_path):
+        method = AdaptiveHPD()
+        seen: list[int] = []
+        compute_batch = method.compute_batch
+
+        def spy(evidences, alpha):
+            seen.append(len(evidences))
+            return compute_batch(evidences, alpha)
+
+        method.compute_batch = spy
+        evidences = [Evidence.from_counts(57, 200)]
+        table = SolveTable(tmp_path, cap=256)
+        served = table.serve(method, evidences, 0.05)
+        assert batches_equal(compute_batch(evidences, 0.05), served)
+        assert seen == [1]
+        stats = table.stats()
+        assert (stats["builds"], stats["rows_solved"]) == (1, 1)
+
+    def test_new_tau_at_a_touched_n_misses_and_a_repeat_hits(self, tmp_path):
+        method = HPDCredibleInterval()
+        table = SolveTable(tmp_path, cap=256)
+        table.serve(method, [Evidence.from_counts(57, 200)], 0.05)
+        other = [Evidence.from_counts(58, 200)]
+        assert batches_equal(
+            method.compute_batch(other, 0.05), table.serve(method, other, 0.05)
+        )
+        stats = table.stats()
+        assert (stats["hits"], stats["misses"], stats["rows_solved"]) == (0, 2, 2)
+        assert table.serve(method, other, 0.05) is not None
+        stats = table.stats()
+        assert (stats["hits"], stats["misses"], stats["rows_solved"]) == (1, 2, 2)
+
+    def test_repeated_rows_in_one_batch_solve_once(self, tmp_path):
+        method = WilsonInterval()
+        evidences = [Evidence.from_counts(tau, 9) for tau in (4, 4, 1, 4, 1)]
+        table = SolveTable(tmp_path, cap=16)
+        served = table.serve(method, evidences, 0.05)
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        assert table.stats()["rows_solved"] == 2
+
+    @pytest.mark.parametrize("method_cls", ALL_METHODS)
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_one_tau_at_a_time_in_any_order_equals_compute_batch(
+        self, method_cls, alpha
+    ):
+        method = method_cls()
+        n = 40
+        evidences = [Evidence.from_counts(tau, n) for tau in range(n + 1)]
+        direct = method.compute_batch(evidences, alpha)
+        table = SolveTable(None, cap=64)
+        order = list(range(n + 1))
+        random.Random(f"{method_cls.__name__}-{alpha}").shuffle(order)
+        for tau in order:
+            single = table.serve(method, [evidences[tau]], alpha)
+            assert single.lower.tobytes() == direct.lower[tau : tau + 1].tobytes()
+            assert single.upper.tobytes() == direct.upper[tau : tau + 1].tobytes()
+            want = None if direct.labels is None else (direct.labels[tau],)
+            assert single.labels == want
+        assert table.stats()["rows_solved"] == n + 1
+        assert batches_equal(direct, table.serve(method, evidences, alpha))
+        assert table.stats()["rows_solved"] == n + 1
+
+
+class TestPartialSidecars:
+    def test_partial_sidecar_round_trips_in_fresh_process(self, tmp_path):
+        method = AdaptiveHPD()
+        held = [0, 3, 17, 40]
+        evidences = [Evidence.from_counts(tau, 40) for tau in held]
+        direct = method.compute_batch(evidences, 0.05)
+        table = SolveTable(tmp_path, cap=256)
+        table.serve(method, evidences, 0.05)
+        assert table.flush() == 1
+        lower_hex, upper_hex, labels, builds, rows = fresh_process_serve(
+            tmp_path, 40, held, build=False
+        )
+        assert lower_hex == direct.lower.tobytes().hex()
+        assert upper_hex == direct.upper.tobytes().hex()
+        assert tuple(labels.split("|")) == direct.labels
+        assert (builds, rows) == ("0", "0")
+        # A row the sidecar does not hold: no answer without solving...
+        assert fresh_process_serve(tmp_path, 40, [3, 5], build=False) is None
+        # ...and with solving, exactly that row is solved.
+        *_, builds, rows = fresh_process_serve(tmp_path, 40, [3, 5], build=True)
+        assert (builds, rows) == ("1", "1")
+
+    def test_build_false_misses_and_build_true_solves_only_the_missing_row(
+        self, tmp_path
+    ):
+        method = ETCredibleInterval()
+        table = SolveTable(tmp_path, cap=16)
+        table.serve(method, [Evidence.from_counts(1, 9)], 0.05)
+        table.flush()
+        evidences = [Evidence.from_counts(1, 9), Evidence.from_counts(5, 9)]
+        fresh = SolveTable(tmp_path, cap=16)
+        assert fresh.serve(method, evidences, 0.05, build=False) is None
+        served = fresh.serve(method, evidences, 0.05)
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        stats = fresh.stats()
+        assert (stats["sidecar_loads"], stats["builds"], stats["rows_solved"]) == (
+            1, 1, 1,
+        )
+        assert (stats["hits"], stats["misses"]) == (0, 2)
+
+    def test_flush_with_nothing_dirty_writes_nothing(self, tmp_path):
+        method = AdaptiveHPD()
+        evidences = [Evidence.from_counts(2, 5)]
+        table = SolveTable(tmp_path, cap=8)
+        assert table.flush() == 0
+        assert not (tmp_path / "solvetable").exists()
+        table.serve(method, evidences, 0.05)
+        assert table.flush() == 1
+        npy, labels = sidecar_pair(tmp_path)
+        stamps = (npy.stat().st_mtime_ns, labels.stat().st_mtime_ns)
+        table.serve(method, evidences, 0.05)  # a hit fills nothing
+        assert table.flush() == 0
+        fresh = SolveTable(tmp_path, cap=8)
+        assert fresh.serve(method, evidences, 0.05, build=False) is not None
+        assert fresh.flush() == 0  # a load fills nothing either
+        assert (npy.stat().st_mtime_ns, labels.stat().st_mtime_ns) == stamps
+        assert sorted(path.name for path in npy.parent.iterdir()) == sorted(
+            [npy.name, labels.name]
+        )
+
+    def test_memory_only_table_never_writes(self, tmp_path):
+        table = SolveTable(None, cap=8)
+        table.serve(WilsonInterval(), [Evidence.from_counts(2, 5)], 0.05)
+        assert table.flush() == 0
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_row_with_nan_in_one_bound_is_solved_again(self, tmp_path, bound):
+        method = HPDCredibleInterval()
+        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
+        table = SolveTable(tmp_path, cap=8)
+        table.serve(method, evidences, 0.05)
+        table.flush()
+        npy, _ = sidecar_pair(tmp_path)
+        bounds = np.load(npy)
+        bounds[bound, 4] = np.nan
+        np.save(npy, bounds)
+        fresh = SolveTable(tmp_path, cap=8)
+        assert fresh.serve(method, evidences, 0.05, build=False) is None
+        served = fresh.serve(method, evidences, 0.05)
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        assert fresh.stats()["rows_solved"] == 1
+
+
+class TestSidecarCommit:
+    """The ``.npy`` replace commits a sidecar pair; its labels land first."""
+
+    def test_write_interrupted_after_the_labels_serves_no_row_unlabelled(
+        self, tmp_path, monkeypatch
+    ):
+        method = AdaptiveHPD()
+        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
+        direct = method.compute_batch(evidences, 0.05)
+        assert direct.labels[3] == "aHPD[Uniform]"
+        first = SolveTable(tmp_path, cap=16)
+        first.serve(method, evidences[:4], 0.05)
+        first.flush()
+        # A later process solves rows 4-6; its write dies after the
+        # labels landed and before the .npy replace (a crash, a full disk).
+        second = SolveTable(tmp_path, cap=16)
+        second.serve(method, evidences, 0.05)
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.intervals.table.np.save", disk_full)
+            assert second.flush() == 0
+        npy, labels = sidecar_pair(tmp_path)
+        assert json.loads(labels.read_text()) == list(direct.labels)
+        assert int(np.count_nonzero(~np.isnan(np.load(npy)[0]))) == 4
+        fresh = SolveTable(tmp_path, cap=16)
+        assert fresh.serve(method, evidences, 0.05, build=False) is None
+        held = fresh.serve(method, evidences[:4], 0.05, build=False)
+        assert held.labels == direct.labels[:4]
+        assert batches_equal(direct, fresh.serve(method, evidences, 0.05))
+        assert fresh.stats()["rows_solved"] == 3
+
+    def test_crossed_pairs_solve_held_rows_without_labels_again(self, tmp_path):
+        # Two processes write the same table: the labels of one and the
+        # .npy of the other end up on disk.
+        method = AdaptiveHPD()
+        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
+        one, two = SolveTable(tmp_path, cap=16), SolveTable(tmp_path, cap=16)
+        one.serve(method, evidences[:2], 0.05)
+        two.serve(method, evidences[2:4], 0.05)
+        one.flush()
+        npy, _ = sidecar_pair(tmp_path)
+        rows_of_one = npy.read_bytes()
+        two.flush()
+        npy.write_bytes(rows_of_one)
+        fresh = SolveTable(tmp_path, cap=16)
+        assert fresh.serve(method, evidences[:2], 0.05, build=False) is None
+        served = fresh.serve(method, evidences, 0.05)
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        assert fresh.stats()["rows_solved"] == 7
+
+
+class TestConcurrentFills:
+    def test_threads_fill_and_flush_one_table(self, tmp_path):
+        # More threads than cores, a short switch interval: serves, fills
+        # and flushes interleave.  Each row must be solved exactly once
+        # (a lost update would solve it twice or serve a NaN), every
+        # answer must equal compute_batch, and the last flush must leave
+        # every row on disk.
+        method = AdaptiveHPD()
+        n = 30
+        evidences = [Evidence.from_counts(tau, n) for tau in range(n + 1)]
+        direct = method.compute_batch(evidences, 0.05)
+        table = SolveTable(tmp_path, cap=64)
+        errors: list[BaseException] = []
+
+        def work(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    taus = rng.sample(range(n + 1), 3)
+                    served = table.serve(method, [evidences[t] for t in taus], 0.05)
+                    assert served.lower.tobytes() == direct.lower[taus].tobytes()
+                    assert served.upper.tobytes() == direct.upper[taus].tobytes()
+                    assert served.labels == tuple(direct.labels[t] for t in taus)
+                    if rng.random() < 0.2:
+                        table.flush()
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert table.stats()["rows_solved"] == n + 1
+        table.flush()
+        fresh = SolveTable(tmp_path, cap=64)
+        served = fresh.serve(method, evidences, 0.05, build=False)
+        assert served is not None and batches_equal(direct, served)
+
+
+class TestSidecarInventory:
+    def test_summary_counts_current_tables_and_stale_files_apart(self, tmp_path):
+        method = WilsonInterval()
+        table = SolveTable(tmp_path, cap=16)
+        table.serve(method, [Evidence.from_counts(tau, 9) for tau in (1, 2, 3)], 0.05)
+        table.serve(method, [Evidence.from_counts(0, 4)], 0.05)
+        assert table.flush() == 2
+        base = tmp_path / "solvetable"
+        assert all(
+            path.name.startswith(f"v{TABLE_SCHEMA_VERSION}-")
+            for path in base.iterdir()
+        )
+        current_bytes = sum(path.stat().st_size for path in base.iterdir())
+        # An older schema's pair and a write's leftover tmp file.
+        (base / ("a" * 64 + ".npy")).write_bytes(b"x" * 100)
+        (base / ("a" * 64 + ".labels.json")).write_bytes(b"x" * 20)
+        (base / f"v{TABLE_SCHEMA_VERSION}-{'b' * 64}.npy.tmp-1-2").write_bytes(b"x" * 5)
+        summary = sidecar_summary(tmp_path)
+        assert summary["entries"] == 2
+        assert summary["bytes"] == current_bytes
+        assert summary["rows_solved"] == 4
+        assert (summary["stale_files"], summary["stale_bytes"]) == (3, 125)
 
 
 class TestEligibility:

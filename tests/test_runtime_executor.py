@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from repro.evaluation.runner import StudyResult
 from repro.experiments.config import ExperimentSettings
+from repro.intervals.table import sidecar_summary
 from repro.runtime import (
     CellSpec,
+    CoverageCell,
     ParallelExecutor,
     ResultStore,
     RunContext,
@@ -310,6 +312,56 @@ class TestExecutionOverlap:
         plan = StudyPlan(settings=settings, cells=(cell,), name="one")
         outcome = ParallelExecutor(workers=1).run(plan)
         assert outcome.results[("x",)] == ("x",)
+
+
+class TestSolveTableSidecars:
+    """Every row a run solves reaches the store's solve-table sidecars."""
+
+    def test_rows_a_merge_solves_are_written_by_the_run(self, tmp_path):
+        # A coverage cell solves in its merge, in the scheduler, after
+        # its unit ended: the run's own flush must write those rows.
+        cells = tuple(
+            CoverageCell(
+                key=(method,), label=f"coverage/{method}", method=method,
+                mu=0.9, n=40, seed=7,
+            )
+            for method in ("Wilson", "aHPD")
+        )
+        plan = StudyPlan(
+            settings=ExperimentSettings(repetitions=20, seed=0),
+            cells=cells,
+            name="coverage",
+        )
+        outcome = execute(
+            plan, context=RunContext(store=tmp_path, workers=1, backend="serial")
+        )
+        solved = outcome.metrics.as_dict()["solve_table"]["rows_solved"]
+        assert solved > 0
+        assert sidecar_summary(tmp_path)["rows_solved"] == solved
+
+    def test_rows_pool_workers_solve_are_written_by_their_units(self, tmp_path):
+        # Forked workers fill their own copy of the table; only the flush
+        # at the end of each unit gets their rows to disk.  The two cells
+        # use different methods, so the workers write disjoint tables.
+        plan = small_plan(datasets=("NELL",))
+        plan = StudyPlan(
+            settings=plan.settings,
+            cells=tuple(cell for cell in plan.cells if cell.strategy == "SRS"),
+            name="srs",
+        )
+        # One window per cell, whatever REPRO_CHUNK_* say.
+        runs = (("serial", 1, "serial"), ("pool", 2, "process"))
+        for name, workers, backend in runs:
+            execute(
+                plan,
+                context=RunContext(
+                    store=tmp_path / name, workers=workers, backend=backend,
+                    chunk_size=plan.settings.repetitions,
+                ),
+            )
+        serial = sidecar_summary(tmp_path / "serial")["rows_solved"]
+        assert serial > 0
+        assert sidecar_summary(tmp_path / "pool")["rows_solved"] == serial
 
 
 class TestConfiguration:

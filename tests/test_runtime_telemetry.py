@@ -26,8 +26,11 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.estimators.base import Evidence
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
+from repro.intervals import AdaptiveHPD
+from repro.intervals.table import SolveTable
 from repro.runtime import (
     CellShard,
     CellSpec,
@@ -224,7 +227,7 @@ class TestMetrics:
         assert outcome.metrics.status == "ok"
         snapshot = outcome.metrics.as_dict()
         json.dumps(snapshot)  # JSON-ready, no numpy leakage
-        assert snapshot["schema_version"] == 2
+        assert snapshot["schema_version"] == 3
 
     def test_replay_reproduces_the_live_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -239,6 +242,7 @@ class TestMetrics:
         assert again["by_kind"] == live["by_kind"]
         assert again["by_backend"] == live["by_backend"]
         assert again["timing"] == live["timing"]
+        assert again["solve_table"] == live["solve_table"]
 
     def test_summarize_journal_reports_runs_and_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -509,6 +513,19 @@ class TestCli:
         assert payload["aggregate"]["cache"]["hits"] == 2
         assert payload["aggregate"]["cache"]["misses"] == 2
 
+    def test_trace_summarize_reports_rows_solved(self, tmp_path, capsys):
+        # In-process units and a fresh store: the run's table solves rows.
+        journal = tmp_path / "j.jsonl"
+        ParallelExecutor(
+            workers=1, backend="serial", store=tmp_path / "cache", trace=journal
+        ).run(small_plan())
+        rows = replay_metrics(read_journal(journal)).as_dict()["solve_table"]
+        assert rows["rows_solved"] > 0
+        assert main(["trace", "summarize", str(journal)]) == 0
+        text = capsys.readouterr().out
+        line = f"rows solved        : {rows['rows_solved']}  in {rows['builds']} fill"
+        assert line in text
+
     def test_trace_summarize_filters_by_run_id(self, journal, capsys):
         # Journal order is chronological: run_ids[0] is the cold run.
         run_ids = list(dict.fromkeys(r["run_id"] for r in read_journal(journal)))
@@ -527,6 +544,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "entries          : 2" in out
         assert "shard entries    : 0" in out
+
+    def test_cache_info_reports_stale_sidecars_apart(self, tmp_path, capsys):
+        table = SolveTable(tmp_path, cap=16)
+        table.serve(AdaptiveHPD(), [Evidence.from_counts(3, 9)], 0.05)
+        table.flush()
+        # A sidecar of the previous schema: never read again.
+        (tmp_path / "solvetable" / ("c" * 64 + ".npy")).write_bytes(b"x" * 7)
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "solve tables     : 1 (" in out and "1 rows solved)" in out
+        assert "stale files    : 1 (7 bytes" in out
 
     def test_cache_info_requires_a_directory(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
