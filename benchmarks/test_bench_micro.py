@@ -113,16 +113,14 @@ def test_bench_full_evaluation_run(benchmark):
     assert result.converged
 
 
-def test_bench_solve_table_cold_vs_warm(tmp_path):
+def test_bench_solve_table_cold_vs_warm():
     """Acceptance: a warm table hit beats the cold fill by >= 5x.
 
     The cold pass fills every row of one (n+1)-row aHPD table (every
     tau for one n, as a coverage grid requests it); the warm pass
-    serves the same batch from the in-memory table, and a fresh
-    ``SolveTable`` over the same root serves it from the mmap sidecar
-    without re-solving anything.  ``cold_row_seconds`` is what a
-    Monte-Carlo loop pays on first touch: a one-row serve solves one
-    row, not the table.
+    serves the same batch from the in-memory table without re-solving
+    anything.  ``cold_row_seconds`` is what a Monte-Carlo loop pays on
+    first touch: a one-row serve solves one row, not the table.
     """
     method = AdaptiveHPD()
     n, alpha = 256, 0.05
@@ -131,7 +129,7 @@ def test_bench_solve_table_cold_vs_warm(tmp_path):
     direct = method.compute_batch(evidences, alpha)
     direct_seconds = time.perf_counter() - direct_start
 
-    table = SolveTable(tmp_path, cap=n)
+    table = SolveTable(cap=n)
     cold_start = time.perf_counter()
     cold = table.serve(method, evidences, alpha)
     cold_seconds = time.perf_counter() - cold_start
@@ -143,18 +141,11 @@ def test_bench_solve_table_cold_vs_warm(tmp_path):
     )
     assert table.stats()["builds"] == 1  # warm hits never re-solve
 
-    one_row = SolveTable(None, cap=n)
+    one_row = SolveTable(cap=n)
     cold_row_seconds = _timed(
         lambda: one_row.serve(method, [evidences[n // 2]], alpha)
     )
     assert one_row.stats()["rows_solved"] == 1
-
-    table.flush()
-    fresh = SolveTable(tmp_path, cap=n)
-    sidecar_seconds = _timed(
-        lambda: fresh.serve(method, evidences, alpha, build=False)
-    )
-    assert fresh.stats()["sidecar_loads"] == 1 and fresh.stats()["builds"] == 0
 
     warm = table.serve(method, evidences, alpha)
     identical = (
@@ -178,7 +169,6 @@ def test_bench_solve_table_cold_vs_warm(tmp_path):
             "cold_build_seconds": round(cold_seconds, 6),
             "cold_row_seconds": round(cold_row_seconds, 6),
             "warm_hit_seconds": round(warm_seconds, 6),
-            "sidecar_reload_seconds": round(sidecar_seconds, 6),
             "warm_speedup": round(speedup, 1),
             "speedup_bar": _TABLE_SPEEDUP_BAR,
             "bit_identical_to_direct": bool(identical),
@@ -191,7 +181,6 @@ def test_bench_solve_table_cold_vs_warm(tmp_path):
         f"  cold one-row serve   : {cold_row_seconds * 1e3:9.3f} ms\n"
         f"  warm table hit       : {warm_seconds * 1e3:9.3f} ms"
         f"  ({speedup:.0f}x vs cold)\n"
-        f"  mmap sidecar reload  : {sidecar_seconds * 1e3:9.3f} ms\n"
         f"[recorded in {BENCH_JSON}]"
     )
 

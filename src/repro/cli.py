@@ -509,8 +509,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="serve integer-count interval solves with n <= N from a "
-        "table filled on demand and persisted beside the result store; "
+        help="serve integer-count interval solves with n <= N from an "
+        "in-memory table filled on demand; "
         "0 disables (default: $REPRO_SOLVE_TABLE or 2048)",
     )
 
@@ -866,16 +866,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             f"  {group[:16]}…  {entry['entries']:>5} entries  "
             f"{entry['bytes']:>12,} bytes"
         )
-    from .intervals.table import sidecar_summary
-    from .runtime.settings import resolve_solve_table
-
-    sidecars = sidecar_summary(cache_dir)
-    print(f"solve tables     : {sidecars['entries']} "
-          f"({sidecars['bytes']:,} bytes, {sidecars['rows_solved']} rows solved)")
-    print(f"  sidecar path   : {sidecars['path']}")
-    print(f"  stale files    : {sidecars['stale_files']} "
-          f"({sidecars['stale_bytes']:,} bytes; never read, safe to delete)")
-    print(f"  n cap (env)    : {resolve_solve_table(None)}")
     return 0
 
 

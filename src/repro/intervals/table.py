@@ -26,36 +26,24 @@ exactly).  Anything else — effective-sample designs, fractional
 counts, out-of-cap ``n``, an unencodable method — falls through to the
 normal solve path untouched.
 
-Tables persist under ``<store root>/solvetable/`` as sidecars named
-``v<schema>-<digest>``: an ``.npy`` of the bounds (NaN rows unsolved,
-memory-mapped on load) plus, for label-carrying selectors like aHPD, a
-``.labels.json`` twin holding each row's label (``null`` where unset).
-A warm store thus serves even the first solve of a new process without
-solving.  Fills only mark a table dirty; :meth:`SolveTable.flush`
-writes each dirty table once, and the runtime calls it when a unit of
-work or a run ends.  Each file is written atomically (tmp +
-``os.replace``); the labels land first and the ``.npy`` replace
-commits the pair, so an interrupted write can leave labels for rows the
-``.npy`` does not hold (they are solved again) but never a held row
-without its label.  The schema version is part of the
-file name: sidecars of an older layout are never read again, ``python
--m repro cache info`` reports them as stale, and deleting them — or
-the whole directory — is always safe.  The result store never sees the
-sidecars; it only walks ``.pkl`` entries.
+Tables live in process memory only.  A process keeps one table per
+cap (:func:`shared_table`), shared by every run and service request it
+executes whatever their result store, and forked workers inherit the
+rows their parent held.  Nothing is written to disk: a re-run of a
+plan is answered whole by the result store, so a fresh process simply
+starts with empty tables.
 
-The runtime resolves the cap and store root (``REPRO_SOLVE_TABLE``,
-``REPRO_CACHE_DIR``) and installs a :func:`shared_table` per run and
-per unit of work; this module reads no environment.
+The runtime resolves the cap (``REPRO_SOLVE_TABLE``) and installs a
+:func:`shared_table` per run — behind a :class:`TableTally` that counts
+the run's own serves — and per unit of work; this module reads no
+environment.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -70,38 +58,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_TABLE_CAP",
     "SolveTable",
-    "TABLE_SCHEMA_VERSION",
+    "TableTally",
     "peek_tables",
     "reset_shared_tables",
     "shared_table",
-    "sidecar_summary",
 ]
-
-#: Bump when the sidecar layout or the digest recipe changes; the
-#: version prefixes every sidecar name, so old sidecars are simply never
-#: looked up again.  2: rows fill on demand (NaN until solved, per-row
-#: ``null`` labels) and the labels file is written before the ``.npy``.
-TABLE_SCHEMA_VERSION = 2
 
 #: Default ``n`` cap — mirrors ``REPRO_SOLVE_TABLE``'s default.  A full
 #: table at the cap is two float64 rows of ``n + 1`` entries (~32 KiB),
 #: so even hundreds of (method, alpha, n) combinations stay tiny.
 DEFAULT_TABLE_CAP = 2048
 
-#: Subdirectory of the store root holding the sidecars.
-_SIDECAR_DIR = "solvetable"
-_SIDECAR_PREFIX = f"v{TABLE_SCHEMA_VERSION}-"
-_SIDECAR_SUFFIXES = (".npy", ".labels.json")
 
-
-def _sidecar_name(payload: tuple, alpha: float, n: int) -> str:
-    """Stable sidecar name (without suffix) for one (payload, alpha, n) table.
-
-    ``repr`` over a primitives-only tuple is stable across processes
-    (payloads are part of the cache contract; floats repr losslessly).
-    """
-    key = repr((payload, float(alpha), int(n)))
-    return _SIDECAR_PREFIX + hashlib.sha256(key.encode("utf-8")).hexdigest()
+def _zero_counts() -> dict:
+    """Fresh serve counters (see :meth:`SolveTable.serve`)."""
+    return {
+        "hits": 0,
+        "misses": 0,
+        "ineligible": 0,
+        "builds": 0,
+        "rows_solved": 0,
+        "build_seconds": 0.0,
+        "rows_served": 0,
+    }
 
 
 class _Entry:
@@ -113,12 +92,10 @@ class _Entry:
 
     __slots__ = ("lower", "upper", "labels")
 
-    def __init__(
-        self, lower: np.ndarray, upper: np.ndarray, labels: list | None = None
-    ) -> None:
-        self.lower = lower
-        self.upper = upper
-        self.labels = labels
+    def __init__(self, n: int) -> None:
+        self.lower = np.full(n + 1, np.nan)
+        self.upper = np.full(n + 1, np.nan)
+        self.labels: list | None = None
 
     def unsolved(self, taus: np.ndarray) -> np.ndarray:
         """The rows of *taus* this table does not hold yet."""
@@ -130,48 +107,43 @@ class SolveTable:
 
     Parameters
     ----------
-    root:
-        Store root to persist sidecars under (``<root>/solvetable/``),
-        or ``None`` for a memory-only table.
     cap:
         Largest ``n`` tables are kept for.  ``0`` disables serving
         entirely (every :meth:`serve` returns ``None``).
 
-    Thread-safe: lookups and fills run under an internal lock that is
-    recreated when the table crosses a ``fork`` (a worker forked while
-    another thread held the lock must not inherit it locked).
+    Thread-safe: lookups, fills and counters run under an internal lock
+    that is recreated when the table crosses a ``fork`` (a worker
+    forked while another thread held the lock must not inherit it
+    locked).
     """
 
-    def __init__(
-        self, root: str | Path | None = None, cap: int = DEFAULT_TABLE_CAP
-    ) -> None:
-        self.root = Path(root) if root is not None else None
+    def __init__(self, cap: int = DEFAULT_TABLE_CAP) -> None:
         self.cap = int(cap)
         self._entries: dict[tuple, _Entry] = {}
-        self._dirty: set[tuple] = set()
         self._lock = threading.Lock()
-        self._flush_lock = threading.Lock()
         self._pid = os.getpid()
-        self._hits = 0
-        self._misses = 0
-        self._ineligible = 0
-        self._builds = 0
-        self._rows_solved = 0
-        self._loads = 0
-        self._build_seconds = 0.0
-        self._rows_served = 0
+        self._counts = _zero_counts()
 
     # -- fork safety ---------------------------------------------------
 
     def _checked_lock(self) -> threading.Lock:
         if os.getpid() != self._pid:
-            # Forked child: the inherited locks may be held by a thread
+            # Forked child: the inherited lock may be held by a thread
             # that does not exist here.  Entries are plain arrays and
-            # survive the fork; only the locks need recreating.
+            # survive the fork; only the lock needs recreating.
             self._lock = threading.Lock()
-            self._flush_lock = threading.Lock()
             self._pid = os.getpid()
         return self._lock
+
+    def _count(self, tally: dict | None, **amounts: float) -> None:
+        """Add *amounts* to the lifetime counters and to *tally* (if any).
+
+        Callers hold the table lock.
+        """
+        for name, amount in amounts.items():
+            self._counts[name] += amount
+            if tally is not None:
+                tally[name] += amount
 
     # -- eligibility ---------------------------------------------------
 
@@ -211,93 +183,6 @@ class SolveTable:
             return None
         return np.stack([tau_i, n_i], axis=1)
 
-    # -- persistence ---------------------------------------------------
-
-    def _sidecar_stem(self, key: tuple) -> str | None:
-        if self.root is None:
-            return None
-        return os.path.join(self.root, _SIDECAR_DIR, _sidecar_name(*key))
-
-    def _load_sidecar(self, key: tuple) -> _Entry | None:
-        stem = self._sidecar_stem(key)
-        if stem is None:
-            return None
-        n = key[2]
-        try:
-            # Copy-on-write map: fills write private pages, never the file.
-            bounds = np.load(stem + ".npy", mmap_mode="c")
-        except (OSError, ValueError):
-            return None  # absent, unreadable, or not an .npy: solve afresh
-        if bounds.dtype != np.float64 or bounds.shape != (2, n + 1):
-            return None  # foreign or truncated sidecar: solve over it
-        entry = _Entry(bounds[0], bounds[1])
-        try:
-            with open(stem + ".labels.json", encoding="utf-8") as handle:
-                labels = json.load(handle)
-        except FileNotFoundError:
-            return entry  # the method labels no row
-        except (OSError, ValueError):
-            return None
-        if not (
-            isinstance(labels, list)
-            and len(labels) == n + 1
-            and all(label is None or isinstance(label, str) for label in labels)
-        ):
-            return None
-        # A held row without its label (two processes' pairs crossed on
-        # disk) is solved again rather than served unlabelled.
-        unlabelled = np.array([label is None for label in labels])
-        entry.lower[unlabelled] = np.nan
-        entry.upper[unlabelled] = np.nan
-        entry.labels = labels
-        return entry
-
-    def _write_sidecar(
-        self, key: tuple, bounds: np.ndarray, labels: list | None
-    ) -> None:
-        stem = self._sidecar_stem(key)
-        tag = f".tmp-{os.getpid()}-{threading.get_ident()}"
-        if labels is not None:
-            # Labels first; the .npy replace below commits the pair.
-            with open(stem + ".labels.json" + tag, "w", encoding="utf-8") as handle:
-                json.dump(labels, handle)
-            os.replace(stem + ".labels.json" + tag, stem + ".labels.json")
-        with open(stem + ".npy" + tag, "wb") as handle:
-            np.save(handle, bounds)
-        os.replace(stem + ".npy" + tag, stem + ".npy")
-
-    def flush(self) -> int:
-        """Write every table filled since its last write; returns how many.
-
-        Each dirty table is snapshotted under the table lock and written
-        outside it, so solves never wait on the disk.  Flushes run one
-        at a time, so a later snapshot never lands before an earlier
-        one.  A memory-only table never has anything to write.
-        """
-        lock = self._checked_lock()
-        with self._flush_lock:
-            with lock:
-                snapshots = []
-                for key in self._dirty:
-                    entry = self._entries[key]
-                    bounds = np.stack([entry.lower, entry.upper])
-                    labels = None if entry.labels is None else list(entry.labels)
-                    snapshots.append((key, bounds, labels))
-                self._dirty.clear()
-            if not snapshots:
-                return 0
-            written = 0
-            try:
-                os.makedirs(os.path.join(self.root, _SIDECAR_DIR), exist_ok=True)
-                for snapshot in snapshots:
-                    self._write_sidecar(*snapshot)
-                    written += 1
-            except OSError:
-                # Persistence is an optimisation; a read-only or full
-                # disk must not fail the unit that filled the table.
-                pass
-            return written
-
     # -- filling -------------------------------------------------------
 
     def _fill(
@@ -305,6 +190,7 @@ class SolveTable:
         method: "IntervalMethod",
         alpha: float,
         missing: list[tuple[tuple, _Entry, np.ndarray]],
+        tally: dict | None,
     ) -> None:
         """Solve the *missing* ``(key, entry, taus)`` rows in one direct
         ``compute_batch`` and store them.
@@ -321,9 +207,12 @@ class SolveTable:
             for tau in taus.tolist()
         ]
         batch = method.compute_batch(grid, alpha)
-        self._build_seconds += time.perf_counter() - start
-        self._builds += 1
-        self._rows_solved += len(grid)
+        self._count(
+            tally,
+            builds=1,
+            rows_solved=len(grid),
+            build_seconds=time.perf_counter() - start,
+        )
         offset = 0
         for key, entry, taus in missing:
             rows = slice(offset, offset + len(taus))
@@ -336,8 +225,6 @@ class SolveTable:
                 for tau, label in zip(taus.tolist(), batch.labels[rows]):
                     entry.labels[tau] = label
             self._entries[key] = entry
-            if self.root is not None:
-                self._dirty.add(key)
 
     # -- the serving API ----------------------------------------------
 
@@ -347,6 +234,7 @@ class SolveTable:
         evidences: Sequence["Evidence"],
         alpha: float,
         build: bool = True,
+        tally: dict | None = None,
     ) -> BatchIntervals | None:
         """The table's answer for this solve, or ``None`` to fall through.
 
@@ -360,36 +248,28 @@ class SolveTable:
         ``method.compute_batch(evidences, alpha)``.
 
         Every eligible call counts once in :meth:`stats`: a *hit* when
-        it neither solved nor loaded anything, a *miss* when it had to
-        load a sidecar, solve rows, or (with ``build=False``) found a
-        row missing; ineligible calls count as ``ineligible``.
+        it solved nothing, a *miss* when it solved rows or (with
+        ``build=False``) found a row missing; ineligible calls count as
+        ``ineligible``.  The same counts also go to *tally* (a
+        :class:`TableTally`'s counters) when one is given.
         """
         if self.cap <= 0:
             return None
         payload = method_payload(method)
-        if payload is None:
-            self._ineligible += 1
-            return None
-        pairs = self._eligible_taus(evidences)
+        pairs = None if payload is None else self._eligible_taus(evidences)
         if pairs is None:
-            self._ineligible += 1
+            with self._checked_lock():
+                self._count(tally, ineligible=1)
             return None
         alpha = float(alpha)
         with self._checked_lock():
             groups: list[tuple[np.ndarray, np.ndarray, _Entry]] = []
             missing: list[tuple[tuple, _Entry, np.ndarray]] = []
-            loaded = False
             for n in np.unique(pairs[:, 1]).tolist():
                 key = (payload, alpha, n)
                 entry = self._entries.get(key)
                 if entry is None:
-                    entry = self._load_sidecar(key)
-                    if entry is not None:
-                        self._loads += 1
-                        self._entries[key] = entry
-                        loaded = True
-                    else:
-                        entry = _Entry(np.full(n + 1, np.nan), np.full(n + 1, np.nan))
+                    entry = _Entry(n)
                 rows = np.flatnonzero(pairs[:, 1] == n)
                 taus = pairs[rows, 0]
                 groups.append((rows, taus, entry))
@@ -398,9 +278,9 @@ class SolveTable:
                     missing.append((key, entry, unsolved))
             if missing:
                 if not build:
-                    self._misses += 1
+                    self._count(tally, misses=1)
                     return None
-                self._fill(method, alpha, missing)
+                self._fill(method, alpha, missing, tally)
             count = pairs.shape[0]
             lower = np.empty(count, dtype=float)
             upper = np.empty(count, dtype=float)
@@ -416,11 +296,10 @@ class SolveTable:
                             if entry.labels is not None
                             else method.name
                         )
-            if loaded or missing:
-                self._misses += 1
+            if missing:
+                self._count(tally, misses=1, rows_served=count)
             else:
-                self._hits += 1
-            self._rows_served += count
+                self._count(tally, hits=1, rows_served=count)
         return BatchIntervals(
             lower=lower,
             upper=upper,
@@ -432,35 +311,55 @@ class SolveTable:
     # -- introspection -------------------------------------------------
 
     def stats(self) -> dict:
-        """Counter snapshot for telemetry and service pings.
+        """Lifetime counter snapshot for service pings and benchmarks.
 
         ``builds`` counts fill solves (one ``compute_batch`` each) and
         ``rows_solved`` the rows they solved.
         """
-        return {
-            "cap": self.cap,
-            "root": str(self.root) if self.root is not None else None,
-            "entries": len(self._entries),
-            "hits": self._hits,
-            "misses": self._misses,
-            "ineligible": self._ineligible,
-            "builds": self._builds,
-            "rows_solved": self._rows_solved,
-            "sidecar_loads": self._loads,
-            "build_seconds": self._build_seconds,
-            "rows_served": self._rows_served,
-        }
+        return {"cap": self.cap, "entries": len(self._entries), **self._counts}
 
     def __repr__(self) -> str:
-        root = str(self.root) if self.root is not None else None
-        return f"SolveTable(root={root!r}, cap={self.cap})"
+        return f"SolveTable(cap={self.cap})"
+
+
+class TableTally:
+    """One run's handle on a shared :class:`SolveTable`.
+
+    Every :meth:`serve` forwards to the table exactly once and counts
+    into this tally as well as the table's lifetime counters, so runs
+    that overlap in one process each report only their own serves.
+    Install it wherever the table itself would be installed (the broker
+    captures it with each entry, so pooled fills count for the run that
+    asked for them).
+    """
+
+    def __init__(self, table: SolveTable) -> None:
+        self.table = table
+        self._counts = _zero_counts()
+
+    def serve(
+        self,
+        method: "IntervalMethod",
+        evidences: Sequence["Evidence"],
+        alpha: float,
+        build: bool = True,
+    ) -> BatchIntervals | None:
+        """:meth:`SolveTable.serve`, counted for this run."""
+        return self.table.serve(
+            method, evidences, alpha, build=build, tally=self._counts
+        )
+
+    def stats(self) -> dict:
+        """This run's counters, plus the table's cap and entry count."""
+        table = self.table.stats()
+        return {"cap": table["cap"], "entries": table["entries"], **self._counts}
 
 
 # ----------------------------------------------------------------------
 # Process-wide registry
 # ----------------------------------------------------------------------
 
-_REGISTRY: dict[tuple[str | None, int], SolveTable] = {}
+_REGISTRY: dict[int, SolveTable] = {}
 _REGISTRY_LOCK = threading.Lock()
 _REGISTRY_PID = os.getpid()
 
@@ -473,20 +372,17 @@ def _registry_lock() -> threading.Lock:
     return _REGISTRY_LOCK
 
 
-def shared_table(
-    root: str | Path | None = None, cap: int = DEFAULT_TABLE_CAP
-) -> SolveTable:
-    """The process-wide :class:`SolveTable` for (*root*, *cap*).
+def shared_table(cap: int = DEFAULT_TABLE_CAP) -> SolveTable:
+    """The process-wide :class:`SolveTable` for *cap*.
 
-    Runs and service requests sharing a store root share one table, so
-    rows solved for one run serve every later run in the process.
+    Every run and service request with the same cap shares one table,
+    so rows solved for one serve every later one in the process.
     """
-    key = (str(Path(root).resolve()) if root is not None else None, int(cap))
+    cap = int(cap)
     with _registry_lock():
-        table = _REGISTRY.get(key)
+        table = _REGISTRY.get(cap)
         if table is None:
-            table = SolveTable(root=root, cap=cap)
-            _REGISTRY[key] = table
+            table = _REGISTRY[cap] = SolveTable(cap=cap)
         return table
 
 
@@ -501,48 +397,3 @@ def reset_shared_tables() -> None:
     """Forget every registered table (test isolation hook)."""
     with _registry_lock():
         _REGISTRY.clear()
-
-
-def sidecar_summary(root: str | Path) -> dict:
-    """Sidecar inventory under *root* for ``cache info``.
-
-    Returns ``{"path", "entries", "bytes", "rows_solved", "stale_files",
-    "stale_bytes"}``: ``entries`` counts current-schema tables,
-    ``bytes`` their files (``.npy`` plus labels), and ``rows_solved``
-    the rows they hold (read through memory-mapped loads, so this stays
-    cheap even for large inventories).  Every other file in the
-    directory — an older schema's sidecars, a write's leftover tmp
-    file — is stale: counted apart and never read by a table.
-    """
-    base = Path(root) / _SIDECAR_DIR
-    summary = {
-        "path": str(base),
-        "entries": 0,
-        "bytes": 0,
-        "rows_solved": 0,
-        "stale_files": 0,
-        "stale_bytes": 0,
-    }
-    if not base.is_dir():
-        return summary
-    for path in sorted(base.iterdir()):
-        try:
-            size = path.stat().st_size
-        except OSError:  # pragma: no cover - raced a sweep
-            continue
-        name = path.name
-        if not (name.startswith(_SIDECAR_PREFIX) and name.endswith(_SIDECAR_SUFFIXES)):
-            summary["stale_files"] += 1
-            summary["stale_bytes"] += size
-            continue
-        summary["bytes"] += size
-        if not name.endswith(".npy"):
-            continue
-        summary["entries"] += 1
-        try:
-            bounds = np.load(path, mmap_mode="r")
-            held = ~np.isnan(bounds).any(axis=0)
-            summary["rows_solved"] += int(np.count_nonzero(held))
-        except (OSError, ValueError):
-            continue
-    return summary

@@ -37,7 +37,7 @@ from ...exceptions import ValidationError
 from ...intervals.base import active_solve_table, use_solve_table
 from ...intervals.table import shared_table
 from ..cells import kind_for
-from ..settings import resolve_backend, resolve_cache_dir, resolve_solve_table
+from ..settings import resolve_backend, resolve_solve_table
 from ..spec import CellShard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,28 +62,21 @@ def run_task(task: CellShard, settings: "ExperimentSettings") -> tuple[Any, floa
     pickles into workers.
 
     Spawned pool workers and detached spool workers carry no ambient
-    run context, so when no solve table is installed the
-    environment-resolved shared table (``REPRO_SOLVE_TABLE`` /
-    ``REPRO_CACHE_DIR``) is installed for the unit — the worker-side
-    mirror of the executor's run-scoped install.  Tables are pure
-    memoisation, so this changes worker wall-clock, never results.
-    When the unit ends, the table writes the rows it solved to its
-    sidecars (:meth:`~repro.intervals.table.SolveTable.flush`), in
-    whichever process ran the unit.
+    run context, so when no solve table is installed the process-wide
+    table for the environment-resolved cap (``REPRO_SOLVE_TABLE``) is
+    installed for the unit — the worker-side mirror of the executor's
+    run-scoped install.  Tables are pure in-memory memoisation, so
+    this changes worker wall-clock, never results.
     """
     table = active_solve_table()
     if table is None:
         cap = resolve_solve_table(None)
         if cap > 0:
-            table = shared_table(resolve_cache_dir(None), cap)
-    try:
-        with use_solve_table(table):
-            start = time.perf_counter()
-            value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
-            return value, time.perf_counter() - start
-    finally:
-        if table is not None:
-            table.flush()
+            table = shared_table(cap)
+    with use_solve_table(table):
+        start = time.perf_counter()
+        value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
+        return value, time.perf_counter() - start
 
 
 class BackendFuture(abc.ABC):

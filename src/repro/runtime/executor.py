@@ -83,7 +83,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Union
 
 from ..intervals.base import use_solve_pool, use_solve_table
-from ..intervals.table import SolveTable, shared_table
+from ..intervals.table import SolveTable, TableTally, shared_table
 from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -225,9 +225,10 @@ class ParallelExecutor:
     solve_table:
         Small-n solve-table cap: integer-count solves with ``n`` at or
         below this are served from a (method, alpha, n) interval table
-        that fills row by row on demand and persists in the result store
-        (see :mod:`repro.intervals.table`).  ``0`` disables; ``None``
-        reads ``REPRO_SOLVE_TABLE`` (default 2048).  Tables are pure
+        that fills row by row on demand and lives in process memory,
+        shared by every run with the same cap (see
+        :mod:`repro.intervals.table`).  ``0`` disables; ``None`` reads
+        ``REPRO_SOLVE_TABLE`` (default 2048).  Tables are pure
         memoisation — served rows are bit-identical to solved ones.
     """
 
@@ -428,8 +429,7 @@ class ParallelExecutor:
         # and the calibration pilot.  Out-of-process units solve
         # directly in their workers, which is bit-identical anyway.
         pool_stack = ExitStack()
-        table = None
-        table_before: dict | None = None
+        tally = None
         try:
             if self.solve_pool is not None:
                 channel = pool_stack.enter_context(
@@ -441,11 +441,11 @@ class ParallelExecutor:
             # Out-of-process units resolve it from the environment in
             # their workers (see backends.base.run_task) — always
             # bit-identical, so placement still never changes numbers.
+            # The tally counts this run's own serves of the shared
+            # table, so overlapping runs never journal each other's.
             if self.solve_table and self.solve_table > 0:
-                root = self.store.root if self.store is not None else None
-                table = shared_table(root, self.solve_table)
-                table_before = table.stats()
-                pool_stack.enter_context(use_solve_table(table))
+                tally = TableTally(shared_table(self.solve_table))
+                pool_stack.enter_context(use_solve_table(tally))
             else:
                 # Explicitly disabled: install a cap-0 table so
                 # in-process run_task sees *an* ambient table and never
@@ -532,26 +532,10 @@ class ParallelExecutor:
             status = "ok"
         finally:
             pool_stack.close()
-            if table is not None and table_before is not None:
-                # Merges solve outside any unit (run_task flushes units),
-                # so the run writes the rows they filled.
-                table.flush()
-                # The table is shared process-wide; journal this run's
-                # *delta* so concurrent runs' summaries stay additive.
-                after = table.stats()
-                counts = (
-                    "hits", "misses", "ineligible", "builds",
-                    "rows_solved", "sidecar_loads", "rows_served",
-                )
-                telemetry.emit(
-                    "solve_table",
-                    cap=table.cap,
-                    **{name: after[name] - table_before[name] for name in counts},
-                    build_seconds=round(
-                        after["build_seconds"] - table_before["build_seconds"], 6
-                    ),
-                    entries=after["entries"],
-                )
+            if tally is not None:
+                counts = tally.stats()
+                counts["build_seconds"] = round(counts["build_seconds"], 6)
+                telemetry.emit("solve_table", **counts)
             telemetry.emit(
                 "run_finish",
                 status=status,

@@ -64,8 +64,11 @@ __all__ = [
 #: or sidecar load is a miss), and the solver-kernel fallback event is
 #: gone with the kernel choice.  3: tables fill on demand, so
 #: ``solve_table.builds`` counts fill solves (not whole tables) and the
-#: event gains ``rows_solved`` and ``sidecar_loads``.
-TRACE_SCHEMA_VERSION = 3
+#: event gains ``rows_solved`` and ``sidecar_loads``.  4: tables live in
+#: memory only, so ``solve_table`` loses ``sidecar_loads``, and its
+#: counts are the run's own serves rather than the shared table's delta
+#: over the run (which counted overlapping runs' serves twice).
+TRACE_SCHEMA_VERSION = 4
 
 #: Every event type the runtime emits.  The journal-schema check (CI
 #: and ``python -m repro trace check``) rejects anything else, so a
@@ -322,7 +325,6 @@ class MetricsAggregate:
         self.table_ineligible = 0
         self.table_builds = 0
         self.table_rows_solved = 0
-        self.table_sidecar_loads = 0
         self.table_build_seconds = 0.0
         self.table_rows_served = 0
         self.table_cap: int | None = None
@@ -375,14 +377,13 @@ class MetricsAggregate:
             if callers > 1:
                 self.solve_coalesced_flushes += 1
         elif event.event == "solve_table":
-            # One per run, carrying the run's *delta* against the
+            # One per run, carrying the run's own serves of the
             # process-wide shared table, so multi-run aggregates sum.
             self.table_hits += int(fields.get("hits", 0))
             self.table_misses += int(fields.get("misses", 0))
             self.table_ineligible += int(fields.get("ineligible", 0))
             self.table_builds += int(fields.get("builds", 0))
             self.table_rows_solved += int(fields.get("rows_solved", 0))
-            self.table_sidecar_loads += int(fields.get("sidecar_loads", 0))
             self.table_build_seconds += float(fields.get("build_seconds", 0.0))
             self.table_rows_served += int(fields.get("rows_served", 0))
             if fields.get("cap") is not None:
@@ -486,7 +487,6 @@ class MetricsAggregate:
                 "ineligible": self.table_ineligible,
                 "builds": self.table_builds,
                 "rows_solved": self.table_rows_solved,
-                "sidecar_loads": self.table_sidecar_loads,
                 "build_seconds": round(self.table_build_seconds, 6),
                 "rows_served": self.table_rows_served,
             },
@@ -674,7 +674,6 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
             f"  rows served        : {table['rows_served']}",
             f"  rows solved        : {table['rows_solved']}"
             f"  in {table['builds']} fill(s) ({table['build_seconds']:.3f}s)",
-            f"  sidecar loads      : {table['sidecar_loads']}",
         ]
     if aggregate["by_kind"]:
         lines += ["", "per cell kind (units, execute s, queue-wait s)"]

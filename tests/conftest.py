@@ -5,11 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.intervals.table import reset_shared_tables
 from repro.kg.datasets import load_dataset
 from repro.kg.generators import generate_profiled_kg
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.synthetic import SyntheticKG
 from repro.kg.triple import Triple
+
+
+@pytest.fixture(autouse=True)
+def fresh_solve_tables():
+    """Start every test with empty process-wide solve tables.
+
+    Tables are shared by every run with the same cap, so without this a
+    table warmed by one test would serve the next one's solves.
+    """
+    reset_shared_tables()
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Solve-table tests: bit-identity, persistence, and routing.
+"""Solve-table tests: bit-identity, counters, and routing.
 
 The small-n solve table (:mod:`repro.intervals.table`) is pure
 memoisation: for every method, alpha, and eligible batch, the served
@@ -6,14 +6,16 @@ bounds must be *bitwise* equal to a direct ``compute_batch`` — and to a
 pooled :class:`~repro.runtime.solvebatch.SolveBroker` flush, which is
 the other consult point.  These tests pin that three-way identity for
 all nine methods, on-demand fills (a serve solves only the rows the
-table lacks), the mmap sidecar round-trip of full and partial tables
-(including a genuinely fresh process) and its commit order, and the
-table's strict fall-through for anything it cannot serve exactly.
+table lacks, once, even under concurrent serves), per-run tallies, that
+tables live in process memory only (nothing reaches disk, a new process
+starts empty, a forked one keeps its parent's rows), and the table's
+strict fall-through for anything it cannot serve exactly.
 """
 
 from __future__ import annotations
 
-import json
+import inspect
+import multiprocessing
 import os
 import random
 import subprocess
@@ -42,13 +44,13 @@ from repro.intervals import (
 from repro.intervals.base import use_solve_pool, use_solve_table
 from repro.intervals.table import (
     DEFAULT_TABLE_CAP,
-    TABLE_SCHEMA_VERSION,
     SolveTable,
+    TableTally,
+    peek_tables,
+    reset_shared_tables,
     shared_table,
-    sidecar_summary,
 )
 from repro.runtime.solvebatch import SolveBroker
-from repro.runtime.store import ResultStore
 
 ALL_METHODS = (
     WaldInterval, WilsonInterval, AgrestiCoullInterval,
@@ -67,50 +69,12 @@ def batches_equal(a, b) -> bool:
     )
 
 
-def fresh_process_serve(root, n: int, taus, build: bool) -> list[str] | None:
-    """Serve aHPD rows *taus* of *n* from a table in a new interpreter.
-
-    Returns ``[lower hex, upper hex, labels, builds, rows_solved]`` or
-    ``None`` when the table fell through.
-    """
-    script = (
-        "from repro.estimators.base import Evidence\n"
-        "from repro.intervals import AdaptiveHPD\n"
-        "from repro.intervals.table import SolveTable\n"
-        f"table = SolveTable({str(root)!r}, cap=256)\n"
-        f"evs = [Evidence.from_counts(t, {n}) for t in {list(taus)!r}]\n"
-        f"served = table.serve(AdaptiveHPD(), evs, 0.05, build={build!r})\n"
-        "stats = table.stats()\n"
-        "print('none' if served is None else '\\n'.join([\n"
-        "    served.lower.tobytes().hex(), served.upper.tobytes().hex(),\n"
-        "    '|'.join(served.labels), str(stats['builds']),\n"
-        "    str(stats['rows_solved'])]))\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1]) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    return None if lines == ["none"] else lines
-
-
-def sidecar_pair(root) -> tuple[Path, Path]:
-    """The one table's .npy and its (possibly absent) .labels.json."""
-    (npy,) = (Path(root) / "solvetable").glob("*.npy")
-    return npy, npy.with_name(npy.name[: -len(".npy")] + ".labels.json")
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("method_cls", ALL_METHODS)
     @pytest.mark.parametrize("alpha", [0.05, 0.2])
-    def test_served_equals_direct_for_every_tau(self, tmp_path, method_cls, alpha):
+    def test_served_equals_direct_for_every_tau(self, method_cls, alpha):
         method = method_cls()
-        table = SolveTable(tmp_path, cap=64)
+        table = SolveTable(cap=64)
         for n in (1, 2, 17, 64):
             evidences = [Evidence.from_counts(tau, n) for tau in range(n + 1)]
             direct = method.compute_batch(evidences, alpha)
@@ -118,9 +82,9 @@ class TestBitIdentity:
             assert served is not None
             assert batches_equal(direct, served)
 
-    def test_mixed_n_batches_and_repeat_rows(self, tmp_path):
+    def test_mixed_n_batches_and_repeat_rows(self):
         method = HPDCredibleInterval()
-        table = SolveTable(tmp_path, cap=64)
+        table = SolveTable(cap=64)
         evidences = [
             Evidence.from_counts(tau, n)
             for tau, n in [(3, 7), (0, 1), (7, 7), (3, 7), (20, 41), (41, 41)]
@@ -129,11 +93,11 @@ class TestBitIdentity:
         served = table.serve(method, evidences, 0.1)
         assert served is not None and batches_equal(direct, served)
 
-    def test_solve_batch_routes_through_ambient_table(self, tmp_path):
+    def test_solve_batch_routes_through_ambient_table(self):
         method = AdaptiveHPD()
         evidences = [Evidence.from_counts(tau, 12) for tau in range(13)]
         direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=64)
+        table = SolveTable(cap=64)
         with use_solve_table(table):
             served = method.solve_batch(evidences, 0.05)
         assert batches_equal(direct, served)
@@ -141,12 +105,12 @@ class TestBitIdentity:
         assert (table.stats()["hits"], table.stats()["misses"]) == (0, 1)
         assert table.stats()["rows_served"] == 13
 
-    def test_pooled_broker_flush_serves_from_the_table(self, tmp_path):
+    def test_pooled_broker_flush_serves_from_the_table(self):
         """Three-way identity: direct == table-served == broker flush."""
         method = WilsonInterval()
         evidences = [Evidence.from_counts(tau, 20) for tau in range(21)]
         direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=64)
+        table = SolveTable(cap=64)
         broker = SolveBroker(window=0.05, max_batch=8)
         results: dict[int, object] = {}
 
@@ -176,23 +140,18 @@ class TestBitIdentity:
 
 
 class TestCounters:
-    def test_first_serve_misses_and_repeat_hits(self, tmp_path):
+    def test_first_serve_misses_and_repeat_hits(self):
         method = AdaptiveHPD()
         evidences = [Evidence.from_counts(tau, 9) for tau in range(10)]
-        table = SolveTable(tmp_path, cap=16)
+        table = SolveTable(cap=16)
         assert table.serve(method, evidences, 0.05) is not None
         assert (table.stats()["hits"], table.stats()["misses"]) == (0, 1)
         assert table.serve(method, evidences, 0.05) is not None
         assert (table.stats()["hits"], table.stats()["misses"]) == (1, 1)
-        # A sidecar load is not an in-memory hit either.
-        assert table.flush() == 1
-        fresh = SolveTable(tmp_path, cap=16)
-        assert fresh.serve(method, evidences, 0.05, build=False) is not None
-        assert (fresh.stats()["hits"], fresh.stats()["misses"]) == (0, 1)
 
-    def test_a_batch_needing_one_new_table_is_a_miss(self, tmp_path):
+    def test_a_batch_needing_one_new_table_is_a_miss(self):
         method = WilsonInterval()
-        table = SolveTable(None, cap=16)
+        table = SolveTable(cap=16)
         table.serve(method, [Evidence.from_counts(2, 5)], 0.05)
         mixed = [Evidence.from_counts(2, 5), Evidence.from_counts(3, 7)]
         assert table.serve(method, mixed, 0.05) is not None
@@ -200,8 +159,8 @@ class TestCounters:
         assert table.serve(method, mixed, 0.05) is not None
         assert (table.stats()["hits"], table.stats()["misses"]) == (1, 2)
 
-    def test_every_serve_call_is_counted_once(self, tmp_path):
-        table = SolveTable(tmp_path, cap=16)
+    def test_every_serve_call_is_counted_once(self):
+        table = SolveTable(cap=16)
         stratified = Evidence(
             mu_hat=0.5, variance=0.01, n_effective=12.5,
             tau_effective=6.25, n_annotated=12,
@@ -225,74 +184,93 @@ class TestCounters:
         # (a new tau at a touched n is a miss too), so none is a hit.
         assert (stats["hits"], stats["misses"], stats["ineligible"]) == (0, 6, 3)
 
-
-class TestPersistence:
-    def test_sidecar_round_trip_in_fresh_table(self, tmp_path):
-        method = ETCredibleInterval()
-        evidences = [Evidence.from_counts(tau, 9) for tau in range(10)]
-        direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=16)
-        table.serve(method, evidences, 0.05)
-        table.flush()
-        fresh = SolveTable(tmp_path, cap=16)
-        served = fresh.serve(method, evidences, 0.05, build=False)
-        assert served is not None and batches_equal(direct, served)
-        assert fresh.stats()["builds"] == 0
-        assert fresh.stats()["sidecar_loads"] == 1
-
-    def test_sidecar_round_trip_in_fresh_process(self, tmp_path):
-        method = AdaptiveHPD()  # the label-carrying selector
-        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
-        direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=16)
-        table.serve(method, evidences, 0.05)
-        table.flush()
-        lower_hex, upper_hex, labels, builds, _ = fresh_process_serve(
-            tmp_path, 6, range(7), build=False
-        )
-        assert lower_hex == direct.lower.tobytes().hex()
-        assert upper_hex == direct.upper.tobytes().hex()
-        assert tuple(labels.split("|")) == direct.labels
-        assert builds == "0"
-
-    def test_corrupt_sidecar_is_rebuilt_not_served(self, tmp_path):
+    def test_tallies_count_their_own_serves_and_the_table_counts_all(self):
         method = WilsonInterval()
-        evidences = [Evidence.from_counts(tau, 5) for tau in range(6)]
-        direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=8)
-        table.serve(method, evidences, 0.05)
-        sidecar_dir = tmp_path / "solvetable"
-        for path in sidecar_dir.glob("*.npy"):
-            path.write_bytes(b"not an npy file")
-        fresh = SolveTable(tmp_path, cap=8)
-        served = fresh.serve(method, evidences, 0.05)
-        assert served is not None and batches_equal(direct, served)
-        assert fresh.stats()["builds"] == 1  # rebuilt over the bad file
+        table = SolveTable(cap=16)
+        one, two = TableTally(table), TableTally(table)
+        evidences = [Evidence.from_counts(tau, 5) for tau in (1, 2)]
+        assert batches_equal(
+            method.compute_batch(evidences, 0.05), one.serve(method, evidences, 0.05)
+        )
+        assert two.serve(method, evidences, 0.05) is not None
+        assert two.serve(method, [Evidence.from_counts(3, 7)], 0.05) is not None
+        assert two.serve(method, [], 0.05) is None
+        counts = ("hits", "misses", "ineligible", "builds", "rows_solved", "rows_served")
 
-    def test_cache_entries_coexist_before_and_after_tables(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("a" * 40, {"value": 1, "label": "before", "seconds": 0.0})
-        before = store.stats()
-        method = HPDCredibleInterval()
-        evidences = [Evidence.from_counts(2, 4)]
-        table = SolveTable(tmp_path, cap=8)
-        table.serve(method, evidences, 0.05)
-        table.flush()
-        assert sidecar_summary(tmp_path)["entries"] == 1
-        store.save("b" * 40, {"value": 2, "label": "after", "seconds": 0.0})
-        # The store never sees the sidecars: entry counts and bytes
-        # move only by the .pkl entry written after the table.
-        after = store.stats()
-        assert after["entries"] == before["entries"] + 1
-        assert store.load("a" * 40)["value"] == 1
-        assert store.load("b" * 40)["value"] == 2
-        # And the table still serves beside the new entries.
-        fresh = SolveTable(tmp_path, cap=8)
-        assert fresh.serve(method, evidences, 0.05, build=False) is not None
+        def picked(stats):
+            return tuple(stats[name] for name in counts)
+
+        assert picked(one.stats()) == (0, 1, 0, 1, 2, 2)
+        assert picked(two.stats()) == (1, 1, 1, 1, 1, 3)
+        assert picked(table.stats()) == (1, 2, 1, 2, 3, 5)
+        assert one.stats()["build_seconds"] > 0.0
+        assert one.stats()["entries"] == table.stats()["entries"] == 2
+
+    def test_a_tally_forwards_each_serve_to_the_table_exactly_once(
+        self, monkeypatch
+    ):
+        # Benchmark tracing counts SolveTable.serve calls; a tally in
+        # front of the table must not change that count.
+        builds: list[bool] = []
+        serve = SolveTable.serve
+
+        def counted(self, *args, **kwargs):
+            builds.append(kwargs.get("build", True))
+            return serve(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolveTable, "serve", counted)
+        method = ETCredibleInterval()
+        table = SolveTable(cap=16)
+        tally = TableTally(table)
+        stratified = Evidence(
+            mu_hat=0.5, variance=0.01, n_effective=12.5,
+            tau_effective=6.25, n_annotated=12,
+        )
+        assert tally.serve(method, [Evidence.from_counts(1, 9)], 0.05) is not None
+        assert tally.serve(method, [Evidence.from_counts(1, 9)], 0.05) is not None
+        assert tally.serve(
+            method, [Evidence.from_counts(2, 9)], 0.05, build=False
+        ) is None
+        assert tally.serve(method, [stratified], 0.05) is None
+        assert tally.serve(method, [], 0.05) is None
+        assert builds == [True, True, False, True, True]
+        stats = tally.stats()
+        assert (stats["hits"], stats["misses"], stats["ineligible"]) == (1, 2, 2)
+        assert stats == table.stats()
+
+    def test_broker_flushes_count_for_the_tally_that_queued_them(self):
+        # Each thread stands for one run: its cold rows miss the table
+        # (build=False), pool on the broker, and the flush fills them on
+        # whichever thread leads it — counted for the run that asked.
+        method = WilsonInterval()
+        table = SolveTable(cap=64)
+        broker = SolveBroker(window=0.05, max_batch=8)
+        sizes = (10, 20)  # distinct n: the runs solve disjoint rows
+        tallies = [TableTally(table) for _ in sizes]
+        grids = [[Evidence.from_counts(tau, n) for tau in range(n + 1)] for n in sizes]
+        results: dict[int, object] = {}
+
+        def solve(slot: int) -> None:
+            channel = broker.channel(None)
+            with channel, use_solve_pool(channel), use_solve_table(tallies[slot]):
+                results[slot] = method.solve_batch(grids[slot], 0.05)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        broker.close()
+        counts = ("hits", "misses", "builds", "rows_solved", "rows_served")
+        for slot, n in enumerate(sizes):
+            assert batches_equal(method.compute_batch(grids[slot], 0.05), results[slot])
+            stats = tallies[slot].stats()
+            assert tuple(stats[name] for name in counts) == (0, 2, 1, n + 1, n + 1)
+        assert table.stats()["rows_solved"] == sum(n + 1 for n in sizes)
 
 
 class TestOnDemandFill:
-    def test_one_row_serve_solves_one_row(self, tmp_path):
+    def test_one_row_serve_solves_one_row(self):
         method = AdaptiveHPD()
         seen: list[int] = []
         compute_batch = method.compute_batch
@@ -303,16 +281,16 @@ class TestOnDemandFill:
 
         method.compute_batch = spy
         evidences = [Evidence.from_counts(57, 200)]
-        table = SolveTable(tmp_path, cap=256)
+        table = SolveTable(cap=256)
         served = table.serve(method, evidences, 0.05)
         assert batches_equal(compute_batch(evidences, 0.05), served)
         assert seen == [1]
         stats = table.stats()
         assert (stats["builds"], stats["rows_solved"]) == (1, 1)
 
-    def test_new_tau_at_a_touched_n_misses_and_a_repeat_hits(self, tmp_path):
+    def test_new_tau_at_a_touched_n_misses_and_a_repeat_hits(self):
         method = HPDCredibleInterval()
-        table = SolveTable(tmp_path, cap=256)
+        table = SolveTable(cap=256)
         table.serve(method, [Evidence.from_counts(57, 200)], 0.05)
         other = [Evidence.from_counts(58, 200)]
         assert batches_equal(
@@ -324,13 +302,40 @@ class TestOnDemandFill:
         stats = table.stats()
         assert (stats["hits"], stats["misses"], stats["rows_solved"]) == (1, 2, 2)
 
-    def test_repeated_rows_in_one_batch_solve_once(self, tmp_path):
+    def test_build_false_misses_and_build_true_solves_only_the_missing_row(self):
+        method = ETCredibleInterval()
+        table = SolveTable(cap=16)
+        table.serve(method, [Evidence.from_counts(1, 9)], 0.05)
+        evidences = [Evidence.from_counts(1, 9), Evidence.from_counts(5, 9)]
+        assert table.serve(method, evidences, 0.05, build=False) is None
+        served = table.serve(method, evidences, 0.05)
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        stats = table.stats()
+        assert (stats["builds"], stats["rows_solved"]) == (2, 2)
+        assert (stats["hits"], stats["misses"]) == (0, 3)
+
+    def test_repeated_rows_in_one_batch_solve_once(self):
         method = WilsonInterval()
         evidences = [Evidence.from_counts(tau, 9) for tau in (4, 4, 1, 4, 1)]
-        table = SolveTable(tmp_path, cap=16)
+        table = SolveTable(cap=16)
         served = table.serve(method, evidences, 0.05)
         assert batches_equal(method.compute_batch(evidences, 0.05), served)
         assert table.stats()["rows_solved"] == 2
+
+    @pytest.mark.parametrize("bound", ["lower", "upper"])
+    def test_a_row_held_in_one_bound_only_is_solved_again(self, bound):
+        # A row counts as held only when both its bounds are: a NaN in
+        # either one must never be served.
+        method = HPDCredibleInterval()
+        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
+        table = SolveTable(cap=8)
+        table.serve(method, evidences, 0.05)
+        (entry,) = table._entries.values()
+        getattr(entry, bound)[4] = np.nan
+        assert table.serve(method, evidences, 0.05, build=False) is None
+        served = table.serve(method, evidences, 0.05)
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        assert table.stats()["rows_solved"] == len(evidences) + 1
 
     @pytest.mark.parametrize("method_cls", ALL_METHODS)
     @pytest.mark.parametrize("alpha", [0.05, 0.2])
@@ -341,7 +346,7 @@ class TestOnDemandFill:
         n = 40
         evidences = [Evidence.from_counts(tau, n) for tau in range(n + 1)]
         direct = method.compute_batch(evidences, alpha)
-        table = SolveTable(None, cap=64)
+        table = SolveTable(cap=64)
         order = list(range(n + 1))
         random.Random(f"{method_cls.__name__}-{alpha}").shuffle(order)
         for tau in order:
@@ -355,155 +360,19 @@ class TestOnDemandFill:
         assert table.stats()["rows_solved"] == n + 1
 
 
-class TestPartialSidecars:
-    def test_partial_sidecar_round_trips_in_fresh_process(self, tmp_path):
-        method = AdaptiveHPD()
-        held = [0, 3, 17, 40]
-        evidences = [Evidence.from_counts(tau, 40) for tau in held]
-        direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=256)
-        table.serve(method, evidences, 0.05)
-        assert table.flush() == 1
-        lower_hex, upper_hex, labels, builds, rows = fresh_process_serve(
-            tmp_path, 40, held, build=False
-        )
-        assert lower_hex == direct.lower.tobytes().hex()
-        assert upper_hex == direct.upper.tobytes().hex()
-        assert tuple(labels.split("|")) == direct.labels
-        assert (builds, rows) == ("0", "0")
-        # A row the sidecar does not hold: no answer without solving...
-        assert fresh_process_serve(tmp_path, 40, [3, 5], build=False) is None
-        # ...and with solving, exactly that row is solved.
-        *_, builds, rows = fresh_process_serve(tmp_path, 40, [3, 5], build=True)
-        assert (builds, rows) == ("1", "1")
-
-    def test_build_false_misses_and_build_true_solves_only_the_missing_row(
-        self, tmp_path
-    ):
-        method = ETCredibleInterval()
-        table = SolveTable(tmp_path, cap=16)
-        table.serve(method, [Evidence.from_counts(1, 9)], 0.05)
-        table.flush()
-        evidences = [Evidence.from_counts(1, 9), Evidence.from_counts(5, 9)]
-        fresh = SolveTable(tmp_path, cap=16)
-        assert fresh.serve(method, evidences, 0.05, build=False) is None
-        served = fresh.serve(method, evidences, 0.05)
-        assert batches_equal(method.compute_batch(evidences, 0.05), served)
-        stats = fresh.stats()
-        assert (stats["sidecar_loads"], stats["builds"], stats["rows_solved"]) == (
-            1, 1, 1,
-        )
-        assert (stats["hits"], stats["misses"]) == (0, 2)
-
-    def test_flush_with_nothing_dirty_writes_nothing(self, tmp_path):
-        method = AdaptiveHPD()
-        evidences = [Evidence.from_counts(2, 5)]
-        table = SolveTable(tmp_path, cap=8)
-        assert table.flush() == 0
-        assert not (tmp_path / "solvetable").exists()
-        table.serve(method, evidences, 0.05)
-        assert table.flush() == 1
-        npy, labels = sidecar_pair(tmp_path)
-        stamps = (npy.stat().st_mtime_ns, labels.stat().st_mtime_ns)
-        table.serve(method, evidences, 0.05)  # a hit fills nothing
-        assert table.flush() == 0
-        fresh = SolveTable(tmp_path, cap=8)
-        assert fresh.serve(method, evidences, 0.05, build=False) is not None
-        assert fresh.flush() == 0  # a load fills nothing either
-        assert (npy.stat().st_mtime_ns, labels.stat().st_mtime_ns) == stamps
-        assert sorted(path.name for path in npy.parent.iterdir()) == sorted(
-            [npy.name, labels.name]
-        )
-
-    def test_memory_only_table_never_writes(self, tmp_path):
-        table = SolveTable(None, cap=8)
-        table.serve(WilsonInterval(), [Evidence.from_counts(2, 5)], 0.05)
-        assert table.flush() == 0
-
-    @pytest.mark.parametrize("bound", [0, 1])
-    def test_row_with_nan_in_one_bound_is_solved_again(self, tmp_path, bound):
-        method = HPDCredibleInterval()
-        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
-        table = SolveTable(tmp_path, cap=8)
-        table.serve(method, evidences, 0.05)
-        table.flush()
-        npy, _ = sidecar_pair(tmp_path)
-        bounds = np.load(npy)
-        bounds[bound, 4] = np.nan
-        np.save(npy, bounds)
-        fresh = SolveTable(tmp_path, cap=8)
-        assert fresh.serve(method, evidences, 0.05, build=False) is None
-        served = fresh.serve(method, evidences, 0.05)
-        assert batches_equal(method.compute_batch(evidences, 0.05), served)
-        assert fresh.stats()["rows_solved"] == 1
-
-
-class TestSidecarCommit:
-    """The ``.npy`` replace commits a sidecar pair; its labels land first."""
-
-    def test_write_interrupted_after_the_labels_serves_no_row_unlabelled(
-        self, tmp_path, monkeypatch
-    ):
-        method = AdaptiveHPD()
-        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
-        direct = method.compute_batch(evidences, 0.05)
-        assert direct.labels[3] == "aHPD[Uniform]"
-        first = SolveTable(tmp_path, cap=16)
-        first.serve(method, evidences[:4], 0.05)
-        first.flush()
-        # A later process solves rows 4-6; its write dies after the
-        # labels landed and before the .npy replace (a crash, a full disk).
-        second = SolveTable(tmp_path, cap=16)
-        second.serve(method, evidences, 0.05)
-
-        def disk_full(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        with monkeypatch.context() as patch:
-            patch.setattr("repro.intervals.table.np.save", disk_full)
-            assert second.flush() == 0
-        npy, labels = sidecar_pair(tmp_path)
-        assert json.loads(labels.read_text()) == list(direct.labels)
-        assert int(np.count_nonzero(~np.isnan(np.load(npy)[0]))) == 4
-        fresh = SolveTable(tmp_path, cap=16)
-        assert fresh.serve(method, evidences, 0.05, build=False) is None
-        held = fresh.serve(method, evidences[:4], 0.05, build=False)
-        assert held.labels == direct.labels[:4]
-        assert batches_equal(direct, fresh.serve(method, evidences, 0.05))
-        assert fresh.stats()["rows_solved"] == 3
-
-    def test_crossed_pairs_solve_held_rows_without_labels_again(self, tmp_path):
-        # Two processes write the same table: the labels of one and the
-        # .npy of the other end up on disk.
-        method = AdaptiveHPD()
-        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
-        one, two = SolveTable(tmp_path, cap=16), SolveTable(tmp_path, cap=16)
-        one.serve(method, evidences[:2], 0.05)
-        two.serve(method, evidences[2:4], 0.05)
-        one.flush()
-        npy, _ = sidecar_pair(tmp_path)
-        rows_of_one = npy.read_bytes()
-        two.flush()
-        npy.write_bytes(rows_of_one)
-        fresh = SolveTable(tmp_path, cap=16)
-        assert fresh.serve(method, evidences[:2], 0.05, build=False) is None
-        served = fresh.serve(method, evidences, 0.05)
-        assert batches_equal(method.compute_batch(evidences, 0.05), served)
-        assert fresh.stats()["rows_solved"] == 7
-
-
 class TestConcurrentFills:
-    def test_threads_fill_and_flush_one_table(self, tmp_path):
-        # More threads than cores, a short switch interval: serves, fills
-        # and flushes interleave.  Each row must be solved exactly once
-        # (a lost update would solve it twice or serve a NaN), every
-        # answer must equal compute_batch, and the last flush must leave
-        # every row on disk.
+    def test_threads_fill_one_table(self):
+        # More threads than cores, a short switch interval: serves and
+        # fills interleave.  Each row must be solved exactly once (a lost
+        # update would solve it twice or serve a NaN), every answer must
+        # equal compute_batch, and no serve may go uncounted, in the
+        # table or in the tally of the thread that made it.
         method = AdaptiveHPD()
         n = 30
         evidences = [Evidence.from_counts(tau, n) for tau in range(n + 1)]
         direct = method.compute_batch(evidences, 0.05)
-        table = SolveTable(tmp_path, cap=64)
+        table = SolveTable(cap=64)
+        tallies = [TableTally(table) for _ in range(8)]
         errors: list[BaseException] = []
 
         def work(seed: int) -> None:
@@ -511,12 +380,12 @@ class TestConcurrentFills:
             try:
                 for _ in range(40):
                     taus = rng.sample(range(n + 1), 3)
-                    served = table.serve(method, [evidences[t] for t in taus], 0.05)
+                    served = tallies[seed].serve(
+                        method, [evidences[t] for t in taus], 0.05
+                    )
                     assert served.lower.tobytes() == direct.lower[taus].tobytes()
                     assert served.upper.tobytes() == direct.upper[taus].tobytes()
                     assert served.labels == tuple(direct.labels[t] for t in taus)
-                    if rng.random() < 0.2:
-                        table.flush()
             except BaseException as exc:  # surfaced in the main thread
                 errors.append(exc)
 
@@ -532,40 +401,118 @@ class TestConcurrentFills:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[0]
-        assert table.stats()["rows_solved"] == n + 1
-        table.flush()
-        fresh = SolveTable(tmp_path, cap=64)
-        served = fresh.serve(method, evidences, 0.05, build=False)
+        stats = table.stats()
+        assert stats["rows_solved"] == n + 1
+        assert stats["hits"] + stats["misses"] == 8 * 40
+        for tally in tallies:
+            assert tally.stats()["hits"] + tally.stats()["misses"] == 40
+        assert sum(tally.stats()["rows_solved"] for tally in tallies) == n + 1
+        served = table.serve(method, evidences, 0.05, build=False)
         assert served is not None and batches_equal(direct, served)
 
 
-class TestSidecarInventory:
-    def test_summary_counts_current_tables_and_stale_files_apart(self, tmp_path):
-        method = WilsonInterval()
-        table = SolveTable(tmp_path, cap=16)
-        table.serve(method, [Evidence.from_counts(tau, 9) for tau in (1, 2, 3)], 0.05)
-        table.serve(method, [Evidence.from_counts(0, 4)], 0.05)
-        assert table.flush() == 2
-        base = tmp_path / "solvetable"
-        assert all(
-            path.name.startswith(f"v{TABLE_SCHEMA_VERSION}-")
-            for path in base.iterdir()
+class TestMemoryOnly:
+    """Rows live in the process that solved them (and its forks) only."""
+
+    def test_a_table_takes_only_a_cap_and_has_no_flush(self):
+        assert list(inspect.signature(SolveTable).parameters) == ["cap"]
+        assert list(inspect.signature(shared_table).parameters) == ["cap"]
+        assert not hasattr(SolveTable, "flush")
+
+    def test_stats_are_the_lifetime_counters(self):
+        table = SolveTable(cap=16)
+        table.serve(WilsonInterval(), [Evidence.from_counts(2, 5)], 0.05)
+        stats = table.stats()
+        assert set(stats) == {
+            "cap", "entries", "hits", "misses", "ineligible", "builds",
+            "rows_solved", "build_seconds", "rows_served",
+        }
+        # Benchmark tracing reads builds and build_seconds.
+        assert (stats["cap"], stats["entries"], stats["builds"]) == (16, 1, 1)
+        assert stats["build_seconds"] > 0.0
+
+    def test_serving_writes_nothing_to_disk(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        table = shared_table(64)
+        evidences = [Evidence.from_counts(tau, 12) for tau in range(13)]
+        for method_cls in ALL_METHODS:
+            assert table.serve(method_cls(), evidences, 0.05) is not None
+        assert table.stats()["builds"] == len(ALL_METHODS)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_new_process_starts_with_empty_tables(self, tmp_path):
+        method = AdaptiveHPD()  # the label-carrying selector
+        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
+        direct = method.compute_batch(evidences, 0.05)
+        assert shared_table(256).serve(method, evidences, 0.05) is not None
+        script = (
+            "from repro.estimators.base import Evidence\n"
+            "from repro.intervals import AdaptiveHPD\n"
+            "from repro.intervals.table import shared_table\n"
+            "table = shared_table(256)\n"
+            "evs = [Evidence.from_counts(t, 6) for t in range(7)]\n"
+            "print(table.serve(AdaptiveHPD(), evs, 0.05, build=False))\n"
+            "served = table.serve(AdaptiveHPD(), evs, 0.05)\n"
+            "print(served.lower.tobytes().hex())\n"
+            "print(served.upper.tobytes().hex())\n"
+            "print('|'.join(served.labels))\n"
+            "print(table.stats()['rows_solved'])\n"
         )
-        current_bytes = sum(path.stat().st_size for path in base.iterdir())
-        # An older schema's pair and a write's leftover tmp file.
-        (base / ("a" * 64 + ".npy")).write_bytes(b"x" * 100)
-        (base / ("a" * 64 + ".labels.json")).write_bytes(b"x" * 20)
-        (base / f"v{TABLE_SCHEMA_VERSION}-{'b' * 64}.npy.tmp-1-2").write_bytes(b"x" * 5)
-        summary = sidecar_summary(tmp_path)
-        assert summary["entries"] == 2
-        assert summary["bytes"] == current_bytes
-        assert summary["rows_solved"] == 4
-        assert (summary["stale_files"], summary["stale_bytes"]) == (3, 125)
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1]) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "None",
+            direct.lower.tobytes().hex(),
+            direct.upper.tobytes().hex(),
+            "|".join(direct.labels),
+            "7",
+        ]
+
+    def test_a_forked_child_serves_its_parents_rows(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        mp = multiprocessing.get_context("fork")
+        method = AdaptiveHPD()
+        evidences = [Evidence.from_counts(tau, 9) for tau in range(10)]
+        direct = method.compute_batch(evidences, 0.05)
+        table = shared_table(64)
+        table.serve(method, evidences, 0.05)
+        queue = mp.SimpleQueue()
+
+        def child():
+            served = table.serve(method, evidences, 0.05, build=False)
+            queue.put(
+                None if served is None else (
+                    served.lower.tobytes(), served.upper.tobytes(),
+                    served.labels, table.stats()["builds"],
+                )
+            )
+
+        # Fork while the lock is held, as by a parent thread mid-fill:
+        # the child must not inherit it locked.
+        with table._lock:
+            proc = mp.Process(target=child)
+            proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            pytest.fail("forked child hung on the inherited table lock")
+        assert queue.get() == (
+            direct.lower.tobytes(), direct.upper.tobytes(), direct.labels, 1
+        )
 
 
 class TestEligibility:
-    def test_non_integer_counts_fall_through(self, tmp_path):
-        table = SolveTable(tmp_path, cap=64)
+    def test_non_integer_counts_fall_through(self):
+        table = SolveTable(cap=64)
         stratified = Evidence(
             mu_hat=0.5, variance=0.01, n_effective=12.5,
             tau_effective=6.25, n_annotated=12,
@@ -573,28 +520,28 @@ class TestEligibility:
         assert table.serve(WilsonInterval(), [stratified], 0.05) is None
         assert table.stats()["ineligible"] == 1
 
-    def test_over_cap_and_disabled_fall_through(self, tmp_path):
+    def test_over_cap_and_disabled_fall_through(self):
         evidences = [Evidence.from_counts(3, 10)]
-        assert SolveTable(tmp_path, cap=4).serve(
+        assert SolveTable(cap=4).serve(
             WilsonInterval(), evidences, 0.05
         ) is None
-        assert SolveTable(tmp_path, cap=0).serve(
+        assert SolveTable(cap=0).serve(
             WilsonInterval(), evidences, 0.05
         ) is None
 
-    def test_unencodable_method_falls_through(self, tmp_path):
+    def test_unencodable_method_falls_through(self):
         class Custom(IntervalMethod):
             name = "custom"
 
             def compute(self, evidence, alpha):
                 return Interval(lower=0.0, upper=1.0, alpha=alpha)
 
-        table = SolveTable(tmp_path, cap=64)
+        table = SolveTable(cap=64)
         assert table.serve(Custom(), [Evidence.from_counts(1, 2)], 0.05) is None
         assert table.stats()["ineligible"] == 1
 
-    def test_mixed_eligibility_is_all_or_nothing(self, tmp_path):
-        table = SolveTable(tmp_path, cap=64)
+    def test_mixed_eligibility_is_all_or_nothing(self):
+        table = SolveTable(cap=64)
         evidences = [
             Evidence.from_counts(1, 2),
             Evidence(
@@ -605,17 +552,20 @@ class TestEligibility:
         assert table.serve(WilsonInterval(), evidences, 0.05) is None
         assert table.stats()["builds"] == 0
 
-    def test_empty_batch_falls_through(self, tmp_path):
-        assert SolveTable(tmp_path, cap=8).serve(WilsonInterval(), [], 0.05) is None
+    def test_empty_batch_falls_through(self):
+        assert SolveTable(cap=8).serve(WilsonInterval(), [], 0.05) is None
 
 
 class TestRegistry:
-    def test_shared_table_is_per_root_and_cap(self, tmp_path):
-        a = shared_table(tmp_path, 32)
-        assert shared_table(tmp_path, 32) is a
-        assert shared_table(tmp_path, 64) is not a
-        assert shared_table(None, 32) is not a
-        assert a.cap == 32 and a.root == Path(tmp_path)
+    def test_shared_table_is_one_table_per_cap(self):
+        a = shared_table(32)
+        assert shared_table(32) is a
+        assert shared_table(64) is not a
+        assert a.cap == 32
+        assert [stats["cap"] for stats in peek_tables()] == [32, 64]
+        reset_shared_tables()
+        assert peek_tables() == []
+        assert shared_table(32) is not a
 
     def test_default_cap_matches_settings_default(self, monkeypatch):
         from repro.runtime.settings import resolve_solve_table

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -14,8 +15,16 @@ from hypothesis import strategies as st
 
 from repro.evaluation.runner import StudyResult
 from repro.experiments.config import ExperimentSettings
-from repro.intervals.table import sidecar_summary
+from repro.experiments.table3 import table3_plan
+from repro.intervals.base import use_solve_table
+from repro.intervals.table import (
+    TableTally,
+    peek_tables,
+    reset_shared_tables,
+    shared_table,
+)
 from repro.runtime import (
+    CellShard,
     CellSpec,
     CoverageCell,
     ParallelExecutor,
@@ -25,9 +34,11 @@ from repro.runtime import (
     StudyPlan,
     cache_token,
     execute,
+    read_journal,
     register_cell_runner,
     use_context,
 )
+from repro.runtime.backends import run_task
 
 
 def small_plan(
@@ -314,54 +325,194 @@ class TestExecutionOverlap:
         assert outcome.results[("x",)] == ("x",)
 
 
-class TestSolveTableSidecars:
-    """Every row a run solves reaches the store's solve-table sidecars."""
+def coverage_plan() -> StudyPlan:
+    """Two coverage cells: their units only draw, their merges solve."""
+    cells = tuple(
+        CoverageCell(
+            key=(method,), label=f"coverage/{method}", method=method,
+            mu=0.9, n=40, seed=7,
+        )
+        for method in ("Wilson", "aHPD")
+    )
+    return StudyPlan(
+        settings=ExperimentSettings(repetitions=20, seed=0),
+        cells=cells,
+        name="coverage",
+    )
 
-    def test_rows_a_merge_solves_are_written_by_the_run(self, tmp_path):
-        # A coverage cell solves in its merge, in the scheduler, after
-        # its unit ended: the run's own flush must write those rows.
-        cells = tuple(
-            CoverageCell(
-                key=(method,), label=f"coverage/{method}", method=method,
-                mu=0.9, n=40, seed=7,
-            )
-            for method in ("Wilson", "aHPD")
-        )
-        plan = StudyPlan(
-            settings=ExperimentSettings(repetitions=20, seed=0),
-            cells=cells,
-            name="coverage",
-        )
+
+def srs_plan() -> StudyPlan:
+    """The NELL SRS cells of :func:`small_plan`: their solves are table-eligible."""
+    plan = small_plan(datasets=("NELL",))
+    return StudyPlan(
+        settings=plan.settings,
+        cells=tuple(cell for cell in plan.cells if cell.strategy == "SRS"),
+        name="srs",
+    )
+
+
+def table_counts(outcome) -> dict:
+    """The run's solve-table counters, without the timing."""
+    counts = dict(outcome.metrics.as_dict()["solve_table"])
+    del counts["build_seconds"]
+    return counts
+
+
+def table_event(journal) -> dict:
+    (event,) = [r for r in read_journal(journal) if r["event"] == "solve_table"]
+    return event
+
+
+class TestSolveTable:
+    """Runs share one in-memory table and journal only their own serves."""
+
+    def test_rows_a_merge_solves_are_counted_by_the_run(self):
+        # Pool workers run the units; each merge solves its cell's
+        # observed outcomes in the scheduler, in one fill.
         outcome = execute(
-            plan, context=RunContext(store=tmp_path, workers=1, backend="serial")
+            coverage_plan(), context=RunContext(workers=2, backend="process")
         )
-        solved = outcome.metrics.as_dict()["solve_table"]["rows_solved"]
-        assert solved > 0
-        assert sidecar_summary(tmp_path)["rows_solved"] == solved
+        table = outcome.metrics.as_dict()["solve_table"]
+        assert (table["hits"], table["misses"], table["builds"]) == (0, 2, 2)
+        assert table["rows_solved"] == table["rows_served"] > 0
 
-    def test_rows_pool_workers_solve_are_written_by_their_units(self, tmp_path):
-        # Forked workers fill their own copy of the table; only the flush
-        # at the end of each unit gets their rows to disk.  The two cells
-        # use different methods, so the workers write disjoint tables.
-        plan = small_plan(datasets=("NELL",))
-        plan = StudyPlan(
-            settings=plan.settings,
-            cells=tuple(cell for cell in plan.cells if cell.strategy == "SRS"),
-            name="srs",
+    def test_runs_with_a_store_write_no_tables_to_it(self, tmp_path):
+        srs = srs_plan()
+        runs = (
+            ("serial", srs, 1, "serial"),
+            ("pool", srs, 2, "process"),
+            ("merge", coverage_plan(), 1, "serial"),
         )
-        # One window per cell, whatever REPRO_CHUNK_* say.
-        runs = (("serial", 1, "serial"), ("pool", 2, "process"))
-        for name, workers, backend in runs:
+        for name, plan, workers, backend in runs:
+            root = tmp_path / name
+            outcome = execute(
+                plan,
+                context=RunContext(store=root, workers=workers, backend=backend),
+            )
+            assert ResultStore(root).stats()["cells"]["entries"] == len(plan)
+            if backend == "serial":
+                assert outcome.metrics.as_dict()["solve_table"]["rows_solved"] > 0
+            assert not (root / "solvetable").exists()
+
+    def test_overlapping_runs_journal_only_their_own_serves(self, tmp_path):
+        # TWCS evidence is never table-eligible, so each run's counts do
+        # not depend on which run reaches the shared table first.
+        plan = table3_plan(
+            ExperimentSettings(repetitions=2, seed=0, datasets=("NELL",)),
+            strategies=("TWCS",),
+        )
+
+        def run(name: str, barrier=None) -> dict:
+            if barrier is not None:
+                barrier.wait(timeout=60)
+            journal = tmp_path / f"{name}.jsonl"
             execute(
                 plan,
                 context=RunContext(
-                    store=tmp_path / name, workers=workers, backend=backend,
-                    chunk_size=plan.settings.repetitions,
+                    workers=1, backend="serial", chunk_size=2, trace=journal
                 ),
             )
-        serial = sidecar_summary(tmp_path / "serial")["rows_solved"]
-        assert serial > 0
-        assert sidecar_summary(tmp_path / "pool")["rows_solved"] == serial
+            return table_event(journal)
+
+        counts = ("hits", "misses", "ineligible", "builds", "rows_solved", "rows_served")
+        lone = run("lone")
+        assert [lone[name] for name in counts] == [0, 0, 205, 0, 0, 0]
+        barrier = threading.Barrier(2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            overlapping = list(pool.map(lambda name: run(name, barrier), "ab"))
+        for event in overlapping:
+            assert {name: event[name] for name in counts} == {
+                name: lone[name] for name in counts
+            }
+        (table,) = peek_tables()
+        assert table["ineligible"] == 3 * 205
+
+    def test_results_are_bit_identical_with_the_table_on_and_off(self):
+        for plan in (srs_plan(), coverage_plan()):
+            on = execute(plan, context=RunContext(workers=1, backend="serial"))
+            off = execute(
+                plan, context=RunContext(workers=1, backend="serial", solve_table=0)
+            )
+            assert table_counts(on)["rows_served"] > 0
+            assert on.results.keys() == off.results.keys()
+            for key, result in on.results.items():
+                if isinstance(result, StudyResult):
+                    assert_studies_equal(result, off.results[key])
+                else:
+                    assert result == off.results[key]
+
+    def test_a_warm_table_serves_the_next_run_whatever_its_store(self, tmp_path):
+        plan = srs_plan()
+        # One window per cell, whatever REPRO_CHUNK_* say: both runs
+        # make the same serves.
+        context = dict(workers=1, backend="serial", chunk_size=3)
+        cold = execute(plan, context=RunContext(store=tmp_path / "a", **context))
+        warm = execute(plan, context=RunContext(store=tmp_path / "b", **context))
+        cold_counts, warm_counts = table_counts(cold), table_counts(warm)
+        assert cold_counts["rows_solved"] > 0
+        assert (warm_counts["misses"], warm_counts["builds"]) == (0, 0)
+        assert warm_counts["rows_solved"] == 0
+        assert warm_counts["hits"] == cold_counts["hits"] + cold_counts["misses"]
+        assert warm_counts["rows_served"] == cold_counts["rows_served"]
+        for key in cold.results:
+            assert_studies_equal(cold.results[key], warm.results[key])
+
+    def test_a_disabled_table_journals_nothing_and_registers_no_table(
+        self, tmp_path
+    ):
+        journal = tmp_path / "j.jsonl"
+        execute(
+            srs_plan(),
+            context=RunContext(
+                workers=1, backend="serial", solve_table=0, trace=journal
+            ),
+        )
+        assert [r for r in read_journal(journal) if r["event"] == "solve_table"] == []
+        assert peek_tables() == []
+
+    def test_a_leftover_solvetable_directory_is_never_read(self, tmp_path):
+        # Earlier versions kept table rows in <store>/solvetable/.  A run
+        # over such a store solves exactly the rows a run over a fresh
+        # store does, and leaves the old files as they were.
+        plan = srs_plan()
+        context = dict(workers=1, backend="serial", chunk_size=3)
+        fresh = execute(plan, context=RunContext(store=tmp_path / "new", **context))
+        reset_shared_tables()
+        stale = tmp_path / "old" / "solvetable"
+        stale.mkdir(parents=True)
+        files = {
+            f"v3-{'a' * 64}.npy": b"\x93NUMPY stale rows",
+            f"v3-{'a' * 64}.labels.json": b"[]",
+        }
+        for name, data in files.items():
+            (stale / name).write_bytes(data)
+        old = execute(plan, context=RunContext(store=tmp_path / "old", **context))
+        assert table_counts(old) == table_counts(fresh)
+        assert table_counts(old)["rows_solved"] > 0
+        assert {path.name: path.read_bytes() for path in stale.iterdir()} == files
+
+    @pytest.mark.parametrize("cap, caps", [("1024", [1024]), ("0", [])])
+    def test_a_unit_with_no_ambient_table_uses_the_env_cap(
+        self, monkeypatch, cap, caps
+    ):
+        # Spawned and detached workers carry no run context: run_task
+        # installs the process-wide table for REPRO_SOLVE_TABLE.
+        monkeypatch.setenv("REPRO_SOLVE_TABLE", cap)
+        plan = srs_plan()
+        run_task(CellShard(plan.cells[0]), plan.settings)
+        tables = peek_tables()
+        assert [stats["cap"] for stats in tables] == caps
+        assert all(stats["rows_solved"] > 0 for stats in tables)
+
+    def test_a_unit_serves_through_the_ambient_table(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SOLVE_TABLE", "1024")
+        plan = srs_plan()
+        tally = TableTally(shared_table(2048))
+        with use_solve_table(tally):
+            run_task(CellShard(plan.cells[0]), plan.settings)
+        (table,) = peek_tables()
+        assert table["cap"] == 2048
+        assert tally.stats()["rows_solved"] == table["rows_solved"] > 0
 
 
 class TestConfiguration:

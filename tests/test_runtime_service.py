@@ -614,9 +614,7 @@ class TestSolveBroker:
 
 def store_values(root) -> dict:
     """Cache state as {relative path: serialised value payload}, with
-    the volatile wall-clock ``seconds`` field excluded.  Only ``.pkl``
-    entries are cache state — solve-table ``.npy`` sidecars beside them
-    are rebuildable memoisation, not results."""
+    the volatile wall-clock ``seconds`` field excluded."""
     values = {}
     for path in sorted(root.rglob("*.pkl")):
         if not path.is_file():
@@ -634,12 +632,14 @@ class TestServiceSolveBatching:
     def test_concurrent_requests_batch_solves_and_stay_bit_identical(
         self, tmp_path, capsys
     ):
-        # Standalone reference: same grid, batching disabled, own store.
+        # Standalone reference: same grid, batching and tables disabled
+        # (a warm table would leave the service nothing to batch), own
+        # store.
         plan = StudyRequest.from_payload(dict(GRID)).build_plan()
         alone_store = tmp_path / "alone"
         alone = execute(
             plan,
-            context=RunContext(store=alone_store, backend="serial"),
+            context=RunContext(store=alone_store, backend="serial", solve_table=0),
         )
         expected = render_study_table(plan, alone)
         service_store = tmp_path / "shared"
