@@ -97,7 +97,6 @@ def test_bench_runtime_parallel_cache(tmp_path, bench_settings, monkeypatch):
     # The serial baseline must be genuinely serial and unsharded even
     # under the CI matrix legs that export these knobs suite-wide.
     monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-    monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     settings = ExperimentSettings(
@@ -183,7 +182,6 @@ def test_bench_runtime_repetition_sharding(monkeypatch):
     # Pin the baseline serial and unsharded regardless of the CI leg's
     # suite-wide env knobs.
     monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-    monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     repetitions = 1_000
@@ -266,16 +264,8 @@ def test_bench_runtime_audit_sharding(monkeypatch):
     scenario runs one 12-replication dynamic cell serially and sharded
     (4 workers) and asserts bit-identity record by record — carried
     priors included.
-
-    Chunking honours ``REPRO_CHUNK_SECONDS`` when the CI leg exports it
-    (adaptive pilot-calibrated shards) and falls back to a fixed
-    ``chunk_size=2`` otherwise; either way the persisted results file
-    records only deterministic facts, so both legs must produce it byte
-    for byte.
     """
-    chunk_seconds = os.environ.get("REPRO_CHUNK_SECONDS", "").strip()
     monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-    monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     repetitions = 12
@@ -299,16 +289,10 @@ def test_bench_runtime_audit_sharding(monkeypatch):
     serial = ParallelExecutor(workers=1).run(plan)
     serial_wall = time.perf_counter() - start
 
-    if chunk_seconds:
-        sharded_executor = ParallelExecutor(
-            workers=4, chunk_seconds=float(chunk_seconds)
-        )
-        mode = f"chunk_seconds={chunk_seconds} (adaptive)"
-    else:
-        sharded_executor = ParallelExecutor(workers=4, chunk_size=2)
-        mode = "chunk_size=2 (fixed)"
+    chunk_size = 2
+    mode = f"chunk_size={chunk_size} (fixed)"
     start = time.perf_counter()
-    sharded = sharded_executor.run(plan)
+    sharded = ParallelExecutor(workers=4, chunk_size=chunk_size).run(plan)
     sharded_wall = time.perf_counter() - start
 
     identical = serial.results[cell.key] == sharded.results[cell.key]
@@ -333,9 +317,9 @@ def test_bench_runtime_audit_sharding(monkeypatch):
         f"  sharded (4 workers)               : {sharded_wall:7.2f} s"
         f"  ({speedup:.2f}x)",
     ]
-    # Deterministic fields only: the sharding mode (fixed vs the CI
-    # leg's adaptive REPRO_CHUNK_SECONDS) and all wall-clock numbers
-    # stay on stdout so both legs reproduce this file byte for byte.
+    # Deterministic fields only: the sharding mode and all wall-clock
+    # numbers stay on stdout, so every run reproduces this file byte
+    # for byte.
     file_lines = [
         "dynamic-audit sharding (deterministic fields only; timings on stdout)",
         "=====================================================================",

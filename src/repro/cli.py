@@ -24,16 +24,15 @@ optional ledger file records every judgement for suspend/resume.
 The partition-audit and study subcommands run through the runtime
 layer: ``--workers`` fans work out over processes with bit-identical
 results, ``--cache-dir`` persists completed cells so re-runs are
-served from disk and interrupted runs resume, ``--chunk-size`` /
-``--chunk-seconds`` shard within cells (fixed reps-per-shard vs a
-pilot-calibrated seconds-per-shard target), and ``--backend`` picks
-where units of work execute (``serial``, ``process``, ``spool[:dir]``
-— a file-based work queue — or ``chaos[:inner]`` for fault
-injection).  A partition-audit shards over the KG's predicates; a
-study cell shards over its repetitions.  ``--max-retries`` /
-``--on-error`` control the fault model: how often a failed unit is
-resubmitted, and whether an exhausted unit aborts the run or is
-quarantined while the rest completes.
+served from disk and interrupted runs resume, ``--chunk-size`` shards
+within cells (at most that many repetitions per shard), and
+``--backend`` picks where units of work execute (``serial``,
+``process``, ``spool[:dir]`` — a file-based work queue — or
+``chaos[:inner]`` for fault injection).  A partition-audit shards over
+the KG's predicates; a study cell shards over its repetitions.
+``--max-retries`` / ``--on-error`` control the fault model: how often a
+failed unit is resubmitted, and whether an exhausted unit aborts the
+run or is quarantined while the rest completes.
 
 The worker subcommand is the other half of the spool backend: it
 leases task files from a spool directory (claimed by atomic rename, so
@@ -79,31 +78,9 @@ from .kg.datasets import PROFILES, load_dataset
 from .kg.io import load_kg, save_kg
 from .kg.stats import describe_kg
 from .runtime import PartitionedAuditCell, RunContext, StudyPlan, execute
-from .sampling.srs import SimpleRandomSampling
-from .sampling.stratified import StratifiedPredicateSampling
-from .sampling.twcs import TwoStageWeightedClusterSampling
-from .sampling.wcs import WeightedClusterSampling
+from .runtime.cells import build_method, build_strategy
 
 __all__ = ["main"]
-
-_METHODS = {
-    "ahpd": lambda: AdaptiveHPD(),
-    "wilson": lambda: WilsonInterval(),
-    "wald": lambda: WaldInterval(),
-}
-
-
-def _make_strategy(name: str, m: int):
-    name = name.lower()
-    if name == "srs":
-        return SimpleRandomSampling()
-    if name == "twcs":
-        return TwoStageWeightedClusterSampling(m=m)
-    if name == "wcs":
-        return WeightedClusterSampling()
-    if name == "strat":
-        return StratifiedPredicateSampling()
-    raise ReproError(f"unknown strategy {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--method",
         default="ahpd",
-        choices=sorted(_METHODS),
+        choices=("ahpd", "wald", "wilson"),
         help="interval method (default: ahpd)",
     )
     audit.add_argument("--alpha", type=float, default=0.05)
@@ -356,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--workers", type=int, default=None)
     submit.add_argument("--backend", default=None)
     submit.add_argument("--chunk-size", type=int, default=None)
-    submit.add_argument("--chunk-seconds", type=float, default=None)
     submit.add_argument("--max-retries", type=int, default=None, metavar="N")
     submit.add_argument("--on-error", default=None, choices=("raise", "continue"))
     submit.add_argument(
@@ -462,16 +438,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "(default: $REPRO_CHUNK_SIZE or no sharding)",
     )
     parser.add_argument(
-        "--chunk-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="adaptive sharding: target this many wall-clock seconds "
-        "per chunk, calibrated from a timed pilot shard; mutually "
-        "exclusive with --chunk-size "
-        "(default: $REPRO_CHUNK_SECONDS or off)",
-    )
-    parser.add_argument(
         "--backend",
         default=None,
         help="execution backend: serial, process, spool[:dir] "
@@ -522,7 +488,6 @@ def _context_from(args: argparse.Namespace, progress: bool) -> RunContext:
         store=args.cache_dir,
         progress=progress,
         chunk_size=args.chunk_size,
-        chunk_seconds=args.chunk_seconds,
         backend=args.backend,
         max_retries=args.max_retries,
         on_error=args.on_error,
@@ -552,10 +517,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     kg = load_kg(args.kg)
     ledger = AnnotationLedger() if args.ledger else None
+    strategy = f"TWCS:{args.m}" if args.strategy == "twcs" else args.strategy
     evaluator = KGAccuracyEvaluator(
         kg=kg,
-        strategy=_make_strategy(args.strategy, args.m),
-        method=_METHODS[args.method](),
+        strategy=build_strategy(strategy),
+        method=build_method(args.method),
         config=EvaluationConfig(alpha=args.alpha, epsilon=args.epsilon),
         ledger=ledger,
     )
@@ -738,7 +704,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             ("workers", args.workers),
             ("backend", args.backend),
             ("chunk_size", args.chunk_size),
-            ("chunk_seconds", args.chunk_seconds),
             ("max_retries", args.max_retries),
             ("on_error", args.on_error),
         )

@@ -6,8 +6,8 @@ of the profiled NELL dataset under a shared annotation budget and
 reports the per-predicate intervals plus the stratified global
 estimate, routed through the runtime layer: the per-partition
 trajectory stage shards over worker processes (``--workers`` /
-``--chunk-size`` / ``--chunk-seconds``) and caches like any other cell,
-bit-identically to the serial loop.
+``--chunk-size``) and caches like any other cell, bit-identically to
+the serial loop.
 """
 
 from __future__ import annotations

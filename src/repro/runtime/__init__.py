@@ -32,11 +32,8 @@ report functions — runs under ``with use_context(ctx):``.
 Environment knobs (read when :func:`execute` finds neither an
 explicit nor an installed context): ``REPRO_WORKERS`` sets the worker
 count, ``REPRO_CACHE_DIR`` roots a result store, ``REPRO_CHUNK_SIZE``
-turns on repetition sharding at a fixed granularity,
-``REPRO_CHUNK_SECONDS`` turns on
-*adaptive* sharding (reps-per-shard calibrated from a timed pilot
-shard to target seconds-per-shard; mutually exclusive with the fixed
-size), and ``REPRO_BACKEND`` picks the execution backend (``serial``,
+turns on repetition sharding at a fixed granularity (the one
+shard-size setting), and ``REPRO_BACKEND`` picks the execution backend (``serial``,
 ``process[:n]``, ``spool[:dir]`` with ``REPRO_SPOOL_DIR`` as the
 spool default, or ``chaos[:inner]`` for fault injection).  Cache
 tokens never depend on the backend, so a run interrupted on one
@@ -96,7 +93,6 @@ from .cells import (
 )
 from .executor import (
     CellResult,
-    ChunkCalibration,
     ParallelExecutor,
     PlanOutcome,
     execute,
@@ -153,7 +149,6 @@ __all__ = [
     "shard_ranges",
     "shard_token",
     "CellResult",
-    "ChunkCalibration",
     "PlanOutcome",
     "PlanScheduler",
     "ParallelExecutor",

@@ -33,12 +33,10 @@ once the merged cell result is stored.  Cache tokens never depend on
 the backend, so a run interrupted under one backend resumes under any
 other at the finished-shard boundary.
 
-Chunk sizes can be fixed (``chunk_size`` / ``REPRO_CHUNK_SIZE``) or
-adaptive (``chunk_seconds`` / ``REPRO_CHUNK_SECONDS``): the adaptive
-mode times one pilot shard per run and targets a wall-clock budget per
-shard instead of a repetition count, so one setting suits cells of very
-different per-repetition cost.  Either way chunking is pure scheduling
-— results and cache keys are chunking-independent.
+The run's ``chunk_size`` (``REPRO_CHUNK_SIZE``) is the one shard-size
+setting: every splittable cell is cut into windows of at most that many
+repetitions.  Chunking is pure scheduling — results and cache keys are
+chunking-independent.
 
 Failures follow an explicit fault model (:mod:`repro.runtime.faults`):
 a failed unit of work is retried up to ``max_retries`` times with
@@ -89,9 +87,7 @@ from .backends import (
     ProcessPoolBackend,
     SerialBackend,
     make_backend,
-    run_task,
 )
-from .cells import kind_for
 from .faults import (
     PlanExecutionError,
     RetryPolicy,
@@ -99,14 +95,9 @@ from .faults import (
     failure_from,
     unit_token,
 )
-from .scheduler import (
-    CellResult,
-    ChunkCalibration,
-    PlanOutcome,
-    PlanScheduler,
-)
+from .scheduler import CellResult, PlanOutcome, PlanScheduler
 from .settings import RunContext
-from .spec import CellShard, StudyPlan, cache_token, shard_token
+from .spec import CellShard, StudyPlan
 from .store import ResultStore
 from .telemetry import (
     TRACE_SCHEMA_VERSION,
@@ -121,7 +112,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CellResult",
-    "ChunkCalibration",
     "PlanExecutionError",
     "PlanOutcome",
     "ParallelExecutor",
@@ -165,22 +155,8 @@ class ParallelExecutor:
         repetitions than this are split into windows of at most
         ``chunk_size`` repetitions that fan out like cells and merge
         bit-identically.  ``None`` reads ``REPRO_CHUNK_SIZE``
-        (default: no sharding).  A cell's own ``chunk_size`` field
-        overrides this value.
-    chunk_seconds:
-        Adaptive chunk sizing: instead of a fixed reps-per-shard, aim
-        for shards of roughly this many wall-clock seconds.  Each run
-        times one pilot shard of its first uncached splittable cell,
-        derives reps-per-shard from the measured rate, and shards the
-        whole plan at that granularity (the pilot window is reused when
-        it aligns with the chosen chunking).  ``None`` reads
-        ``REPRO_CHUNK_SECONDS`` (default: off).  Mutually exclusive
-        with ``chunk_size``: passing both explicitly (or setting both
-        environment variables) raises; an explicit argument for one
-        silently wins over the *environment* default of the other, so
-        code pinning a chunk size keeps working under a
-        ``REPRO_CHUNK_SECONDS`` CI leg and vice versa.  Calibration is
-        pure scheduling — chunking never changes numbers or cache keys.
+        (default: no sharding).  Chunking is pure scheduling — it never
+        changes numbers or cache keys.
     backend:
         Where units of work execute: an
         :class:`~repro.runtime.backends.ExecutionBackend` instance, a
@@ -238,7 +214,6 @@ class ParallelExecutor:
         store: Union[ResultStore, str, Path, None] = None,
         progress: Union[bool, Callable[[int, int, CellResult], None], None] = None,
         chunk_size: int | None = None,
-        chunk_seconds: float | None = None,
         backend: Union[str, ExecutionBackend, None] = None,
         max_retries: int | None = None,
         on_error: str | None = None,
@@ -253,7 +228,6 @@ class ParallelExecutor:
                 store=store,
                 progress=progress,
                 chunk_size=chunk_size,
-                chunk_seconds=chunk_seconds,
                 backend=backend,
                 max_retries=max_retries,
                 on_error=on_error,
@@ -286,7 +260,6 @@ class ParallelExecutor:
         self.context = context
         self.workers = context.workers
         self.chunk_size = context.chunk_size
-        self.chunk_seconds = context.chunk_seconds
         self.backend = context.backend
         self.retry_policy = context.retry_policy
         self.on_error = context.on_error
@@ -314,79 +287,6 @@ class ParallelExecutor:
             return ProcessPoolBackend()
         return SerialBackend()
 
-    #: Repetitions the calibration pilot shard covers (capped at half
-    #: the pilot cell's repetitions so the run still has work to shard).
-    _PILOT_REPS = 4
-
-    def _calibrate_chunk(
-        self,
-        plan: StudyPlan,
-        settings: "ExperimentSettings",
-        telemetry: RunTelemetry,
-    ) -> tuple[ChunkCalibration | None, tuple | None]:
-        """Derive reps-per-shard from one timed pilot shard.
-
-        Picks the first uncached splittable cell of the plan, executes
-        its leading repetition window ``[0, pilot)`` in-process, and
-        converts the measured rate into a chunk size targeting
-        ``chunk_seconds`` per shard.  The pilot's partial payload is
-        persisted to the store (under its ordinary shard token) and
-        returned for in-memory reuse, so the timed work is not wasted
-        when the chosen chunking's first window happens to align.  A
-        pilot that raises measures nothing: the next candidate is tried,
-        and the failing cell's own units then fail through the
-        backend's retry and quarantine policy.
-
-        Calibration affects scheduling only: whatever chunk size comes
-        out, merged results and cache tokens are identical to any fixed
-        chunking — the property the test suite pins down.
-        """
-        for index, cell in enumerate(plan.cells):
-            counter = kind_for(cell).repetitions
-            if counter is None or cell.chunk_size is not None:
-                continue
-            repetitions = int(counter(cell, settings))
-            if repetitions < 2:
-                continue
-            if self.store is not None and self.store.contains(
-                cache_token(cell, settings)
-            ):
-                continue
-            pilot_reps = max(1, min(self._PILOT_REPS, repetitions // 2))
-            shard = CellShard(cell=cell, rep_stop=pilot_reps)
-            try:
-                value, seconds = run_task(shard, settings)
-            except Exception:
-                # No measurement; the cell's own units re-raise this
-                # through the retry policy, which records the failure.
-                continue
-            if self.store is not None:
-                self.store.save(
-                    shard_token(shard, settings, repetitions),
-                    {"value": value, "label": shard.label, "seconds": seconds},
-                    group=cache_token(cell, settings),
-                )
-            chunk = max(
-                1,
-                int(round(self.chunk_seconds * pilot_reps / max(seconds, 1e-9))),
-            )
-            calibration = ChunkCalibration(
-                cell_key=cell.key,
-                pilot_repetitions=pilot_reps,
-                pilot_seconds=seconds,
-                chunk_size=chunk,
-            )
-            telemetry.emit(
-                "calibration",
-                payload=calibration,
-                cell="/".join(str(part) for part in cell.key),
-                pilot_repetitions=pilot_reps,
-                pilot_seconds=round(seconds, 6),
-                chunk_size=chunk,
-            )
-            return calibration, (index, pilot_reps, value, seconds)
-        return None, None
-
     def run(self, plan: StudyPlan) -> PlanOutcome:
         """Execute *plan*; returns results for every cell, plan-ordered.
 
@@ -399,11 +299,6 @@ class ParallelExecutor:
         at most the work still in flight, and a killed split cell
         resumes at its last finished window — on this backend or any
         other.
-
-        With ``chunk_seconds`` configured, a timed pilot shard runs
-        first and fixes this run's reps-per-shard (see
-        :meth:`_calibrate_chunk`); the resulting chunk size is recorded
-        on the outcome's ``calibration`` and never in any result.
 
         Every run narrates itself into a fresh
         :class:`~repro.runtime.telemetry.RunTelemetry` bus: the metrics
@@ -425,9 +320,9 @@ class ParallelExecutor:
         backend = None
         retries = 0
         # Install the shared solve pool (if any) for everything this
-        # scheduler thread executes in-process — serial-backend units
-        # and the calibration pilot.  Out-of-process units solve
-        # directly in their workers, which is bit-identical anyway.
+        # scheduler thread executes in-process (serial-backend units).
+        # Out-of-process units solve directly in their workers, which
+        # is bit-identical anyway.
         pool_stack = ExitStack()
         tally = None
         try:
@@ -458,20 +353,10 @@ class ParallelExecutor:
                 workers=self.workers,
                 schema=TRACE_SCHEMA_VERSION,
             )
-            default_chunk = self.chunk_size
-            calibration = None
-            pilot = None
-            if self.chunk_seconds is not None:
-                calibration, pilot = self._calibrate_chunk(
-                    plan, settings, telemetry
-                )
-                if calibration is not None:
-                    default_chunk = calibration.chunk_size
             scheduler = PlanScheduler(
                 plan,
                 store=self.store,
-                default_chunk=default_chunk,
-                pilot=pilot,
+                chunk_size=self.chunk_size,
                 telemetry=telemetry,
             )
             pending = scheduler.scan()
@@ -547,7 +432,6 @@ class ParallelExecutor:
             cells=scheduler.cells(),
             workers=self.workers,
             seconds=time.perf_counter() - start,
-            calibration=calibration,
             backend=backend.name,
             failures=scheduler.failed(),
             retries=retries,
@@ -631,7 +515,7 @@ class ParallelExecutor:
         return (
             f"ParallelExecutor(workers={self.workers}, "
             f"store={self.store!r}, progress={self.progress is not None}, "
-            f"chunk_size={self.chunk_size}, chunk_seconds={self.chunk_seconds}, "
+            f"chunk_size={self.chunk_size}, "
             f"backend={self.backend!r}, "
             f"max_retries={self.retry_policy.max_retries}, "
             f"on_error={self.on_error!r}, trace={self.trace!r}, "

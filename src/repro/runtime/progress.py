@@ -20,7 +20,7 @@ import time
 from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import CellResult, ChunkCalibration
+    from .executor import CellResult
     from .faults import TaskFailure
     from .spec import CellSpec
 
@@ -70,23 +70,6 @@ class ProgressReporter:
         self._clear_ticker(stream)
         print(
             f"[{done:>{width}}/{total}] {result.cell.label}  ({timing})",
-            file=stream,
-            flush=True,
-        )
-
-    def calibration_update(self, calibration: "ChunkCalibration") -> None:
-        """One line announcing the adaptive chunk-sizing outcome.
-
-        Printed once per run (calibration happens before any scheduled
-        work), so piped logs show which chunk size a ``chunk_seconds``
-        run settled on without having to infer it from shard counts.
-        """
-        stream = self._resolve_stream()
-        print(
-            f"[calibrated] chunk_size={calibration.chunk_size} "
-            f"({calibration.pilot_repetitions} pilot reps in "
-            f"{calibration.pilot_seconds:.2f}s on "
-            f"{'/'.join(str(part) for part in calibration.cell_key)})",
             file=stream,
             flush=True,
         )

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..exceptions import ValidationError
 from .cells import kind_for
 from .faults import TaskFailure
 from .spec import CellShard, CellSpec, StudyPlan, cache_token, shard_ranges, shard_token
@@ -39,28 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CellResult",
-    "ChunkCalibration",
     "PlanOutcome",
     "PlanScheduler",
 ]
-
-
-@dataclass(frozen=True)
-class ChunkCalibration:
-    """Outcome of an adaptive chunk-sizing pilot (scheduling only).
-
-    Records which cell served as the pilot, how many repetitions the
-    timed pilot shard covered, its wall-clock, and the reps-per-shard
-    the run derived from it.  Pure scheduling metadata: the calibrated
-    chunk size never reaches cache keys (tokens are chunking-
-    independent) or result payloads, so two runs calibrated differently
-    still produce byte-identical results files.
-    """
-
-    cell_key: tuple
-    pilot_repetitions: int
-    pilot_seconds: float
-    chunk_size: int
 
 
 @dataclass(frozen=True)
@@ -87,12 +67,9 @@ class CellResult:
 class PlanOutcome:
     """Everything a plan execution produced, in plan order.
 
-    ``calibration`` records the adaptive chunk-sizing pilot when the
-    run was configured with ``chunk_seconds`` and had splittable work to
-    calibrate on; ``None`` otherwise.  ``backend`` names the execution
-    backend the run's fresh work dispatched through (``"serial"`` when
-    everything came from cache) — reporting only: results and cache
-    tokens are backend-independent.
+    ``backend`` names the execution backend the run's fresh work
+    dispatched through (``"serial"`` when everything came from cache) —
+    reporting only: results and cache tokens are backend-independent.
 
     ``failures`` is non-empty only under ``on_error="continue"``: each
     entry is the final :class:`~repro.runtime.faults.TaskFailure` of a
@@ -105,7 +82,6 @@ class PlanOutcome:
     cells: tuple[CellResult, ...]
     workers: int
     seconds: float
-    calibration: ChunkCalibration | None = None
     backend: str = "serial"
     failures: tuple[TaskFailure, ...] = ()
     retries: int = 0
@@ -140,8 +116,6 @@ class PlanOutcome:
         name = self.plan.name or "plan"
         sharded = sum(1 for entry in self.cells if entry.shards > 1)
         shard_note = f", {sharded} sharded" if sharded else ""
-        if self.calibration is not None:
-            shard_note += f", chunk~{self.calibration.chunk_size} calibrated"
         if self.backend not in ("serial", "process"):
             shard_note += f", {self.backend} backend"
         if self.retries:
@@ -203,14 +177,9 @@ class PlanScheduler:
         The plan under execution.
     store:
         Result store for cache lookups and persistence, or ``None``.
-    default_chunk:
-        Effective repetition-sharding granularity for cells without
-        their own ``chunk_size`` — the executor's fixed chunk size or
-        the run's calibrated one.
-    pilot:
-        ``(cell_index, pilot_reps, value, seconds)`` of an adaptive
-        calibration pilot whose leading window should be reused instead
-        of re-executed, or ``None``.
+    chunk_size:
+        Repetition-sharding granularity (the run's ``chunk_size``), or
+        ``None`` to run every cell whole.
     telemetry:
         The run's :class:`~repro.runtime.telemetry.RunTelemetry` bus.
         Every scheduling decision is narrated into it (cache hits,
@@ -224,15 +193,13 @@ class PlanScheduler:
         plan: StudyPlan,
         *,
         store: ResultStore | None = None,
-        default_chunk: int | None = None,
-        pilot: tuple | None = None,
+        chunk_size: int | None = None,
         telemetry: RunTelemetry | None = None,
     ):
         self.plan = plan
         self.settings: "ExperimentSettings" = plan.settings
         self.store = store
-        self.default_chunk = default_chunk
-        self.pilot = pilot
+        self.chunk_size = chunk_size
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
         self._entries: dict[int, CellResult] = {}
         self._runs: dict[tuple, _CellRun] = {}
@@ -244,26 +211,20 @@ class PlanScheduler:
     def shards_for(self, cell: CellSpec) -> tuple[int | None, tuple[CellShard, ...]]:
         """The repetition count and windows of *cell*.
 
-        A cell splits when its kind is splittable and the effective
-        chunk size (cell override, else the scheduler's
-        ``default_chunk``) cuts its repetitions into more than one
-        window.  Otherwise it runs as the single whole-cell window
+        A cell splits when its kind is splittable and the scheduler's
+        ``chunk_size`` cuts its repetitions into more than one window.
+        Otherwise it runs as the single whole-cell window
         ``CellShard(cell)``, and without a chunk size its kind's
         repetition counter is never called.
         """
         whole = None, (CellShard(cell),)
-        chunk = (
-            cell.chunk_size if cell.chunk_size is not None else self.default_chunk
-        )
-        if chunk is None:
+        if self.chunk_size is None:
             return whole
         counter = kind_for(cell).repetitions
         if counter is None:
             return whole
-        if chunk < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk}")
         repetitions = int(counter(cell, self.settings))
-        ranges = shard_ranges(repetitions, chunk)
+        ranges = shard_ranges(repetitions, self.chunk_size)
         if len(ranges) < 2:
             return whole
         return repetitions, tuple(
@@ -319,18 +280,6 @@ class PlanScheduler:
             self._runs[cell.key] = run
             incomplete = []
             for shard in shards:
-                if (
-                    self.pilot is not None
-                    and index == self.pilot[0]
-                    and shard.index == 0
-                    and shard.rep_stop == self.pilot[1]
-                ):
-                    # The calibration pilot already computed this exact
-                    # window in-process; count it as compute performed
-                    # this run (it was), not as a cache hit.
-                    run.partials[0] = self.pilot[2]
-                    run.seconds += self.pilot[3]
-                    continue
                 if run.split and self.store is not None:
                     stoken = shard_token(shard, self.settings, repetitions)
                     run.shard_tokens[shard.index] = stoken
@@ -448,7 +397,7 @@ class PlanScheduler:
             # merged result is durable they only cost disk.  The group
             # is keyed by the chunking-independent cell token, so this
             # also sweeps stale windows left by interrupted runs under a
-            # different chunk size, or by a calibration pilot.
+            # different chunk size.
             self.store.discard_group(run.token)
         if run.split:
             self.telemetry.emit(

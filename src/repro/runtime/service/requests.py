@@ -27,8 +27,7 @@ The request JSON schema accepted by the service's ``submit`` op::
       "context": {                         # all optional, per-request
         "workers": 2,
         "backend": "serial",               # serial | process[:n] | spool[:dir] | chaos[:inner]
-        "chunk_size": 5,                   # or chunk_seconds — not both
-        "chunk_seconds": 0.5,
+        "chunk_size": 5,                   # repetitions per shard
         "max_retries": 2,
         "on_error": "continue"             # raise | continue
       }

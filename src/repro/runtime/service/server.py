@@ -54,8 +54,8 @@ __all__ = ["AuditService", "CONTEXT_OVERRIDE_KEYS"]
 #: requests is the point of the service — and trace files are assigned
 #: by the service (one journal per request under ``--trace-dir``).
 CONTEXT_OVERRIDE_KEYS = frozenset(
-    {"workers", "backend", "chunk_size", "chunk_seconds",
-     "max_retries", "on_error", "solve_table"}
+    {"workers", "backend", "chunk_size", "max_retries", "on_error",
+     "solve_table"}
 )
 
 #: Queue sentinel: the request's executor thread is done.

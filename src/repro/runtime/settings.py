@@ -40,7 +40,6 @@ __all__ = [
     "resolve_cache_dir",
     "resolve_chaos_rate",
     "resolve_chaos_seed",
-    "resolve_chunk_seconds",
     "resolve_chunk_size",
     "resolve_max_retries",
     "resolve_on_error",
@@ -101,11 +100,6 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
     "REPRO_CHUNK_SIZE": (
         _parse_int("REPRO_CHUNK_SIZE"),
         "fixed repetition-sharding granularity (int >= 1; default: off)",
-    ),
-    "REPRO_CHUNK_SECONDS": (
-        _parse_float("REPRO_CHUNK_SECONDS"),
-        "adaptive sharding wall-clock target per shard (float > 0; "
-        "default: off; mutually exclusive with REPRO_CHUNK_SIZE)",
     ),
     "REPRO_BACKEND": (
         _parse_text("REPRO_BACKEND"),
@@ -217,18 +211,6 @@ def resolve_chunk_size(chunk_size: int | None) -> int | None:
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
     return chunk_size
-
-
-def resolve_chunk_seconds(chunk_seconds: float | None) -> float | None:
-    """Explicit target, or the ``REPRO_CHUNK_SECONDS`` default (off)."""
-    if chunk_seconds is None:
-        chunk_seconds = env_knob("REPRO_CHUNK_SECONDS")
-        if chunk_seconds is None:
-            return None
-    chunk_seconds = float(chunk_seconds)
-    if chunk_seconds <= 0.0:
-        raise ValidationError(f"chunk_seconds must be > 0, got {chunk_seconds}")
-    return chunk_seconds
 
 
 def resolve_cache_dir(cache_dir: Union[str, Path, None]) -> Path | None:
@@ -461,8 +443,9 @@ class RunContext:
     * ``workers`` — ``int`` (>= 1)
     * ``store`` — :class:`~repro.runtime.store.ResultStore` or ``None``
     * ``progress`` — callable ``(done, total, CellResult)`` or ``None``
-    * ``chunk_size`` — ``int`` or ``None``
-    * ``chunk_seconds`` — ``float`` or ``None`` (never both set)
+    * ``chunk_size`` — ``int`` or ``None``; the one shard-size setting
+    * ``chunk_seconds`` — always ``None``; accepted only as ``None`` so
+      recorded contexts still construct
     * ``backend`` — validated spec string, ready
       :class:`~repro.runtime.backends.ExecutionBackend`, or ``None``
       for the automatic policy
@@ -504,25 +487,12 @@ class RunContext:
     def __post_init__(self, max_retries: Any) -> None:
         set_field = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
         set_field("workers", resolve_workers(self.workers))
-        if self.chunk_size is not None and self.chunk_seconds is not None:
+        if self.chunk_seconds is not None:
             raise ValidationError(
-                "chunk_size and chunk_seconds are mutually exclusive; pass "
-                "at most one (fixed reps-per-shard vs seconds-per-shard)"
+                "chunk_seconds must be None; chunk_size is the one "
+                f"shard-size setting; got {self.chunk_seconds!r}"
             )
-        explicit_size = self.chunk_size is not None
-        explicit_seconds = self.chunk_seconds is not None
         set_field("chunk_size", resolve_chunk_size(self.chunk_size))
-        set_field("chunk_seconds", resolve_chunk_seconds(self.chunk_seconds))
-        if self.chunk_size is not None and self.chunk_seconds is not None:
-            if explicit_size:
-                set_field("chunk_seconds", None)  # explicit size beats env
-            elif explicit_seconds:
-                set_field("chunk_size", None)  # explicit seconds beats env
-            else:
-                raise ValidationError(
-                    "REPRO_CHUNK_SIZE and REPRO_CHUNK_SECONDS are both set; "
-                    "unset one (fixed reps-per-shard vs seconds-per-shard)"
-                )
         # Runtime import: the backend registry imports this module for
         # its environment fallback, so settings must stay import-leaf.
         from .backends.base import resolve_backend_spec
@@ -569,16 +539,9 @@ class RunContext:
     def replace(self, **overrides: Any) -> "RunContext":
         """A new context with *overrides* applied (re-validated).
 
-        Setting one of the mutually-exclusive chunking knobs clears the
-        other automatically, so ``ctx.replace(chunk_seconds=0.5)`` works
-        on a context that resolved a fixed chunk size; likewise
         ``replace(max_retries=2)`` supersedes the carried-over
         ``retry_policy`` instead of colliding with it.
         """
-        if "chunk_size" in overrides and "chunk_seconds" not in overrides:
-            overrides["chunk_seconds"] = None
-        elif "chunk_seconds" in overrides and "chunk_size" not in overrides:
-            overrides["chunk_size"] = None
         if "max_retries" in overrides and "retry_policy" not in overrides:
             overrides["retry_policy"] = None
         return dataclasses.replace(self, **overrides)

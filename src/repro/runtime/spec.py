@@ -78,16 +78,6 @@ class CellSpec:
     alpha:
         Significance-level override; ``None`` uses the plan settings'
         alpha.
-    chunk_size:
-        Repetition-sharding override for this cell: split its
-        repetitions into windows of at most this many, each executed as
-        an independent unit of work and merged bit-identically by its
-        kind's merge (see :class:`repro.runtime.cells.CellKind`).
-        ``None`` defers to the executor's chunk size
-        (``REPRO_CHUNK_SIZE`` by default).
-        Deliberately excluded from :func:`cache_token`: chunking changes
-        scheduling, never numbers, so any chunking of a cell shares one
-        cache entry for its merged result.
     method_payload:
         Full picklable method configuration — the primitive tuple
         produced by :func:`repro.runtime.cells.method_payload` — for
@@ -103,7 +93,6 @@ class CellSpec:
     label: str
     method: str
     alpha: float | None = None
-    chunk_size: int | None = None
     method_payload: tuple | None = None
 
 
@@ -349,21 +338,17 @@ def cache_token(cell: CellSpec, settings: "ExperimentSettings") -> str:
     payload, so the :class:`~repro.runtime.store.ResultStore` can serve
     re-runs and resume interrupted grids safely.
 
-    Deliberately absent, like ``chunk_size``: anything that only
-    changes *where or in what pieces* the work runs — the worker
-    count and the execution backend.  A grid computed on one backend
-    is a cache hit on every other, which is what lets a run
-    interrupted under one backend resume under another.
+    Deliberately absent: anything that only changes *where or in what
+    pieces* the work runs — the chunk size, the worker count and the
+    execution backend, all run settings rather than cell fields.  A
+    grid computed under one chunking or backend is a cache hit under
+    every other, which is what lets a run interrupted under one resume
+    under another.
     """
-    fields = asdict(cell)
-    # Chunking is pure scheduling: any sharding of a cell produces the
-    # same merged numbers, so the token must not depend on it — a cell
-    # computed under one chunk size is a cache hit under every other.
-    fields.pop("chunk_size", None)
     payload = {
         "version": CACHE_VERSION,
         "kind": type(cell).__name__,
-        "cell": fields,
+        "cell": asdict(cell),
         "settings": {
             name: getattr(settings, name) for name in _SETTINGS_TOKEN_FIELDS
         },

@@ -67,8 +67,10 @@ __all__ = [
 #: event gains ``rows_solved`` and ``sidecar_loads``.  4: tables live in
 #: memory only, so ``solve_table`` loses ``sidecar_loads``, and its
 #: counts are the run's own serves rather than the shared table's delta
-#: over the run (which counted overlapping runs' serves twice).
-TRACE_SCHEMA_VERSION = 4
+#: over the run (which counted overlapping runs' serves twice).  5: the
+#: adaptive chunk-sizing event type is gone, because a fixed
+#: ``chunk_size`` is the one shard-size setting.
+TRACE_SCHEMA_VERSION = 5
 
 #: Every event type the runtime emits.  The journal-schema check (CI
 #: and ``python -m repro trace check``) rejects anything else, so a
@@ -81,7 +83,6 @@ EVENT_TYPES = frozenset(
         "shard_cache_hit",  # one shard window resumed from the store
         "unit_queued",  # one unit (whole cell or window) entered the queue
         "scan_finish",  # cache scan done; pending unit count
-        "calibration",  # adaptive chunk-sizing pilot outcome
         "unit_submitted",  # one unit handed to the backend (per attempt)
         "unit_finished",  # one unit returned a value
         "unit_failed",  # one attempt raised
@@ -233,9 +234,9 @@ class ProgressSubscriber:
 
     The runtime's progress protocol predates telemetry: a callable
     ``(done, total, CellResult)`` plus optional duck-typed hooks
-    (``shard_update``, ``calibration_update``, ``retry_update``,
-    ``failure_update``, ``finish_update``).  This subscriber replays
-    events into that protocol, which is how both the built-in
+    (``shard_update``, ``retry_update``, ``failure_update``,
+    ``finish_update``).  This subscriber replays events into that
+    protocol, which is how both the built-in
     :class:`~repro.runtime.progress.ProgressReporter` and any custom
     progress callable ride the same event stream the journal records.
     """
@@ -250,7 +251,6 @@ class ProgressSubscriber:
             return
         hook_name = {
             "shard_progress": "shard_update",
-            "calibration": "calibration_update",
             "retry": "retry_update",
             "quarantine": "failure_update",
             "run_finish": "finish_update",
@@ -268,8 +268,6 @@ class ProgressSubscriber:
                 fields["reps_done"],
                 fields["reps_total"],
             )
-        elif kind == "calibration":
-            hook(event.payload)
         elif kind == "retry":
             hook(
                 event.payload,

@@ -32,6 +32,12 @@ class TestCLI:
             main(["figure2", "--reps", "3", "--solver", "slsqp"])
         assert "--solver" in capsys.readouterr().err
 
+    def test_chunk_seconds_flag(self, capsys):
+        # --chunk-size is the one shard-size flag.
+        with pytest.raises(SystemExit):
+            main(["figure2", "--reps", "3", "--chunk-seconds", "1"])
+        assert "--chunk-seconds" in capsys.readouterr().err
+
     def test_multiple_experiments(self, capsys):
         assert main(["table1", "figure2", "--reps", "3"]) == 0
         out = capsys.readouterr().out
@@ -39,7 +45,7 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--workers", "0"), ("--reps", "0"), ("--chunk-size", "2", "--chunk-seconds", "1")],
+        [("--workers", "0"), ("--reps", "0"), ("--chunk-size", "0")],
     )
     def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, flags):
         assert main(["table1", *flags]) == 1

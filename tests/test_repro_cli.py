@@ -37,7 +37,39 @@ class TestGenerate:
         assert "1386" in capsys.readouterr().out
 
 
+#: ``audit --seed 1`` on the medium KG for every ``--strategy`` x
+#: ``--method`` choice: the printed estimate, interval and annotated
+#: triple count.  Pinned so the choices keep building the same sampling
+#: designs and interval methods.
+AUDIT_GOLDEN = {
+    ("srs", "ahpd"): ("0.7928", "aHPD[Kerman] [0.7415, 0.8413]", 251),
+    ("srs", "wilson"): ("0.7928", "Wilson [0.7385, 0.8384]", 251),
+    ("srs", "wald"): ("0.7937", "Wald [0.7437, 0.8436]", 252),
+    ("twcs", "ahpd"): ("0.9211", "aHPD[Kerman] [0.8669, 0.9657]", 153),
+    ("twcs", "wilson"): ("0.9194", "Wilson [0.8566, 0.9562]", 162),
+    ("twcs", "wald"): ("0.9224", "Wald [0.8727, 0.9721]", 156),
+    ("wcs", "ahpd"): ("0.7599", "aHPD[Uniform] [0.7076, 0.8074]", 580),
+    ("wcs", "wilson"): ("0.7599", "Wilson [0.7064, 0.8063]", 580),
+    ("wcs", "wald"): ("0.7615", "Wald [0.7116, 0.8115]", 587),
+    ("strat", "ahpd"): ("0.7817", "aHPD[Uniform] [0.7290, 0.8290]", 252),
+    ("strat", "wilson"): ("0.7826", "Wilson [0.7286, 0.8284]", 253),
+    ("strat", "wald"): ("0.7835", "Wald [0.7336, 0.8334]", 254),
+}
+
+
 class TestAudit:
+    @pytest.mark.parametrize("strategy, method", list(AUDIT_GOLDEN), ids="-".join)
+    def test_every_choice_prints_its_pinned_audit(
+        self, kg_file, strategy, method, capsys
+    ):
+        argv = ["audit", kg_file, "--strategy", strategy, "--method", method]
+        assert main([*argv, "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        estimate, interval, triples = AUDIT_GOLDEN[strategy, method]
+        assert f"estimated accuracy : {estimate}\n" in out
+        assert f"interval           : {interval} (1-alpha=0.95)\n" in out
+        assert f"annotated triples  : {triples}\n" in out
+
     def test_default_audit(self, kg_file, capsys):
         assert main(["audit", kg_file, "--seed", "3"]) == 0
         out = capsys.readouterr().out
@@ -116,6 +148,17 @@ class TestStudy:
     def test_unknown_strategy_errors(self, capsys):
         assert main(["study", "--strategies", "bogus", "--reps", "2"]) == 1
         assert "unknown strategy" in capsys.readouterr().err
+
+
+class TestRuntimeOptions:
+    @pytest.mark.parametrize(
+        "command", (["study"], ["partition-audit", "kg.tsv"], ["serve"], ["submit"])
+    )
+    def test_chunk_seconds_flag_is_gone(self, command, capsys):
+        # --chunk-size is the one shard-size flag.
+        with pytest.raises(SystemExit):
+            main([*command, "--chunk-seconds", "1"])
+        assert "--chunk-seconds" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -14,10 +14,6 @@ Three contracts are pinned down here:
 * **one implementation** — a cell carrying any encodable method
   (informative-prior aHPD included) equals the library call it runs
   (``audit_by_predicate``, ``empirical_coverage``).
-
-Adaptive chunk sizing (``chunk_seconds`` / ``REPRO_CHUNK_SECONDS``)
-rides the same guarantee: whatever chunk the pilot calibration picks,
-results and cache tokens match every fixed chunking.
 """
 
 from __future__ import annotations
@@ -543,88 +539,3 @@ class TestCoverageCellMatchesLibrary:
                 method, mu, 20, repetitions=100, rng=3 + i
             )
 
-
-class TestAdaptiveChunkSizing:
-    def coverage_plan(self, repetitions=200):
-        settings = ExperimentSettings(repetitions=repetitions, seed=0)
-        cell = CoverageCell(
-            key=("cov",), label="cov", method="Wilson",
-            mu=0.9, n=30, seed=5, repetitions=repetitions,
-        )
-        return StudyPlan(settings=settings, cells=(cell,), name="adaptive")
-
-    def test_calibrated_results_match_any_fixed_chunking(self):
-        plan = self.coverage_plan()
-        key = plan.cells[0].key
-        serial = ParallelExecutor(workers=1).run(plan)
-        fixed = ParallelExecutor(workers=1, chunk_size=7).run(plan)
-        adaptive = ParallelExecutor(workers=2, chunk_seconds=0.001).run(plan)
-        assert serial.results[key] == fixed.results[key] == adaptive.results[key]
-        assert adaptive.calibration is not None
-        assert adaptive.calibration.chunk_size >= 1
-        assert adaptive.calibration.cell_key == key
-        assert "calibrated" in adaptive.summary()
-
-    def test_calibrated_cache_token_is_chunking_independent(self, tmp_path):
-        plan = self.coverage_plan()
-        cell = plan.cells[0]
-        store = ResultStore(tmp_path / "cache")
-        first = ParallelExecutor(workers=1, store=store, chunk_seconds=0.001).run(plan)
-        assert first.cache_misses == 1
-        # Re-runs under a fixed chunking, no chunking, and a different
-        # seconds target are all served from the same merged entry.
-        for executor in (
-            ParallelExecutor(workers=1, store=store, chunk_size=13),
-            ParallelExecutor(workers=1, store=store),
-            ParallelExecutor(workers=1, store=store, chunk_seconds=5.0),
-        ):
-            again = executor.run(plan)
-            assert again.cache_hits == 1
-            assert again.results[cell.key] == first.results[cell.key]
-        assert store.contains(cache_token(cell, plan.settings))
-
-    def test_env_chunk_seconds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SECONDS", "0.25")
-        monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-        assert ParallelExecutor().chunk_seconds == 0.25
-        monkeypatch.setenv("REPRO_CHUNK_SECONDS", "nope")
-        with pytest.raises(ValidationError):
-            ParallelExecutor()
-        monkeypatch.delenv("REPRO_CHUNK_SECONDS")
-        assert ParallelExecutor().chunk_seconds is None
-
-    def test_explicit_conflict_raises(self):
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            ParallelExecutor(chunk_size=5, chunk_seconds=1.0)
-
-    def test_env_conflict_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "7")
-        monkeypatch.setenv("REPRO_CHUNK_SECONDS", "1.0")
-        with pytest.raises(ValidationError, match="both set"):
-            ParallelExecutor()
-
-    def test_explicit_argument_beats_the_other_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "7")
-        monkeypatch.setenv("REPRO_CHUNK_SECONDS", "1.0")
-        fixed = ParallelExecutor(chunk_size=5)
-        assert fixed.chunk_size == 5 and fixed.chunk_seconds is None
-        adaptive = ParallelExecutor(chunk_seconds=2.0)
-        assert adaptive.chunk_seconds == 2.0 and adaptive.chunk_size is None
-
-    def test_invalid_chunk_seconds(self):
-        with pytest.raises(ValidationError):
-            ParallelExecutor(chunk_seconds=0.0)
-        with pytest.raises(ValidationError):
-            ParallelExecutor(chunk_seconds=-1.0)
-
-    def test_audit_cells_under_adaptive_chunking(self):
-        # The new cell kinds honour chunk_seconds like any shardable
-        # kind: whatever the pilot picks, numbers match the serial run.
-        cells = (dynamic_cell(repetitions=3), partitioned_cell(key=("p2",), label="p2"))
-        plan = plan_of(cells)
-        serial = ParallelExecutor(workers=1).run(plan)
-        adaptive = ParallelExecutor(workers=2, chunk_seconds=0.01).run(plan)
-        assert_studies_equal(
-            serial.results[("dyn",)], adaptive.results[("dyn",)]
-        )
-        assert serial.results[("p2",)] == adaptive.results[("p2",)]

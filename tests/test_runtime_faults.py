@@ -84,7 +84,7 @@ def _run_broken(cell, settings, rep_range):
 
 @dataclass(frozen=True)
 class BrokenSplittableCell(CellSpec):
-    """Fails every window of a splittable kind: a doomed calibration pilot."""
+    """Fails every window of a splittable kind."""
 
 
 def _merge_broken(cell, settings, partials):  # pragma: no cover - never merges
@@ -369,7 +369,7 @@ class TestOnErrorContinue:
         from repro.runtime.faults import failure_from
 
         plan = plan_of([study_cell()], repetitions=4)
-        scheduler = PlanScheduler(plan, default_chunk=2)
+        scheduler = PlanScheduler(plan, chunk_size=2)
         bad, good = scheduler.scan()
         failure = failure_from(bad, "token", 1, ValidationError("shard died"), "serial")
         scheduler.quarantine(bad, failure)
@@ -412,39 +412,25 @@ class TestOnErrorContinue:
         assert "[quarantined] broken" in err
 
 
-#: The two ways to split a plan's cells: fixed, and calibrated by a
-#: timed pilot window run in-process before the backend opens.
-_CHUNKINGS = (dict(chunk_size=2), dict(chunk_seconds=0.05))
-
-
 class TestFailingCalibrationPilot:
-    """A pilot that raises must not bypass the retry/quarantine policy."""
+    """A split cell whose windows raise still obeys retry and quarantine."""
 
     def plan(self):
         broken = BrokenSplittableCell(key=("broken",), label="broken", method="-")
         return plan_of([broken, study_cell()], repetitions=4)
 
-    @pytest.mark.parametrize("chunking", _CHUNKINGS)
-    def test_continue_quarantines_only_the_failing_cell(self, chunking):
+    def test_continue_quarantines_only_the_failing_cell(self):
         outcome = ParallelExecutor(
-            workers=1, on_error="continue", max_retries=1, **chunking
+            workers=1, on_error="continue", max_retries=1, chunk_size=2
         ).run(self.plan())
         assert set(outcome.results) == {study_cell().key}
         assert [f.label.split("[")[0] for f in outcome.failures] == ["broken"]
 
-    @pytest.mark.parametrize("chunking", _CHUNKINGS)
-    def test_raise_aborts_with_plan_execution_error(self, chunking):
+    def test_raise_aborts_with_plan_execution_error(self):
         with pytest.raises(PlanExecutionError, match="persistent failure"):
             ParallelExecutor(
-                workers=1, on_error="raise", max_retries=1, **chunking
+                workers=1, on_error="raise", max_retries=1, chunk_size=2
             ).run(self.plan())
-
-    def test_calibration_falls_through_to_the_next_candidate(self):
-        outcome = ParallelExecutor(
-            workers=1, on_error="continue", chunk_seconds=0.05
-        ).run(self.plan())
-        assert outcome.calibration is not None
-        assert outcome.calibration.cell_key == study_cell().key
 
 
 class TestCliWiring:

@@ -1,10 +1,10 @@
-"""Progress-reporter tests: per-cell lines, tty ticker, calibration.
+"""Progress-reporter tests: per-cell lines, tty ticker, fault lines.
 
 :mod:`repro.runtime.progress` promises *aggregated* reporting: one
-stderr line per completed cell whatever its shard count, an in-place
-shard ticker on interactive terminals only, and a single calibration
-line per adaptive-chunking run.  These tests pin that surface down
-directly (the executor integration is covered in the shard suite).
+stderr line per completed cell whatever its shard count, and an
+in-place shard ticker on interactive terminals only.  These tests pin
+that surface down directly (the executor integration is covered in the
+shard suite).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 from repro.runtime import (
     CellSpec,
-    ChunkCalibration,
     ProgressReporter,
     RunTelemetry,
     TaskFailure,
@@ -74,23 +73,6 @@ class TestCompletionLines:
         monkeypatch.setattr(sys, "stderr", captured)
         ProgressReporter()(1, 1, _result())
         assert "NELL/SRS/Wilson" in captured.getvalue()
-
-
-class TestCalibrationLine:
-    def test_announces_chunk_and_pilot(self):
-        stream = io.StringIO()
-        ProgressReporter(stream=stream).calibration_update(
-            ChunkCalibration(
-                cell_key=("NELL", "SRS", "Wilson"),
-                pilot_repetitions=4,
-                pilot_seconds=0.5,
-                chunk_size=40,
-            )
-        )
-        line = stream.getvalue()
-        assert "[calibrated] chunk_size=40" in line
-        assert "4 pilot reps" in line
-        assert "NELL/SRS/Wilson" in line
 
 
 class TestShardTicker:
@@ -190,16 +172,6 @@ class TestFaultLines:
         line = stream.getvalue()
         assert "[quarantined]" in line
         assert "NELL/SRS/Wilson" in line
-
-    def test_calibration_line_on_non_tty(self):
-        stream = io.StringIO()
-        ProgressReporter(stream=stream).calibration_update(
-            ChunkCalibration(
-                cell_key=("NELL",), pilot_repetitions=2,
-                pilot_seconds=0.1, chunk_size=8,
-            )
-        )
-        assert "[calibrated] chunk_size=8" in stream.getvalue()
 
     def test_retry_line_clears_a_pending_ticker_first(self):
         stream = _TtyStream()

@@ -281,6 +281,8 @@ class TestServiceRequests:
                 submit_request(svc.address, GRID, {"store": "/elsewhere"})
             with pytest.raises(ReproError, match="workers"):
                 submit_request(svc.address, GRID, {"workers": 0})
+            with pytest.raises(ReproError, match="unknown context field.*chunk_seconds"):
+                submit_request(svc.address, GRID, {"chunk_seconds": 1})
 
     def test_malformed_lines_keep_the_connection_alive(self, tmp_path):
         with running_service(tmp_path) as svc:

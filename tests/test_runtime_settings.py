@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import re
 from pathlib import Path
 
@@ -14,7 +16,6 @@ from repro.runtime.settings import (
     KNOBS,
     RunContext,
     env_knob,
-    resolve_chunk_seconds,
     resolve_chunk_size,
     resolve_max_retries,
     resolve_on_error,
@@ -22,7 +23,8 @@ from repro.runtime.settings import (
     resolve_workers,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 class TestKnobRegistry:
@@ -34,7 +36,6 @@ class TestKnobRegistry:
             "REPRO_CACHE_DIR",
             "REPRO_CHAOS_RATE",
             "REPRO_CHAOS_SEED",
-            "REPRO_CHUNK_SECONDS",
             "REPRO_CHUNK_SIZE",
             "REPRO_MAX_RETRIES",
             "REPRO_ON_ERROR",
@@ -110,12 +111,8 @@ class TestResolvers:
         with pytest.raises(ValidationError, match="chunk_size"):
             resolve_chunk_size(0)
 
-    def test_chunk_seconds_validation(self):
-        assert resolve_chunk_seconds(0.5) == 0.5
-        with pytest.raises(ValidationError, match="chunk_seconds"):
-            resolve_chunk_seconds(0.0)
-
     def test_max_retries(self, monkeypatch):
+        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
         assert resolve_max_retries(None) == 0
         monkeypatch.setenv("REPRO_MAX_RETRIES", "2")
         assert resolve_max_retries(None) == 2
@@ -149,17 +146,35 @@ class TestRunContext:
         monkeypatch.setenv("REPRO_WORKERS", "9")
         assert ctx.workers == 3  # snapshot, not a live env read
 
-    def test_chunk_knobs_mutually_exclusive(self):
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            RunContext(chunk_size=5, chunk_seconds=0.5)
+    def test_chunk_seconds_accepts_only_none(self):
+        # chunk_size is the one shard-size setting; chunk_seconds stays
+        # a field so recorded contexts (which carry None) still build.
+        assert RunContext(chunk_seconds=None).chunk_seconds is None
+        with pytest.raises(ValidationError, match="chunk_size"):
+            RunContext(chunk_seconds=0.5)
 
-    def test_replace_clears_sibling_chunk_knob(self):
+    def test_replace_revalidates_chunk_seconds(self):
+        # replace() no longer trades one chunk knob for the other.
         ctx = RunContext(chunk_size=5)
-        adaptive = ctx.replace(chunk_seconds=0.5)
-        assert adaptive.chunk_size is None
-        assert adaptive.chunk_seconds == 0.5
-        fixed = adaptive.replace(chunk_size=3)
-        assert fixed.chunk_seconds is None
+        assert ctx.replace(chunk_size=3).chunk_size == 3
+        with pytest.raises(ValidationError, match="chunk_size"):
+            ctx.replace(chunk_seconds=0.5)
+
+    def test_describe_keys(self):
+        assert list(RunContext().describe()) == [
+            "workers",
+            "cache_dir",
+            "chunk_size",
+            "chunk_seconds",
+            "backend",
+            "max_retries",
+            "on_error",
+            "trace",
+            "progress",
+            "solve_pool",
+            "kernel",
+            "solve_table",
+        ]
 
     def test_replace_max_retries_supersedes_policy(self):
         ctx = RunContext(max_retries=1)
@@ -185,3 +200,35 @@ class TestRunContext:
         with pytest.raises(ValidationError, match="unknown execution backend"):
             RunContext(backend="quantum")
 
+
+class TestPerfbenchContexts:
+    """The contexts ``perfbench/workloads.json`` records still resolve.
+
+    ``perfbench/experiment.py`` builds ``RunContext(store=..., **knobs)``
+    from each experiment workload's ``resolved_context`` in a process
+    with every ``REPRO_*`` variable scrubbed, then checks ``describe()``
+    against that record; removing a field it records fails here.
+    """
+
+    WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())[
+        "workloads"
+    ]
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            name for name, spec in WORKLOADS.items() if spec["kind"] == "experiment"
+        ),
+    )
+    def test_describe_matches_the_record(self, name, monkeypatch, tmp_path):
+        for variable in list(os.environ):
+            if variable.startswith("REPRO_"):
+                monkeypatch.delenv(variable)
+        spec = self.WORKLOADS[name]
+        knobs = dict(spec["resolved_context"])
+        del knobs["cache_dir"]
+        store = ResultStore(tmp_path / "store") if spec["store"] else None
+        described = RunContext(store=store, **knobs).describe()
+        if described["cache_dir"] is not None:
+            described["cache_dir"] = "<fresh store>"
+        assert described == spec["resolved_context"]

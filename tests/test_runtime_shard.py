@@ -23,6 +23,7 @@ from repro.runtime import (
     CellShard,
     CoverageCell,
     ParallelExecutor,
+    PlanScheduler,
     ProgressReporter,
     ResultStore,
     SequentialCoverageCell,
@@ -136,14 +137,38 @@ class TestShardPlanning:
         with pytest.raises(ValidationError):
             shard_ranges(5, 0)
 
+    def test_run_chunk_size_splits_every_splittable_cell(self):
+        # The run's chunk size is the one shard size: every cell of the
+        # plan is cut the same way.
+        cells = (study_cell(), coverage_cell())
+        scheduler = PlanScheduler(plan_of(cells, repetitions=5), chunk_size=2)
+        repetitions, shards = scheduler.shards_for(study_cell())
+        assert repetitions == 5
+        assert [shard.rep_range for shard in shards] == [(0, 2), (2, 4), (4, 5)]
+        repetitions, shards = scheduler.shards_for(coverage_cell())
+        assert repetitions == 40
+        assert len(shards) == 20
+        assert {shard.shards for shard in shards} == {20}
+
+    def test_unsharded_run_keeps_cells_whole(self):
+        plan = plan_of([study_cell()], repetitions=5)
+        for chunk_size in (None, 5, 99):
+            scheduler = PlanScheduler(plan, chunk_size=chunk_size)
+            assert scheduler.shards_for(study_cell()) == (
+                None,
+                (CellShard(study_cell()),),
+            )
+
+    def test_scheduler_rejects_chunk_below_one(self):
+        scheduler = PlanScheduler(plan_of([study_cell()]), chunk_size=0)
+        with pytest.raises(ValidationError, match="chunk_size"):
+            scheduler.shards_for(study_cell())
+
     def test_invalid_executor_chunk_size(self):
         with pytest.raises(ValidationError):
             ParallelExecutor(chunk_size=0)
 
     def test_env_chunk_size(self, monkeypatch):
-        # Both env knobs together are a (tested elsewhere) conflict, so
-        # pin this test to the fixed-size one whatever the CI leg set.
-        monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "7")
         assert ParallelExecutor().chunk_size == 7
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "nope")
@@ -183,12 +208,6 @@ class TestShardPlanning:
 
 
 class TestShardTokens:
-    def test_cache_token_ignores_chunk_size(self):
-        settings = ExperimentSettings(repetitions=5)
-        assert cache_token(study_cell(), settings) == cache_token(
-            study_cell(chunk_size=3), settings
-        )
-
     def test_shard_tokens_distinct_per_window_and_total(self):
         settings = ExperimentSettings(repetitions=10)
         cell = study_cell()
@@ -261,18 +280,6 @@ class TestChunkedEqualsSerial:
         assert serial.results[cell.key] == ragged.results[cell.key]
         assert merged_whole(cell, plan.settings) == ragged.results[cell.key]
 
-    def test_cell_level_chunk_size_overrides_executor(self):
-        plan = plan_of([study_cell(chunk_size=2)], repetitions=6)
-        outcome = ParallelExecutor(workers=1).run(plan)  # no executor chunking
-        assert outcome.cells[0].shards == 3
-        reference = ParallelExecutor(workers=1).run(
-            plan_of([study_cell()], repetitions=6)
-        )
-        assert_studies_equal(
-            outcome.results[("NELL", "SRS", "Wilson")],
-            reference.results[("NELL", "SRS", "Wilson")],
-        )
-
     def test_oversized_chunk_runs_unsharded(self):
         plan = plan_of([study_cell()], repetitions=3)
         outcome = ParallelExecutor(workers=1, chunk_size=50).run(plan)
@@ -300,7 +307,6 @@ class TestUnsplitCell:
         # These tests pin the unsplit path, so a CI leg's chunking
         # environment must not split the cells under test.
         monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-        monkeypatch.delenv("REPRO_CHUNK_SECONDS", raising=False)
 
     def test_whole_cell_unit_is_labelled_and_tokened_as_its_cell(self):
         settings = ExperimentSettings(repetitions=5)
@@ -476,8 +482,13 @@ class TestShardProgress:
     def test_reporter_prints_one_line_per_sharded_cell(self):
         stream = io.StringIO()  # not a tty: no shard ticker
         plan = plan_of([study_cell()], repetitions=6)
+        # Serial backend: an ambient fault-injecting backend would add
+        # retry lines to the one line per cell counted here.
         ParallelExecutor(
-            workers=1, chunk_size=1, progress=ProgressReporter(stream=stream)
+            workers=1,
+            chunk_size=1,
+            backend="serial",
+            progress=ProgressReporter(stream=stream),
         ).run(plan)
         lines = [line for line in stream.getvalue().splitlines() if line.strip()]
         assert len(lines) == 1

@@ -7,6 +7,11 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.experiments._studies import strategy_spec
+from repro.experiments.coverage_audit import coverage_audit_plan
+from repro.experiments.dynamic_audit import dynamic_audit_plan
+from repro.experiments.partitioned_audit import partitioned_audit_plan
+from repro.experiments.sequential_coverage import sequential_coverage_plan
+from repro.experiments.table3 import table3_plan
 from repro.intervals.ahpd import AdaptiveHPD
 from repro.intervals.clopper_pearson import ClopperPearsonInterval
 from repro.intervals.et import ETCredibleInterval
@@ -31,6 +36,33 @@ from repro.sampling.twcs import TwoStageWeightedClusterSampling
 from repro.sampling.wcs import WeightedClusterSampling
 
 SETTINGS = ExperimentSettings(repetitions=5)
+
+#: One plan cell per built-in kind with its ``cache_token``, pinned:
+#: ``(plan builder, repetitions, cell key, kind, token)``.  A store
+#: written under these tokens stays valid only while they hold, so a
+#: change that moves one must bump ``CACHE_VERSION``.
+GOLDEN_TOKENS = (
+    (
+        table3_plan, 3, ("YAGO", "SRS", "Wald"), "StudyCell",
+        "759e9f84860186f9092875e17ceae544e000d4202e90d88e63d114c881b45fdd",
+    ),
+    (
+        coverage_audit_plan, 10, ("Wald", 0.99), "CoverageCell",
+        "a6ab57d3905fcbb65430e98730d0af74d565b55cede73e9069511b239a20904a",
+    ),
+    (
+        sequential_coverage_plan, 10, ("Wald", 0.99), "SequentialCoverageCell",
+        "5e621ecb05f5ebad84c91ebccbbfb8664fd14bae5e26a9bc20eceb49536460bd",
+    ),
+    (
+        dynamic_audit_plan, 10, ("stable", "carried"), "DynamicAuditCell",
+        "74aaeebbb7b4e363fa883cca7c8ff2c2e8cd7b40390d45b4894bfe0f53dd968e",
+    ),
+    (
+        partitioned_audit_plan, 10, ("partitions", "NELL"), "PartitionedAuditCell",
+        "37cf9351801fd3e55081bc7d6f8970c4ff4387df985ba284d1992914de841024",
+    ),
+)
 
 
 def _cell(**overrides) -> StudyCell:
@@ -109,6 +141,18 @@ class TestCacheToken:
         # (informative priors travel as method_payload), changing every
         # study cell's token.
         assert CACHE_VERSION == 4
+
+    @pytest.mark.parametrize(
+        "builder, repetitions, key, kind, token",
+        GOLDEN_TOKENS,
+        ids=[entry[3] for entry in GOLDEN_TOKENS],
+    )
+    def test_golden_tokens(self, builder, repetitions, key, kind, token):
+        settings = ExperimentSettings(repetitions=repetitions, seed=0)
+        plan = builder(settings)
+        cell = next(cell for cell in plan.cells if cell.key == key)
+        assert type(cell).__name__ == kind
+        assert cache_token(cell, settings) == token
 
 
 class TestBuildStrategy:

@@ -224,7 +224,7 @@ class TestMetrics:
         assert outcome.metrics.status == "ok"
         snapshot = outcome.metrics.as_dict()
         json.dumps(snapshot)  # JSON-ready, no numpy leakage
-        assert snapshot["schema_version"] == 4
+        assert snapshot["schema_version"] == 5
 
     def test_replay_reproduces_the_live_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -384,7 +384,7 @@ class TestWorkerSpans:
             worker.join(timeout=30)
         assert outcome.backend == "spool"
         spans = journal_events(journal, "worker_span")
-        # One span per queued unit: a calibrated chunking may split a
+        # One span per queued unit: an ambient chunk size may split a
         # cell into several windows.
         assert len(spans) == len(journal_events(journal, "unit_queued"))
         for span in spans:
