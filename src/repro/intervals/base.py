@@ -74,8 +74,8 @@ def use_solve_pool(pool: Any) -> Iterator[Any]:
 #: The ambient small-n solve table, if any.  A table is an object with
 #: a ``serve(method, evidences, alpha, build=...) -> BatchIntervals |
 #: None`` method that short-circuits solves over integer-count
-#: evidences by indexing a (method, alpha, n) interval table that fills
-#: row by row on demand (see :mod:`repro.intervals.table`).  Like the
+#: evidences by looking up their (method, alpha, n, tau) interval rows,
+#: each solved on first demand (see :mod:`repro.intervals.table`).  Like the
 #: solve pool, it lives in a context variable so concurrent requests
 #: route independently — and like the pool, it changes wall-clock,
 #: never numbers.
@@ -226,8 +226,8 @@ class IntervalMethod(ABC):
         solves and flush them as one vectorised call.  Under
         :func:`use_solve_table` the ambient table is consulted first —
         integer-count evidences below the table's ``n`` cap are served
-        from its (method, alpha, n) table, which solves only the rows it
-        does not hold yet.
+        from its (method, alpha, n, tau) rows, and it solves only the
+        rows it does not hold yet.
         Because every built-in batch kernel is row-independent, a
         pooled slice or a table slice is bit-identical to a direct
         :meth:`compute_batch` — routing changes wall-clock, never

@@ -38,7 +38,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import check_alpha
 from ..estimators.base import Evidence
@@ -146,6 +145,10 @@ def _solve_slsqp(posterior: BetaPosterior, alpha: float) -> tuple[float, float]:
     (Sec. 4.3).  Analytic gradients are supplied for both the objective
     and the constraint (the constraint gradient is the posterior pdf).
     """
+    # Imported here: only the scalar solvers need scipy.optimize, and
+    # importing it would cost every process ~0.2 s and ~24 MB.
+    from scipy import optimize
+
     target = 1.0 - alpha
     x0 = np.asarray(et_bounds(posterior, alpha), dtype=float)
 
@@ -238,6 +241,8 @@ def _solve_scalar(posterior: BetaPosterior, alpha: float) -> tuple[float, float]
     is unimodal in ``l`` for interior-mode posteriors, so a bounded
     Brent search over ``l in [0, F^{-1}(alpha)]`` finds the optimum.
     """
+    from scipy import optimize  # deferred: see _solve_slsqp
+
     target = 1.0 - alpha
 
     def width(lower: float) -> float:

@@ -20,9 +20,12 @@ from ..stats.beta import _beta_cdf_raw, _beta_pdf_raw, _beta_ppf_raw
 
 __all__ = ["KERNEL", "NEWTON_MAX_ITER", "SolverKernel"]
 
-#: Maximum damped-Newton iterations before a row falls back to the
-#: scalar solver — shared with the scalar Newton solver in
-#: :mod:`repro.intervals.hpd`.
+#: Maximum damped-Newton iterations per row — shared with the scalar
+#: Newton solver in :mod:`repro.intervals.hpd`.  A row leaves the loop
+#: earlier once it converges or a step leaves it unchanged; a row that
+#: uses up the cap keeps its last iterate.  Reaching the cap does not
+#: send a row to the scalar fallback: only the posterior-mass check in
+#: :func:`repro.intervals.batch._newton_batch` does.
 NEWTON_MAX_ITER = 60
 
 
@@ -120,9 +123,14 @@ class SolverKernel:
                 )
                 new_l = l_i - scale * step_l
                 new_u = u_i - scale * step_u
-                if stuck.any():
+                # A row this step leaves bit-for-bit unchanged sits at a
+                # fixed point: every later iteration would repeat this
+                # one exactly, so its bounds are final.  (Float noise can
+                # keep such a row from ever meeting the tolerance above.)
+                settled = (new_l == l_i) & (new_u == u_i) & ~stuck
+                if stuck.any() or settled.any():
                     failed[active[stuck]] = True
-                    ok = ~stuck
+                    ok = ~(stuck | settled)
                     active = active[ok]
                     a_i, b_i = a_i[ok], b_i[ok]
                     m_i = m_i[ok]

@@ -11,7 +11,7 @@ re-exports it) because the intervals layer itself needs payload keys:
 the cross-request :class:`~repro.runtime.solvebatch.SolveBroker` groups
 pending solves by payload, and the small-n
 :class:`~repro.intervals.table.SolveTable` keys its interval
-tables the same way.  Payload bytes are part of the cache
+rows the same way.  Payload bytes are part of the cache
 contract — two equal-configured method instances must produce equal
 payloads, and the payload of any method must be stable across
 processes and PRs.

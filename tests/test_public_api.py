@@ -2,13 +2,18 @@
 
 These guard the contract downstream users rely on: everything in
 ``__all__`` is importable, the quickstart in the package docstring runs,
-and the core value types behave like values (hashable / comparable
-where documented).
+importing the package leaves ``scipy.optimize`` unloaded until a scalar
+HPD solver needs it, and the core value types behave like values
+(hashable / comparable where documented).
 """
 
 from __future__ import annotations
 
 import doctest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +69,32 @@ class TestAllExports:
             repro.stats,
         ):
             assert module.__doc__
+
+
+class TestImportFootprint:
+    def test_scipy_optimize_loads_only_when_a_scalar_solver_runs(self):
+        # scipy.optimize costs every process that imports it ~0.2 s and
+        # ~24 MB; only the SLSQP and Brent solvers (test oracles, the
+        # ablation, the rare per-row fallback) need it.
+        script = (
+            "import sys\n"
+            "import repro, repro.runtime, repro.experiments, repro.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from repro.intervals import BetaPosterior, JEFFREYS, hpd_bounds\n"
+            "posterior = BetaPosterior(a=8.5, b=3.5, prior=JEFFREYS)\n"
+            "hpd_bounds(posterior, 0.05, solver='scalar')\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1]) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestPackageDoctest:
