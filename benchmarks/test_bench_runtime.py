@@ -36,6 +36,7 @@ from repro.runtime import (
     DynamicAuditCell,
     ParallelExecutor,
     ResultStore,
+    RunContext,
     SequentialCoverageCell,
     StudyPlan,
 )
@@ -106,12 +107,12 @@ def test_bench_runtime_parallel_cache(tmp_path, bench_settings, monkeypatch):
     plan = table3_plan(settings)  # 2 datasets x 2 strategies x 3 methods
 
     start = time.perf_counter()
-    serial = ParallelExecutor(workers=1).run(plan)
+    serial = ParallelExecutor(RunContext(workers=1)).run(plan)
     serial_wall = time.perf_counter() - start
 
     store = ResultStore(tmp_path / "cache")
     start = time.perf_counter()
-    parallel = ParallelExecutor(workers=4, store=store).run(plan)
+    parallel = ParallelExecutor(RunContext(workers=4, store=store)).run(plan)
     parallel_wall = time.perf_counter() - start
 
     identical = all(
@@ -122,7 +123,7 @@ def test_bench_runtime_parallel_cache(tmp_path, bench_settings, monkeypatch):
     assert parallel.cache_misses == len(plan)
 
     start = time.perf_counter()
-    cached = ParallelExecutor(workers=4, store=store).run(plan)
+    cached = ParallelExecutor(RunContext(workers=4, store=store)).run(plan)
     cached_wall = time.perf_counter() - start
     assert cached.cache_hits == len(plan)
     assert cached.cache_misses == 0
@@ -198,11 +199,11 @@ def test_bench_runtime_repetition_sharding(monkeypatch):
     plan = StudyPlan(settings=settings, cells=(cell,), name="sharding")
 
     start = time.perf_counter()
-    serial = ParallelExecutor(workers=1).run(plan)
+    serial = ParallelExecutor(RunContext(workers=1)).run(plan)
     serial_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded = ParallelExecutor(workers=4, chunk_size=chunk_size).run(plan)
+    sharded = ParallelExecutor(RunContext(workers=4, chunk_size=chunk_size)).run(plan)
     sharded_wall = time.perf_counter() - start
 
     identical = serial.results[cell.key] == sharded.results[cell.key]
@@ -210,7 +211,7 @@ def test_bench_runtime_repetition_sharding(monkeypatch):
     assert sharded.cells[0].shards == repetitions // chunk_size
 
     # A ragged chunking (non-divisor of 1,000) must merge identically too.
-    ragged = ParallelExecutor(workers=4, chunk_size=33).run(plan)
+    ragged = ParallelExecutor(RunContext(workers=4, chunk_size=33)).run(plan)
     ragged_identical = serial.results[cell.key] == ragged.results[cell.key]
     assert ragged_identical
 
@@ -286,13 +287,13 @@ def test_bench_runtime_audit_sharding(monkeypatch):
     plan = StudyPlan(settings=settings, cells=(cell,), name="audit-sharding")
 
     start = time.perf_counter()
-    serial = ParallelExecutor(workers=1).run(plan)
+    serial = ParallelExecutor(RunContext(workers=1)).run(plan)
     serial_wall = time.perf_counter() - start
 
     chunk_size = 2
     mode = f"chunk_size={chunk_size} (fixed)"
     start = time.perf_counter()
-    sharded = ParallelExecutor(workers=4, chunk_size=chunk_size).run(plan)
+    sharded = ParallelExecutor(RunContext(workers=4, chunk_size=chunk_size)).run(plan)
     sharded_wall = time.perf_counter() - start
 
     identical = serial.results[cell.key] == sharded.results[cell.key]

@@ -21,9 +21,9 @@ serialises on a single worker.
 Execution configuration is an immutable per-request :class:`RunContext`
 (:mod:`repro.runtime.settings`): every knob below resolves — explicit
 value, else ``REPRO_*`` environment variable, else default — exactly
-once, at context construction, and
-``ParallelExecutor.from_context(ctx)`` / ``execute(plan, context=ctx)``
-thread the snapshot through scheduler and backend without touching
+once, at context construction, and ``ParallelExecutor(ctx)`` (the
+executor's only constructor) / ``execute(plan, context=ctx)`` thread
+the snapshot through scheduler and backend without touching
 process state, so differently-configured runs coexist in one process
 (the basis of ``python -m repro serve``).  Code that calls
 ``execute(plan)`` without a context — the experiments' ``run_*``
@@ -41,9 +41,9 @@ backend resumes on another at the finished-shard boundary.
 
 Execution is fault-tolerant: ``REPRO_MAX_RETRIES`` (or
 ``max_retries=``) resubmits failed units on a deterministic backoff
-schedule (:class:`RetryPolicy`), and ``REPRO_ON_ERROR`` (or
-``on_error=``) picks what happens when retries run out — ``"raise"``
-aborts with a :class:`PlanExecutionError` carrying every
+schedule (:func:`~repro.runtime.faults.retry_delay`), and
+``REPRO_ON_ERROR`` (or ``on_error=``) picks what happens when retries
+run out — ``"raise"`` aborts with a :class:`PlanExecutionError` carrying every
 :class:`TaskFailure`, ``"continue"`` quarantines the failed cell and
 returns the survivors plus the failure records on the
 :class:`PlanOutcome`.
@@ -54,8 +54,11 @@ retries, worker-side spans, dead letters, chaos injections) into an
 always-on in-memory :class:`MetricsAggregate` (``outcome.metrics``)
 and — when ``REPRO_TRACE_FILE`` or ``trace=``/``--trace`` names a
 file — a JSONL journal summarised by ``python -m repro trace
-summarize``.  Telemetry is strictly non-semantic: tracing on or off
-changes no result bytes, cache tokens, or seeds.
+summarize``.  Progress is one more subscriber: ``RunContext(progress=
+...)`` takes the stderr :class:`ProgressReporter` (``True``) or any
+callable, which receives each :class:`TelemetryEvent`.  Telemetry is
+strictly non-semantic: tracing on or off changes no result bytes,
+cache tokens, or seeds.
 
 Concurrent runs can additionally share a :class:`SolveBroker`
 (:mod:`repro.runtime.solvebatch`): interval solves arriving from
@@ -102,7 +105,6 @@ from .settings import KNOBS, RunContext, env_knob
 from .solvebatch import BrokerChannel, SolveBroker
 from .faults import (
     PlanExecutionError,
-    RetryPolicy,
     TaskFailure,
     unit_token,
 )
@@ -155,7 +157,6 @@ __all__ = [
     "PlanExecutionError",
     "ProgressReporter",
     "ResultStore",
-    "RetryPolicy",
     "TaskFailure",
     "unit_token",
     "BackendFuture",

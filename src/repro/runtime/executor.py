@@ -40,7 +40,8 @@ chunking-independent.
 
 Failures follow an explicit fault model (:mod:`repro.runtime.faults`):
 a failed unit of work is retried up to ``max_retries`` times with
-deterministic exponential backoff, and a unit that exhausts its
+deterministic exponential backoff
+(:func:`~repro.runtime.faults.retry_delay`), and a unit that exhausts its
 retries either aborts the run (``on_error="raise"``, with the full
 :class:`~repro.runtime.faults.TaskFailure` history on the raised
 :class:`~repro.runtime.faults.PlanExecutionError`) or is quarantined
@@ -50,12 +51,12 @@ time, a retry recomputes byte-identical numbers — the chaos backend
 (``chaos:<inner>``) exploits that to prove the failure path.
 
 Configuration is an immutable, per-request
-:class:`~repro.runtime.settings.RunContext`: every constructor
-argument below is resolved through :mod:`repro.runtime.settings` (the
-one owner of all ``REPRO_*`` environment fallbacks) into a frozen
-snapshot, and :meth:`ParallelExecutor.from_context` builds an executor
-from a ready-made context — which is how the service front end
-(:mod:`repro.runtime.service`) runs many concurrently-configured
+:class:`~repro.runtime.settings.RunContext`: every setting is resolved
+through :mod:`repro.runtime.settings` (the one owner of all
+``REPRO_*`` environment fallbacks) into a frozen snapshot, and
+``ParallelExecutor(context)`` — the executor's only constructor —
+reads every setting of a run from it, which is how the service front
+end (:mod:`repro.runtime.service`) runs many concurrently-configured
 requests in one process.  The module-level :func:`execute` is the
 entry point the experiment modules use: it runs under an explicit
 ``context``, else the one :func:`use_context` installed for the
@@ -67,8 +68,9 @@ changes.
 Every run additionally narrates itself into a structured telemetry
 stream (:mod:`repro.runtime.telemetry`): an in-memory metrics
 aggregate always rides on the returned outcome (``outcome.metrics``),
-and a JSONL event journal is appended when ``trace`` /
-``REPRO_TRACE_FILE`` names a file.  Telemetry is observation only —
+a JSONL event journal is appended when ``trace`` /
+``REPRO_TRACE_FILE`` names a file, and the context's ``progress``
+subscriber receives the same events.  Telemetry is observation only —
 it never changes results, cache tokens, or seeds.
 """
 
@@ -77,8 +79,7 @@ from __future__ import annotations
 import contextvars
 import time
 from contextlib import ExitStack, contextmanager
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Union
+from typing import TYPE_CHECKING, Iterator
 
 from ..intervals.base import use_solve_pool, use_solve_table
 from ..intervals.table import SolveTable, TableTally, shared_table
@@ -90,20 +91,18 @@ from .backends import (
 )
 from .faults import (
     PlanExecutionError,
-    RetryPolicy,
     TaskFailure,
     failure_from,
+    retry_delay,
     unit_token,
 )
 from .scheduler import CellResult, PlanOutcome, PlanScheduler
 from .settings import RunContext
 from .spec import CellShard, StudyPlan
-from .store import ResultStore
 from .telemetry import (
     TRACE_SCHEMA_VERSION,
     JsonlTraceSink,
     MetricsAggregate,
-    ProgressSubscriber,
     RunTelemetry,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "PlanExecutionError",
     "PlanOutcome",
     "ParallelExecutor",
-    "RetryPolicy",
     "RunContext",
     "TaskFailure",
     "execute",
@@ -137,153 +135,38 @@ class ParallelExecutor:
 
     Parameters
     ----------
-    workers:
-        Worker processes; ``None`` reads ``REPRO_WORKERS`` (default 1).
-        ``1`` executes serially in-process under the automatic backend
-        policy — also used when a plan has at most one uncached unit of
-        work.  The spool backend ignores this count: its parallelism is
-        however many ``python -m repro worker`` processes are attached.
-    store:
-        A :class:`~repro.runtime.store.ResultStore`, a directory path
-        to root one at, or ``None`` to disable caching.
-    progress:
-        ``True`` for the default stderr reporter, a callable
-        ``(done, total, CellResult) -> None`` for custom reporting, or
-        ``None``/``False`` for silence.
-    chunk_size:
-        Repetition-sharding granularity: splittable cells with more
-        repetitions than this are split into windows of at most
-        ``chunk_size`` repetitions that fan out like cells and merge
-        bit-identically.  ``None`` reads ``REPRO_CHUNK_SIZE``
-        (default: no sharding).  Chunking is pure scheduling — it never
-        changes numbers or cache keys.
-    backend:
-        Where units of work execute: an
-        :class:`~repro.runtime.backends.ExecutionBackend` instance, a
-        spec string (``"serial"``, ``"process[:n]"``,
-        ``"spool[:dir]"``, ``"chaos:<inner>"``), or ``None`` to read
-        ``REPRO_BACKEND`` — falling back to the automatic policy
-        (serial at ``workers=1`` or ≤1 pending unit, process pool
-        otherwise).  Backends change placement and wall-clock only:
-        results are bit-identical and cache tokens are
-        backend-independent, so runs resume across backend switches.
-    max_retries:
-        Resubmissions allowed per unit of work after a failed attempt,
-        with deterministic exponential backoff (see
-        :class:`~repro.runtime.faults.RetryPolicy`).  ``None`` reads
-        ``REPRO_MAX_RETRIES`` (default 0 — classic fail-fast).
-    on_error:
-        What to do once a unit exhausts its retries: ``"raise"``
-        (default; aborts the run with a
-        :class:`~repro.runtime.faults.PlanExecutionError` carrying the
-        full failure history) or ``"continue"`` (quarantine the failed
-        cell, keep draining, and return a partial
-        :class:`PlanOutcome` with the ``failures`` tuple populated).
-        ``None`` reads ``REPRO_ON_ERROR``.
-    retry_policy:
-        A full :class:`~repro.runtime.faults.RetryPolicy` (backoff
-        shape included).  Mutually exclusive with ``max_retries``,
-        which is the convenience form for the common case.
-    trace:
-        Path of a JSONL trace journal: every run of this executor
-        appends its structured lifecycle events (see
-        :mod:`repro.runtime.telemetry`) to the file.  ``None`` reads
-        ``REPRO_TRACE_FILE`` (default: no journal).  Strictly
-        non-semantic — tracing on or off changes no result bytes, no
-        cache tokens, and no seeds.  The in-memory metrics aggregate
-        is always attached to the outcome, journal or not.
-    solve_pool:
-        A shared :class:`~repro.runtime.solvebatch.SolveBroker` (or
-        compatible object with a ``channel(telemetry)`` factory) to
-        coalesce this run's interval solves with other concurrent runs'.
-        ``None`` (the default) solves directly.  Pure scheduling: pooled
-        solves are bit-identical to direct ones.
-    solve_table:
-        Small-n solve-table cap: integer-count solves with ``n`` at or
-        below this are served from a (method, alpha, n) interval table
-        that fills row by row on demand and lives in process memory,
-        shared by every run with the same cap (see
-        :mod:`repro.intervals.table`).  ``0`` disables; ``None`` reads
-        ``REPRO_SOLVE_TABLE`` (default 2048).  Tables are pure
-        memoisation — served rows are bit-identical to solved ones.
+    context:
+        The run's :class:`~repro.runtime.settings.RunContext`, taken
+        as-is: every setting — workers, store, chunk size, backend,
+        retries, error mode, trace journal, progress subscriber, solve
+        pool and solve table — is read from it, and no environment
+        variable is consulted (resolution happened when the context was
+        built), so executors holding different contexts share nothing
+        and can run concurrently in one process.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        store: Union[ResultStore, str, Path, None] = None,
-        progress: Union[bool, Callable[[int, int, CellResult], None], None] = None,
-        chunk_size: int | None = None,
-        backend: Union[str, ExecutionBackend, None] = None,
-        max_retries: int | None = None,
-        on_error: str | None = None,
-        retry_policy: RetryPolicy | None = None,
-        trace: Union[str, Path, None] = None,
-        solve_pool: Any = None,
-        solve_table: int | None = None,
-    ):
-        self._bind(
-            RunContext(
-                workers=workers,
-                store=store,
-                progress=progress,
-                chunk_size=chunk_size,
-                backend=backend,
-                max_retries=max_retries,
-                on_error=on_error,
-                retry_policy=retry_policy,
-                trace=trace,
-                solve_pool=solve_pool,
-                solve_table=solve_table,
-            )
-        )
-
-    @classmethod
-    def from_context(cls, context: RunContext) -> "ParallelExecutor":
-        """An executor bound to an already-resolved :class:`RunContext`.
-
-        The context is taken as-is — no environment variable is
-        consulted (resolution happened when *context* was built), so
-        two executors created from different contexts share nothing and
-        can run concurrently in one process.
-        """
+    def __init__(self, context: RunContext):
         if not isinstance(context, RunContext):
             raise TypeError(
-                f"from_context expects a RunContext, got {context!r}"
+                f"ParallelExecutor expects a RunContext, got {context!r}"
             )
-        executor = cls.__new__(cls)
-        executor._bind(context)
-        return executor
-
-    def _bind(self, context: RunContext) -> None:
-        """Adopt *context*, mirroring its fields as attributes."""
         self.context = context
-        self.workers = context.workers
-        self.chunk_size = context.chunk_size
-        self.backend = context.backend
-        self.retry_policy = context.retry_policy
-        self.on_error = context.on_error
-        self.store = context.store
-        self.progress: Callable[[int, int, CellResult], None] | None = (
-            context.progress
-        )
-        self.trace = context.trace
-        self.solve_pool = context.solve_pool
-        self.solve_table = context.solve_table
 
     def _backend_for(self, pending: int) -> ExecutionBackend:
         """The backend this run dispatches through.
 
-        An explicit backend (constructor argument or ``REPRO_BACKEND``)
-        is honoured as-is.  The automatic policy reproduces the classic
-        behaviour: a process pool when there are both multiple workers
-        and multiple units of work, the serial path otherwise.
+        An explicit backend (the context's ``backend`` or
+        ``REPRO_BACKEND``) is honoured as-is.  The automatic policy
+        reproduces the classic behaviour: a process pool when there are
+        both multiple workers and multiple units of work, the serial
+        path otherwise.
         """
-        if isinstance(self.backend, ExecutionBackend):
-            return self.backend
-        if self.backend is not None:
-            return make_backend(self.backend)
-        if self.workers > 1 and pending > 1:
+        backend = self.context.backend
+        if isinstance(backend, ExecutionBackend):
+            return backend
+        if backend is not None:
+            return make_backend(backend)
+        if self.context.workers > 1 and pending > 1:
             return ProcessPoolBackend()
         return SerialBackend()
 
@@ -304,18 +187,20 @@ class ParallelExecutor:
         :class:`~repro.runtime.telemetry.RunTelemetry` bus: the metrics
         aggregate is always attached (``outcome.metrics``), the JSONL
         journal only when ``trace``/``REPRO_TRACE_FILE`` is set, and
-        the progress reporter is just another subscriber.  Telemetry is
-        observation only — it never feeds back into scheduling.
+        the context's ``progress`` subscriber sees the same events.
+        Telemetry is observation only — it never feeds back into
+        scheduling.
         """
         start = time.perf_counter()
+        context = self.context
         settings = plan.settings
         telemetry = RunTelemetry()
         metrics = MetricsAggregate()
         telemetry.subscribe(metrics)
-        if self.trace is not None:
-            telemetry.subscribe(JsonlTraceSink(self.trace))
-        if self.progress is not None:
-            telemetry.subscribe(ProgressSubscriber(self.progress))
+        if context.trace is not None:
+            telemetry.subscribe(JsonlTraceSink(context.trace))
+        if context.progress is not None:
+            telemetry.subscribe(context.progress)
         status = "aborted"
         backend = None
         retries = 0
@@ -326,9 +211,9 @@ class ParallelExecutor:
         pool_stack = ExitStack()
         tally = None
         try:
-            if self.solve_pool is not None:
+            if context.solve_pool is not None:
                 channel = pool_stack.enter_context(
-                    self.solve_pool.channel(telemetry)
+                    context.solve_pool.channel(telemetry)
                 )
                 pool_stack.enter_context(use_solve_pool(channel))
             # The run's solve table installs alongside the pool: ambient
@@ -338,8 +223,8 @@ class ParallelExecutor:
             # bit-identical, so placement still never changes numbers.
             # The tally counts this run's own serves of the shared
             # table, so overlapping runs never journal each other's.
-            if self.solve_table and self.solve_table > 0:
-                tally = TableTally(shared_table(self.solve_table))
+            if context.solve_table > 0:
+                tally = TableTally(shared_table(context.solve_table))
                 pool_stack.enter_context(use_solve_table(tally))
             else:
                 # Explicitly disabled: install a cap-0 table so
@@ -350,13 +235,13 @@ class ParallelExecutor:
                 "run_start",
                 plan=plan.name or "plan",
                 cells=len(plan.cells),
-                workers=self.workers,
+                workers=context.workers,
                 schema=TRACE_SCHEMA_VERSION,
             )
             scheduler = PlanScheduler(
                 plan,
-                store=self.store,
-                chunk_size=self.chunk_size,
+                store=context.store,
+                chunk_size=context.chunk_size,
                 telemetry=telemetry,
             )
             pending = scheduler.scan()
@@ -369,7 +254,7 @@ class ParallelExecutor:
                         "unit_queued", token=tokens[id(shard)], **_unit_fields(shard)
                     )
                 backend.open(
-                    workers=self.workers,
+                    workers=context.workers,
                     tasks=len(pending),
                     settings=settings,
                     telemetry=telemetry,
@@ -430,7 +315,7 @@ class ParallelExecutor:
         return PlanOutcome(
             plan=plan,
             cells=scheduler.cells(),
-            workers=self.workers,
+            workers=context.workers,
             seconds=time.perf_counter() - start,
             backend=backend.name,
             failures=scheduler.failed(),
@@ -451,10 +336,11 @@ class ParallelExecutor:
         scheduler: PlanScheduler,
         telemetry: RunTelemetry,
     ) -> int:
-        """Consult the retry policy for one failed attempt.
+        """Retry, quarantine or abort after one failed attempt.
 
         Returns 1 when the unit was resubmitted (after its
-        deterministic backoff), 0 when it exhausted its attempts — in
+        deterministic :func:`~repro.runtime.faults.retry_delay`), 0
+        when it exhausted its ``max_retries`` — in
         which case the cell is either quarantined
         (``on_error="continue"``) or the run aborts with a
         :class:`PlanExecutionError` carrying the full failure history.
@@ -470,15 +356,15 @@ class ParallelExecutor:
             backend=backend.name,
             **_unit_fields(shard),
         )
-        policy = self.retry_policy
-        if attempt <= policy.max_retries:
-            delay = policy.delay(attempt, token)
+        max_retries = self.context.max_retries
+        if attempt <= max_retries:
+            delay = retry_delay(attempt, token)
             telemetry.emit(
                 "retry",
                 payload=failure,
                 token=token,
                 attempt=attempt + 1,
-                max_attempts=policy.attempts,
+                max_attempts=max_retries + 1,
                 delay=round(delay, 6),
                 **_unit_fields(shard),
             )
@@ -495,7 +381,7 @@ class ParallelExecutor:
             futures[replacement] = (shard, attempt + 1)
             outstanding.add(replacement)
             return 1
-        if self.on_error == "continue":
+        if self.context.on_error == "continue":
             scheduler.quarantine(shard, failure)
             telemetry.emit(
                 "quarantine",
@@ -510,17 +396,6 @@ class ParallelExecutor:
             f"plan execution aborted: {failure.summary()}",
             failures=tuple(failure_log),
         ) from exc
-
-    def __repr__(self) -> str:
-        return (
-            f"ParallelExecutor(workers={self.workers}, "
-            f"store={self.store!r}, progress={self.progress is not None}, "
-            f"chunk_size={self.chunk_size}, "
-            f"backend={self.backend!r}, "
-            f"max_retries={self.retry_policy.max_retries}, "
-            f"on_error={self.on_error!r}, trace={self.trace!r}, "
-            f"solve_pool={self.solve_pool!r})"
-        )
 
 
 #: The context :func:`execute` falls back to when no ``context=`` is
@@ -558,4 +433,4 @@ def execute(plan: StudyPlan, context: RunContext | None = None) -> PlanOutcome:
     exporting ``REPRO_BACKEND`` switches every run without code changes.
     """
     context = context or _CONTEXT.get() or RunContext()
-    return ParallelExecutor.from_context(context).run(plan)
+    return ParallelExecutor(context).run(plan)

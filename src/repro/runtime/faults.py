@@ -7,11 +7,11 @@ runs again; a *persistent* fault (a bug in a cell runner, a poison
 payload) does not, no matter how often it is retried.  This module
 gives the runtime the vocabulary to tell them apart:
 
-* :class:`RetryPolicy` — how many times a failed unit of work is
-  resubmitted, and with what backoff.  The backoff jitter is derived
-  **deterministically** from the unit's token, so two reruns of the
-  same plan retry on exactly the same schedule — reproducibility
-  extends to the failure path.
+* :func:`retry_delay` — the backoff before each resubmission of a
+  failed unit of work (the run's ``max_retries`` says how many there
+  may be).  The backoff jitter is derived **deterministically** from
+  the unit's token, so two reruns of the same plan retry on exactly the
+  same schedule — reproducibility extends to the failure path.
 * :class:`TaskFailure` — the durable record of one failed attempt:
   unit label and token, attempt number, exception summary, the
   worker-side traceback when one crossed the process boundary, and the
@@ -47,9 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "PlanExecutionError",
-    "RetryPolicy",
     "TaskFailure",
     "failure_from",
+    "retry_delay",
     "unit_token",
 ]
 
@@ -81,62 +81,33 @@ def _unit_fraction(text: str) -> float:
     return int(digest[:12], 16) / float(16**12)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic retry schedule for failed units of work.
+#: Delay before the first retry, in seconds; each further retry doubles
+#: it (exponential backoff).
+RETRY_BACKOFF_BASE = 0.05
 
-    Attributes
-    ----------
-    max_retries:
-        Resubmissions allowed after the first failed attempt; ``0``
-        (the default) preserves the classic fail-fast behaviour.
-    backoff_base:
-        Delay before the first retry, in seconds; each further retry
-        doubles it (exponential backoff).
-    backoff_cap:
-        Upper bound on any single delay, so deep retry chains do not
-        wait minutes between attempts.
-    jitter:
-        Fraction of the exponential delay that the deterministic
-        jitter may *subtract* (``0.0`` disables jitter).  The jitter
-        for attempt *k* of a unit is a pure function of the unit token
-        and *k*, so reruns retry on an identical schedule while
-        distinct units still de-synchronise.
+#: Upper bound on any single retry delay, in seconds, so deep retry
+#: chains do not wait minutes between attempts.
+RETRY_BACKOFF_CAP = 2.0
+
+#: Fraction of the exponential delay the deterministic jitter may
+#: subtract, so distinct units that fail together de-synchronise.
+RETRY_JITTER = 0.5
+
+
+def retry_delay(failures: int, token: str) -> float:
+    """Seconds to wait before the retry following failure *failures*.
+
+    ``failures`` counts the attempts of the unit that have already
+    failed (``1`` = about to issue the first retry).  The exponential
+    delay is capped at :data:`RETRY_BACKOFF_CAP` and shaved by a jitter
+    that is a pure function of the unit *token* and *failures*, so
+    reruns of a plan retry on an identical schedule.
     """
-
-    max_retries: int = 0
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValidationError("backoff values must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValidationError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    @property
-    def attempts(self) -> int:
-        """Total attempts a unit may consume (first run + retries)."""
-        return self.max_retries + 1
-
-    def delay(self, failures: int, token: str) -> float:
-        """Seconds to wait before the retry following failure *failures*.
-
-        ``failures`` counts the attempts that have already failed
-        (``1`` = about to issue the first retry).  The exponential
-        delay is capped at ``backoff_cap`` and shaved by the unit's
-        deterministic jitter.
-        """
-        if failures < 1:
-            raise ValidationError(f"failures must be >= 1, got {failures}")
-        raw = min(self.backoff_cap, self.backoff_base * (2.0 ** (failures - 1)))
-        shave = self.jitter * _unit_fraction(f"{token}:retry:{failures}")
-        return raw * (1.0 - shave)
+    if failures < 1:
+        raise ValidationError(f"failures must be >= 1, got {failures}")
+    raw = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * (2.0 ** (failures - 1)))
+    shave = RETRY_JITTER * _unit_fraction(f"{token}:retry:{failures}")
+    return raw * (1.0 - shave)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ wall-clock, and confirm that a resumed run is being served from cache —
 without polluting stdout, which the experiment CLIs reserve for the
 regenerated tables themselves.
 
+It is a telemetry subscriber like any other (``RunContext(progress=
+True)`` installs one): it receives every
+:class:`~repro.runtime.telemetry.TelemetryEvent` of the run and
+dispatches on ``event.event`` — ``cell_finished`` lines, the
+``shard_progress`` ticker, ``retry`` and ``quarantine`` lines, and a
+ticker clear at ``run_finish`` — ignoring every other event type.
+
 Sharded cells report *aggregated*: a 1,000-repetition cell split into
 20 shards still produces exactly one completion line (annotated with
 its shard count), and the intermediate shard completions surface only
@@ -20,9 +27,7 @@ import time
 from typing import IO, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import CellResult
-    from .faults import TaskFailure
-    from .spec import CellSpec
+    from .telemetry import TelemetryEvent
 
 __all__ = ["ProgressReporter"]
 
@@ -55,62 +60,72 @@ class ProgressReporter:
     def _resolve_stream(self) -> IO[str]:
         return self._stream if self._stream is not None else sys.stderr
 
-    def __call__(self, done: int, total: int, result: "CellResult") -> None:
+    def __call__(self, event: "TelemetryEvent") -> None:
+        kind = event.event
+        if kind == "cell_finished":
+            self._cell_finished(event.fields)
+        elif kind == "shard_progress":
+            self._shard_progress(event.fields)
+        elif kind == "retry":
+            self._retry(event)
+        elif kind == "quarantine":
+            self._quarantine(event)
+        elif kind == "run_finish":
+            # Whatever state the run died in — mid-ticker included,
+            # e.g. a PlanExecutionError abort between shard completions
+            # — the ticker is cleared, so the traceback or next prompt
+            # starts on a clean line.
+            self._clear_ticker(self._resolve_stream())
+
+    def _cell_finished(self, fields: dict) -> None:
         stream = self._resolve_stream()
+        total = fields["total"]
         width = len(str(total))
-        if result.cached:
+        if fields["cached"]:
             timing = "cache"
         else:
-            timing = f"{result.seconds:.2f}s"
-        if result.shards > 1:
+            timing = f"{fields['seconds']:.2f}s"
+        if fields["shards"] > 1:
             resumed = (
-                f", {result.shards_cached} resumed" if result.shards_cached else ""
+                f", {fields['shards_cached']} resumed"
+                if fields["shards_cached"]
+                else ""
             )
-            timing += f", {result.shards} shards{resumed}"
+            timing += f", {fields['shards']} shards{resumed}"
         self._clear_ticker(stream)
         print(
-            f"[{done:>{width}}/{total}] {result.cell.label}  ({timing})",
+            f"[{fields['done']:>{width}}/{total}] {fields['label']}  ({timing})",
             file=stream,
             flush=True,
         )
 
-    def retry_update(
-        self,
-        failure: "TaskFailure",
-        attempt: int,
-        max_attempts: int,
-        delay: float,
-    ) -> None:
+    def _retry(self, event: "TelemetryEvent") -> None:
         """One line per resubmission of a failed unit of work.
 
         Retries are rare enough (and important enough) that each gets a
-        real line even in piped logs: which unit failed, with what, and
+        real line even in piped logs: which unit failed, with what (the
+        event's :class:`~repro.runtime.faults.TaskFailure` payload), and
         which attempt is coming after what backoff.
         """
+        failure, fields = event.payload, event.fields
         stream = self._resolve_stream()
         self._clear_ticker(stream)
         print(
-            f"[retry {attempt}/{max_attempts}] {failure.label}: "
-            f"{failure.error} (backoff {delay:.2f}s)",
+            f"[retry {fields['attempt']}/{fields['max_attempts']}] "
+            f"{failure.label}: {failure.error} "
+            f"(backoff {fields['delay']:.2f}s)",
             file=stream,
             flush=True,
         )
 
-    def failure_update(self, failure: "TaskFailure") -> None:
+    def _quarantine(self, event: "TelemetryEvent") -> None:
         """One line when a unit exhausts its retries and is quarantined
         (``on_error="continue"``)."""
         stream = self._resolve_stream()
         self._clear_ticker(stream)
-        print(f"[quarantined] {failure.summary()}", file=stream, flush=True)
+        print(f"[quarantined] {event.payload.summary()}", file=stream, flush=True)
 
-    def shard_update(
-        self,
-        cell: "CellSpec",
-        shards_done: int,
-        shards_total: int,
-        reps_done: int,
-        reps_total: int,
-    ) -> None:
+    def _shard_progress(self, fields: dict) -> None:
         """In-place ticker for a sharded cell's intermediate progress.
 
         Written only to interactive terminals (carriage-return rewrite,
@@ -122,6 +137,7 @@ class ProgressReporter:
         stream = self._resolve_stream()
         if not getattr(stream, "isatty", lambda: False)():
             return
+        shards_done, shards_total = fields["shards_done"], fields["shards_total"]
         now = time.monotonic()
         if (
             shards_done < shards_total
@@ -130,24 +146,13 @@ class ProgressReporter:
             return
         self._last_tick = now
         print(
-            f"\r\x1b[K  {cell.label}: {shards_done}/{shards_total} shards "
-            f"({reps_done}/{reps_total} reps)",
+            f"\r\x1b[K  {fields['label']}: {shards_done}/{shards_total} shards "
+            f"({fields['reps_done']}/{fields['reps_total']} reps)",
             end="",
             file=stream,
             flush=True,
         )
         self._ticking = True
-
-    def finish_update(self, status: str) -> None:
-        """End-of-run hook (fired for clean and aborted runs alike).
-
-        Exists to uphold one guarantee: whatever state the run died in
-        — mid-ticker included, e.g. a
-        :class:`~repro.runtime.faults.PlanExecutionError` abort between
-        shard completions — the in-place ticker is cleared, so the
-        traceback or next prompt starts on a clean line.
-        """
-        self._clear_ticker(self._resolve_stream())
 
     def _clear_ticker(self, stream: IO[str]) -> None:
         if self._ticking:

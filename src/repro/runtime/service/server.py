@@ -4,11 +4,14 @@ One process, one event loop, many concurrent audit requests.  Each
 ``submit`` builds a :class:`~repro.runtime.service.requests.
 StudyRequest` plan plus an immutable per-request
 :class:`~repro.runtime.settings.RunContext` (service-wide defaults,
-request overrides, the shared :class:`~repro.runtime.store.
-ResultStore`, and a per-request trace journal), then executes it on a
+request overrides, the defaults context's shared
+:class:`~repro.runtime.store.ResultStore`, and a per-request trace
+journal), then executes it with ``ParallelExecutor(context)`` on a
 thread of the service's pool — the asyncio loop only shepherds events,
 so a dozen differently-configured requests run side by side and
-overlapping requests serve each other's cache entries.
+overlapping requests serve each other's cache entries.  A request's
+``progress`` events come from the context's ``progress`` subscriber,
+which forwards each ``cell_finished`` telemetry event of the run.
 
 Protocol: newline-delimited JSON over a Unix socket or TCP.  Ops in:
 ``submit``, ``status``, ``ping``, ``shutdown``.  Events out carry an
@@ -44,7 +47,7 @@ from ..settings import (
 )
 from ...intervals.table import peek_tables
 from ..solvebatch import SolveBroker
-from ..store import ResultStore
+from ..telemetry import TelemetryEvent
 from .requests import STUDY_COLUMNS, StudyRequest, render_study_table, study_rows
 
 __all__ = ["AuditService", "CONTEXT_OVERRIDE_KEYS"]
@@ -100,16 +103,13 @@ class AuditService:
 
     Parameters
     ----------
-    store:
-        The shared :class:`~repro.runtime.store.ResultStore` (or a
-        directory path); ``None`` falls back to the defaults context's
-        store (``--cache-dir`` / ``REPRO_CACHE_DIR``), and a service
-        with neither simply runs uncached.
     defaults:
         Service-wide default :class:`~repro.runtime.settings.
         RunContext`; request context overrides are applied on top with
-        :meth:`RunContext.replace`.  ``None`` resolves a fresh context
-        from the environment at service start.
+        :meth:`RunContext.replace`.  Its ``store`` (``--cache-dir`` /
+        ``REPRO_CACHE_DIR``) is the result store every request shares;
+        a service without one simply runs uncached.  ``None`` resolves
+        a fresh context from the environment at service start.
     trace_dir:
         Directory for per-request JSONL trace journals (one
         ``<request-id>.jsonl`` each, via the existing ``--trace``
@@ -136,7 +136,6 @@ class AuditService:
     def __init__(
         self,
         *,
-        store: Union[ResultStore, str, Path, None] = None,
         defaults: RunContext | None = None,
         trace_dir: Union[str, Path, None] = None,
         max_concurrent: int = 8,
@@ -145,12 +144,7 @@ class AuditService:
         quiet: bool = False,
     ):
         self.defaults = defaults if defaults is not None else RunContext()
-        if store is None:
-            self.store = self.defaults.store
-        elif isinstance(store, ResultStore):
-            self.store = store
-        else:
-            self.store = ResultStore(store)
+        self.store = self.defaults.store
         self.trace_dir = None if trace_dir is None else Path(trace_dir)
         window = resolve_solve_batch_window(solve_batch_window)
         self.solve_broker = (
@@ -436,18 +430,22 @@ class AuditService:
         events: asyncio.Queue = asyncio.Queue()
         request_id = record.id
 
-        def on_progress(done: int, total: int, result: Any) -> None:
+        def on_progress(event: TelemetryEvent) -> None:
             # Called on the request's executor thread; hop to the loop.
-            event = {
-                "event": "progress",
-                "id": request_id,
-                "done": done,
-                "total": total,
-            }
-            if result is not None:
-                event["label"] = getattr(result.cell, "label", None)
-                event["cached"] = bool(result.cached)
-            loop.call_soon_threadsafe(events.put_nowait, event)
+            if event.event != "cell_finished":
+                return
+            fields = event.fields
+            loop.call_soon_threadsafe(
+                events.put_nowait,
+                {
+                    "event": "progress",
+                    "id": request_id,
+                    "done": fields["done"],
+                    "total": fields["total"],
+                    "label": fields["label"],
+                    "cached": fields["cached"],
+                },
+            )
 
         context = context.replace(progress=on_progress)
         try:
@@ -475,7 +473,7 @@ class AuditService:
 
         def execute():
             try:
-                return ParallelExecutor.from_context(context).run(plan)
+                return ParallelExecutor(context).run(plan)
             finally:
                 loop.call_soon_threadsafe(events.put_nowait, _FINISHED)
 

@@ -10,23 +10,23 @@ resolver entry and documentation here.
 
 On top of the resolvers sits :class:`RunContext`: an immutable,
 fully-resolved snapshot of one execution's configuration — workers,
-result store, backend spec, chunking, retry policy, error mode, trace
+result store, backend spec, chunking, retry count, error mode, trace
 sink, progress — built once (environment fallbacks applied at
 construction time) and then *threaded* through the runtime instead of
-being read from module globals.  ``ParallelExecutor.from_context(ctx)``
-and ``execute(plan, context=ctx)`` consume it directly, and
-``with use_context(ctx):`` scopes it over every ``execute(plan)`` call
-in a block (how ``python -m repro.experiments`` configures its runs);
-the service front end (:mod:`repro.runtime.service`) builds one per
-request, which is what makes concurrent, differently-configured runs in
-one process possible.
+being read from module globals.  ``ParallelExecutor(ctx)`` (the
+executor's only constructor) and ``execute(plan, context=ctx)`` consume
+it directly, and ``with use_context(ctx):`` scopes it over every
+``execute(plan)`` call in a block (how ``python -m repro.experiments``
+configures its runs); the service front end
+(:mod:`repro.runtime.service`) builds one per request, which is what
+makes concurrent, differently-configured runs in one process possible.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Union
 
@@ -399,11 +399,12 @@ def resolve_chaos_rate(rate: float | None) -> float:
 
 
 def resolve_progress(progress: Any) -> Callable | None:
-    """Coerce *progress* into a per-cell callable (or ``None``).
+    """Coerce *progress* into a telemetry subscriber (or ``None``).
 
     ``True`` builds the default stderr
     :class:`~repro.runtime.progress.ProgressReporter`; ``False`` and
-    ``None`` are silence; a callable passes through.
+    ``None`` are silence; a callable passes through and receives every
+    :class:`~repro.runtime.telemetry.TelemetryEvent` of the run.
     """
     if progress is True:
         from .progress import ProgressReporter  # runtime import (leaf-light)
@@ -414,7 +415,7 @@ def resolve_progress(progress: Any) -> Callable | None:
     if not callable(progress):
         raise ValidationError(
             "progress must be True, False, None, or a callable "
-            f"(done, total, CellResult) -> None; got {progress!r}"
+            f"receiving each TelemetryEvent; got {progress!r}"
         )
     return progress
 
@@ -440,18 +441,24 @@ class RunContext:
 
     Resolved field types
     --------------------
-    * ``workers`` — ``int`` (>= 1)
+    * ``workers`` — ``int`` (>= 1); the automatic backend policy runs a
+      process pool when it is above 1 and more than one unit is pending
+      (the spool backend's parallelism is its attached workers instead)
     * ``store`` — :class:`~repro.runtime.store.ResultStore` or ``None``
-    * ``progress`` — callable ``(done, total, CellResult)`` or ``None``
+    * ``progress`` — a telemetry subscriber (a callable receiving each
+      :class:`~repro.runtime.telemetry.TelemetryEvent` of the run) or
+      ``None``
     * ``chunk_size`` — ``int`` or ``None``; the one shard-size setting
     * ``chunk_seconds`` — always ``None``; accepted only as ``None`` so
       recorded contexts still construct
     * ``backend`` — validated spec string, ready
       :class:`~repro.runtime.backends.ExecutionBackend`, or ``None``
       for the automatic policy
-    * ``retry_policy`` — :class:`~repro.runtime.faults.RetryPolicy`
-      (``max_retries`` is the convenience init-only form)
-    * ``on_error`` — ``"raise"`` or ``"continue"``
+    * ``max_retries`` — ``int`` (>= 0): resubmissions allowed per failed
+      unit of work, each after :func:`~repro.runtime.faults.retry_delay`
+    * ``on_error`` — ``"raise"`` (abort with a
+      :class:`~repro.runtime.faults.PlanExecutionError` carrying every
+      failure) or ``"continue"`` (quarantine the cell, keep draining)
     * ``trace`` — :class:`~pathlib.Path` or ``None``
     * ``solve_pool`` — a cross-request solve broker
       (:class:`~repro.runtime.solvebatch.SolveBroker`) or ``None``;
@@ -476,15 +483,14 @@ class RunContext:
     chunk_size: Any = None
     chunk_seconds: Any = None
     backend: Any = None
+    max_retries: Any = None
     on_error: Any = None
-    retry_policy: Any = None
     trace: Any = None
     solve_pool: Any = None
     kernel: Any = None
     solve_table: Any = None
-    max_retries: InitVar[Any] = None
 
-    def __post_init__(self, max_retries: Any) -> None:
+    def __post_init__(self) -> None:
         set_field = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
         set_field("workers", resolve_workers(self.workers))
         if self.chunk_seconds is not None:
@@ -498,24 +504,7 @@ class RunContext:
         from .backends.base import resolve_backend_spec
 
         set_field("backend", resolve_backend_spec(self.backend))
-        from .faults import RetryPolicy
-
-        if self.retry_policy is not None:
-            if max_retries is not None:
-                raise ValidationError(
-                    "max_retries and retry_policy are mutually exclusive; "
-                    "set max_retries on the policy instead"
-                )
-            if not isinstance(self.retry_policy, RetryPolicy):
-                raise ValidationError(
-                    f"retry_policy must be a RetryPolicy, got "
-                    f"{self.retry_policy!r}"
-                )
-        else:
-            set_field(
-                "retry_policy",
-                RetryPolicy(max_retries=resolve_max_retries(max_retries)),
-            )
+        set_field("max_retries", resolve_max_retries(self.max_retries))
         set_field("on_error", resolve_on_error(self.on_error))
         set_field("store", resolve_store(self.store))
         set_field("progress", resolve_progress(self.progress))
@@ -537,13 +526,7 @@ class RunContext:
             )
 
     def replace(self, **overrides: Any) -> "RunContext":
-        """A new context with *overrides* applied (re-validated).
-
-        ``replace(max_retries=2)`` supersedes the carried-over
-        ``retry_policy`` instead of colliding with it.
-        """
-        if "max_retries" in overrides and "retry_policy" not in overrides:
-            overrides["retry_policy"] = None
+        """A new context with *overrides* applied (re-validated)."""
         return dataclasses.replace(self, **overrides)
 
     def describe(self) -> dict[str, Any]:
@@ -557,7 +540,7 @@ class RunContext:
             "chunk_size": self.chunk_size,
             "chunk_seconds": self.chunk_seconds,
             "backend": backend,
-            "max_retries": self.retry_policy.max_retries,
+            "max_retries": self.max_retries,
             "on_error": self.on_error,
             "trace": None if self.trace is None else str(self.trace),
             "progress": self.progress is not None,

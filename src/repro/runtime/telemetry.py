@@ -20,6 +20,12 @@ Two built-in subscribers cover the common cases:
   fault counts, per-cell-kind and per-backend totals) attached to the
   :class:`~repro.runtime.scheduler.PlanOutcome` as a volatile field.
 
+Progress is a subscriber too: a run's ``RunContext(progress=...)`` is
+either the stderr :class:`~repro.runtime.progress.ProgressReporter`
+(``progress=True``) or any callable, and it receives every
+:class:`TelemetryEvent` of the run — the same ``event`` name and
+``fields`` the journal records, plus the in-process ``payload``.
+
 Because the aggregate consumes nothing but the primitive event fields,
 it can be *replayed* from a journal file alone
 (:func:`replay_metrics`) — which is what ``python -m repro trace
@@ -48,7 +54,6 @@ __all__ = [
     "EVENT_TYPES",
     "JsonlTraceSink",
     "MetricsAggregate",
-    "ProgressSubscriber",
     "RunTelemetry",
     "TelemetryEvent",
     "read_journal",
@@ -227,58 +232,6 @@ class JsonlTraceSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class ProgressSubscriber:
-    """Adapts the classic progress protocol to the event stream.
-
-    The runtime's progress protocol predates telemetry: a callable
-    ``(done, total, CellResult)`` plus optional duck-typed hooks
-    (``shard_update``, ``retry_update``, ``failure_update``,
-    ``finish_update``).  This subscriber replays events into that
-    protocol, which is how both the built-in
-    :class:`~repro.runtime.progress.ProgressReporter` and any custom
-    progress callable ride the same event stream the journal records.
-    """
-
-    def __init__(self, progress: Callable):
-        self.progress = progress
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        kind, fields = event.event, event.fields
-        if kind == "cell_finished":
-            self.progress(fields["done"], fields["total"], event.payload)
-            return
-        hook_name = {
-            "shard_progress": "shard_update",
-            "retry": "retry_update",
-            "quarantine": "failure_update",
-            "run_finish": "finish_update",
-        }.get(kind)
-        if hook_name is None:
-            return
-        hook = getattr(self.progress, hook_name, None)
-        if hook is None:
-            return
-        if kind == "shard_progress":
-            hook(
-                event.payload,
-                fields["shards_done"],
-                fields["shards_total"],
-                fields["reps_done"],
-                fields["reps_total"],
-            )
-        elif kind == "retry":
-            hook(
-                event.payload,
-                fields["attempt"],
-                fields["max_attempts"],
-                fields["delay"],
-            )
-        elif kind == "quarantine":
-            hook(event.payload)
-        else:  # run_finish
-            hook(fields["status"])
 
 
 def _zero_totals() -> dict:

@@ -48,6 +48,7 @@ from repro.runtime import (
     ParallelExecutor,
     PartitionedAuditCell,
     ResultStore,
+    RunContext,
     StudyPlan,
     build_method_from_payload,
     cache_token,
@@ -191,8 +192,8 @@ class TestDynamicCellSharding:
     def test_property_any_chunking(self, seed, repetitions, chunk):
         cell = dynamic_cell(seed=seed, repetitions=repetitions)
         plan = plan_of([cell])
-        serial = ParallelExecutor(workers=1).run(plan)
-        chunked = ParallelExecutor(workers=1, chunk_size=chunk).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        chunked = ParallelExecutor(RunContext(workers=1, chunk_size=chunk)).run(plan)
         assert_studies_equal(serial.results[cell.key], chunked.results[cell.key])
         assert_studies_equal(
             merged_whole(cell, plan.settings), chunked.results[cell.key]
@@ -201,8 +202,8 @@ class TestDynamicCellSharding:
     def test_parallel_workers_match_serial(self):
         cell = dynamic_cell(repetitions=4)
         plan = plan_of([cell])
-        serial = ParallelExecutor(workers=1).run(plan)
-        parallel = ParallelExecutor(workers=2, chunk_size=1).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        parallel = ParallelExecutor(RunContext(workers=2, chunk_size=1)).run(plan)
         assert_studies_equal(serial.results[cell.key], parallel.results[cell.key])
 
     def test_carried_prior_round_boundary_survives_sharding(self):
@@ -211,7 +212,7 @@ class TestDynamicCellSharding:
         # buggy reducer (reordering or re-running rounds) would break.
         cell = dynamic_cell(repetitions=4, updates=((300, 0.8, 0.3), (300, 0.7, 0.3)))
         plan = plan_of([cell])
-        outcome = ParallelExecutor(workers=2, chunk_size=1).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=2, chunk_size=1)).run(plan)
         study = outcome.results[cell.key]
         assert outcome.cells[0].shards == 4
         for stream in study.streams:
@@ -223,7 +224,9 @@ class TestDynamicCellSharding:
     def test_independent_streams_do_not_carry(self):
         cell = dynamic_cell(carryover=0.0, repetitions=2)
         plan = plan_of([cell])
-        study = ParallelExecutor(workers=1, chunk_size=1).run(plan).results[cell.key]
+        study = ParallelExecutor(
+            RunContext(workers=1, chunk_size=1)
+        ).run(plan).results[cell.key]
         for stream in study.streams:
             assert all(rec.carried_prior is None for rec in stream)
 
@@ -247,12 +250,14 @@ class TestDynamicCellSharding:
                 group=group,
             )
 
-        outcome = ParallelExecutor(workers=1, store=store, chunk_size=1).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=1)
+        ).run(plan)
         entry = outcome.cells[0]
         assert entry.shards == 4
         assert entry.shards_cached == 2
         assert not entry.cached
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert_studies_equal(reference.results[cell.key], outcome.results[cell.key])
         # The carried-prior boundary survives the resume too.
         for stream in outcome.results[cell.key].streams:
@@ -319,7 +324,7 @@ class TestDynamicGolden:
             for regime, carryover in (("carried", 1.0), ("independent", 0.0))
         )
         plan = plan_of(cells)
-        executor = ParallelExecutor(workers=2, chunk_size=chunk_size)
+        executor = ParallelExecutor(RunContext(workers=2, chunk_size=chunk_size))
         results = executor.run(plan).results
         for regime in ("carried", "independent"):
             stream = results[(regime,)].streams[0]  # rep 0 == legacy stream
@@ -341,8 +346,8 @@ class TestPartitionedCellSharding:
     def test_property_any_partition_chunking(self, chunk):
         cell = partitioned_cell()
         plan = plan_of([cell])
-        serial = ParallelExecutor(workers=1).run(plan)
-        chunked = ParallelExecutor(workers=1, chunk_size=chunk).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        chunked = ParallelExecutor(RunContext(workers=1, chunk_size=chunk)).run(plan)
         assert serial.results[cell.key] == chunked.results[cell.key]
         assert merged_whole(cell, plan.settings) == chunked.results[cell.key]
 
@@ -362,7 +367,7 @@ class TestPartitionedCellSharding:
         ):
             serial = audit_by_predicate(kg, method=method, rng=11)
             plan = plan_of([cell])
-            executor = ParallelExecutor(workers=2, chunk_size=3)
+            executor = ParallelExecutor(RunContext(workers=2, chunk_size=3))
             assert executor.run(plan).results[cell.key] == serial
 
     def test_budget_starved_audit_shards_identically(self):
@@ -372,7 +377,9 @@ class TestPartitionedCellSharding:
         )
         cell = partitioned_cell(epsilon=0.02, max_triples=400)
         plan = plan_of([cell])
-        routed = ParallelExecutor(workers=2, chunk_size=1).run(plan).results[cell.key]
+        routed = ParallelExecutor(
+            RunContext(workers=2, chunk_size=1)
+        ).run(plan).results[cell.key]
         assert routed == serial
         assert sum(p.n_annotated for p in routed.partitions) == 400
 
@@ -396,11 +403,13 @@ class TestPartitionedCellSharding:
                 group=group,
             )
 
-        outcome = ParallelExecutor(workers=1, store=store, chunk_size=3).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=3)
+        ).run(plan)
         entry = outcome.cells[0]
         assert entry.shards == 4
         assert entry.shards_cached == 2
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert reference.results[cell.key] == outcome.results[cell.key]
 
 
@@ -447,7 +456,7 @@ class TestPartitionedGolden:
     def test_routed_cell_reproduces_prerefactor(self, golden, chunk_size):
         cell = partitioned_cell(method="aHPD", epsilon=0.05, seed=11)
         plan = plan_of([cell])
-        executor = ParallelExecutor(workers=2, chunk_size=chunk_size)
+        executor = ParallelExecutor(RunContext(workers=2, chunk_size=chunk_size))
         self.assert_matches(
             executor.run(plan).results[cell.key], golden["converged"]
         )
@@ -533,7 +542,7 @@ class TestCoverageCellMatchesLibrary:
             )
             for i, mu in enumerate(mus)
         )
-        results = ParallelExecutor(workers=2).run(plan_of(cells)).results
+        results = ParallelExecutor(RunContext(workers=2)).run(plan_of(cells)).results
         for i, mu in enumerate(mus):
             assert results[(mu,)] == empirical_coverage(
                 method, mu, 20, repetitions=100, rng=3 + i

@@ -29,6 +29,7 @@ from repro.runtime import (
     ParallelExecutor,
     ProcessPoolBackend,
     ResultStore,
+    RunContext,
     SerialBackend,
     SpoolBackend,
     StudyCell,
@@ -95,43 +96,43 @@ class TestBackendSelection:
 
     def test_auto_is_serial_at_one_worker(self):
         plan = plan_of([study_cell()])
-        outcome = ParallelExecutor(workers=1).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert outcome.backend == "serial"
 
     def test_auto_is_process_with_workers_and_work(self):
         plan = plan_of([study_cell(), coverage_cell()])
-        outcome = ParallelExecutor(workers=2).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=2)).run(plan)
         assert outcome.backend == "process"
 
     def test_auto_degrades_to_serial_for_single_unit(self):
         plan = plan_of([study_cell()])
-        outcome = ParallelExecutor(workers=4).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=4)).run(plan)
         assert outcome.backend == "serial"
 
     def test_env_backend_forces_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         plan = plan_of([study_cell(), coverage_cell()])
-        outcome = ParallelExecutor(workers=4).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=4)).run(plan)
         assert outcome.backend == "serial"
 
     def test_explicit_argument_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BACKEND", f"spool:{tmp_path / 'q'}")
         plan = plan_of([study_cell(), coverage_cell()])
-        outcome = ParallelExecutor(workers=2, backend="serial").run(plan)
+        outcome = ParallelExecutor(RunContext(workers=2, backend="serial")).run(plan)
         assert outcome.backend == "serial"
 
     def test_invalid_backend_fails_at_construction(self, monkeypatch):
         with pytest.raises(ValidationError):
-            ParallelExecutor(backend="teleport")
+            RunContext(backend="teleport")
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(ValidationError):
-            ParallelExecutor()
+            RunContext()
 
     def test_env_read_when_unconfigured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert ParallelExecutor().backend == "process"
+        assert RunContext().backend == "process"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert ParallelExecutor().backend is None
+        assert RunContext().backend is None
 
     def test_make_backend_parses_specs(self, tmp_path):
         assert isinstance(make_backend("serial"), SerialBackend)
@@ -147,12 +148,12 @@ class TestBackendSelection:
         monkeypatch.delenv("REPRO_SPOOL_DIR", raising=False)
         plan = plan_of([study_cell()])
         with pytest.raises(ValidationError):
-            ParallelExecutor(backend="spool").run(plan)
+            ParallelExecutor(RunContext(backend="spool")).run(plan)
 
     def test_spool_directory_from_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "q"))
         plan = plan_of([study_cell()])
-        outcome = ParallelExecutor(backend="spool").run(plan)
+        outcome = ParallelExecutor(RunContext(backend="spool")).run(plan)
         assert outcome.backend == "spool"
         assert outcome.cache_misses == 1
 
@@ -176,13 +177,15 @@ class TestBackendBitIdentity:
             repetitions=repetitions,
             seed=seed,
         )
-        serial = ParallelExecutor(workers=1, backend="serial").run(plan)
+        serial = ParallelExecutor(RunContext(workers=1, backend="serial")).run(plan)
         process = ParallelExecutor(
-            workers=2, backend="process", chunk_size=chunk_process
+            RunContext(workers=2, backend="process", chunk_size=chunk_process)
         ).run(plan)
         with tempfile.TemporaryDirectory() as spool_dir:
             spool = ParallelExecutor(
-                workers=1, backend=f"spool:{spool_dir}", chunk_size=chunk_spool
+                RunContext(
+                    workers=1, backend=f"spool:{spool_dir}", chunk_size=chunk_spool
+                )
             ).run(plan)
         assert serial.results.keys() == process.results.keys() == spool.results.keys()
         for key in serial.results:
@@ -191,9 +194,9 @@ class TestBackendBitIdentity:
 
     def test_spool_matches_serial_on_multi_cell_grid(self, tmp_path):
         plan = plan_of([study_cell(), coverage_cell()], repetitions=5)
-        serial = ParallelExecutor(workers=1).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
         spool = ParallelExecutor(
-            backend=SpoolBackend(tmp_path / "q"), chunk_size=2
+            RunContext(backend=SpoolBackend(tmp_path / "q"), chunk_size=2)
         ).run(plan)
         for key in serial.results:
             assert_results_equal(serial.results[key], spool.results[key])
@@ -206,12 +209,12 @@ class TestCrossBackendResume:
         plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
         store = ResultStore(tmp_path / "cache")
         first = ParallelExecutor(
-            backend=SpoolBackend(tmp_path / "q"), store=store
+            RunContext(backend=SpoolBackend(tmp_path / "q"), store=store)
         ).run(plan)
         assert first.cache_misses == len(plan)
         for backend in ("serial", "process"):
             again = ParallelExecutor(
-                workers=2, backend=backend, store=store
+                RunContext(workers=2, backend=backend, store=store)
             ).run(plan)
             assert again.cache_hits == len(plan), backend
             for key in first.results:
@@ -243,14 +246,14 @@ class TestCrossBackendResume:
             )
 
         resumed = ParallelExecutor(
-            backend=SpoolBackend(tmp_path / "q"), store=store, chunk_size=3
+            RunContext(backend=SpoolBackend(tmp_path / "q"), store=store, chunk_size=3)
         ).run(plan)
         entry = resumed.cells[0]
         assert entry.shards == 4
         assert entry.shards_cached == 2
         assert not entry.cached  # two shards actually computed
 
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert_results_equal(reference.results[cell.key], resumed.results[cell.key])
 
     def test_spool_run_killed_mid_plan_resumes_serially(self, tmp_path):
@@ -262,9 +265,11 @@ class TestCrossBackendResume:
             settings=plan.settings, cells=plan.cells[:1], name="prefix"
         )
         ParallelExecutor(
-            backend=SpoolBackend(tmp_path / "q"), store=store
+            RunContext(backend=SpoolBackend(tmp_path / "q"), store=store)
         ).run(prefix)
-        resumed = ParallelExecutor(workers=1, backend="serial", store=store).run(plan)
+        resumed = ParallelExecutor(
+            RunContext(workers=1, backend="serial", store=store)
+        ).run(plan)
         assert resumed.cache_hits == 1
         assert resumed.cache_misses == 1
 
@@ -283,7 +288,9 @@ class TestSpoolMechanics:
     def test_spool_sweeps_its_files_after_a_run(self, tmp_path):
         spool_dir = tmp_path / "q"
         plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
-        ParallelExecutor(backend=SpoolBackend(spool_dir), chunk_size=2).run(plan)
+        ParallelExecutor(
+            RunContext(backend=SpoolBackend(spool_dir), chunk_size=2)
+        ).run(plan)
         assert list((spool_dir / "tasks").iterdir()) == []
         assert list((spool_dir / "claimed").iterdir()) == []
         assert list((spool_dir / "results").iterdir()) == []
@@ -295,7 +302,7 @@ class TestSpoolMechanics:
         plan = plan_of([cell])
         with pytest.raises(PlanExecutionError, match="intentional failure") as info:
             ParallelExecutor(
-                backend=SpoolBackend(tmp_path / "q"), max_retries=0
+                RunContext(backend=SpoolBackend(tmp_path / "q"), max_retries=0)
             ).run(plan)
         # The abort carries the failure record, cause included.
         (failure,) = info.value.failures
@@ -318,7 +325,9 @@ class TestSpoolMechanics:
 
         cell = LocalCell(key=("local",), label="local", method="-")
         plan = plan_of([cell])
-        outcome = ParallelExecutor(backend=SpoolBackend(tmp_path / "q")).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(backend=SpoolBackend(tmp_path / "q"))
+        ).run(plan)
         assert outcome.results[("local",)] == ("ran", ("local",))
         assert list((tmp_path / "q" / "tasks").iterdir()) == []
 
@@ -327,7 +336,9 @@ class TestSpoolMechanics:
         (spool_dir / "tasks").mkdir(parents=True)
         (spool_dir / "tasks" / "garbage-000000.task").write_bytes(b"not a pickle")
         plan = plan_of([study_cell()])
-        outcome = ParallelExecutor(backend=SpoolBackend(spool_dir)).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(backend=SpoolBackend(spool_dir))
+        ).run(plan)
         assert outcome.cache_misses == 1
         # The foreign file is back in the queue for a claimant that can
         # read it; this run's own files are swept.
@@ -362,7 +373,7 @@ class TestSpoolMechanics:
         finally:
             backend.close()
         plan = StudyPlan(settings=settings, cells=(cell,), name="reclaim")
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert_results_equal(reference.results[cell.key], value)
 
 
@@ -384,14 +395,10 @@ class TestSpoolResultEdgeCases:
         plan = plan_of([cell])
         with pytest.raises(PlanExecutionError, match="unpicklable result") as info:
             ParallelExecutor(
-                backend=SpoolBackend(tmp_path / "q"), max_retries=0
+                RunContext(backend=SpoolBackend(tmp_path / "q"), max_retries=0)
             ).run(plan)
         (failure,) = info.value.failures
         assert "SpoolTaskError" in failure.error
-
-    def test_executor_repr_mentions_backend(self, tmp_path):
-        text = repr(ParallelExecutor(backend="serial"))
-        assert "backend='serial'" in text
 
 
 class TestDefaultWaitAny:
@@ -456,7 +463,9 @@ class TestCustomBackendProtocol:
 
         plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
         backend = RecordingBackend()
-        outcome = ParallelExecutor(workers=3, backend=backend, chunk_size=2).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=3, backend=backend, chunk_size=2)
+        ).run(plan)
         assert outcome.backend == "recording"
         assert events[0] == ("open", 3, 8, True)  # 2 reps-shards + 6 cov-shards
         assert events[-1] == ("close",)
@@ -464,6 +473,6 @@ class TestCustomBackendProtocol:
         assert [e for e in events if e[0] == "submit"] == [
             ("submit", "CellShard")
         ] * 8
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         for key in reference.results:
             assert_results_equal(reference.results[key], outcome.results[key])

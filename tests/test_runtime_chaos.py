@@ -25,7 +25,7 @@ from repro.runtime import (
     ChaosBackend,
     ParallelExecutor,
     ProcessPoolBackend,
-    RetryPolicy,
+    RunContext,
     SerialBackend,
     SpoolBackend,
     StudyCell,
@@ -132,9 +132,11 @@ class TestFaultSchedule:
     def test_rate_zero_injects_nothing(self):
         plan = small_plan()
         outcome = ParallelExecutor(
-            backend=ChaosBackend(SerialBackend(), seed=1, rate=0.0),
-            max_retries=0,
-            on_error="raise",
+            RunContext(
+                backend=ChaosBackend(SerialBackend(), seed=1, rate=0.0),
+                max_retries=0,
+                on_error="raise",
+            )
         ).run(plan)
         assert outcome.retries == 0
         assert outcome.failures == ()
@@ -152,9 +154,7 @@ class TestFaultSchedule:
             if backend._fault_for(unit_token(CellShard(cell), plan.settings)) != "delay"
         )
         outcome = ParallelExecutor(
-            backend=backend,
-            retry_policy=RetryPolicy(max_retries=2, backoff_base=0.0),
-            on_error="raise",
+            RunContext(backend=backend, max_retries=2, on_error="raise")
         ).run(plan)
         assert outcome.retries == expected
         assert outcome.failures == ()
@@ -172,19 +172,23 @@ class TestFaultSchedule:
         assert failing  # seed 1 chosen so at least one unit fails
         with pytest.raises(PlanExecutionError, match="injected") as info:
             ParallelExecutor(
-                backend=backend, max_retries=0, on_error="raise"
+                RunContext(backend=backend, max_retries=0, on_error="raise")
             ).run(plan)
         assert any("ChaosFault" in f.error for f in info.value.failures)
 
     def test_identical_seeds_reproduce_the_run_exactly(self):
         plan = small_plan()
         first = ParallelExecutor(
-            backend=ChaosBackend(SerialBackend(), seed=5, rate=0.8),
-            retry_policy=RetryPolicy(max_retries=3, backoff_base=0.0),
+            RunContext(
+                backend=ChaosBackend(SerialBackend(), seed=5, rate=0.8),
+                max_retries=3,
+            )
         ).run(plan)
         second = ParallelExecutor(
-            backend=ChaosBackend(SerialBackend(), seed=5, rate=0.8),
-            retry_policy=RetryPolicy(max_retries=3, backoff_base=0.0),
+            RunContext(
+                backend=ChaosBackend(SerialBackend(), seed=5, rate=0.8),
+                max_retries=3,
+            )
         ).run(plan)
         assert first.retries == second.retries
         for key in first.results:
@@ -207,17 +211,21 @@ class TestBitIdentityUnderChaos:
         plan = small_plan()
         with tempfile.TemporaryDirectory() as clean_dir, tempfile.TemporaryDirectory() as chaos_dir:
             reference = ParallelExecutor(
-                workers=1,
-                backend=SerialBackend(),
-                store=clean_dir,
-                chunk_size=chunk,
+                RunContext(
+                    workers=1,
+                    backend=SerialBackend(),
+                    store=clean_dir,
+                    chunk_size=chunk,
+                )
             ).run(plan)
             chaotic = ParallelExecutor(
-                backend=ChaosBackend(SerialBackend(), seed=seed, rate=rate),
-                store=chaos_dir,
-                chunk_size=chunk,
-                retry_policy=RetryPolicy(max_retries=4, backoff_base=0.0),
-                on_error="raise",
+                RunContext(
+                    backend=ChaosBackend(SerialBackend(), seed=seed, rate=rate),
+                    store=chaos_dir,
+                    chunk_size=chunk,
+                    max_retries=4,
+                    on_error="raise",
+                )
             ).run(plan)
             assert chaotic.failures == ()
             for key in reference.results:
@@ -234,11 +242,15 @@ class TestBitIdentityUnderChaos:
     def test_chaos_around_the_process_pool(self):
         # The spec string CI runs with: chaos:process, retries on.
         plan = small_plan()
-        reference = ParallelExecutor(workers=1, backend=SerialBackend()).run(plan)
+        reference = ParallelExecutor(
+            RunContext(workers=1, backend=SerialBackend())
+        ).run(plan)
         chaotic = ParallelExecutor(
-            workers=2,
-            backend=ChaosBackend("process:2", seed=4, rate=0.5),
-            retry_policy=RetryPolicy(max_retries=3, backoff_base=0.0),
+            RunContext(
+                workers=2,
+                backend=ChaosBackend("process:2", seed=4, rate=0.5),
+                max_retries=3,
+            )
         ).run(plan)
         assert chaotic.backend == "chaos:process"
         for key in reference.results:

@@ -77,8 +77,8 @@ def assert_studies_equal(a: StudyResult, b: StudyResult) -> None:
 class TestParallelSerialDeterminism:
     def test_four_workers_bit_identical(self):
         plan = small_plan()
-        serial = ParallelExecutor(workers=1).run(plan)
-        parallel = ParallelExecutor(workers=4).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        parallel = ParallelExecutor(RunContext(workers=4)).run(plan)
         assert serial.results.keys() == parallel.results.keys()
         for key in serial.results:
             assert_studies_equal(serial.results[key], parallel.results[key])
@@ -89,14 +89,14 @@ class TestParallelSerialDeterminism:
         # Property form of the guarantee: whatever the base seed and
         # repetition count, fan-out over processes never changes a bit.
         plan = small_plan(seed=seed, repetitions=repetitions, datasets=("YAGO",))
-        serial = ParallelExecutor(workers=1).run(plan)
-        parallel = ParallelExecutor(workers=2).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        parallel = ParallelExecutor(RunContext(workers=2)).run(plan)
         for key in serial.results:
             assert_studies_equal(serial.results[key], parallel.results[key])
 
     def test_outcome_order_is_plan_order(self):
         plan = small_plan()
-        outcome = ParallelExecutor(workers=4).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=4)).run(plan)
         assert tuple(entry.cell.key for entry in outcome.cells) == tuple(
             cell.key for cell in plan.cells
         )
@@ -105,7 +105,7 @@ class TestParallelSerialDeterminism:
 class TestResultStoreIntegration:
     def test_second_run_served_from_cache(self, tmp_path):
         plan = small_plan()
-        executor = ParallelExecutor(workers=1, store=tmp_path / "cache")
+        executor = ParallelExecutor(RunContext(workers=1, store=tmp_path / "cache"))
         first = executor.run(plan)
         second = executor.run(plan)
         assert first.cache_misses == len(plan)
@@ -125,21 +125,21 @@ class TestResultStoreIntegration:
         interrupted = StudyPlan(
             settings=plan.settings, cells=plan.cells[:3], name="prefix"
         )
-        ParallelExecutor(workers=1, store=store).run(interrupted)
+        ParallelExecutor(RunContext(workers=1, store=store)).run(interrupted)
         assert len(store) == 3
 
-        resumed = ParallelExecutor(workers=2, store=store).run(plan)
+        resumed = ParallelExecutor(RunContext(workers=2, store=store)).run(plan)
         assert resumed.cache_hits == 3
         assert resumed.cache_misses == len(plan) - 3
 
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         for key in reference.results:
             assert_studies_equal(reference.results[key], resumed.results[key])
 
     def test_corrupt_entry_recomputes(self, tmp_path):
         plan = small_plan()
         store = ResultStore(tmp_path / "cache")
-        executor = ParallelExecutor(workers=1, store=store)
+        executor = ParallelExecutor(RunContext(workers=1, store=store))
         executor.run(plan)
         token = cache_token(plan.cells[0], plan.settings)
         store._path(token).write_bytes(b"not a pickle")
@@ -165,7 +165,7 @@ class TestResultStoreIntegration:
         # the recompute overwrites it with a loadable entry.
         plan = small_plan()
         store = ResultStore(tmp_path / "cache")
-        executor = ParallelExecutor(workers=1, store=store)
+        executor = ParallelExecutor(RunContext(workers=1, store=store))
         executor.run(plan)
         token = cache_token(plan.cells[0], plan.settings)
         path = store._path(token)
@@ -199,9 +199,9 @@ class TestResultStoreIntegration:
     def test_settings_change_misses(self, tmp_path):
         plan = small_plan(repetitions=3)
         store = ResultStore(tmp_path / "cache")
-        ParallelExecutor(workers=1, store=store).run(plan)
+        ParallelExecutor(RunContext(workers=1, store=store)).run(plan)
         changed = small_plan(repetitions=4)
-        outcome = ParallelExecutor(workers=1, store=store).run(changed)
+        outcome = ParallelExecutor(RunContext(workers=1, store=store)).run(changed)
         assert outcome.cache_hits == 0
 
     def test_store_utilities(self, tmp_path):
@@ -277,7 +277,7 @@ class TestStorePruning:
         # merged cell files and their prefix dirs — no shards/ tree.
         store = ResultStore(tmp_path / "cache")
         plan = small_plan(datasets=("YAGO",))
-        ParallelExecutor(workers=1, store=store, chunk_size=1).run(plan)
+        ParallelExecutor(RunContext(workers=1, store=store, chunk_size=1)).run(plan)
         assert len(store) == len(plan)
         assert not (store.root / "shards").exists()
 
@@ -309,10 +309,10 @@ class TestExecutionOverlap:
         )
         plan = StudyPlan(settings=settings, cells=cells, name="sleep")
         t0 = time.perf_counter()
-        serial = ParallelExecutor(workers=1, backend="serial").run(plan)
+        serial = ParallelExecutor(RunContext(workers=1, backend="serial")).run(plan)
         serial_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = ParallelExecutor(workers=3, backend="process").run(plan)
+        parallel = ParallelExecutor(RunContext(workers=3, backend="process")).run(plan)
         parallel_wall = time.perf_counter() - t0
         assert serial.results == parallel.results
         assert parallel_wall < serial_wall / 1.5
@@ -321,7 +321,7 @@ class TestExecutionOverlap:
         settings = ExperimentSettings(repetitions=1)
         cell = SleepCell(key=("x",), label="x", method="-", duration=0.0)
         plan = StudyPlan(settings=settings, cells=(cell,), name="one")
-        outcome = ParallelExecutor(workers=1).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert outcome.results[("x",)] == ("x",)
 
 
@@ -518,35 +518,49 @@ class TestSolveTable:
 class TestConfiguration:
     def test_env_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert ParallelExecutor().workers == 3
+        assert RunContext().workers == 3
         monkeypatch.delenv("REPRO_WORKERS")
-        assert ParallelExecutor().workers == 1
+        assert RunContext().workers == 1
 
     def test_env_cache_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-        executor = ParallelExecutor()
-        assert executor.store is not None
-        assert executor.store.root == tmp_path / "c"
+        context = RunContext()
+        assert context.store is not None
+        assert context.store.root == tmp_path / "c"
 
     def test_invalid_workers(self):
         from repro.exceptions import ValidationError
 
         with pytest.raises(ValidationError):
-            ParallelExecutor(workers=0)
+            RunContext(workers=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ParallelExecutor(),
+            lambda: ParallelExecutor(workers=2),
+            lambda: ParallelExecutor("not a context"),
+        ],
+        ids=["no-context", "keywords", "not-a-context"],
+    )
+    def test_a_run_context_is_the_only_way_in(self, make):
+        with pytest.raises(TypeError):
+            make()
 
     def test_progress_callback(self):
         plan = small_plan(datasets=("YAGO",))
         seen = []
-        executor = ParallelExecutor(
-            workers=1, progress=lambda done, total, result: seen.append((done, total, result.cached))
-        )
+        executor = ParallelExecutor(RunContext(workers=1, progress=seen.append))
         executor.run(plan)
-        assert [done for done, _, _ in seen] == list(range(1, len(plan) + 1))
-        assert all(total == len(plan) for _, total, _ in seen)
+        finished = [e.fields for e in seen if e.event == "cell_finished"]
+        assert [fields["done"] for fields in finished] == list(
+            range(1, len(plan) + 1)
+        )
+        assert all(fields["total"] == len(plan) for fields in finished)
 
     def test_summary_mentions_cells_and_cache(self, tmp_path):
         plan = small_plan(datasets=("YAGO",))
-        executor = ParallelExecutor(workers=1, store=tmp_path / "cache")
+        executor = ParallelExecutor(RunContext(workers=1, store=tmp_path / "cache"))
         executor.run(plan)
         summary = executor.run(plan).summary()
         assert "4 cells" in summary

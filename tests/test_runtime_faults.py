@@ -1,4 +1,4 @@
-"""Fault-model tests: retry policy, quarantine, failure records.
+"""Fault-model tests: retry schedule, quarantine, failure records.
 
 The contract under test: a failed unit of work is retried on a
 deterministic backoff schedule derived from its token; a unit that
@@ -24,13 +24,20 @@ from repro.runtime import (
     ParallelExecutor,
     PlanExecutionError,
     ProcessPoolBackend,
-    RetryPolicy,
+    RunContext,
     SerialBackend,
     SpoolBackend,
     StudyCell,
     StudyPlan,
+    read_journal,
     register_cell_runner,
     unit_token,
+)
+from repro.runtime.faults import (
+    RETRY_BACKOFF_BASE,
+    RETRY_BACKOFF_CAP,
+    RETRY_JITTER,
+    retry_delay,
 )
 from repro.runtime.settings import resolve_max_retries, resolve_on_error
 
@@ -118,48 +125,59 @@ def plan_of(cells, repetitions=3, seed=0):
     return StudyPlan(settings=settings, cells=tuple(cells), name="faults-test")
 
 
-class TestRetryPolicy:
-    def test_attempts_counts_first_run_plus_retries(self):
-        assert RetryPolicy().attempts == 1
-        assert RetryPolicy(max_retries=3).attempts == 4
+class TestRetryDelay:
+    def test_the_schedule_is_pinned(self):
+        # The delays of a 0.05 s base, 2 s cap and 0.5 jitter, computed
+        # before that shape became module constants: a rerun retries on
+        # exactly this schedule.
+        assert [retry_delay(k, "cafe") for k in (1, 2, 3)] == [
+            0.03290466163422084,
+            0.05197530244373212,
+            0.15580898367306162,
+        ]
 
     def test_delay_is_deterministic_per_token(self):
-        policy = RetryPolicy(max_retries=5)
-        assert policy.delay(2, "cafe") == policy.delay(2, "cafe")
+        assert retry_delay(2, "cafe") == retry_delay(2, "cafe")
         # ...but de-synchronised across tokens and attempts.
-        assert policy.delay(2, "cafe") != policy.delay(2, "beef")
-        assert policy.delay(1, "cafe") != policy.delay(2, "cafe")
+        assert retry_delay(2, "cafe") != retry_delay(2, "beef")
+        assert retry_delay(1, "cafe") != retry_delay(2, "cafe")
 
-    def test_delay_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.1, jitter=0.0)
-        assert policy.delay(1, "t") == pytest.approx(0.1)
-        assert policy.delay(2, "t") == pytest.approx(0.2)
-        assert policy.delay(3, "t") == pytest.approx(0.4)
+    def test_jitter_only_shaves_the_exponential_delay_downward(self):
+        for failures in (1, 2, 3):
+            raw = RETRY_BACKOFF_BASE * 2.0 ** (failures - 1)
+            shaved = retry_delay(failures, "t")
+            assert (1.0 - RETRY_JITTER) * raw <= shaved <= raw
 
     def test_delay_is_capped(self):
-        policy = RetryPolicy(
-            max_retries=20, backoff_base=1.0, backoff_cap=2.5, jitter=0.0
-        )
-        assert policy.delay(10, "t") == pytest.approx(2.5)
-
-    def test_jitter_only_shaves_downward(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.1, jitter=0.5)
-        for attempt in (1, 2, 3):
-            raw = RetryPolicy(max_retries=5, backoff_base=0.1, jitter=0.0).delay(
-                attempt, "t"
-            )
-            shaved = policy.delay(attempt, "t")
-            assert 0.5 * raw <= shaved <= raw
+        delay = retry_delay(20, "t")
+        assert (1.0 - RETRY_JITTER) * RETRY_BACKOFF_CAP <= delay <= RETRY_BACKOFF_CAP
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            RetryPolicy(max_retries=-1)
+            RunContext(max_retries=-1)
         with pytest.raises(ValidationError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValidationError):
-            RetryPolicy(backoff_base=-0.1)
-        with pytest.raises(ValidationError):
-            RetryPolicy(max_retries=1).delay(0, "t")
+            retry_delay(0, "t")
+
+    def test_retries_journal_the_schedule(self, tmp_path):
+        flaky = FlakyCell(
+            key=("flaky",),
+            label="flaky",
+            method="-",
+            marker_dir=str(tmp_path / "attempts"),
+            fail_times=2,
+        )
+        plan = plan_of([flaky])
+        journal = tmp_path / "run.jsonl"
+        ParallelExecutor(
+            RunContext(backend="serial", max_retries=2, trace=journal)
+        ).run(plan)
+        token = unit_token(CellShard(flaky), plan.settings)
+        retries = [r for r in read_journal(journal) if r["event"] == "retry"]
+        assert [r["attempt"] for r in retries] == [2, 3]
+        assert all(r["max_attempts"] == 3 for r in retries)
+        assert [r["delay"] for r in retries] == [
+            round(retry_delay(k, token), 6) for k in (1, 2)
+        ]
 
 
 class TestEnvResolution:
@@ -190,15 +208,6 @@ class TestEnvResolution:
         with pytest.raises(ValidationError, match="on_error"):
             resolve_on_error("explode")
 
-    def test_retry_policy_and_max_retries_are_exclusive(self):
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            ParallelExecutor(max_retries=1, retry_policy=RetryPolicy())
-
-    def test_repr_mentions_fault_knobs(self):
-        text = repr(ParallelExecutor(max_retries=2, on_error="continue"))
-        assert "max_retries=2" in text
-        assert "on_error='continue'" in text
-
 
 def _backend_for(name: str, tmp_path):
     if name == "serial":
@@ -221,8 +230,7 @@ class TestRetries:
         )
         plan = plan_of([flaky, study_cell()])
         outcome = ParallelExecutor(
-            backend=_backend_for(backend_name, tmp_path),
-            retry_policy=RetryPolicy(max_retries=3, backoff_base=0.001),
+            RunContext(backend=_backend_for(backend_name, tmp_path), max_retries=3)
         ).run(plan)
         assert outcome.results[("flaky",)] == ("ok", ("flaky",), 3)
         assert outcome.retries == 2
@@ -243,8 +251,7 @@ class TestRetries:
         )
         plan = plan_of([flaky, study_cell()])
         retried = ParallelExecutor(
-            backend=SerialBackend(),
-            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            RunContext(backend=SerialBackend(), max_retries=1)
         ).run(plan)
         clean = FlakyCell(
             key=("flaky",),
@@ -253,21 +260,13 @@ class TestRetries:
             marker_dir=str(tmp_path / "b"),
             fail_times=0,
         )
-        reference = ParallelExecutor(backend=SerialBackend()).run(
+        reference = ParallelExecutor(RunContext(backend=SerialBackend())).run(
             plan_of([clean, study_cell()])
         )
         assert retried.results[("flaky",)] == reference.results[("flaky",)]
 
-    def test_retry_update_hook_fires_per_resubmission(self, tmp_path):
-        events = []
-
-        class Recorder:
-            def __call__(self, done, total, result):
-                pass
-
-            def retry_update(self, failure, attempt, max_attempts, delay):
-                events.append((failure.label, attempt, max_attempts, delay))
-
+    def test_progress_sees_each_resubmission(self, tmp_path):
+        seen = []
         flaky = FlakyCell(
             key=("flaky",),
             label="flaky",
@@ -276,15 +275,14 @@ class TestRetries:
             fail_times=2,
         )
         ParallelExecutor(
-            backend=SerialBackend(),
-            progress=Recorder(),
-            retry_policy=RetryPolicy(max_retries=2, backoff_base=0.0),
+            RunContext(backend=SerialBackend(), progress=seen.append, max_retries=2)
         ).run(plan_of([flaky]))
-        assert [(label, attempt) for label, attempt, _, _ in events] == [
+        retries = [event for event in seen if event.event == "retry"]
+        assert [(e.payload.label, e.fields["attempt"]) for e in retries] == [
             ("flaky", 2),
             ("flaky", 3),
         ]
-        assert all(max_attempts == 3 for _, _, max_attempts, _ in events)
+        assert all(e.fields["max_attempts"] == 3 for e in retries)
 
 
 class TestOnErrorRaise:
@@ -293,9 +291,7 @@ class TestOnErrorRaise:
         plan = plan_of([broken])
         with pytest.raises(PlanExecutionError, match="persistent failure") as info:
             ParallelExecutor(
-                backend=SerialBackend(),
-                on_error="raise",
-                retry_policy=RetryPolicy(max_retries=2, backoff_base=0.0),
+                RunContext(backend=SerialBackend(), on_error="raise", max_retries=2)
             ).run(plan)
         failures = info.value.failures
         assert [f.attempts for f in failures] == [1, 2, 3]
@@ -308,7 +304,7 @@ class TestOnErrorRaise:
     def test_failure_record_carries_a_traceback(self, tmp_path):
         broken = BrokenCell(key=("broken",), label="broken", method="-")
         with pytest.raises(PlanExecutionError) as info:
-            ParallelExecutor(backend=SerialBackend(), max_retries=0).run(
+            ParallelExecutor(RunContext(backend=SerialBackend(), max_retries=0)).run(
                 plan_of([broken])
             )
         (failure,) = info.value.failures
@@ -319,7 +315,7 @@ class TestOnErrorRaise:
         broken = BrokenCell(key=("broken",), label="broken", method="-")
         with pytest.raises(PlanExecutionError) as info:
             ParallelExecutor(
-                backend=ProcessPoolBackend(2), max_retries=0
+                RunContext(backend=ProcessPoolBackend(2), max_retries=0)
             ).run(plan_of([broken, study_cell()]))
         failure = info.value.failures[0]
         assert failure.traceback is not None
@@ -332,9 +328,7 @@ class TestOnErrorContinue:
         good = [study_cell("Wilson"), study_cell("aHPD")]
         plan = plan_of([good[0], broken, good[1]])
         outcome = ParallelExecutor(
-            backend=SerialBackend(),
-            on_error="continue",
-            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            RunContext(backend=SerialBackend(), on_error="continue", max_retries=1)
         ).run(plan)
         assert len(outcome.failures) == 1
         failure = outcome.failures[0]
@@ -355,7 +349,7 @@ class TestOnErrorContinue:
         )
         plan = plan_of([flaky, study_cell()])
         outcome = ParallelExecutor(
-            backend=SerialBackend(), on_error="continue", max_retries=0
+            RunContext(backend=SerialBackend(), on_error="continue", max_retries=0)
         ).run(plan)
         assert [f.label for f in outcome.failures] == ["flaky"]
         assert set(outcome.results) == {study_cell().key}
@@ -378,23 +372,18 @@ class TestOnErrorContinue:
         assert scheduler.cells() == ()
         assert [f.label for f in scheduler.failed()] == [failure.label]
 
-    def test_failure_update_hook_fires_on_quarantine(self, tmp_path):
-        quarantined = []
-
-        class Recorder:
-            def __call__(self, done, total, result):
-                pass
-
-            def failure_update(self, failure):
-                quarantined.append(failure.label)
-
+    def test_progress_sees_the_quarantine(self, tmp_path):
+        seen = []
         broken = BrokenCell(key=("broken",), label="broken", method="-")
         ParallelExecutor(
-            backend=SerialBackend(),
-            progress=Recorder(),
-            on_error="continue",
-            max_retries=0,
+            RunContext(
+                backend=SerialBackend(),
+                progress=seen.append,
+                on_error="continue",
+                max_retries=0,
+            )
         ).run(plan_of([broken, study_cell()]))
+        quarantined = [e.payload.label for e in seen if e.event == "quarantine"]
         assert quarantined == ["broken"]
 
     def test_progress_reporter_prints_retry_and_quarantine_lines(
@@ -402,10 +391,12 @@ class TestOnErrorContinue:
     ):
         broken = BrokenCell(key=("broken",), label="broken", method="-")
         ParallelExecutor(
-            backend=SerialBackend(),
-            progress=True,
-            on_error="continue",
-            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            RunContext(
+                backend=SerialBackend(),
+                progress=True,
+                on_error="continue",
+                max_retries=1,
+            )
         ).run(plan_of([broken, study_cell()]))
         err = capsys.readouterr().err
         assert "[retry 2/2] broken" in err
@@ -421,7 +412,7 @@ class TestFailingCalibrationPilot:
 
     def test_continue_quarantines_only_the_failing_cell(self):
         outcome = ParallelExecutor(
-            workers=1, on_error="continue", max_retries=1, chunk_size=2
+            RunContext(workers=1, on_error="continue", max_retries=1, chunk_size=2)
         ).run(self.plan())
         assert set(outcome.results) == {study_cell().key}
         assert [f.label.split("[")[0] for f in outcome.failures] == ["broken"]
@@ -429,7 +420,7 @@ class TestFailingCalibrationPilot:
     def test_raise_aborts_with_plan_execution_error(self):
         with pytest.raises(PlanExecutionError, match="persistent failure"):
             ParallelExecutor(
-                workers=1, on_error="raise", max_retries=1, chunk_size=2
+                RunContext(workers=1, on_error="raise", max_retries=1, chunk_size=2)
             ).run(self.plan())
 
 
@@ -496,7 +487,7 @@ class TestCliWiring:
 
         broken = BrokenCell(key=("broken",), label="broken", method="-")
         outcome = ParallelExecutor(
-            backend=SerialBackend(), on_error="continue", max_retries=0
+            RunContext(backend=SerialBackend(), on_error="continue", max_retries=0)
         ).run(plan_of([broken, study_cell()]))
 
         monkeypatch.setattr(cli, "execute", lambda plan, context=None: outcome)

@@ -184,7 +184,9 @@ class TestServiceRequests:
         self, tmp_path, capsys
     ):
         expected = standalone_table(capsys)
-        with running_service(tmp_path, store=tmp_path / "cache") as svc:
+        with running_service(
+            tmp_path, defaults=RunContext(store=tmp_path / "cache")
+        ) as svc:
             contexts = [
                 {"backend": "serial"},
                 {"backend": "process", "workers": 2, "chunk_size": 2},
@@ -218,12 +220,18 @@ class TestServiceRequests:
             progress = [e for e in events if e["event"] == "progress"]
             assert len(progress) == done["cells"] == 2
             assert progress[-1]["done"] == progress[-1]["total"] == 2
+            assert all(
+                set(e) == {"event", "id", "done", "total", "label", "cached"}
+                for e in progress
+            )
             assert {e["id"] for e in events} == {done["id"]}
 
     def test_failing_request_does_not_poison_siblings(self, tmp_path, capsys):
         expected = standalone_table(capsys)
         bad = dict(GRID, datasets="NOPE")
-        with running_service(tmp_path, store=tmp_path / "cache") as svc:
+        with running_service(
+            tmp_path, defaults=RunContext(store=tmp_path / "cache")
+        ) as svc:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 futures = [
                     pool.submit(submit_request, svc.address, bad),
@@ -249,7 +257,9 @@ class TestServiceRequests:
         from repro.runtime.telemetry import read_journal
 
         with running_service(
-            tmp_path, store=tmp_path / "cache", trace_dir=tmp_path / "traces"
+            tmp_path,
+            defaults=RunContext(store=tmp_path / "cache"),
+            trace_dir=tmp_path / "traces",
         ) as svc:
             first = submit_request(svc.address, GRID)
             second = submit_request(svc.address, GRID)
@@ -260,8 +270,16 @@ class TestServiceRequests:
             records = read_journal(path)  # schema-valid, one run each
             assert {record["run_id"] for record in records}
 
+    def test_the_shared_store_is_the_defaults_store(self, tmp_path):
+        defaults = RunContext(store=tmp_path / "cache")
+        assert AuditService(defaults=defaults, quiet=True).store is defaults.store
+        with pytest.raises(TypeError):
+            AuditService(store=tmp_path / "cache")
+
     def test_ping_and_status(self, tmp_path):
-        with running_service(tmp_path, store=tmp_path / "cache") as svc:
+        with running_service(
+            tmp_path, defaults=RunContext(store=tmp_path / "cache")
+        ) as svc:
             pong = ping_service(svc.address)
             assert pong["event"] == "pong"
             assert pong["requests"] == 0
@@ -647,7 +665,7 @@ class TestServiceSolveBatching:
         service_store = tmp_path / "shared"
         with running_service(
             tmp_path,
-            store=service_store,
+            defaults=RunContext(store=service_store),
             trace_dir=tmp_path / "traces",
             solve_batch_window=0.25,
         ) as svc:
@@ -688,7 +706,9 @@ class TestServiceSolveBatching:
 
     def test_window_zero_disables_the_broker(self, tmp_path):
         with running_service(
-            tmp_path, store=tmp_path / "cache", solve_batch_window=0.0
+            tmp_path,
+            defaults=RunContext(store=tmp_path / "cache"),
+            solve_batch_window=0.0,
         ) as svc:
             assert svc.service.solve_broker is None
             done = submit_request(svc.address, GRID)
@@ -708,7 +728,9 @@ class TestServiceHardening:
         # Regression: a client hanging up after `accepted` used to raise
         # ConnectionResetError out of the progress send, abandoning the
         # executor future and leaving the record stuck at "running".
-        with running_service(tmp_path, store=tmp_path / "cache") as svc:
+        with running_service(
+            tmp_path, defaults=RunContext(store=tmp_path / "cache")
+        ) as svc:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(str(svc.socket_path))
             try:
@@ -748,8 +770,7 @@ class TestServiceHardening:
         base = tmp_path / "journal.jsonl"
         with running_service(
             tmp_path,
-            store=tmp_path / "cache",
-            defaults=RunContext(trace=base),
+            defaults=RunContext(store=tmp_path / "cache", trace=base),
         ) as svc:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 done = list(

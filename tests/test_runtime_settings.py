@@ -176,11 +176,10 @@ class TestRunContext:
             "solve_table",
         ]
 
-    def test_replace_max_retries_supersedes_policy(self):
+    def test_replace_max_retries(self):
         ctx = RunContext(max_retries=1)
-        bumped = ctx.replace(max_retries=4)
-        assert bumped.retry_policy.max_retries == 4
-        assert ctx.retry_policy.max_retries == 1  # original untouched
+        assert ctx.replace(max_retries=4).max_retries == 4
+        assert ctx.max_retries == 1  # original untouched
 
     def test_store_coercion(self, tmp_path):
         ctx = RunContext(store=tmp_path / "cache")

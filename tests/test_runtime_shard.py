@@ -26,6 +26,7 @@ from repro.runtime import (
     PlanScheduler,
     ProgressReporter,
     ResultStore,
+    RunContext,
     SequentialCoverageCell,
     StudyCell,
     StudyPlan,
@@ -166,16 +167,16 @@ class TestShardPlanning:
 
     def test_invalid_executor_chunk_size(self):
         with pytest.raises(ValidationError):
-            ParallelExecutor(chunk_size=0)
+            RunContext(chunk_size=0)
 
     def test_env_chunk_size(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "7")
-        assert ParallelExecutor().chunk_size == 7
+        assert RunContext().chunk_size == 7
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "nope")
         with pytest.raises(ValidationError):
-            ParallelExecutor()
+            RunContext()
         monkeypatch.delenv("REPRO_CHUNK_SIZE")
-        assert ParallelExecutor().chunk_size is None
+        assert RunContext().chunk_size is None
 
     def test_builtin_kinds_are_splittable(self):
         settings = ExperimentSettings(repetitions=6)
@@ -255,8 +256,8 @@ class TestChunkedEqualsSerial:
             repetitions=repetitions,
             seed=seed,
         )
-        serial = ParallelExecutor(workers=1).run(plan)
-        chunked = ParallelExecutor(workers=1, chunk_size=chunk).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        chunked = ParallelExecutor(RunContext(workers=1, chunk_size=chunk)).run(plan)
         for cell in plan.cells:
             assert_results_equal(serial.results[cell.key], chunked.results[cell.key])
             assert_results_equal(
@@ -265,8 +266,8 @@ class TestChunkedEqualsSerial:
 
     def test_parallel_chunked_matches_serial(self):
         plan = plan_of([study_cell(), coverage_cell()], repetitions=10)
-        serial = ParallelExecutor(workers=1).run(plan)
-        parallel = ParallelExecutor(workers=4, chunk_size=3).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        parallel = ParallelExecutor(RunContext(workers=4, chunk_size=3)).run(plan)
         for key in serial.results:
             assert_results_equal(serial.results[key], parallel.results[key])
 
@@ -275,14 +276,14 @@ class TestChunkedEqualsSerial:
             key=("seq",), label="seq", method="Wilson", mu=0.9, seed=2, repetitions=5
         )
         plan = plan_of([cell], repetitions=5)
-        serial = ParallelExecutor(workers=1).run(plan)
-        ragged = ParallelExecutor(workers=2, chunk_size=2).run(plan)
+        serial = ParallelExecutor(RunContext(workers=1)).run(plan)
+        ragged = ParallelExecutor(RunContext(workers=2, chunk_size=2)).run(plan)
         assert serial.results[cell.key] == ragged.results[cell.key]
         assert merged_whole(cell, plan.settings) == ragged.results[cell.key]
 
     def test_oversized_chunk_runs_unsharded(self):
         plan = plan_of([study_cell()], repetitions=3)
-        outcome = ParallelExecutor(workers=1, chunk_size=50).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=1, chunk_size=50)).run(plan)
         assert outcome.cells[0].shards == 1
 
     def test_unshardable_cells_ignore_chunking(self):
@@ -294,7 +295,7 @@ class TestChunkedEqualsSerial:
         cell = PlainCell(key=("s",), label="s", method="-")
         assert kind_for(cell).repetitions is None
         plan = StudyPlan(settings=settings, cells=(cell,), name="plain")
-        outcome = ParallelExecutor(workers=1, chunk_size=1).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=1, chunk_size=1)).run(plan)
         assert outcome.cells[0].shards == 1
         assert outcome.results[("s",)] == ("s",)
 
@@ -323,7 +324,7 @@ class TestUnsplitCell:
     def test_repetition_counter_is_never_called_unsplit(self):
         cell = UncountableCell(key=("u",), label="u", method="-")
         plan = plan_of([cell], repetitions=4)
-        outcome = ParallelExecutor(workers=1).run(plan)
+        outcome = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert outcome.results[("u",)] == (None,)
         assert outcome.cells[0].shards == 1
 
@@ -334,7 +335,9 @@ class TestUnsplitCell:
             key=("seq",), label="seq", method="Wilson", mu=0.9, seed=2
         )
         plan = plan_of([study_cell(), coverage_cell(), sequential], repetitions=4)
-        outcome = ParallelExecutor(workers=1, store=store, trace=journal).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, trace=journal)
+        ).run(plan)
         assert [entry.shards for entry in outcome.cells] == [1, 1, 1]
         assert len(store) == len(plan.cells)
         events = read_journal(journal)
@@ -352,7 +355,9 @@ class TestShardStoreIntegration:
     def test_shard_entries_consolidated_after_merge(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         plan = plan_of([study_cell()], repetitions=6)
-        outcome = ParallelExecutor(workers=1, store=store, chunk_size=2).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=2)
+        ).run(plan)
         assert outcome.cells[0].shards == 3
         # Only the merged cell entry survives; shard scaffolding is gone.
         assert len(store) == 1
@@ -361,10 +366,14 @@ class TestShardStoreIntegration:
     def test_rerun_under_different_chunking_hits_cache(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         plan = plan_of([study_cell(), coverage_cell()], repetitions=6)
-        first = ParallelExecutor(workers=1, store=store, chunk_size=2).run(plan)
+        first = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=2)
+        ).run(plan)
         assert first.cache_misses == 2
         for chunk in (None, 1, 3, 50):
-            again = ParallelExecutor(workers=1, store=store, chunk_size=chunk).run(plan)
+            again = ParallelExecutor(
+                RunContext(workers=1, store=store, chunk_size=chunk)
+            ).run(plan)
             assert again.cache_hits == 2, chunk
             for key in first.results:
                 assert_results_equal(first.results[key], again.results[key])
@@ -394,13 +403,15 @@ class TestShardStoreIntegration:
                 group=group,
             )
 
-        outcome = ParallelExecutor(workers=1, store=store, chunk_size=3).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=3)
+        ).run(plan)
         entry = outcome.cells[0]
         assert entry.shards == 4
         assert entry.shards_cached == 2
         assert not entry.cached  # two shards actually computed
 
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert_studies_equal(reference.results[cell.key], outcome.results[cell.key])
 
     def test_resume_when_all_shards_finished_before_merge(self, tmp_path):
@@ -424,11 +435,13 @@ class TestShardStoreIntegration:
                 group=group,
             )
 
-        outcome = ParallelExecutor(workers=1, store=store, chunk_size=2).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=2)
+        ).run(plan)
         entry = outcome.cells[0]
         assert entry.cached  # nothing computed this run
         assert entry.shards_cached == entry.shards == 3
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert_studies_equal(reference.results[cell.key], outcome.results[cell.key])
 
     def test_merge_sweeps_stale_chunkings_shard_entries(self, tmp_path):
@@ -451,7 +464,9 @@ class TestShardStoreIntegration:
         )
         assert len(store) == 1
 
-        outcome = ParallelExecutor(workers=1, store=store, chunk_size=2).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=2)
+        ).run(plan)
         assert outcome.cells[0].shards == 3
         assert outcome.cells[0].shards_cached == 0  # stale windows unusable
         assert len(store) == 1  # merged entry only; stale shard swept
@@ -467,17 +482,13 @@ class TestShardProgress:
     def test_one_callback_per_cell_not_per_shard(self):
         plan = plan_of([study_cell(), coverage_cell()], repetitions=6)
         seen = []
-        executor = ParallelExecutor(
-            workers=1,
-            chunk_size=2,
-            progress=lambda done, total, result: seen.append(
-                (done, total, result.shards)
-            ),
-        )
-        executor.run(plan)
-        assert [done for done, _, _ in seen] == [1, 2]
-        assert all(total == 2 for _, total, _ in seen)
-        assert [shards for _, _, shards in seen] == [3, 20]
+        ParallelExecutor(
+            RunContext(workers=1, chunk_size=2, progress=seen.append)
+        ).run(plan)
+        finished = [e.fields for e in seen if e.event == "cell_finished"]
+        assert [fields["done"] for fields in finished] == [1, 2]
+        assert all(fields["total"] == 2 for fields in finished)
+        assert [fields["shards"] for fields in finished] == [3, 20]
 
     def test_reporter_prints_one_line_per_sharded_cell(self):
         stream = io.StringIO()  # not a tty: no shard ticker
@@ -485,10 +496,12 @@ class TestShardProgress:
         # Serial backend: an ambient fault-injecting backend would add
         # retry lines to the one line per cell counted here.
         ParallelExecutor(
-            workers=1,
-            chunk_size=1,
-            backend="serial",
-            progress=ProgressReporter(stream=stream),
+            RunContext(
+                workers=1,
+                chunk_size=1,
+                backend="serial",
+                progress=ProgressReporter(stream=stream),
+            )
         ).run(plan)
         lines = [line for line in stream.getvalue().splitlines() if line.strip()]
         assert len(lines) == 1
@@ -498,13 +511,13 @@ class TestShardProgress:
         plan = plan_of([study_cell()], repetitions=4)
         plain = io.StringIO()
         ParallelExecutor(
-            workers=1, chunk_size=2, progress=ProgressReporter(stream=plain)
+            RunContext(workers=1, chunk_size=2, progress=ProgressReporter(stream=plain))
         ).run(plan)
         assert "\r" not in plain.getvalue()
 
         tty = _TtyStream()
         ParallelExecutor(
-            workers=1, chunk_size=2, progress=ProgressReporter(stream=tty)
+            RunContext(workers=1, chunk_size=2, progress=ProgressReporter(stream=tty))
         ).run(plan)
         output = tty.getvalue()
         assert "\r" in output

@@ -27,6 +27,7 @@ from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
     CellShard,
     ParallelExecutor,
+    RunContext,
     SpoolBackend,
     StudyCell,
     StudyPlan,
@@ -102,13 +103,13 @@ class TestRunWorker:
         try:
             plan = small_plan()
             backend = SpoolBackend(spool_dir, participate=False)
-            outcome = ParallelExecutor(backend=backend).run(plan)
+            outcome = ParallelExecutor(RunContext(backend=backend)).run(plan)
         finally:
             worker.join(timeout=30)
         assert not worker.is_alive()
         assert outcome.backend == "spool"
         assert outcome.cache_misses == len(plan)
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         for key in reference.results:
             assert_studies_equal(reference.results[key], outcome.results[key])
         assert list((spool_dir / "tasks").iterdir()) == []
@@ -300,12 +301,12 @@ class TestWorkerCli:
         try:
             plan = small_plan()
             backend = SpoolBackend(spool_dir, participate=False)
-            outcome = ParallelExecutor(backend=backend).run(plan)
+            outcome = ParallelExecutor(RunContext(backend=backend)).run(plan)
         finally:
             out, err = worker.communicate(timeout=60)
         assert worker.returncode == 0, err
         assert "executed 2 task(s)" in out
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         for key in reference.results:
             assert_studies_equal(reference.results[key], outcome.results[key])
 
@@ -439,7 +440,7 @@ class TestHeartbeat:
             backend = SpoolBackend(
                 spool_dir, participate=False, reclaim_seconds=0.3
             )
-            outcome = ParallelExecutor(backend=backend).run(plan)
+            outcome = ParallelExecutor(RunContext(backend=backend)).run(plan)
         finally:
             worker.join(timeout=30)
         # The 0.8s execution outlived the 0.3s reclaim age, but the
@@ -484,7 +485,9 @@ class TestHeartbeat:
                 spool_dir, participate=False, reclaim_seconds=None
             )
             try:
-                holder["outcome"] = ParallelExecutor(backend=backend).run(plan)
+                holder["outcome"] = ParallelExecutor(
+                    RunContext(backend=backend)
+                ).run(plan)
             except BaseException as error:
                 holder["error"] = error
 
@@ -572,7 +575,9 @@ class TestWorkerCrash:
                 spool_dir, participate=False, reclaim_seconds=0.5
             )
             try:
-                holder["outcome"] = ParallelExecutor(backend=backend).run(plan)
+                holder["outcome"] = ParallelExecutor(
+                    RunContext(backend=backend)
+                ).run(plan)
             except BaseException as error:  # surfaced after the join
                 holder["error"] = error
 
@@ -631,7 +636,7 @@ class TestWorkerCrash:
                 redeliver_cap=0,
             )
             executor = ParallelExecutor(
-                backend=backend, max_retries=0, on_error="continue"
+                RunContext(backend=backend, max_retries=0, on_error="continue")
             )
             try:
                 holder["outcome"] = executor.run(plan)

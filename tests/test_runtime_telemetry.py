@@ -37,6 +37,7 @@ from repro.runtime import (
     MetricsAggregate,
     ParallelExecutor,
     ResultStore,
+    RunContext,
     RunTelemetry,
     SpoolBackend,
     StudyCell,
@@ -146,7 +147,7 @@ class TestJournal:
     def test_every_executed_unit_has_a_complete_span(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         plan = small_plan()
-        ParallelExecutor(workers=1, chunk_size=2, trace=journal).run(plan)
+        ParallelExecutor(RunContext(workers=1, chunk_size=2, trace=journal)).run(plan)
         records = read_journal(journal)
         events = [record["event"] for record in records]
         assert events[0] == "run_start"
@@ -166,12 +167,37 @@ class TestJournal:
             # Monotonic ordering within the span.
             assert queued[0]["t"] <= submitted[0]["t"] <= done[0]["t"]
 
+    def test_a_progress_observer_sees_exactly_the_journal(self, tmp_path):
+        # The observer API is the journal schema: a progress subscriber
+        # receives every event of the run, under the name and with the
+        # fields the journal records.
+        journal = tmp_path / "j.jsonl"
+        seen: list[TelemetryEvent] = []
+        ParallelExecutor(
+            RunContext(progress=seen.append, trace=journal, workers=1, backend="serial")
+        ).run(small_plan())
+        records = [
+            (
+                record["event"],
+                {
+                    key: value
+                    for key, value in record.items()
+                    if key not in ("event", "run_id", "t", "wall")
+                },
+            )
+            for record in read_journal(journal)
+        ]
+        assert [(event.event, event.fields) for event in seen] == records
+        assert {"run_start", "cell_finished", "run_finish"} <= {
+            event for event, _ in records
+        }
+
     def test_cached_rerun_journals_cache_hits_not_units(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         store = ResultStore(tmp_path / "cache")
         plan = small_plan()
-        ParallelExecutor(workers=1, store=store).run(plan)
-        ParallelExecutor(workers=1, store=store, trace=journal).run(plan)
+        ParallelExecutor(RunContext(workers=1, store=store)).run(plan)
+        ParallelExecutor(RunContext(workers=1, store=store, trace=journal)).run(plan)
         records = read_journal(journal)
         hits = [r for r in records if r["event"] == "cache_hit"]
         assert len(hits) == len(plan)
@@ -182,15 +208,15 @@ class TestJournal:
     def test_trace_file_accumulates_runs_by_run_id(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         plan = small_plan()
-        ParallelExecutor(workers=1, trace=journal).run(plan)
-        ParallelExecutor(workers=1, trace=journal).run(plan)
+        ParallelExecutor(RunContext(workers=1, trace=journal)).run(plan)
+        ParallelExecutor(RunContext(workers=1, trace=journal)).run(plan)
         run_ids = {record["run_id"] for record in read_journal(journal)}
         assert len(run_ids) == 2
 
     def test_env_var_turns_tracing_on(self, tmp_path, monkeypatch):
         journal = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_TRACE_FILE", str(journal))
-        ParallelExecutor(workers=1).run(small_plan())
+        ParallelExecutor(RunContext(workers=1)).run(small_plan())
         assert journal_events(journal, "run_finish")
 
     def test_read_journal_rejects_bad_lines(self, tmp_path):
@@ -218,7 +244,7 @@ class TestJournal:
 
 class TestMetrics:
     def test_outcome_always_carries_a_metrics_aggregate(self):
-        outcome = ParallelExecutor(workers=1).run(small_plan())
+        outcome = ParallelExecutor(RunContext(workers=1)).run(small_plan())
         assert isinstance(outcome.metrics, MetricsAggregate)
         assert outcome.metrics.cache_misses == len(outcome.plan)
         assert outcome.metrics.status == "ok"
@@ -229,7 +255,9 @@ class TestMetrics:
     def test_replay_reproduces_the_live_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         plan = small_plan()
-        outcome = ParallelExecutor(workers=1, chunk_size=2, trace=journal).run(plan)
+        outcome = ParallelExecutor(
+            RunContext(workers=1, chunk_size=2, trace=journal)
+        ).run(plan)
         replayed = replay_metrics(read_journal(journal))
         live = outcome.metrics.as_dict()
         again = replayed.as_dict()
@@ -243,7 +271,9 @@ class TestMetrics:
 
     def test_summarize_journal_reports_runs_and_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
-        outcome = ParallelExecutor(workers=1, trace=journal).run(small_plan())
+        outcome = ParallelExecutor(
+            RunContext(workers=1, trace=journal)).run(small_plan()
+        )
         summary = summarize_journal(journal)
         run_id = outcome.metrics.run_id
         assert run_id in summary["runs"]
@@ -334,13 +364,15 @@ class TestBitIdentity:
         store_off = ResultStore(tmp_path / "off")
         store_on = ResultStore(tmp_path / "on")
         plain = ParallelExecutor(
-            workers=1, store=store_off, chunk_size=chunk_size
+            RunContext(workers=1, store=store_off, chunk_size=chunk_size)
         ).run(plan)
         traced = ParallelExecutor(
-            workers=1,
-            store=store_on,
-            chunk_size=chunk_size,
-            trace=tmp_path / "j.jsonl",
+            RunContext(
+                workers=1,
+                store=store_on,
+                chunk_size=chunk_size,
+                trace=tmp_path / "j.jsonl",
+            )
         ).run(plan)
         for key in plain.results:
             assert_studies_equal(plain.results[key], traced.results[key])
@@ -377,7 +409,7 @@ class TestWorkerSpans:
         worker.start()
         try:
             backend = SpoolBackend(spool_dir, participate=False)
-            outcome = ParallelExecutor(backend=backend, trace=journal).run(
+            outcome = ParallelExecutor(RunContext(backend=backend, trace=journal)).run(
                 small_plan()
             )
         finally:
@@ -469,12 +501,12 @@ class TestWorkerSpans:
                 SpoolBackend(spool_dir, participate=False), seed=1, rate=1.0
             )
             outcome = ParallelExecutor(
-                backend=backend, max_retries=2, trace=journal
+                RunContext(backend=backend, max_retries=2, trace=journal)
             ).run(plan)
         finally:
             out, err = worker.communicate(timeout=60)
         assert worker.returncode == 0, err
-        reference = ParallelExecutor(workers=1).run(plan)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         for key in reference.results:
             assert_studies_equal(reference.results[key], outcome.results[key])
 
@@ -515,7 +547,9 @@ class TestCli:
     def journal(self, tmp_path):
         path = tmp_path / "j.jsonl"
         store = ResultStore(tmp_path / "cache")
-        executor = ParallelExecutor(workers=1, store=store, chunk_size=2, trace=path)
+        executor = ParallelExecutor(
+            RunContext(workers=1, store=store, chunk_size=2, trace=path)
+        )
         executor.run(small_plan())
         executor.run(small_plan())  # second run: all cache hits
         return path
@@ -544,7 +578,9 @@ class TestCli:
         # In-process units and a fresh store: the run's table solves rows.
         journal = tmp_path / "j.jsonl"
         ParallelExecutor(
-            workers=1, backend="serial", store=tmp_path / "cache", trace=journal
+            RunContext(
+                workers=1, backend="serial", store=tmp_path / "cache", trace=journal
+            )
         ).run(small_plan())
         rows = replay_metrics(read_journal(journal)).as_dict()["solve_table"]
         assert rows["rows_solved"] > 0
@@ -566,7 +602,7 @@ class TestCli:
 
     def test_cache_info_reports_entries_and_groups(self, tmp_path, capsys):
         store = ResultStore(tmp_path / "cache")
-        ParallelExecutor(workers=1, store=store).run(small_plan())
+        ParallelExecutor(RunContext(workers=1, store=store)).run(small_plan())
         assert main(["cache", "info", "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "entries          : 2" in out
@@ -579,7 +615,7 @@ class TestCli:
         # Earlier versions kept solve-table files in the store; they are
         # neither entries nor reported.
         store = ResultStore(tmp_path / "cache")
-        ParallelExecutor(workers=1, store=store).run(small_plan())
+        ParallelExecutor(RunContext(workers=1, store=store)).run(small_plan())
         stale = tmp_path / "cache" / "solvetable"
         stale.mkdir()
         (stale / ("c" * 64 + ".npy")).write_bytes(b"x" * 7)
@@ -595,7 +631,7 @@ class TestCli:
 
     def test_cache_info_reads_env_dir(self, tmp_path, monkeypatch, capsys):
         store = ResultStore(tmp_path / "cache")
-        ParallelExecutor(workers=1, store=store).run(small_plan())
+        ParallelExecutor(RunContext(workers=1, store=store)).run(small_plan())
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["cache", "info"]) == 0
         assert "entries          : 2" in capsys.readouterr().out
