@@ -79,6 +79,7 @@ from .kg.io import load_kg, save_kg
 from .kg.stats import describe_kg
 from .runtime import PartitionedAuditCell, RunContext, StudyPlan, execute
 from .runtime.cells import build_method, build_strategy
+from .runtime.settings import ON_ERROR_MODES
 
 __all__ = ["main"]
 
@@ -334,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--backend", default=None)
     submit.add_argument("--chunk-size", type=int, default=None)
     submit.add_argument("--max-retries", type=int, default=None, metavar="N")
-    submit.add_argument("--on-error", default=None, choices=("raise", "continue"))
+    submit.add_argument("--on-error", default=None, choices=ON_ERROR_MODES)
     submit.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
     )
@@ -457,7 +458,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--on-error",
         default=None,
-        choices=("raise", "continue"),
+        choices=ON_ERROR_MODES,
         help="after retries run out: 'raise' aborts the run, "
         "'continue' quarantines the failed cell and keeps going "
         "(default: $REPRO_ON_ERROR or raise)",

@@ -42,7 +42,14 @@ __all__ = [
     "IterationRecord",
     "EvaluationResult",
     "KGAccuracyEvaluator",
+    "LOOKAHEAD_ROUNDS",
 ]
+
+#: Rounds an interval-memo miss solves ahead when each round adds one
+#: unit.  Under SRS the next ``R`` rounds reach ``R (R + 3) / 2`` new
+#: ``(n, tau)`` states (14 at ``R = 4``), solved with the current one in
+#: a single batch.
+LOOKAHEAD_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,15 @@ class KGAccuracyEvaluator:
     revisit the same evidence states constantly.  Reassigning
     ``self.method`` is safe; mutating a method in place (e.g. its
     ``prior``) requires :meth:`clear_interval_cache`.
+
+    A memo miss with one unit per round solves ahead: the states the
+    strategy lists through
+    :meth:`~repro.sampling.base.SamplingStrategy.evidence_ahead` for the
+    next :data:`LOOKAHEAD_ROUNDS` rounds go into the same
+    ``solve_batch`` as the current evidence, and all are memoised.
+    ``cache_misses`` therefore counts look-ahead solves, and
+    ``cache_hits`` includes the rounds they answered.  Every batch
+    kernel is row-independent, so results do not change.
     """
 
     #: Entries kept before the interval memo resets (a full reset is
@@ -229,7 +245,7 @@ class KGAccuracyEvaluator:
         while True:
             iterations += 1
             evidence = strategy.evidence(state)
-            interval = self._compute_interval(evidence, cfg.alpha)
+            interval = self._compute_interval(evidence, cfg.alpha, state)
             if keep_trace:
                 trace.append(
                     IterationRecord(
@@ -250,31 +266,73 @@ class KGAccuracyEvaluator:
                 return self._result(state, evidence.mu_hat, interval, iterations, False, trace)
             self._ingest(state, cfg.units_per_iteration, rng)
 
-    def _compute_interval(self, evidence, alpha: float) -> Interval:
-        """Memoised ``method.solve_batch`` over already-seen evidence states.
-
-        Misses go through the batch engine (as a batch of one) rather
-        than the scalar path so that cached intervals are bit-identical
-        to batch-solved ones everywhere — including when an ambient
-        solve pool coalesces this miss with other callers' work.
-        """
-        key = (
+    def _memo_key(self, evidence, alpha: float) -> tuple:
+        """The interval memo's key: the method plus everything it reads."""
+        return (
             self.method,
             evidence.tau_effective,
             evidence.n_effective,
             evidence.variance,
             alpha,
         )
+
+    def _compute_interval(self, evidence, alpha: float, state) -> Interval:
+        """Memoised ``method.solve_batch`` over already-seen evidence states.
+
+        Misses go through the batch engine rather than the scalar path
+        so that cached intervals are bit-identical to batch-solved ones
+        everywhere — including when an ambient solve pool coalesces this
+        miss with other callers' work.  A miss also solves the states
+        the run's next rounds can reach from *state* (see
+        :meth:`_solve_ahead`).
+        """
+        key = self._memo_key(evidence, alpha)
         interval = self._interval_cache.get(key)
-        if interval is None:
-            self.cache_misses += 1
-            if len(self._interval_cache) >= self._CACHE_LIMIT:
-                self._interval_cache.clear()
-            interval = self.method.solve_batch((evidence,), alpha)[0]
-            self._interval_cache[key] = interval
-        else:
+        if interval is not None:
             self.cache_hits += 1
+            return interval
+        self.cache_misses += 1
+        if len(self._interval_cache) >= self._CACHE_LIMIT:
+            self._interval_cache.clear()
+        interval = self._solve_ahead(evidence, alpha, state)
+        if interval is None:
+            interval = self.method.solve_batch((evidence,), alpha)[0]
+        self._interval_cache[key] = interval
         return interval
+
+    def _solve_ahead(self, evidence, alpha: float, state) -> Optional[Interval]:
+        """Solve *evidence* with the unmemoised states of the next rounds.
+
+        Returns ``None`` when there is nothing to solve ahead, or when
+        the joint batch raises: the caller then solves *evidence* alone,
+        so an error surfaces at the round that reaches its state, as it
+        would without look-ahead.
+        """
+        cfg = self.config
+        if cfg.units_per_iteration != 1:
+            return None
+        # The run stops at the budget, so states past it are never reached.
+        rounds = min(LOOKAHEAD_ROUNDS, cfg.max_triples - state.n_annotated)
+        if rounds <= 0:
+            return None
+        cache = self._interval_cache
+        keys, batch = [], [evidence]
+        for ahead in self.strategy.evidence_ahead(state, rounds):
+            key = self._memo_key(ahead, alpha)
+            if key not in cache:
+                keys.append(key)
+                batch.append(ahead)
+        if not keys:
+            return None
+        try:
+            intervals = self.method.solve_batch(batch, alpha).to_intervals()
+        except Exception:
+            # Whatever failed, the caller's one-row solve raises it again
+            # if it concerns the current state; a failing future state
+            # raises when the walk reaches it.
+            return None
+        cache.update(zip(keys, intervals[1:]))
+        return intervals[0]
 
     def clear_interval_cache(self) -> None:
         """Drop memoised solves (e.g. after mutating ``method``)."""

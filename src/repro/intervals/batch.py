@@ -144,7 +144,13 @@ class BatchIntervals:
 
     def to_intervals(self) -> list[Interval]:
         """Materialise the batch as scalar :class:`Interval` values."""
-        return [self[i] for i in range(len(self))]
+        labels = self.labels if self.labels is not None else (self.method,) * len(self)
+        return [
+            Interval(lower=lower, upper=upper, alpha=self.alpha, method=label)
+            for lower, upper, label in zip(
+                self.lower.tolist(), self.upper.tolist(), labels
+            )
+        ]
 
     @property
     def width(self) -> np.ndarray:

@@ -8,11 +8,12 @@ them one row at a time, in one dict keyed by ``(method payload, alpha,
 n, tau)`` and holding the row's ``(lower, upper, label)``.  A serve
 solves exactly the rows it needs that the table does not hold yet — one
 vectorised ``compute_batch`` over them — and every later solve of a held
-row is a dict probe.  Algorithm 1 solves one interval per annotation
-round, so one-row serves are the common case, and one code path serves
-every batch size: on a 2-core x86 host a one-row hit costs ~15-25 µs,
-below a one-row Wilson ``compute_batch`` (~30-35 µs) and ~40x below an
-aHPD one (~0.7-0.9 ms).
+row is a dict probe.  Algorithm 1 under SRS solves a memo miss together
+with the states its next rounds can reach (up to 15 rows, see
+:class:`~repro.evaluation.framework.KGAccuracyEvaluator`), so serves
+carry several rows, and one code path serves every batch size: on a
+2-core x86 host a one-row hit costs ~15-25 µs, near a one-row Wilson
+``compute_batch`` (~20-35 µs) and ~40x below an aHPD one (~0.6-0.9 ms).
 
 Because the rows *are* ``compute_batch`` outputs — solved by the very
 method instance being served, stored at full float64, and every batch

@@ -117,7 +117,9 @@ class TripleStore(ABC):
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValidationError("triple indices must be one-dimensional")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_triples):
+        # Viewed as uint64 a negative index wraps above any valid one,
+        # so one max() checks both ends.
+        if idx.size and idx.view(np.uint64).max() >= self.num_triples:
             raise ValidationError(
                 f"triple indices must be in [0, {self.num_triples}); "
                 f"got range [{idx.min()}, {idx.max()}]"

@@ -27,6 +27,7 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 _TWO_POW_64 = float(2**64)
+_MASK64 = 2**64 - 1
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
@@ -36,6 +37,14 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MUL1
         z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MUL2
         return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64_int(value: int) -> int:
+    """:func:`_splitmix64` of one Python int, bit for bit, without arrays."""
+    z = ((value + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def draw_cluster_sizes(
@@ -160,6 +169,11 @@ class SyntheticKG(TripleStore):
 
     def labels(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         idx = self._check_indices(indices)
+        if idx.size == 1:
+            # Algorithm 1 under SRS annotates one triple per round; one
+            # int hash skips a dozen one-element array operations.
+            hashed = _splitmix64_int(int(idx[0]) ^ int(self._seed))
+            return np.array([hashed / _TWO_POW_64 < self._accuracy])
         hashed = _splitmix64(idx.astype(np.uint64) ^ self._seed)
         uniform = hashed.astype(np.float64) / _TWO_POW_64
         return uniform < self._accuracy

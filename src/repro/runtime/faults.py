@@ -53,11 +53,6 @@ __all__ = [
     "unit_token",
 ]
 
-#: Valid ``on_error`` modes: abort the run on the first exhausted unit
-#: (the classic behaviour) or quarantine it and keep draining.
-ON_ERROR_MODES = ("raise", "continue")
-
-
 def unit_token(shard: CellShard, settings: "ExperimentSettings") -> str:
     """Stable hex identity of one unit of work under *settings*.
 

@@ -34,6 +34,7 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "KNOBS",
+    "ON_ERROR_MODES",
     "RunContext",
     "env_knob",
     "resolve_backend",
@@ -279,6 +280,11 @@ def resolve_max_retries(max_retries: int | None) -> int:
     return max_retries
 
 
+#: Valid ``on_error`` modes: abort the run on the first exhausted unit
+#: (the classic behaviour) or quarantine it and keep draining.
+ON_ERROR_MODES = ("raise", "continue")
+
+
 def resolve_on_error(on_error: str | None) -> str:
     """Explicit mode, or the ``REPRO_ON_ERROR`` default (``"raise"``)."""
     if on_error is None:
@@ -286,9 +292,9 @@ def resolve_on_error(on_error: str | None) -> str:
         if on_error is None:
             return "raise"
     on_error = str(on_error).strip().lower()
-    if on_error not in ("raise", "continue"):
+    if on_error not in ON_ERROR_MODES:
         raise ValidationError(
-            f"on_error must be one of raise, continue; got {on_error!r}"
+            f"on_error must be one of {', '.join(ON_ERROR_MODES)}; got {on_error!r}"
         )
     return on_error
 

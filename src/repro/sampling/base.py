@@ -95,10 +95,10 @@ class SampleState:
 
     def _record(self, batch: Batch, labels: np.ndarray) -> None:
         self.n_annotated += int(labels.size)
-        self.n_correct += int(labels.sum())
+        self.n_correct += int(np.count_nonzero(labels))
         self.n_units += batch.num_units
-        self.seen_triples.update(int(i) for i in batch.indices)
-        self.seen_entities.update(int(s) for s in batch.subjects)
+        self.seen_triples.update(batch.indices.tolist())
+        self.seen_entities.update(batch.subjects.tolist())
 
 
 class SamplingStrategy(ABC):
@@ -130,6 +130,16 @@ class SamplingStrategy(ABC):
     @abstractmethod
     def evidence(self, state: SampleState) -> Evidence:
         """Design-aware evidence summary of the accumulated sample."""
+
+    def evidence_ahead(self, state: SampleState, rounds: int) -> tuple[Evidence, ...]:
+        """Evidence of the states the next *rounds* one-unit rounds can reach.
+
+        Each entry must equal, field for field, what :meth:`evidence`
+        returns once the walk reaches that state; the evaluator solves
+        them ahead of time in one batch.  A design lists them only when
+        they are few and known in advance; the default lists none.
+        """
+        return ()
 
     @property
     def min_units(self) -> int:

@@ -59,8 +59,7 @@ class SimpleRandomSampling(SamplingStrategy):
             # unless the sample approaches the full KG.
             need = units - len(chosen)
             candidates = rng.integers(0, kg.num_triples, size=max(2 * need, 8))
-            for idx in candidates:
-                idx = int(idx)
+            for idx in candidates.tolist():
                 if idx in seen or idx in pending:
                     continue
                 pending.add(idx)
@@ -79,3 +78,18 @@ class SimpleRandomSampling(SamplingStrategy):
         if state.n_annotated == 0:
             raise InsufficientSampleError("no annotations accumulated yet")
         return srs_evidence(state.n_correct, state.n_annotated)
+
+    def evidence_ahead(self, state: SampleState, rounds: int) -> tuple[Evidence, ...]:
+        """The ``(n + j, tau + i)`` states, ``1 <= j <= rounds``, ``0 <= i <= j``.
+
+        One unit moves ``(n, tau)`` to ``(n + 1, tau)`` or
+        ``(n + 1, tau + 1)``; the counts are valid by construction, so
+        the states skip :meth:`Evidence.from_counts`'s checks but share
+        its arithmetic with :meth:`evidence`.
+        """
+        n, tau = state.n_annotated, state.n_correct
+        return tuple(
+            Evidence.from_counts_fast(tau + i, n + j)
+            for j in range(1, rounds + 1)
+            for i in range(j + 1)
+        )

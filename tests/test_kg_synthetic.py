@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.kg.synthetic import SyntheticKG, draw_cluster_sizes
+from repro.kg.synthetic import (
+    SyntheticKG,
+    _splitmix64,
+    _splitmix64_int,
+    draw_cluster_sizes,
+)
 
 
 class TestDrawClusterSizes:
@@ -96,6 +101,18 @@ class TestSyntheticKG:
         with pytest.raises(ValidationError):
             small_synthetic.labels([50_000])
 
+    @pytest.mark.parametrize(
+        "indices", [[-1], [3, -2, 7], [0, 50_000], [-(2**63)]], ids=str
+    )
+    def test_rejects_negative_and_too_large_indices_in_one_check(
+        self, small_synthetic, indices
+    ):
+        low, high = min(indices), max(indices)
+        with pytest.raises(ValidationError, match=rf"got range \[{low}, {high}\]"):
+            small_synthetic.labels(indices)
+        with pytest.raises(ValidationError, match="must be in"):
+            small_synthetic.subjects(indices)
+
     def test_rejects_bad_accuracy(self):
         with pytest.raises(ValidationError):
             SyntheticKG(100, 10, accuracy=1.5)
@@ -107,3 +124,30 @@ class TestSyntheticKG:
         even = labels[idx % 2 == 0].mean()
         odd = labels[idx % 2 == 1].mean()
         assert abs(even - odd) < 0.02
+
+
+class TestOneIndexLabels:
+    """The one-index label path (one Python-int hash) against the arrays."""
+
+    @given(value=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_int_hash_matches_the_uint64_hash(self, value):
+        hashed = _splitmix64_int(value)
+        vector = _splitmix64(np.array([value], dtype=np.uint64))[0]
+        assert hashed == int(vector)
+        # The int -> float conversion rounds like the uint64 cast.
+        assert hashed / 2.0**64 == vector.astype(np.float64) / 2.0**64
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        accuracy=st.floats(0.0, 1.0),
+        index=st.integers(0, 9_999),
+        other=st.integers(0, 9_999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_index_labels_match_the_vector_path(self, seed, accuracy, index, other):
+        kg = SyntheticKG(10_000, 50, accuracy=accuracy, seed=seed)
+        one = kg.labels(np.array([index]))
+        assert one.dtype == np.bool_ and one.shape == (1,)
+        assert one[0] == kg.labels(np.array([index, other]))[0]
+        assert kg.labels([index])[0] == one[0]

@@ -14,6 +14,7 @@ from repro.exceptions import ValidationError
 from repro.runtime import ResultStore
 from repro.runtime.settings import (
     KNOBS,
+    ON_ERROR_MODES,
     RunContext,
     env_knob,
     resolve_chunk_size,
@@ -124,6 +125,28 @@ class TestResolvers:
         assert resolve_on_error("continue") == "continue"
         with pytest.raises(ValidationError, match="on_error"):
             resolve_on_error("explode")
+
+    def test_on_error_modes_are_one_list(self):
+        # The resolver, its error text and both CLI flags read one tuple.
+        from repro.cli import _build_parser
+        from repro.runtime import faults
+
+        assert ON_ERROR_MODES == ("raise", "continue")
+        for mode in ON_ERROR_MODES:
+            assert resolve_on_error(mode.upper()) == mode
+        with pytest.raises(ValidationError) as error:
+            resolve_on_error("explode")
+        named = re.search(r"one of (.*); got", str(error.value)).group(1)
+        assert tuple(named.split(", ")) == ON_ERROR_MODES
+        assert not hasattr(faults, "ON_ERROR_MODES")
+        (commands,) = _build_parser()._subparsers._group_actions
+        for name in ("study", "submit"):
+            (flag,) = [
+                action
+                for action in commands.choices[name]._actions
+                if action.dest == "on_error"
+            ]
+            assert tuple(flag.choices) == ON_ERROR_MODES
 
     def test_service_address(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
