@@ -123,6 +123,10 @@ def test_bench_solve_table_cold_vs_warm():
     first touch: a one-row serve solves one row, not the table.
     ``warm_row_seconds`` is a one-row hit, the only kind of serve the
     paper's loops make (Algorithm 1 solves one interval per round).
+    ``ahpd_one_evidence_seconds`` and ``ahpd_lookahead_seconds`` time a
+    direct aHPD ``compute_batch`` (min of 50) of one evidence (3 rows,
+    the row path) and of one SRS look-ahead batch (15 evidences, 45
+    rows, the array path).
     """
     method = AdaptiveHPD()
     n, alpha = 256, 0.05
@@ -153,6 +157,21 @@ def test_bench_solve_table_cold_vs_warm():
     )
     assert one_row.stats()["rows_solved"] == 1
 
+    one_evidence = [evidences[n // 2]]
+    ahpd_one_evidence_seconds = min(
+        _timed(lambda: method.compute_batch(one_evidence, alpha)) for _ in range(50)
+    )
+    # The current (n, tau) and the 14 states the next four SRS rounds
+    # can reach: one look-ahead solve of Algorithm 1.
+    lookahead = [
+        Evidence.from_counts(n // 2 + step, n + rounds)
+        for rounds in range(5)
+        for step in range(rounds + 1)
+    ]
+    ahpd_lookahead_seconds = min(
+        _timed(lambda: method.compute_batch(lookahead, alpha)) for _ in range(50)
+    )
+
     warm = table.serve(method, evidences, alpha)
     identical = (
         warm.lower.tobytes() == direct.lower.tobytes()
@@ -174,6 +193,8 @@ def test_bench_solve_table_cold_vs_warm():
             "direct_solve_seconds": round(direct_seconds, 6),
             "cold_build_seconds": round(cold_seconds, 6),
             "cold_row_seconds": round(cold_row_seconds, 6),
+            "ahpd_one_evidence_seconds": round(ahpd_one_evidence_seconds, 6),
+            "ahpd_lookahead_seconds": round(ahpd_lookahead_seconds, 6),
             "warm_row_seconds": round(warm_row_seconds, 6),
             "warm_hit_seconds": round(warm_seconds, 6),
             "warm_speedup": round(speedup, 1),
@@ -186,6 +207,8 @@ def test_bench_solve_table_cold_vs_warm():
         f"  direct compute_batch : {direct_seconds * 1e3:9.3f} ms\n"
         f"  cold fill + serve    : {cold_seconds * 1e3:9.3f} ms\n"
         f"  cold one-row serve   : {cold_row_seconds * 1e3:9.3f} ms\n"
+        f"  aHPD, one evidence   : {ahpd_one_evidence_seconds * 1e3:9.3f} ms\n"
+        f"  aHPD, look-ahead (15): {ahpd_lookahead_seconds * 1e3:9.3f} ms\n"
         f"  warm one-row hit     : {warm_row_seconds * 1e3:9.3f} ms\n"
         f"  warm table hit       : {warm_seconds * 1e3:9.3f} ms"
         f"  ({speedup:.0f}x vs cold)\n"

@@ -29,7 +29,7 @@ from .batch import (
     BatchIntervals,
     evidence_arrays,
     hpd_bounds_batch,
-    posterior_shapes_batch,
+    posterior_counts_batch,
 )
 from .hpd import hpd_bounds
 from .posterior import BetaPosterior
@@ -90,12 +90,12 @@ class AdaptiveHPD(IntervalMethod):
         """
         alpha = check_alpha(alpha)
         _, _, n_eff, tau_eff = evidence_arrays(evidences)
-        shapes = [
-            posterior_shapes_batch(prior, tau_eff, n_eff) for prior in self.priors
-        ]
+        tau, failures = posterior_counts_batch(tau_eff, n_eff)
+        # Row p * N + i is prior p's posterior for evidence i: the same
+        # additions as one posterior_shapes_batch per prior, stacked.
         lowers, uppers = hpd_bounds_batch(
-            np.concatenate([a for a, _ in shapes]),
-            np.concatenate([b for _, b in shapes]),
+            np.add.outer([prior.a for prior in self.priors], tau).ravel(),
+            np.add.outer([prior.b for prior in self.priors], failures).ravel(),
             alpha,
         )
         lowers = lowers.reshape(len(self.priors), -1)

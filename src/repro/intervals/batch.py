@@ -16,6 +16,19 @@ both observations to array level:
   (interior / increasing / decreasing / flat masks, bathtub rejection)
   and a per-row scalar fallback for the rare non-converged posterior.
 
+Small HPD calls run row by row.  A call of at most
+:data:`~repro.intervals.kernels.ROW_PATH_MAX` rows (one aHPD round of
+Algorithm 1 is 3 rows) does its shape dispatch, closed forms and
+posterior-mass check one row at a time in Python floats, and the Newton
+kernel iterates its interior rows the same way; a larger call does all
+of it with masks over arrays.  The size of the call selects the path,
+nothing else does, and the two give the same bytes: the row code calls
+the same special functions through :mod:`scipy.special.cython_special`
+(the ufuncs' element functions, without the per-call ufunc dispatch
+that made a one-row call cost as much as a 30-row one) and keeps every
+check in the array code's order.  :mod:`repro.intervals.kernels` lists
+the equivalences this rests on.
+
 Every concrete :class:`~repro.intervals.base.IntervalMethod` overrides
 ``compute_batch`` to land here; the abstract default falls back to a
 per-element ``compute`` loop, so third-party methods stay correct
@@ -26,11 +39,13 @@ may freely choose whichever shape fits their loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .._validation import check_alpha
 from ..exceptions import IntervalError, ValidationError
@@ -40,6 +55,7 @@ from ..stats.beta import (
     beta_ppf_batch,
 )
 from .base import Interval, critical_value
+from . import kernels
 from .kernels import KERNEL
 from .posterior import BetaPosterior
 from .priors import BetaPrior
@@ -51,6 +67,7 @@ __all__ = [
     "BatchIntervals",
     "compute_batch_pooled",
     "evidence_arrays",
+    "posterior_counts_batch",
     "posterior_shapes_batch",
     "wald_bounds_batch",
     "wilson_bounds_batch",
@@ -70,6 +87,13 @@ __all__ = [
 _MASS_TOL = 1e-6
 #: Display prior attached to posteriors rebuilt for the scalar fallback.
 _FALLBACK_PRIOR = BetaPrior(1.0, 1.0, name="batch-fallback")
+#: The two ways a batch of shapes is rejected, shared by the array and
+#: row paths of :func:`hpd_bounds_batch` so both fail with one text.
+_SHAPES_ERROR = "posterior shapes must be positive"
+_BATHTUB_ERROR = (
+    "the HPD region of a U-shaped posterior is not an interval; "
+    "{rows} batch row(s) have a, b < 1"
+)
 
 
 @dataclass(frozen=True)
@@ -108,6 +132,30 @@ class BatchIntervals:
             )
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def _of_validated_rows(
+        cls,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        alpha: float,
+        method: str,
+        labels: tuple[str, ...] | None,
+    ) -> "BatchIntervals":
+        """A batch of rows that passed ``__post_init__`` when solved.
+
+        For :meth:`~repro.intervals.table.SolveTable.serve` only: its
+        rows are ``compute_batch`` outputs, validated on the way in, so
+        re-checking them was about half the cost of a one-row hit.
+        *lower* and *upper* must be 1-D float64 arrays.
+        """
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "lower", lower)
+        object.__setattr__(batch, "upper", upper)
+        object.__setattr__(batch, "alpha", alpha)
+        object.__setattr__(batch, "method", method)
+        object.__setattr__(batch, "labels", labels)
+        return batch
 
     @classmethod
     def from_intervals(
@@ -237,12 +285,26 @@ def posterior_shapes_batch(
     same validation (so invalid counts fail identically on both paths)
     followed by the same float-noise clamp of ``tau`` into ``[0, n]``.
     """
+    tau, failures = posterior_counts_batch(tau_eff, n_eff)
+    return prior.a + tau, prior.b + failures
+
+
+def posterior_counts_batch(
+    tau_eff: np.ndarray, n_eff: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The validated ``(tau, n - tau)`` every prior's update adds to.
+
+    :func:`posterior_shapes_batch` minus the prior, so a selector over
+    several priors (aHPD) validates and clamps its counts once.
+    """
     n = np.asarray(n_eff, dtype=float)
     tau = np.asarray(tau_eff, dtype=float)
-    if np.any(n < 0.0) or np.any(tau < 0.0) or np.any(tau > n + 1e-9):
+    if ((n < 0.0) | (tau < 0.0) | (tau > n + 1e-9)).any():
         raise ValidationError("invalid annotation outcome in batch (tau, n) arrays")
-    tau = np.clip(tau, 0.0, n)
-    return prior.a + tau, prior.b + (n - tau)
+    # Past the check tau >= 0 (or NaN), so np.clip(tau, 0.0, n) reduces
+    # to its upper clamp; a -0.0 it would turn into 0.0 adds the same.
+    tau = np.minimum(tau, n)
+    return tau, n - tau
 
 
 def evidence_arrays(
@@ -387,20 +449,28 @@ def hpd_bounds_batch(
     posteriors use their closed forms (Eqs. 10-11), U-shaped posteriors
     raise :class:`~repro.exceptions.IntervalError`, and interior-mode
     rows run a damped-Newton iteration on the optimality system
-    ``f(l) = f(u)``, ``F(u) - F(l) = 1 - alpha`` — all rows stepped
-    together, each with its own feasibility-limited damping.  Rows that
-    fail to converge (or fail the posterior-mass validation) are
-    re-solved one at a time with the robust scalar solver, so the batch
-    result is never worse than the scalar path.
+    ``f(l) = f(u)``, ``F(u) - F(l) = 1 - alpha`` — each row with its
+    own feasibility-limited damping.  Rows that fail to converge (or
+    fail the posterior-mass validation) are re-solved one at a time
+    with the robust scalar solver, so the batch result is never worse
+    than the scalar path.
+
+    A call of at most :data:`~repro.intervals.kernels.ROW_PATH_MAX`
+    rows does its dispatch and validation row by row in Python floats
+    (:func:`_hpd_rows`); larger calls use masks over arrays.  Both give
+    the same bytes.
     """
     alpha = check_alpha(alpha)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    a, b = np.broadcast_arrays(a, b)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     if a.ndim != 1:
         raise ValidationError(f"expected 1-D shape arrays, got shape {a.shape}")
+    if a.size <= kernels.ROW_PATH_MAX:
+        return _hpd_rows(a, b, alpha)
     # Validate once here; the Newton loop below runs on the raw
     # (unvalidated) beta primitives, so this check is its only gate.
     if a.size and (
@@ -409,7 +479,7 @@ def hpd_bounds_batch(
         or np.any(a <= 0.0)
         or np.any(b <= 0.0)
     ):
-        raise ValidationError("posterior shapes must be positive")
+        raise ValidationError(_SHAPES_ERROR)
 
     a_gt1, b_gt1 = a > 1.0, b > 1.0
     interior = a_gt1 & b_gt1
@@ -418,10 +488,7 @@ def hpd_bounds_batch(
     flat = (a == 1.0) & (b == 1.0)
     bathtub = ~(interior | increasing | decreasing | flat)
     if bathtub.any():
-        raise IntervalError(
-            "the HPD region of a U-shaped posterior is not an interval; "
-            f"{int(bathtub.sum())} batch row(s) have a, b < 1"
-        )
+        raise IntervalError(_BATHTUB_ERROR.format(rows=int(bathtub.sum())))
 
     lower = np.zeros_like(a)
     upper = np.ones_like(a)
@@ -440,6 +507,46 @@ def hpd_bounds_batch(
     return lower, upper
 
 
+def _hpd_rows(
+    a: np.ndarray, b: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hpd_bounds_batch`'s validation and dispatch, row by row.
+
+    The same checks with the same verdicts and texts (every shape is
+    validated before any row is dispatched, and U-shaped rows are
+    counted over the whole call), the same closed forms as scalar calls
+    of the same special functions, and the interior rows still go to
+    :func:`_newton_batch` together.
+    """
+    a_rows, b_rows = a.tolist(), b.tolist()
+    for value in a_rows + b_rows:
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(_SHAPES_ERROR)
+    lower = [0.0] * len(a_rows)
+    upper = [1.0] * len(a_rows)
+    interior, bathtub = [], 0
+    for i, (a_i, b_i) in enumerate(zip(a_rows, b_rows)):
+        if a_i > 1.0 and b_i > 1.0:
+            interior.append(i)
+        elif a_i > 1.0:  # increasing
+            lower[i] = cython_special.betaincinv(a_i, b_i, alpha)
+        elif b_i > 1.0:  # decreasing
+            upper[i] = cython_special.betaincinv(a_i, b_i, 1.0 - alpha)
+        elif a_i == 1.0 and b_i == 1.0:  # flat
+            lower[i] = alpha / 2.0
+            upper[i] = 1.0 - alpha / 2.0
+        else:
+            bathtub += 1
+    if bathtub:
+        raise IntervalError(_BATHTUB_ERROR.format(rows=bathtub))
+    if interior:
+        lo, hi = _newton_batch(a[interior], b[interior], alpha)
+        for i, lo_i, hi_i in zip(interior, lo.tolist(), hi.tolist()):
+            lower[i] = lo_i
+            upper[i] = hi_i
+    return np.array(lower, dtype=float), np.array(upper, dtype=float)
+
+
 def _newton_batch(
     a: np.ndarray, b: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -451,29 +558,52 @@ def _newton_batch(
     than the scalar path.  The kernel runs on the raw (validation-free)
     beta primitives: ``hpd_bounds_batch`` validated the shapes already,
     and re-validating four times per iteration was the dominant cost of
-    the small batches the memoised evaluator path produces.
+    the small batches the memoised evaluator path produces.  A call of
+    at most :data:`~repro.intervals.kernels.ROW_PATH_MAX` rows checks
+    the mass row by row, with the same verdicts.
     """
     target = 1.0 - alpha
     lower, upper, failed = KERNEL.newton_interior(a, b, alpha)
 
     # Validate every row exactly as the scalar path does; anything that
     # missed the mass tolerance joins the scalar-fallback set.
-    mass = _beta_cdf_raw(upper, a, b) - _beta_cdf_raw(lower, a, b)
-    bad = (
-        failed
-        | ~np.isfinite(lower)
-        | ~np.isfinite(upper)
-        | (lower < 0.0)
-        | (upper > 1.0)
-        | (lower >= upper)
-        | (np.abs(mass - target) > _MASS_TOL)
-    )
-    if np.any(bad):
+    if len(a) <= kernels.ROW_PATH_MAX:
+        rows = zip(
+            a.tolist(), b.tolist(), lower.tolist(), upper.tolist(), failed.tolist()
+        )
+        bad = [
+            i
+            for i, (a_i, b_i, lo, hi, row_failed) in enumerate(rows)
+            if row_failed
+            or not (math.isfinite(lo) and math.isfinite(hi))
+            or lo < 0.0
+            or hi > 1.0
+            or lo >= hi
+            # Bounds in [0, 1] here, so the array path's clip is a no-op.
+            or abs(
+                cython_special.betainc(a_i, b_i, hi)
+                - cython_special.betainc(a_i, b_i, lo)
+                - target
+            )
+            > _MASS_TOL
+        ]
+    else:
+        mass = _beta_cdf_raw(upper, a, b) - _beta_cdf_raw(lower, a, b)
+        bad = np.flatnonzero(
+            failed
+            | ~np.isfinite(lower)
+            | ~np.isfinite(upper)
+            | (lower < 0.0)
+            | (upper > 1.0)
+            | (lower >= upper)
+            | (np.abs(mass - target) > _MASS_TOL)
+        )
+    if len(bad):
         # Deferred import: hpd.py overrides its compute_batch through
         # this module, so the dependency must stay one-way at load time.
         from .hpd import hpd_bounds
 
-        for i in np.flatnonzero(bad):
+        for i in bad:
             posterior = BetaPosterior(
                 a=float(a[i]), b=float(b[i]), prior=_FALLBACK_PRIOR
             )

@@ -12,8 +12,10 @@ row is a dict probe.  Algorithm 1 under SRS solves a memo miss together
 with the states its next rounds can reach (up to 15 rows, see
 :class:`~repro.evaluation.framework.KGAccuracyEvaluator`), so serves
 carry several rows, and one code path serves every batch size: on a
-2-core x86 host a one-row hit costs ~15-25 µs, near a one-row Wilson
-``compute_batch`` (~20-35 µs) and ~40x below an aHPD one (~0.6-0.9 ms).
+2-core x86 host a one-row hit costs ~6-9 µs, below a one-row Wilson
+``compute_batch`` (~20-35 µs) and ~10x below an aHPD one (~0.07-0.18
+ms).  A hit's rows were validated when they were solved, so its batch
+is built without checking them again.
 
 Because the rows *are* ``compute_batch`` outputs — solved by the very
 method instance being served, stored at full float64, and every batch
@@ -250,14 +252,15 @@ class SolveTable:
             else:
                 self._count(tally, hits=1, rows_served=len(keys))
         lower, upper, labels = zip(*rows)
-        return BatchIntervals(
-            lower=np.array(lower),
-            upper=np.array(upper),
-            alpha=alpha,
-            method=method.name,
+        # Every row passed BatchIntervals validation when it was solved.
+        return BatchIntervals._of_validated_rows(
+            np.array(lower),
+            np.array(upper),
+            alpha,
+            method.name,
             # The rows share one payload, hence one method, which labels
             # every row it solves or none.
-            labels=None if labels[0] is None else labels,
+            None if labels[0] is None else labels,
         )
 
     # -- introspection -------------------------------------------------

@@ -142,21 +142,17 @@ def _check_positive_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _beta_pdf_raw(x, a, b) -> np.ndarray:
-    """:func:`beta_pdf_batch` arithmetic without argument validation.
+def _beta_pdf_raw(x: np.ndarray, am1, bm1, lnb) -> np.ndarray:
+    """Beta densities at *x* from ``a - 1``, ``b - 1`` and ``betaln(a, b)``.
 
+    :func:`beta_pdf_batch` arithmetic without argument validation, on
+    shape constants the caller computes: the HPD Newton kernel holds
+    them fixed for a whole solve and evaluates two densities per step.
     Callers must have validated ``(a, b)`` already and hold an
-    ``np.errstate`` guard for the log-space corner cases; the iterative
-    HPD solver re-evaluates densities every Newton step, where repeated
-    validation dominates small-batch solves.
+    ``np.errstate`` guard for the log-space corner cases.
     """
-    x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
-    log_density = (
-        special.xlogy(a - 1.0, x)
-        + special.xlog1py(b - 1.0, -x)
-        - special.betaln(a, b)
-    )
+    log_density = special.xlogy(am1, x) + special.xlog1py(bm1, -x) - lnb
     return np.where(inside, np.exp(log_density), 0.0)
 
 
@@ -169,8 +165,9 @@ def beta_pdf_batch(x, a, b) -> np.ndarray:
     """
     a = _check_positive_array(a, "a")
     b = _check_positive_array(b, "b")
+    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _beta_pdf_raw(x, a, b)
+        return _beta_pdf_raw(x, a - 1.0, b - 1.0, special.betaln(a, b))
 
 
 def _beta_cdf_raw(x, a, b) -> np.ndarray:

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.estimators.base import Evidence
+from repro.exceptions import ValidationError
 from repro.intervals import (
     AdaptiveHPD,
     AgrestiCoullInterval,
@@ -47,6 +48,7 @@ from repro.intervals import (
     WilsonInterval,
 )
 from repro.intervals.base import use_solve_pool, use_solve_table
+from repro.intervals.batch import BatchIntervals
 from repro.intervals.table import (
     DEFAULT_TABLE_CAP,
     SolveTable,
@@ -97,6 +99,27 @@ class TestBitIdentity:
         direct = method.compute_batch(evidences, 0.1)
         served = table.serve(method, evidences, 0.1)
         assert served is not None and batches_equal(direct, served)
+
+    def test_a_hit_is_not_revalidated_and_the_constructor_still_checks(
+        self, monkeypatch
+    ):
+        method = WilsonInterval()
+        evidences = [Evidence.from_counts(27, 30)]
+        table = SolveTable(cap=64)
+        solved = table.serve(method, evidences, 0.05)
+
+        def revalidated(self):
+            raise AssertionError("a served batch was validated again")
+
+        monkeypatch.setattr(BatchIntervals, "__post_init__", revalidated)
+        hit = table.serve(method, evidences, 0.05)
+        assert table.stats()["hits"] == 1
+        assert batches_equal(solved, hit)
+        monkeypatch.undo()
+        # Rows reach the table only as compute_batch outputs, and those
+        # (like any public construction) still fail loudly on a NaN row.
+        with pytest.raises(ValidationError):
+            BatchIntervals(lower=np.array([np.nan]), upper=np.array([0.5]), alpha=0.05)
 
     def test_solve_batch_routes_through_ambient_table(self):
         method = AdaptiveHPD()
