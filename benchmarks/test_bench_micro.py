@@ -2,10 +2,10 @@
 
 These time the inner-loop operations that dominate the Monte-Carlo
 experiments: HPD solves, aHPD rounds, the Wilson closed form, PPS
-cluster draws on the 100M-triple KG, a full evaluation run, and the
-solve table — cold fill vs warm table hit, and the first-touch cost of
-a one-row serve.  The solve-table scenario
-additionally lands machine-readable numbers in
+cluster draws on the 100M-triple KG, a full evaluation run, one TWCS
+round step by step, and the solve table — cold fill vs warm table hit,
+and the first-touch cost of a one-row serve.  The TWCS-round and
+solve-table scenarios additionally land machine-readable numbers in
 ``benchmarks/BENCH_solver.json`` (schema-versioned, deliberately
 outside ``benchmarks/results`` so the drift gate never diffs
 hardware-dependent wall-clock).
@@ -111,6 +111,59 @@ def test_bench_full_evaluation_run(benchmark):
     counter = iter(range(10_000))
     result = benchmark(lambda: evaluator.run(rng=next(counter)))
     assert result.converged
+
+
+def test_bench_twcs_round():
+    """One TWCS round of Algorithm 1, step by step; recorded, never gated.
+
+    On FACTBENCH with ``m = 3`` and a state at 100 clusters: the
+    one-cluster ``draw``, ``update`` and ``evidence``, and the
+    one-evidence aHPD ``compute_batch`` of that evidence (3 rows on the
+    HPD row path), each the min of 50 timings.
+    """
+    kg = load_dataset("FACTBENCH", seed=0)
+    twcs = TwoStageWeightedClusterSampling(m=3)
+    rng = np.random.default_rng(0)
+    state = twcs.new_state()
+    while len(state.cluster_means) < 100:
+        batch = twcs.draw(kg, state, 1, rng)
+        twcs.update(state, batch, kg.labels(batch.indices))
+    batch = twcs.draw(kg, state, 1, rng)
+    labels = kg.labels(batch.indices)
+    evidence = twcs.evidence(state)
+    method = AdaptiveHPD()
+
+    draw_seconds = min(_timed(lambda: twcs.draw(kg, state, 1, rng)) for _ in range(50))
+    evidence_seconds = min(_timed(lambda: twcs.evidence(state)) for _ in range(50))
+    ahpd_seconds = min(
+        _timed(lambda: method.compute_batch([evidence], 0.05)) for _ in range(50)
+    )
+    # Last: each timed update folds one more cluster into the state.
+    update_seconds = min(
+        _timed(lambda: twcs.update(state, batch, labels) or state) for _ in range(50)
+    )
+    assert len(state.cluster_means) == 150
+
+    _record_solver_bench(
+        "twcs-round",
+        {
+            "dataset": "FACTBENCH",
+            "m": 3,
+            "clusters": 100,
+            "draw_seconds": round(draw_seconds, 7),
+            "update_seconds": round(update_seconds, 7),
+            "evidence_seconds": round(evidence_seconds, 7),
+            "ahpd_one_evidence_seconds": round(ahpd_seconds, 7),
+        },
+    )
+    print(
+        "\nTWCS round (FACTBENCH, m=3, 100 clusters)\n"
+        f"  draw, one cluster    : {draw_seconds * 1e6:9.1f} us\n"
+        f"  update               : {update_seconds * 1e6:9.1f} us\n"
+        f"  evidence             : {evidence_seconds * 1e6:9.1f} us\n"
+        f"  aHPD, one evidence   : {ahpd_seconds * 1e6:9.1f} us\n"
+        f"[recorded in {BENCH_JSON}]"
+    )
 
 
 def test_bench_solve_table_cold_vs_warm():

@@ -99,10 +99,30 @@ class Evidence:
         public default.
         """
         mu_hat = successes / trials
+        variance = mu_hat * (1.0 - mu_hat) / trials
+        return cls._unchecked(
+            mu_hat, variance, float(trials), float(successes), trials
+        )
+
+    @classmethod
+    def _unchecked(
+        cls,
+        mu_hat: float,
+        variance: float,
+        n_effective: float,
+        tau_effective: float,
+        n_annotated: int,
+    ) -> "Evidence":
+        """An evidence whose fields are valid by construction.
+
+        Skips ``__post_init__``: for :meth:`from_counts_fast` and for
+        :func:`~repro.estimators.cluster.twcs_evidence`, whose checked
+        inputs make every field valid.
+        """
         evidence = object.__new__(cls)
         object.__setattr__(evidence, "mu_hat", mu_hat)
-        object.__setattr__(evidence, "variance", mu_hat * (1.0 - mu_hat) / trials)
-        object.__setattr__(evidence, "n_effective", float(trials))
-        object.__setattr__(evidence, "tau_effective", float(successes))
-        object.__setattr__(evidence, "n_annotated", trials)
+        object.__setattr__(evidence, "variance", variance)
+        object.__setattr__(evidence, "n_effective", n_effective)
+        object.__setattr__(evidence, "tau_effective", tau_effective)
+        object.__setattr__(evidence, "n_annotated", n_annotated)
         return evidence

@@ -53,11 +53,16 @@ def twcs_point_estimate(cluster_means: Sequence[float] | np.ndarray) -> tuple[fl
             "TWCS variance needs at least 2 sampled clusters, got "
             f"{means.size}"
         )
-    if np.any((means < 0.0) | (means > 1.0)):
+    # Two reductions, not four array passes; a NaN mean fails both
+    # comparisons, so it is rejected too.
+    if not (np.minimum.reduce(means) >= 0.0 and np.maximum.reduce(means) <= 1.0):
         raise ValidationError("cluster means must lie in [0, 1]")
     n_c = means.size
-    mu_hat = float(means.mean())
-    variance = float(np.sum((means - mu_hat) ** 2) / (n_c * (n_c - 1)))
+    # NumPy's pairwise add.reduce, the sum inside mean() and sum(),
+    # without their dispatch; a running Python sum would change the
+    # last bits.
+    mu_hat = float(np.add.reduce(means) / n_c)
+    variance = float(np.add.reduce((means - mu_hat) ** 2) / (n_c * (n_c - 1)))
     return mu_hat, variance
 
 
@@ -80,7 +85,8 @@ def kish_design_effect(mu_hat: float, variance: float, n_annotated: int) -> floa
         # All cluster means identical: the estimated deff collapses to 0.
         # Return the floor rather than 0 so n_eff stays finite.
         return _DEFF_MIN
-    return float(np.clip(variance / srs_variance, _DEFF_MIN, _DEFF_MAX))
+    # np.clip on one float, NaN kept.
+    return float(min(max(variance / srs_variance, _DEFF_MIN), _DEFF_MAX))
 
 
 def twcs_evidence(
@@ -104,10 +110,12 @@ def twcs_evidence(
     # Keep the corrected posterior parameters consistent: the effective
     # "correct" count preserves the unbiased point estimate.
     tau_effective = mu_hat * n_effective
-    return Evidence(
-        mu_hat=mu_hat,
-        variance=variance,
-        n_effective=float(n_effective),
-        tau_effective=float(tau_effective),
-        n_annotated=int(n_annotated),
+    # Means in [0, 1] and a positive count make every field valid, so
+    # the evidence is not checked again.
+    return Evidence._unchecked(
+        mu_hat,
+        variance,
+        float(n_effective),
+        float(tau_effective),
+        int(n_annotated),
     )

@@ -25,12 +25,7 @@ from .._validation import check_alpha, check_not_empty
 from ..estimators.base import Evidence
 from ..exceptions import ValidationError
 from .base import Interval, IntervalMethod
-from .batch import (
-    BatchIntervals,
-    evidence_arrays,
-    hpd_bounds_batch,
-    posterior_counts_batch,
-)
+from .batch import _COUNTS_ERROR, _ORDER_ERROR, BatchIntervals, hpd_bounds_batch
 from .hpd import hpd_bounds
 from .posterior import BetaPosterior
 from .priors import UNINFORMATIVE_PRIORS, BetaPrior
@@ -81,39 +76,62 @@ class AdaptiveHPD(IntervalMethod):
     ) -> BatchIntervals:
         """Element-wise shortest interval across the candidate priors.
 
-        One vectorised HPD solve over every prior's posteriors stacked
-        (``P * N`` rows); the kernel is row-independent, so each row
-        equals a per-prior solve bit for bit.  Ties resolve to the
-        earliest prior, matching the scalar ``min`` over insertion
-        order.  The winning prior of each element is preserved as its
-        label, like the scalar path's ``aHPD[<prior>]`` annotation.
+        One HPD solve over every prior's posteriors stacked (``P * N``
+        rows; row ``p * N + i`` is prior ``p``'s posterior for evidence
+        ``i``); the kernel is row-independent, so each row equals a
+        per-prior solve bit for bit.  Ties resolve to the earliest
+        prior, matching the scalar ``min`` over insertion order.  The
+        winning prior of each element is preserved as its label, like
+        the scalar path's ``aHPD[<prior>]`` annotation.
+
+        The work around the solve runs in Python floats: one round of
+        Algorithm 1 is one evidence, and a look-ahead batch at most 15,
+        where one NumPy call per step costs more than the step.  Float
+        additions, subtractions and compares are the array ones, so the
+        bytes are those of one
+        :func:`~repro.intervals.batch.posterior_shapes_batch` and one
+        ``hpd_bounds_batch`` per prior, picked with a strict ``<``.
         """
         alpha = check_alpha(alpha)
-        _, _, n_eff, tau_eff = evidence_arrays(evidences)
-        tau, failures = posterior_counts_batch(tau_eff, n_eff)
-        # Row p * N + i is prior p's posterior for evidence i: the same
-        # additions as one posterior_shapes_batch per prior, stacked.
+        counts = []
+        for evidence in evidences:
+            n, tau = float(evidence.n_effective), float(evidence.tau_effective)
+            if n < 0.0 or tau < 0.0 or tau > n + 1e-9:
+                raise ValidationError(_COUNTS_ERROR)
+            # np.clip(tau, 0, n) past the check.  It would turn a NaN n
+            # into a NaN tau; here only the failures are NaN, and
+            # hpd_bounds_batch rejects either shape with one text.
+            tau = min(tau, n)
+            counts.append((tau, n - tau))
+        shapes = [(float(prior.a), float(prior.b)) for prior in self.priors]
         lowers, uppers = hpd_bounds_batch(
-            np.add.outer([prior.a for prior in self.priors], tau).ravel(),
-            np.add.outer([prior.b for prior in self.priors], failures).ravel(),
+            np.array([a + tau for a, _ in shapes for tau, _ in counts]),
+            np.array([b + failures for _, b in shapes for _, failures in counts]),
             alpha,
         )
-        lowers = lowers.reshape(len(self.priors), -1)
-        uppers = uppers.reshape(len(self.priors), -1)
-        widths = uppers - lowers
-        best_width = widths[0]
-        winner = np.zeros(widths.shape[1], dtype=int)
-        for prior_index in range(1, len(self.priors)):
-            shorter = widths[prior_index] < best_width
-            best_width = np.where(shorter, widths[prior_index], best_width)
-            winner[shorter] = prior_index
-        columns = np.arange(widths.shape[1])
-        return BatchIntervals(
-            lower=lowers[winner, columns],
-            upper=uppers[winner, columns],
-            alpha=alpha,
-            method=self.name,
-            labels=tuple(f"aHPD[{self.priors[i].name}]" for i in winner),
+        lowers, uppers = lowers.tolist(), uppers.tolist()
+        names = [f"aHPD[{prior.name}]" for prior in self.priors]
+        size = len(counts)
+        lower, upper, labels = [], [], []
+        for column in range(size):
+            best = column
+            best_width = uppers[column] - lowers[column]
+            for row in range(column + size, len(lowers), size):
+                width = uppers[row] - lowers[row]
+                if width < best_width:
+                    best, best_width = row, width
+            # BatchIntervals' own verdict and text, on the picked rows.
+            if not lowers[best] <= uppers[best]:
+                raise ValidationError(_ORDER_ERROR)
+            lower.append(lowers[best])
+            upper.append(uppers[best])
+            labels.append(names[best // size])
+        return BatchIntervals._of_validated_rows(
+            np.array(lower, dtype=float),
+            np.array(upper, dtype=float),
+            alpha,
+            self.name,
+            tuple(labels),
         )
 
     def winning_prior(self, evidence: Evidence, alpha: float) -> BetaPrior:

@@ -94,6 +94,11 @@ _BATHTUB_ERROR = (
     "the HPD region of a U-shaped posterior is not an interval; "
     "{rows} batch row(s) have a, b < 1"
 )
+#: The count and bound-order rejections, shared with
+#: :meth:`repro.intervals.ahpd.AdaptiveHPD.compute_batch`, which checks
+#: its counts and picked rows in Python floats.
+_COUNTS_ERROR = "invalid annotation outcome in batch (tau, n) arrays"
+_ORDER_ERROR = "interval bounds out of order (or NaN) in batch"
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class BatchIntervals:
             )
         # ~(l <= u) also catches NaN rows, matching the scalar Interval.
         if np.any(~(lower <= upper)):
-            raise ValidationError("interval bounds out of order (or NaN) in batch")
+            raise ValidationError(_ORDER_ERROR)
         if self.labels is not None and len(self.labels) != lower.shape[0]:
             raise ValidationError(
                 f"labels length {len(self.labels)} does not match "
@@ -142,12 +147,16 @@ class BatchIntervals:
         method: str,
         labels: tuple[str, ...] | None,
     ) -> "BatchIntervals":
-        """A batch of rows that passed ``__post_init__`` when solved.
+        """A batch of rows already known to pass ``__post_init__``.
 
-        For :meth:`~repro.intervals.table.SolveTable.serve` only: its
-        rows are ``compute_batch`` outputs, validated on the way in, so
-        re-checking them was about half the cost of a one-row hit.
-        *lower* and *upper* must be 1-D float64 arrays.
+        For :meth:`~repro.intervals.table.SolveTable.serve`, whose rows
+        are ``compute_batch`` outputs validated on the way in (checking
+        them again was about half the cost of a one-row hit), and for
+        :meth:`~repro.intervals.ahpd.AdaptiveHPD.compute_batch`, which
+        checks its picked rows with ``__post_init__``'s verdict and
+        text.
+        *alpha* must be checked, *lower* and *upper* 1-D float64 arrays
+        and *labels*, if given, one per row.
         """
         batch = object.__new__(cls)
         object.__setattr__(batch, "lower", lower)
@@ -300,7 +309,7 @@ def posterior_counts_batch(
     n = np.asarray(n_eff, dtype=float)
     tau = np.asarray(tau_eff, dtype=float)
     if ((n < 0.0) | (tau < 0.0) | (tau > n + 1e-9)).any():
-        raise ValidationError("invalid annotation outcome in batch (tau, n) arrays")
+        raise ValidationError(_COUNTS_ERROR)
     # Past the check tau >= 0 (or NaN), so np.clip(tau, 0.0, n) reduces
     # to its upper clamp; a -0.0 it would turn into 0.0 adds the same.
     tau = np.minimum(tau, n)

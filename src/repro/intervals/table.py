@@ -13,7 +13,7 @@ with the states its next rounds can reach (up to 15 rows, see
 :class:`~repro.evaluation.framework.KGAccuracyEvaluator`), so serves
 carry several rows, and one code path serves every batch size: on a
 2-core x86 host a one-row hit costs ~6-9 µs, below a one-row Wilson
-``compute_batch`` (~20-35 µs) and ~10x below an aHPD one (~0.07-0.18
+``compute_batch`` (~20-35 µs) and ~10x below an aHPD one (~0.06-0.1
 ms).  A hit's rows were validated when they were solved, so its batch
 is built without checking them again.
 
@@ -230,9 +230,12 @@ class SolveTable:
         """
         if self.cap <= 0:
             return None
-        payload = method_payload(method)
-        counts = None if payload is None else self._row_counts(evidences)
-        if counts is None:
+        # Eligibility first: the payload (a tuple of prior tuples for
+        # aHPD) costs more than rejecting a row, and most rejected calls
+        # are effective-sample (TWCS) rounds.
+        counts = self._row_counts(evidences)
+        payload = None if counts is None else method_payload(method)
+        if payload is None:
             with self._checked_lock():
                 self._count(tally, ineligible=1)
             return None

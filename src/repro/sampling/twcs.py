@@ -11,13 +11,22 @@ index and mapping it to its owning cluster through the offsets array —
 O(log N) per draw with no per-draw normalisation, which is what makes
 the 5M-cluster synthetic KG workable.
 
-Both stages are array-level: stage 1 is one ``searchsorted`` over the
-anchors, and stage 2 materialises every unit at once — whole clusters
-through offset arithmetic, capped clusters through a batched
+A multi-unit draw is array-level: stage 1 is one ``searchsorted`` over
+the anchors, and stage 2 materialises every unit at once — whole
+clusters through offset arithmetic, capped clusters through a batched
 random-keys subset (the ``m`` smallest of iid uniform keys per row is
-a uniform ``m``-subset without replacement).  The evidence reduction
-aggregates per-cluster means with one ``reduceat`` instead of a
-per-unit Python loop.
+a uniform ``m``-subset without replacement).  Its single ``integers``
+and ``random`` calls fix how the generator is consumed.
+
+Algorithm 1 draws one cluster per round, where one-element array calls
+cost more than the work, so a one-unit draw takes its anchor, cluster
+and keys in scalars.  It makes the array code's generator calls at
+``units=1`` (``integers(0, N)`` is ``integers(0, N, size=1)[0]`` with
+the same next state, ``random(w)`` is ``random((1, w))[0]``, and
+``argpartition`` of that row is the row of the ``axis=1`` call), so it
+returns the same triples in the same order and leaves the generator in
+the same state.  ``update`` takes each cluster's mean as its label count
+over its size in Python ints, the float64 sum-and-divide bit for bit.
 """
 
 from __future__ import annotations
@@ -80,6 +89,34 @@ class TwoStageWeightedClusterSampling(SamplingStrategy):
     ) -> Batch:
         if units <= 0:
             raise SamplingError(f"units must be > 0, got {units}")
+        if units == 1:
+            # Algorithm 1 draws one cluster per round.
+            return self._draw_one(kg, rng)
+        return self._draw_arrays(kg, units, rng)
+
+    def _draw_one(self, kg: TripleStore, rng: np.random.Generator) -> Batch:
+        """One unit in scalars: :meth:`_draw_arrays`'s RNG calls, keys and order."""
+        offsets = kg.cluster_offsets
+        anchor = rng.integers(0, kg.num_triples)
+        cluster = int(np.searchsorted(offsets, anchor, side="right")) - 1
+        lo = int(offsets[cluster])
+        size = int(offsets[cluster + 1]) - lo
+        if self.m is None or size <= self.m:
+            indices = np.arange(lo, lo + size, dtype=np.int64)
+        elif size <= self._KEYS_BUDGET:
+            indices = np.argpartition(rng.random(size), self.m - 1)[: self.m] + lo
+        else:
+            indices = lo + rng.choice(size, size=self.m, replace=False)
+        return Batch(
+            indices=indices,
+            unit_slices=(slice(0, len(indices)),),
+            subjects=np.full(len(indices), cluster, dtype=np.intp),
+        )
+
+    def _draw_arrays(
+        self, kg: TripleStore, units: int, rng: np.random.Generator
+    ) -> Batch:
+        """Every unit at once; its ``integers``/``random`` calls fix the stream."""
         offsets = kg.cluster_offsets
         # PPS-with-replacement stage 1: a uniform triple index lands in
         # cluster i with probability M_i / M.
@@ -134,18 +171,12 @@ class TwoStageWeightedClusterSampling(SamplingStrategy):
         if not isinstance(state, TWCSState):
             raise SamplingError("TWCS update requires a TWCSState")
         labels = np.asarray(labels, dtype=bool)
-        if batch.num_units:
-            # Unit slices are contiguous by construction, so one
-            # reduceat replaces the per-unit mean loop; bool sums are
-            # exact in float64, keeping the means bit-identical.
-            starts = np.fromiter(
-                (unit.start for unit in batch.unit_slices),
-                dtype=np.int64,
-                count=batch.num_units,
-            )
-            counts = np.diff(np.append(starts, labels.size))
-            sums = np.add.reduceat(labels.astype(np.float64), starts)
-            state.cluster_means.extend((sums / counts).tolist())
+        # A bool count is an exact int and int / int is correctly
+        # rounded: each mean is the float64 sum over size bit for bit.
+        flags = labels.tolist()
+        state.cluster_means.extend(
+            sum(flags[unit]) / (unit.stop - unit.start) for unit in batch.unit_slices
+        )
         state._record(batch, labels)
 
     def evidence(self, state: SampleState) -> Evidence:

@@ -89,10 +89,20 @@ class TestTWCSEstimator:
     def test_requires_two_clusters(self):
         with pytest.raises(InsufficientSampleError):
             twcs_point_estimate([0.9])
+        with pytest.raises(InsufficientSampleError):
+            twcs_evidence([0.9], n_annotated=3)
 
-    def test_rejects_out_of_range_means(self):
-        with pytest.raises(ValidationError):
-            twcs_point_estimate([0.5, 1.2])
+    @pytest.mark.parametrize(
+        "means",
+        [[0.5, 1.2], [-0.25, 0.5], [0.5, np.inf], [0.5, np.nan], [np.nan, 0.5]],
+    )
+    def test_rejects_out_of_range_means(self, means):
+        # twcs_evidence builds its Evidence without re-checking it, so
+        # this check is all that keeps an invalid one out.
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            twcs_point_estimate(means)
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            twcs_evidence(means, n_annotated=10)
 
     def test_evidence_consistency(self):
         ev = twcs_evidence([0.8, 0.9, 1.0, 0.7], n_annotated=12)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimators.base import Evidence
 from repro.exceptions import IntervalError, ValidationError
@@ -13,6 +15,7 @@ from repro.intervals.batch import (
     BatchIntervals,
     evidence_arrays,
     hpd_bounds_batch,
+    posterior_counts_batch,
     posterior_shapes_batch,
 )
 from repro.intervals.hpd import HPDCredibleInterval
@@ -215,3 +218,137 @@ class TestOneNewtonBatch:
         evidences = [Evidence.from_counts(3, 10), bathtub]
         with pytest.raises(IntervalError, match="U-shaped"):
             AdaptiveHPD().compute_batch(evidences, 0.05)
+
+
+#: Prior sets for the float pick: the paper's trio, Example 2's pair,
+#: the trio plus an informative prior, and a set with an exact tie
+#: (``Flat`` is ``Uniform`` under another name).
+PRIOR_SETS = [
+    (KERMAN, JEFFREYS, UNIFORM),
+    EXAMPLE2_INFORMATIVE_PRIORS,
+    (KERMAN, JEFFREYS, UNIFORM, BetaPrior(85.0, 15.0, name="Informed")),
+    (UNIFORM, BetaPrior(1.0, 1.0, name="Flat"), KERMAN),
+]
+
+
+def outcome(solve, method: AdaptiveHPD, evidences, alpha: float) -> tuple:
+    """What *solve* makes of the call: its bytes and labels, or its
+    error type and text."""
+    try:
+        batch = solve(method, evidences, alpha)
+    except (ValidationError, IntervalError) as exc:
+        return type(exc), str(exc)
+    return (
+        batch.lower.dtype,
+        batch.lower.tobytes(),
+        batch.upper.tobytes(),
+        batch.labels,
+        batch.alpha,
+        batch.method,
+    )
+
+
+def compute_batch(method: AdaptiveHPD, evidences, alpha: float) -> BatchIntervals:
+    return method.compute_batch(evidences, alpha)
+
+
+def stacked_oracle(method: AdaptiveHPD, evidences, alpha: float) -> BatchIntervals:
+    """aHPD's batch selection in arrays, every prior's rows stacked into
+    one ``hpd_bounds_batch`` call as ``compute_batch`` stacks them, so a
+    rejected call names the same rows."""
+    _, _, n_eff, tau_eff = evidence_arrays(evidences)
+    tau, failures = posterior_counts_batch(tau_eff, n_eff)
+    lowers, uppers = hpd_bounds_batch(
+        np.add.outer([prior.a for prior in method.priors], tau).ravel(),
+        np.add.outer([prior.b for prior in method.priors], failures).ravel(),
+        alpha,
+    )
+    lowers = lowers.reshape(len(method.priors), -1)
+    uppers = uppers.reshape(len(method.priors), -1)
+    widths = uppers - lowers
+    columns = np.arange(widths.shape[1])
+    winner = np.zeros(widths.shape[1], dtype=int)
+    for prior_index in range(1, len(method.priors)):
+        shorter = widths[prior_index] < widths[winner, columns]
+        winner[shorter] = prior_index
+    return BatchIntervals(
+        lower=lowers[winner, columns],
+        upper=uppers[winner, columns],
+        alpha=alpha,
+        method=method.name,
+        labels=tuple(f"aHPD[{method.priors[i].name}]" for i in winner),
+    )
+
+
+def integer_counts():
+    """SRS outcomes, with tau at 0 and at n drawn often."""
+    return st.integers(1, 400).flatmap(
+        lambda n: st.one_of(st.just(0), st.just(n), st.integers(0, n)).map(
+            lambda tau: Evidence.from_counts(tau, n)
+        )
+    )
+
+
+def fractional_counts():
+    """TWCS-like effective counts; below n = 1 some posteriors are U-shaped."""
+    return st.tuples(st.floats(0.25, 2000.0), st.floats(0.0, 1.0)).map(
+        lambda pair: Evidence(
+            mu_hat=pair[1],
+            variance=0.01,
+            n_effective=pair[0],
+            tau_effective=pair[1] * pair[0],
+            n_annotated=max(1, int(pair[0])),
+        )
+    )
+
+
+def invalid_counts():
+    """Counts the batch check rejects (or lets through as NaN shapes)."""
+    return st.sampled_from(
+        [(31.0, 30.0), (-1.0, 30.0), (3.0, -2.0), (float("nan"), 30.0),
+         (5.0, float("nan")), (30.0 + 2e-9, 30.0), (30.0 + 5e-10, 30.0)]
+    ).map(lambda pair: Evidence._unchecked(0.5, 0.01, pair[1], pair[0], 30))
+
+
+class TestFloatPick:
+    """The counts, the stacking and the winners are handled in Python
+    floats, with the array formulas' bytes, labels and errors, from a
+    one-evidence round to a look-ahead batch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        priors=st.sampled_from(PRIOR_SETS),
+        evidences=st.lists(
+            st.one_of(integer_counts(), fractional_counts()), min_size=1, max_size=16
+        ),
+        alpha=st.floats(1e-4, 0.5),
+    )
+    def test_gives_the_oracle_bytes(self, priors, evidences, alpha):
+        method = AdaptiveHPD(priors=priors)
+        assert outcome(compute_batch, method, evidences, alpha) == outcome(
+            stacked_oracle, method, evidences, alpha
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        valid=st.lists(integer_counts(), max_size=7),
+        invalid=invalid_counts(),
+        position=st.integers(0, 7),
+    )
+    def test_raises_the_oracle_errors(self, valid, invalid, position):
+        evidences = valid[:position] + [invalid] + valid[position:]
+        method = AdaptiveHPD()
+        assert outcome(compute_batch, method, evidences, 0.05) == outcome(
+            stacked_oracle, method, evidences, 0.05
+        )
+
+    def test_rows_out_of_order_still_raise(self, monkeypatch):
+        # The picked rows get BatchIntervals' own check and text.
+        from repro.intervals import ahpd
+
+        solve = ahpd.hpd_bounds_batch
+        monkeypatch.setattr(
+            ahpd, "hpd_bounds_batch", lambda a, b, alpha: solve(a, b, alpha)[::-1]
+        )
+        with pytest.raises(ValidationError, match="out of order"):
+            AdaptiveHPD().compute_batch([Evidence.from_counts(20, 30)], 0.05)

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.estimators.base import Evidence
 from repro.exceptions import IntervalError, ValidationError
-from repro.intervals import hpd_bounds_batch, kernels
+from repro.intervals import AdaptiveHPD, hpd_bounds_batch, kernels
 from repro.intervals.kernels import (
     KERNEL,
     NEWTON_MAX_ITER,
@@ -120,6 +121,24 @@ class TestAmbientSelection:
         assert seen == [3]  # the interior-mode rows only
         assert np.array_equal(direct[0], spied[0])
         assert np.array_equal(direct[1], spied[1])
+
+    def test_a_one_evidence_ahpd_call_enters_the_kernel_once(self, monkeypatch):
+        # aHPD handles its counts and winners in floats but still
+        # solves through hpd_bounds_batch: one call, one row per prior.
+        seen = []
+        newton = SolverKernel.newton_interior
+
+        def spy(self, a_rows, b_rows, alpha):
+            seen.append(len(a_rows))
+            return newton(self, a_rows, b_rows, alpha)
+
+        monkeypatch.setattr(SolverKernel, "newton_interior", spy)
+        twcs_round = Evidence(
+            mu_hat=0.9, variance=0.002, n_effective=41.5, tau_effective=37.35,
+            n_annotated=45,
+        )
+        AdaptiveHPD().compute_batch([twcs_round], 0.05)
+        assert seen == [3]
 
     def test_both_sides_of_the_selection_enter_the_kernel(self, monkeypatch):
         sizes = (ROW_PATH_MAX, ROW_PATH_MAX + 1)

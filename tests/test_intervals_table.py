@@ -553,6 +553,32 @@ class TestEligibility:
         assert table.serve(Custom(), [Evidence.from_counts(1, 2)], 0.05) is None
         assert table.stats()["ineligible"] == 1
 
+    def test_an_ineligible_serve_never_builds_the_payload(self, monkeypatch):
+        # A TWCS round's effective counts are never table rows, so its
+        # serves reject them before building aHPD's payload.
+        from repro.intervals import table as table_module
+
+        built = []
+        payload = table_module.method_payload
+
+        def counting(method):
+            built.append(method)
+            return payload(method)
+
+        monkeypatch.setattr(table_module, "method_payload", counting)
+        table = SolveTable(cap=64)
+        twcs_round = Evidence(
+            mu_hat=0.9, variance=0.002, n_effective=41.5, tau_effective=37.35,
+            n_annotated=45,
+        )
+        assert table.serve(AdaptiveHPD(), [twcs_round], 0.05) is None
+        assert table.serve(AdaptiveHPD(), [twcs_round], 0.05, build=False) is None
+        assert built == []
+        assert table.serve(AdaptiveHPD(), [Evidence.from_counts(27, 30)], 0.05)
+        assert len(built) == 1
+        stats = table.stats()
+        assert (stats["ineligible"], stats["hits"], stats["misses"]) == (2, 0, 1)
+
     def test_mixed_eligibility_is_all_or_nothing(self):
         table = SolveTable(cap=64)
         evidences = [

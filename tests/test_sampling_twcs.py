@@ -2,12 +2,33 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.estimators.base import Evidence
+from repro.estimators.cluster import twcs_evidence
 from repro.exceptions import InsufficientSampleError, SamplingError, ValidationError
+from repro.kg.datasets import load_dataset
+from repro.kg.synthetic import SyntheticKG
+from repro.sampling.base import Batch
 from repro.sampling.twcs import TwoStageWeightedClusterSampling
 from repro.sampling.wcs import WeightedClusterSampling
+
+
+@pytest.fixture(scope="module")
+def draw_kgs():
+    """A profiled dataset (clusters of 1-18 triples) and a synthetic KG
+    whose clusters (~50 triples) are all wider than any tested ``m``."""
+    return {
+        "FACTBENCH": load_dataset("FACTBENCH", seed=0),
+        "synthetic": SyntheticKG(
+            num_triples=20_000, num_clusters=400, accuracy=0.8, seed=5
+        ),
+    }
 
 
 class TestStageOne:
@@ -164,3 +185,139 @@ class TestVectorisedStageTwo:
         twcs.update(state, batch, labels)
         reference = [float(labels[unit].mean()) for unit in batch.unit_slices]
         assert state.cluster_means == reference
+
+
+def reference_evidence(cluster_means, n_annotated: int) -> Evidence:
+    """The TWCS evidence as array formulas: ``mean()``, ``np.sum``,
+    ``np.clip`` and a validated :class:`Evidence`."""
+    means = np.asarray(cluster_means, dtype=float)
+    n_c = means.size
+    mu_hat = float(means.mean())
+    variance = float(np.sum((means - mu_hat) ** 2) / (n_c * (n_c - 1)))
+    if mu_hat <= 0.0 or mu_hat >= 1.0:
+        deff = 1.0
+    elif variance <= 0.0:
+        deff = 1e-3
+    else:
+        srs_variance = mu_hat * (1.0 - mu_hat) / n_annotated
+        deff = float(np.clip(variance / srs_variance, 1e-3, 1e3))
+    n_effective = n_annotated / deff
+    return Evidence(
+        mu_hat=mu_hat,
+        variance=variance,
+        n_effective=float(n_effective),
+        tau_effective=float(mu_hat * n_effective),
+        n_annotated=int(n_annotated),
+    )
+
+
+def evidence_hex(evidence: Evidence) -> tuple:
+    return (
+        evidence.mu_hat.hex(),
+        evidence.variance.hex(),
+        evidence.n_effective.hex(),
+        evidence.tau_effective.hex(),
+        evidence.n_annotated,
+    )
+
+
+class TestOneUnitRound:
+    """Algorithm 1's one-cluster round runs in scalars, with the bytes
+    and generator stream of the array code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kg_name=st.sampled_from(["FACTBENCH", "synthetic"]),
+        m=st.sampled_from([1, 3, 5, None]),
+        seed=st.integers(0, 2**63 - 1),
+        rounds=st.integers(1, 6),
+        small_budget=st.booleans(),
+    )
+    def test_one_unit_draw_is_the_array_code(
+        self, draw_kgs, kg_name, m, seed, rounds, small_budget
+    ):
+        kg = draw_kgs[kg_name]
+        twcs = TwoStageWeightedClusterSampling(m=m)
+        if small_budget:
+            # Every capped cluster (wider than m >= 1) is over this
+            # budget, so its m-subset comes from rng.choice.
+            twcs._KEYS_BUDGET = 1
+        scalar = np.random.default_rng(seed)
+        arrays = copy.deepcopy(scalar)
+        for _ in range(rounds):
+            got = twcs.draw(kg, twcs.new_state(), 1, scalar)
+            want = twcs._draw_arrays(kg, 1, arrays)
+            assert got.indices.dtype == want.indices.dtype
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.subjects.dtype == want.subjects.dtype
+            assert got.subjects.tobytes() == want.subjects.tobytes()
+            assert got.unit_slices == want.unit_slices
+            assert scalar.bit_generator.state == arrays.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 13), min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_update_means_are_the_reduceat_means(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.random(sum(sizes)) < rng.random()
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        batch = Batch(
+            indices=np.arange(bounds[-1], dtype=np.int64),
+            unit_slices=tuple(
+                slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
+            ),
+            subjects=np.repeat(np.arange(len(sizes)), sizes),
+        )
+        twcs = TwoStageWeightedClusterSampling(m=3)
+        state = twcs.new_state()
+        twcs.update(state, batch, labels)
+        starts = bounds[:-1]
+        sums = np.add.reduceat(labels.astype(np.float64), starts)
+        want = (sums / np.diff(np.append(starts, labels.size))).tolist()
+        assert [mean.hex() for mean in state.cluster_means] == [
+            mean.hex() for mean in want
+        ]
+        assert state.n_correct == int(labels.sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kg_name=st.sampled_from(["FACTBENCH", "synthetic"]),
+        m=st.sampled_from([1, 3, 5, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evidence_is_twcs_evidence_and_the_array_formulas(
+        self, draw_kgs, kg_name, m, seed
+    ):
+        kg = draw_kgs[kg_name]
+        twcs = TwoStageWeightedClusterSampling(m=m)
+        state = twcs.new_state()
+        rng = np.random.default_rng(seed)
+        for clusters in range(1, 201):
+            batch = twcs.draw(kg, state, 1, rng)
+            twcs.update(state, batch, kg.labels(batch.indices))
+            if clusters < 2 or clusters % 9:
+                continue
+            got = twcs.evidence(state)
+            means = list(state.cluster_means)
+            assert evidence_hex(got) == evidence_hex(
+                twcs_evidence(means, state.n_annotated)
+            )
+            assert evidence_hex(got) == evidence_hex(
+                reference_evidence(means, state.n_annotated)
+            )
+
+    @pytest.mark.parametrize(
+        ("means", "n_annotated"),
+        [([0.5, 1.5], 6), ([0.5, -0.5], 6), ([0.5, float("nan")], 6), ([0.5, 0.5], 0)],
+    )
+    def test_a_hand_built_state_is_still_checked(self, means, n_annotated):
+        # TWCSState is public: means that update() did not make must not
+        # come back as an invalid Evidence.
+        twcs = TwoStageWeightedClusterSampling(m=3)
+        state = twcs.new_state()
+        state.cluster_means.extend(means)
+        state.n_annotated = n_annotated
+        with pytest.raises(ValidationError):
+            twcs.evidence(state)
