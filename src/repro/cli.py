@@ -8,7 +8,6 @@ Subcommands::
     python -m repro partition-audit <kg.tsv> [options]  per-predicate audit
     python -m repro plan --mu 0.9 [options]        predict the budget
     python -m repro study [options]                Monte-Carlo study grid
-    python -m repro worker <spool-dir>             serve a spool backend
     python -m repro serve [--socket|--port]        audit-as-a-service daemon
     python -m repro submit [options]               send a study to a service
     python -m repro status [--connect ADDR]        list a service's requests
@@ -27,20 +26,12 @@ results, ``--cache-dir`` persists completed cells so re-runs are
 served from disk and interrupted runs resume, ``--chunk-size`` shards
 within cells (at most that many repetitions per shard), and
 ``--backend`` picks where units of work execute (``serial``,
-``process``, ``spool[:dir]`` — a file-based work queue — or
-``chaos[:inner]`` for fault injection).  A partition-audit shards over
-the KG's predicates; a study cell shards over its repetitions.
+``process[:n]``, or ``chaos[:inner]`` for fault injection).  A
+partition-audit shards over the KG's predicates; a study cell shards
+over its repetitions.
 ``--max-retries`` / ``--on-error`` control the fault model: how often a
 failed unit is resubmitted, and whether an exhausted unit aborts the
 run or is quarantined while the rest completes.
-
-The worker subcommand is the other half of the spool backend: it
-leases task files from a spool directory (claimed by atomic rename, so
-any number of workers can serve one directory — from other terminals,
-containers, or hosts sharing a filesystem), executes them, and writes
-result files the scheduling run collects.  Unless ``--quiet``, each
-executed task logs one attributable line (id, label, seconds,
-delivery count) to stderr.
 
 The serve subcommand keeps all of that resident: a long-lived asyncio
 service that accepts concurrent study requests over newline-delimited
@@ -188,58 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_runtime_options(study)
     study.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="serve a spool directory: lease, execute, and answer tasks",
-    )
-    worker.add_argument(
-        "spool",
-        nargs="?",
-        default=None,
-        help="spool directory (default: $REPRO_SPOOL_DIR)",
-    )
-    worker.add_argument(
-        "--poll",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="queue polling interval while idle (default: 0.1)",
-    )
-    worker.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after executing N tasks (default: run until stopped)",
-    )
-    worker.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="exit once the queue has stayed empty this long "
-        "(default: run until stopped)",
-    )
-    worker.add_argument(
-        "--heartbeat",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="lease-heartbeat interval while executing a task; keep it "
-        "well below the scheduler's reclaim age (default: 20)",
-    )
-    worker.add_argument(
-        "--redeliver-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="deliveries before a repeatedly-requeued task is buried "
-        "in dead/ (default: 5)",
-    )
-    worker.add_argument(
-        "--quiet", action="store_true", help="suppress per-task lines"
     )
 
     serve = sub.add_parser(
@@ -441,9 +380,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="execution backend: serial, process, spool[:dir] "
-        "(a spool-directory work queue served by 'python -m repro "
-        "worker' processes), or chaos[:inner] for fault injection "
+        help="execution backend: serial, process[:n] (a local process "
+        "pool), or chaos[:inner] for fault injection "
         "(default: $REPRO_BACKEND or automatic)",
     )
     parser.add_argument(
@@ -542,8 +480,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_partition_audit(args: argparse.Namespace) -> int:
     from .experiments.config import ExperimentSettings
 
-    # Workers rebuild the KG from the spec, possibly in another working
-    # directory (a detached spool worker), so the path must be absolute.
+    # The path is a cell field and so part of the cache token: made
+    # absolute, the same KG file keys the same results from any working
+    # directory.
     dataset = f"file:{os.path.abspath(args.kg)}"
     cell = PartitionedAuditCell(
         key=("partitioned", dataset),
@@ -638,39 +577,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         print(f"FAILED {failure.summary()}", file=sys.stderr)
     print(outcome.summary())
     return 1 if outcome.failures else 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .runtime.backends.spool import (
-        _DEFAULT_HEARTBEAT,
-        _DEFAULT_REDELIVER_CAP,
-        run_worker,
-    )
-
-    def log(message: str) -> None:
-        print(f"[worker] {message}", file=sys.stderr, flush=True)
-
-    try:
-        executed = run_worker(
-            args.spool,
-            poll_interval=args.poll,
-            max_tasks=args.max_tasks,
-            idle_timeout=args.idle_timeout,
-            log=None if args.quiet else log,
-            heartbeat_seconds=(
-                _DEFAULT_HEARTBEAT if args.heartbeat is None else args.heartbeat
-            ),
-            redeliver_cap=(
-                _DEFAULT_REDELIVER_CAP
-                if args.redeliver_cap is None
-                else args.redeliver_cap
-            ),
-        )
-    except KeyboardInterrupt:
-        print("worker interrupted", file=sys.stderr)
-        return 130
-    print(f"executed {executed} task(s)")
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -842,7 +748,6 @@ _COMMANDS = {
     "partition-audit": _cmd_partition_audit,
     "plan": _cmd_plan,
     "study": _cmd_study,
-    "worker": _cmd_worker,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "status": _cmd_status,

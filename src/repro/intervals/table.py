@@ -40,9 +40,9 @@ plan is answered whole by the result store, so a fresh process simply
 starts with empty tables.
 
 The runtime resolves the cap (``REPRO_SOLVE_TABLE``) and installs a
-:func:`shared_table` per run — behind a :class:`TableTally` that counts
-the run's own serves — and per unit of work; this module reads no
-environment.
+:func:`shared_table` per run; each unit of work serves it through its
+own :class:`TableTally`, and the run sums its units' counts.  This
+module reads no environment.
 """
 
 from __future__ import annotations
@@ -282,11 +282,14 @@ class SolveTable:
 
 
 class TableTally:
-    """One run's handle on a shared :class:`SolveTable`.
+    """One unit's (or run's) handle on a shared :class:`SolveTable`.
 
     Every :meth:`serve` forwards to the table exactly once and counts
     into this tally as well as the table's lifetime counters, so runs
     that overlap in one process each report only their own serves.
+    The runtime opens one tally per unit of work
+    (:func:`repro.runtime.backends.run_task`), in whichever process
+    runs it, and sums the units' :meth:`counts` into the run's.
     Install it wherever the table itself would be installed (the broker
     captures it with each entry, so pooled fills count for the run that
     asked for them).
@@ -308,8 +311,17 @@ class TableTally:
             method, evidences, alpha, build=build, tally=self._counts
         )
 
+    def counts(self) -> dict:
+        """A copy of this tally's serve counters alone."""
+        return dict(self._counts)
+
+    def add(self, counts: dict) -> None:
+        """Add another tally's :meth:`counts` to this one's."""
+        for name, amount in counts.items():
+            self._counts[name] += amount
+
     def stats(self) -> dict:
-        """This run's counters, plus the table's cap and entry count."""
+        """This tally's counters, plus the table's cap and entry count."""
         table = self.table.stats()
         return {"cap": table["cap"], "entries": table["entries"], **self._counts}
 

@@ -4,13 +4,11 @@ The layer between the evaluators and the experiment scripts.  A grid of
 Monte-Carlo cells is described as data (:class:`StudyPlan` /
 :class:`CellSpec`), scheduled by a backend-agnostic core
 (:mod:`repro.runtime.scheduler`) and dispatched through a pluggable
-:class:`ExecutionBackend` — in-process (:class:`SerialBackend`), a
-local process pool (:class:`ProcessPoolBackend`), or a spool-directory
-work queue served by detached ``python -m repro worker`` processes
-(:class:`SpoolBackend`) — always with bit-identical results
-(:class:`ParallelExecutor`), cached and resumed through a
-content-addressed disk store (:class:`ResultStore`), and reported cell
-by cell (:class:`ProgressReporter`).
+:class:`ExecutionBackend` — in-process (:class:`SerialBackend`) or a
+local process pool (:class:`ProcessPoolBackend`) — always with
+bit-identical results (:class:`ParallelExecutor`), cached and resumed
+through a content-addressed disk store (:class:`ResultStore`), and
+reported cell by cell (:class:`ProgressReporter`).
 
 Every cell runs as repetition windows (:class:`CellShard`) plus a
 merge: one whole-cell window by default, and with a chunk size
@@ -33,11 +31,11 @@ Environment knobs (read when :func:`execute` finds neither an
 explicit nor an installed context): ``REPRO_WORKERS`` sets the worker
 count, ``REPRO_CACHE_DIR`` roots a result store, ``REPRO_CHUNK_SIZE``
 turns on repetition sharding at a fixed granularity (the one
-shard-size setting), and ``REPRO_BACKEND`` picks the execution backend (``serial``,
-``process[:n]``, ``spool[:dir]`` with ``REPRO_SPOOL_DIR`` as the
-spool default, or ``chaos[:inner]`` for fault injection).  Cache
-tokens never depend on the backend, so a run interrupted on one
-backend resumes on another at the finished-shard boundary.
+shard-size setting), and ``REPRO_BACKEND`` picks the execution backend
+(``serial``, ``process[:n]``, or ``chaos[:inner]`` for fault
+injection).  Cache tokens never depend on the backend, so a run
+interrupted on one backend resumes on another at the finished-shard
+boundary.
 
 Execution is fault-tolerant: ``REPRO_MAX_RETRIES`` (or
 ``max_retries=``) resubmits failed units on a deterministic backoff
@@ -50,7 +48,7 @@ returns the survivors plus the failure records on the
 
 Every run is observable: a :class:`RunTelemetry` event bus narrates
 the full lifecycle (cache scan, unit queued/submitted/finished,
-retries, worker-side spans, dead letters, chaos injections) into an
+retries, quarantines, chaos injections, solve-table usage) into an
 always-on in-memory :class:`MetricsAggregate` (``outcome.metrics``)
 and — when ``REPRO_TRACE_FILE`` or ``trace=``/``--trace`` names a
 file — a JSONL journal summarised by ``python -m repro trace
@@ -77,11 +75,8 @@ from .backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SpoolBackend,
-    SpoolTaskError,
     make_backend,
     register_backend,
-    run_worker,
 )
 from .cells import (
     CellKind,
@@ -165,11 +160,8 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SpoolBackend",
-    "SpoolTaskError",
     "make_backend",
     "register_backend",
-    "run_worker",
     "CellKind",
     "build_kg",
     "build_method",

@@ -9,18 +9,15 @@ this package).  Three backends ship:
   ``workers=1`` path.
 * :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``; the
   classic ``--workers N`` fan-out.
-* :class:`SpoolBackend` — a file-based work queue under a spool
-  directory, served by detached ``python -m repro worker`` processes;
-  multi-process today, multi-host on any shared filesystem.
-* :class:`ChaosBackend` — a fault-injection wrapper around any of the
-  above (``chaos:<inner-spec>``), driving the retry/quarantine
+* :class:`ChaosBackend` — a fault-injection wrapper around either of
+  the above (``chaos:<inner-spec>``), driving the retry/quarantine
   machinery with a deterministic, seeded fault schedule.
 
 Selection flows through ``--backend`` / ``REPRO_BACKEND`` (specs:
-``serial``, ``process[:n]``, ``spool[:dir]``, ``chaos[:inner]``); unset
-means automatic (serial at ``workers=1``, process pool otherwise).
-Whatever the backend, results are bit-identical and cache tokens are
-unchanged, so a run interrupted on one backend resumes on another.
+``serial``, ``process[:n]``, ``chaos[:inner]``); unset means automatic
+(serial at ``workers=1``, process pool otherwise).  Whatever the
+backend, results are bit-identical and cache tokens are unchanged, so a
+run interrupted on one backend resumes on another.
 """
 
 from .base import (
@@ -34,7 +31,6 @@ from .base import (
 from .chaos import ChaosBackend, ChaosFault
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
-from .spool import SpoolBackend, SpoolTaskError, run_worker
 
 __all__ = [
     "BackendFuture",
@@ -43,11 +39,8 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SpoolBackend",
-    "SpoolTaskError",
     "make_backend",
     "register_backend",
     "resolve_backend_spec",
     "run_task",
-    "run_worker",
 ]

@@ -6,10 +6,8 @@ into cell results.  An :class:`ExecutionBackend` decides *where* a unit
 of work — one :class:`~repro.runtime.spec.CellShard`, a repetition
 window of a cell or the whole cell — physically executes: in the
 scheduler's process (:class:`~repro.runtime.backends.serial.
-SerialBackend`), on a local process pool (:class:`~repro.runtime.
-backends.pool.ProcessPoolBackend`), or through a file-based work queue
-served by detached workers (:class:`~repro.runtime.backends.spool.
-SpoolBackend`).
+SerialBackend`) or on a local process pool (:class:`~repro.runtime.
+backends.pool.ProcessPoolBackend`).
 
 The contract is deliberately narrow.  A backend receives fully
 self-contained units (frozen dataclasses of primitives; runners rebuild
@@ -22,7 +20,7 @@ tokens never depend on the backend choice: a run started on one backend
 resumes on any other at the finished-shard boundary.
 
 Backends register under a spec-string name (``"serial"``,
-``"process"``, ``"spool"``/``"spool:<dir>"``) resolved by
+``"process"``/``"process:<n>"``, ``"chaos:<inner>"``) resolved by
 :func:`make_backend`; ``REPRO_BACKEND`` supplies the process-wide
 default (see :func:`resolve_backend_spec`).
 """
@@ -35,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Union
 
 from ...exceptions import ValidationError
 from ...intervals.base import active_solve_table, use_solve_table
-from ...intervals.table import shared_table
+from ...intervals.table import TableTally, shared_table
 from ..cells import kind_for
 from ..settings import resolve_backend, resolve_solve_table
 from ..spec import CellShard
@@ -53,30 +51,44 @@ __all__ = [
 ]
 
 
-def run_task(task: CellShard, settings: "ExperimentSettings") -> tuple[Any, float]:
-    """Execute one unit of work; returns ``(payload, seconds)``.
+def run_task(
+    task: CellShard, settings: "ExperimentSettings"
+) -> tuple[Any, float, dict | None]:
+    """Execute one unit of work; returns ``(payload, seconds, table)``.
 
     The single entry point every backend dispatches through, so a unit
-    produces the same payload no matter which process — scheduler, pool
-    worker, or detached spool worker — runs it.  Module-level, so it
-    pickles into workers.
+    produces the same payload no matter which process — scheduler or
+    pool worker — runs it.  Module-level, so it pickles into workers.
 
-    Spawned pool workers and detached spool workers carry no ambient
-    run context, so when no solve table is installed the process-wide
-    table for the environment-resolved cap (``REPRO_SOLVE_TABLE``) is
-    installed for the unit — the worker-side mirror of the executor's
-    run-scoped install.  Tables are pure in-memory memoisation, so
-    this changes worker wall-clock, never results.
+    ``table`` holds the unit's own solve-table counters (a fresh
+    :class:`~repro.intervals.table.TableTally` over the table the unit
+    solved through), or ``None`` when no table was installed.  The
+    counts travel home with the payload and the executor adds them to
+    the run's tally, so a pool run journals its workers' table work: a
+    forked worker would otherwise count into its own copy of the run's
+    tally, which the scheduler never sees.
+
+    Spawn-started pool workers carry no ambient run context, so when
+    no solve table is installed the process-wide table for the
+    environment-resolved cap (``REPRO_SOLVE_TABLE``) is installed for
+    the unit — the worker-side mirror of the executor's run-scoped
+    install.  Tables are pure in-memory memoisation, so this changes
+    worker wall-clock, never results.
     """
     table = active_solve_table()
-    if table is None:
+    if isinstance(table, TableTally):
+        # The run's tally: count this unit on its own, over its table.
+        table = table.table
+    elif table is None:
         cap = resolve_solve_table(None)
         if cap > 0:
             table = shared_table(cap)
-    with use_solve_table(table):
+    tally = None if table is None else TableTally(table)
+    with use_solve_table(tally):
         start = time.perf_counter()
         value = kind_for(task.cell).run(task.cell, settings, task.rep_range)
-        return value, time.perf_counter() - start
+        seconds = time.perf_counter() - start
+    return value, seconds, None if tally is None else tally.counts()
 
 
 class BackendFuture(abc.ABC):
@@ -87,8 +99,8 @@ class BackendFuture(abc.ABC):
         """Whether a result (or error) is available without blocking."""
 
     @abc.abstractmethod
-    def result(self) -> tuple[Any, float]:
-        """The task's ``(value, seconds)``; raises its error if it failed."""
+    def result(self) -> tuple[Any, float, dict | None]:
+        """The task's :func:`run_task` triple; raises its error if it failed."""
 
 
 class ExecutionBackend(abc.ABC):
@@ -108,10 +120,9 @@ class ExecutionBackend(abc.ABC):
     #: bus — *context-scoped*: it arrives as the ``telemetry`` keyword
     #: of :meth:`open` (one run's bus, never process state) and is
     #: cleared by :meth:`close`, so ``None`` between runs.  Backends
-    #: with their own observability (chaos injections, spool worker
-    #: spans, lease reclaims) emit through it when present — strictly
-    #: optional, and strictly non-semantic: a backend must behave
-    #: identically with telemetry attached or not.
+    #: with their own observability (chaos injections) emit through it
+    #: when present — strictly optional, and strictly non-semantic: a
+    #: backend must behave identically with telemetry attached or not.
     telemetry = None
 
     def open(
@@ -141,20 +152,11 @@ class ExecutionBackend(abc.ABC):
     def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
         """Enqueue one unit of work; returns its future-like handle."""
 
+    @abc.abstractmethod
     def wait_any(
         self, outstanding: set[BackendFuture]
     ) -> tuple[set[BackendFuture], set[BackendFuture]]:
-        """Block until ≥1 of *outstanding* completes; returns (ready, rest).
-
-        The default implementation polls :meth:`BackendFuture.done`
-        with a short sleep — enough for file-based backends; in-process
-        backends override it with a real wait primitive.
-        """
-        while True:
-            ready = {future for future in outstanding if future.done()}
-            if ready:
-                return ready, outstanding - ready
-            time.sleep(0.005)
+        """Block until ≥1 of *outstanding* completes; returns (ready, rest)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -171,8 +173,8 @@ def register_backend(name: str):
     """Register a backend factory under spec-string *name*.
 
     The factory receives the spec's argument part (the text after the
-    first ``:``, empty when absent), so ``"spool:/var/q"`` reaches the
-    spool factory as ``"/var/q"``.
+    first ``:``, empty when absent), so ``"process:4"`` reaches the
+    process factory as ``"4"``.
     """
 
     def decorate(factory: Callable[[str], ExecutionBackend]):

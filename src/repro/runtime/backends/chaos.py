@@ -1,9 +1,9 @@
 """Chaos backend: deterministic fault injection around any real backend.
 
 ``chaos:<inner-spec>`` wraps another backend (``chaos:serial``,
-``chaos:process:4``, ``chaos:spool:/tmp/q`` — the inner spec is
-everything after the first colon) and injects faults into a
-reproducible subset of the units flowing through it:
+``chaos:process:4`` — the inner spec is everything after the first
+colon) and injects faults into a reproducible subset of the units
+flowing through it:
 
 * **raise-before** — the unit fails without ever reaching the inner
   backend (a submit-side crash);
@@ -65,7 +65,7 @@ class _FailedFuture(BackendFuture):
     def done(self) -> bool:
         return True
 
-    def result(self) -> tuple[Any, float]:
+    def result(self) -> tuple[Any, float, dict | None]:
         raise self._error
 
 
@@ -79,7 +79,7 @@ class _ChaosFuture(BackendFuture):
     def done(self) -> bool:
         return self._inner.done()
 
-    def result(self) -> tuple[Any, float]:
+    def result(self) -> tuple[Any, float, dict | None]:
         value = self._inner.result()
         if self._fault is not None:
             # The unit really executed; chaos loses the answer in
@@ -99,9 +99,9 @@ class ChaosBackend(ExecutionBackend):
     Parameters
     ----------
     inner:
-        Inner backend spec (``"serial"``, ``"process:4"``,
-        ``"spool:/dir"``) or a constructed :class:`ExecutionBackend`;
-        ``None`` wraps a serial backend.
+        Inner backend spec (``"serial"``, ``"process:4"``) or a
+        constructed :class:`ExecutionBackend`; ``None`` wraps a serial
+        backend.
     seed:
         Fault-schedule seed; ``None`` reads ``REPRO_CHAOS_SEED``
         (default 0).  Same seed ⇒ identical fault schedule.
@@ -128,9 +128,8 @@ class ChaosBackend(ExecutionBackend):
     def open(self, workers: int, tasks: int, settings, telemetry=None) -> None:
         super().open(workers, tasks, settings, telemetry)
         self._injected = set()
-        # Forward the run's telemetry bus so the inner backend's own
-        # events (spool worker spans, lease reclaims) still surface
-        # when wrapped in chaos.
+        # Forward the run's telemetry bus so an inner backend's own
+        # events still surface when wrapped in chaos.
         self.inner.open(workers, tasks, settings, telemetry=telemetry)
 
     def close(self) -> None:

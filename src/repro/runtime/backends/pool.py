@@ -44,7 +44,7 @@ class _PoolFuture(BackendFuture):
     def done(self) -> bool:
         return self._future.done()
 
-    def result(self) -> tuple[Any, float]:
+    def result(self) -> tuple[Any, float, dict | None]:
         return self._future.result()
 
 

@@ -9,9 +9,9 @@ result — hits the :class:`~repro.runtime.store.ResultStore` before the
 next one starts, so an interrupted run loses at most the unit in flight.
 
 A task that raises completes its future with the error, surfaced by
-:meth:`_SerialFuture.result` exactly like the pool and spool backends
-surface theirs — which is what lets the executor's retry/quarantine
-policy treat all backends uniformly.  ``KeyboardInterrupt`` (and other
+:meth:`_SerialFuture.result` exactly like the pool backend surfaces
+its own — which is what lets the executor's retry/quarantine policy
+treat all backends uniformly.  ``KeyboardInterrupt`` (and other
 ``BaseException``) still propagates immediately: there is no pool to
 unwind and nothing to retry.
 """
@@ -36,7 +36,7 @@ class _SerialFuture(BackendFuture):
     def __init__(self, task: CellShard, settings: "ExperimentSettings"):
         self._task = task
         self._settings = settings
-        self._value: tuple[Any, float] | None = None
+        self._value: tuple[Any, float, dict | None] | None = None
         self._error: Exception | None = None
 
     def _run(self) -> None:
@@ -48,7 +48,7 @@ class _SerialFuture(BackendFuture):
     def done(self) -> bool:
         return self._value is not None or self._error is not None
 
-    def result(self) -> tuple[Any, float]:
+    def result(self) -> tuple[Any, float, dict | None]:
         if self._error is not None:
             raise self._error
         return self._value

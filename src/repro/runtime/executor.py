@@ -6,12 +6,10 @@ by pairing a backend-agnostic scheduler core
 queue, merge barriers, persistence, progress) with a pluggable
 :class:`~repro.runtime.backends.ExecutionBackend` that decides where
 each unit of work physically executes: in-process
-(:class:`~repro.runtime.backends.SerialBackend`), on a local process
-pool (:class:`~repro.runtime.backends.ProcessPoolBackend`), or through
-a spool-directory work queue served by detached ``python -m repro
-worker`` processes (:class:`~repro.runtime.backends.SpoolBackend`).
-Because every cell is seeded at plan-build time and runners rebuild
-their inputs from specs, all backends are bit-identical — the backend
+(:class:`~repro.runtime.backends.SerialBackend`) or on a local process
+pool (:class:`~repro.runtime.backends.ProcessPoolBackend`).  Because
+every cell is seeded at plan-build time and runners rebuild their
+inputs from specs, all backends are bit-identical — the backend
 changes wall-clock and placement, never numbers.
 
 Every cell runs as repetition windows plus a merge (see
@@ -62,8 +60,7 @@ entry point the experiment modules use: it runs under an explicit
 ``context``, else the one :func:`use_context` installed for the
 calling block, else a ``RunContext()`` resolved from the environment
 at call time, so CI can flip the whole suite to parallel, sharded,
-spool-dispatched, fault-injected, or journalled execution without code
-changes.
+fault-injected, or journalled execution without code changes.
 
 Every run additionally narrates itself into a structured telemetry
 stream (:mod:`repro.runtime.telemetry`): an in-memory metrics
@@ -217,12 +214,15 @@ class ParallelExecutor:
                 )
                 pool_stack.enter_context(use_solve_pool(channel))
             # The run's solve table installs alongside the pool: ambient
-            # for everything this scheduler thread executes in-process.
-            # Out-of-process units resolve it from the environment in
-            # their workers (see backends.base.run_task) — always
-            # bit-identical, so placement still never changes numbers.
-            # The tally counts this run's own serves of the shared
-            # table, so overlapping runs never journal each other's.
+            # for everything this scheduler thread executes in-process
+            # and inherited by forked pool workers; spawn-started
+            # workers resolve it from the environment (see
+            # backends.base.run_task) — always bit-identical, so
+            # placement still never changes numbers.  It is installed
+            # behind the run's tally, which counts the serves of merges
+            # in this thread and sums the counts every unit returns, so
+            # a pool run journals its workers' serves and overlapping
+            # runs never journal each other's.
             if context.solve_table > 0:
                 tally = TableTally(shared_table(context.solve_table))
                 pool_stack.enter_context(use_solve_table(tally))
@@ -279,7 +279,7 @@ class ParallelExecutor:
                         for future in ready:
                             shard, attempt = futures.pop(future)
                             try:
-                                value, seconds = future.result()
+                                value, seconds, counts = future.result()
                             except Exception as exc:
                                 retried = self._handle_failure(
                                     backend, settings, shard, attempt, exc,
@@ -296,6 +296,8 @@ class ParallelExecutor:
                                 backend=backend.name,
                                 **_unit_fields(shard),
                             )
+                            if tally is not None and counts is not None:
+                                tally.add(counts)
                             scheduler.finish(shard, value, seconds)
                 finally:
                     backend.close()
@@ -303,9 +305,9 @@ class ParallelExecutor:
         finally:
             pool_stack.close()
             if tally is not None:
-                counts = tally.stats()
+                counts = tally.counts()
                 counts["build_seconds"] = round(counts["build_seconds"], 6)
-                telemetry.emit("solve_table", **counts)
+                telemetry.emit("solve_table", cap=tally.table.cap, **counts)
             telemetry.emit(
                 "run_finish",
                 status=status,
@@ -352,7 +354,7 @@ class ParallelExecutor:
             "unit_failed",
             token=token,
             attempt=attempt,
-            error=f"{type(exc).__name__}: {exc}",
+            error=failure.error,
             backend=backend.name,
             **_unit_fields(shard),
         )
@@ -361,11 +363,11 @@ class ParallelExecutor:
             delay = retry_delay(attempt, token)
             telemetry.emit(
                 "retry",
-                payload=failure,
                 token=token,
                 attempt=attempt + 1,
                 max_attempts=max_retries + 1,
                 delay=round(delay, 6),
+                error=failure.error,
                 **_unit_fields(shard),
             )
             if delay > 0.0:
@@ -385,7 +387,6 @@ class ParallelExecutor:
             scheduler.quarantine(shard, failure)
             telemetry.emit(
                 "quarantine",
-                payload=failure,
                 token=token,
                 attempts=failure.attempts,
                 error=failure.error,

@@ -1,11 +1,11 @@
 """Fault model for plan execution: retries, failure records, quarantine.
 
 Long Monte-Carlo campaigns fail for two very different reasons.  A
-*transient* fault — a worker OOM-killed under memory pressure, a stolen
-spool lease, an injected chaos fault — disappears when the unit of work
-runs again; a *persistent* fault (a bug in a cell runner, a poison
-payload) does not, no matter how often it is retried.  This module
-gives the runtime the vocabulary to tell them apart:
+*transient* fault — a worker OOM-killed under memory pressure, an
+injected chaos fault — disappears when the unit of work runs again; a
+*persistent* fault (a bug in a cell runner, a poison payload) does
+not, no matter how often it is retried.  This module gives the runtime
+the vocabulary to tell them apart:
 
 * :func:`retry_delay` — the backoff before each resubmission of a
   failed unit of work (the run's ``max_retries`` says how many there
@@ -123,8 +123,8 @@ class TaskFailure:
         One-line exception summary, ``"TypeName: message"``.
     traceback:
         The traceback text, worker-side when the failure crossed a
-        process boundary (pool workers and spool claimants ship
-        theirs); ``None`` when none was available.
+        process boundary (pool workers ship theirs); ``None`` when none
+        was available.
     backend:
         Name of the backend the attempt dispatched through.
     """
@@ -158,14 +158,10 @@ class PlanExecutionError(ReproError):
 def _worker_traceback(exc: BaseException) -> str | None:
     """Best-available traceback text for *exc*, worker-side preferred.
 
-    Spool claimants attach their traceback to the unpickled exception
-    (``__repro_traceback__``); :mod:`concurrent.futures` chains the
-    remote traceback through ``__cause__``.  Failing both, the local
-    traceback of the exception object itself is formatted.
+    :mod:`concurrent.futures` chains a pool worker's traceback through
+    ``__cause__``; failing that, the local traceback of the exception
+    object itself is formatted.
     """
-    attached = getattr(exc, "__repro_traceback__", None)
-    if attached:
-        return str(attached)
     cause = exc.__cause__
     if cause is not None and type(cause).__name__ == "_RemoteTraceback":
         return str(cause)

@@ -11,7 +11,9 @@ True)`` installs one): it receives every
 :class:`~repro.runtime.telemetry.TelemetryEvent` of the run and
 dispatches on ``event.event`` — ``cell_finished`` lines, the
 ``shard_progress`` ticker, ``retry`` and ``quarantine`` lines, and a
-ticker clear at ``run_finish`` — ignoring every other event type.
+ticker clear at ``run_finish`` — ignoring every other event type.  It
+reads only ``event.fields``, so an event read back from a journal
+renders the same line as the live one.
 
 Sharded cells report *aggregated*: a 1,000-repetition cell split into
 20 shards still produces exactly one completion line (annotated with
@@ -67,9 +69,9 @@ class ProgressReporter:
         elif kind == "shard_progress":
             self._shard_progress(event.fields)
         elif kind == "retry":
-            self._retry(event)
+            self._retry(event.fields)
         elif kind == "quarantine":
-            self._quarantine(event)
+            self._quarantine(event.fields)
         elif kind == "run_finish":
             # Whatever state the run died in — mid-ticker included,
             # e.g. a PlanExecutionError abort between shard completions
@@ -99,31 +101,36 @@ class ProgressReporter:
             flush=True,
         )
 
-    def _retry(self, event: "TelemetryEvent") -> None:
+    def _retry(self, fields: dict) -> None:
         """One line per resubmission of a failed unit of work.
 
         Retries are rare enough (and important enough) that each gets a
-        real line even in piped logs: which unit failed, with what (the
-        event's :class:`~repro.runtime.faults.TaskFailure` payload), and
+        real line even in piped logs: which unit failed, with what, and
         which attempt is coming after what backoff.
         """
-        failure, fields = event.payload, event.fields
         stream = self._resolve_stream()
         self._clear_ticker(stream)
         print(
             f"[retry {fields['attempt']}/{fields['max_attempts']}] "
-            f"{failure.label}: {failure.error} "
+            f"{fields['label']}: {fields['error']} "
             f"(backoff {fields['delay']:.2f}s)",
             file=stream,
             flush=True,
         )
 
-    def _quarantine(self, event: "TelemetryEvent") -> None:
+    def _quarantine(self, fields: dict) -> None:
         """One line when a unit exhausts its retries and is quarantined
-        (``on_error="continue"``)."""
+        (``on_error="continue"``), worded like
+        :meth:`~repro.runtime.faults.TaskFailure.summary`."""
         stream = self._resolve_stream()
         self._clear_ticker(stream)
-        print(f"[quarantined] {event.payload.summary()}", file=stream, flush=True)
+        plural = "s" if fields["attempts"] != 1 else ""
+        print(
+            f"[quarantined] {fields['label']}: {fields['error']} "
+            f"(after {fields['attempts']} attempt{plural})",
+            file=stream,
+            flush=True,
+        )
 
     def _shard_progress(self, fields: dict) -> None:
         """In-place ticker for a sharded cell's intermediate progress.

@@ -16,10 +16,9 @@ shuttles completions between them.
 That split is what makes backends interchangeable: because every
 correctness decision — which windows exist, how partials merge,
 what tokens identify results — is made here, on the scheduler side, a
-unit of work produces the same bytes on the serial path, a local
-process pool, or a spool-directory worker on another host, and a run
-interrupted on one backend resumes on any other at the finished-shard
-boundary.
+unit of work produces the same bytes on the serial path or a local
+process pool, and a run interrupted on one backend resumes on any other
+at the finished-shard boundary.
 """
 
 from __future__ import annotations

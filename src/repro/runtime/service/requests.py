@@ -26,7 +26,7 @@ The request JSON schema accepted by the service's ``submit`` op::
       },
       "context": {                         # all optional, per-request
         "workers": 2,
-        "backend": "serial",               # serial | process[:n] | spool[:dir] | chaos[:inner]
+        "backend": "serial",               # serial | process[:n] | chaos[:inner]
         "chunk_size": 5,                   # repetitions per shard
         "max_retries": 2,
         "on_error": "continue"             # raise | continue

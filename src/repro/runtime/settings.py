@@ -49,7 +49,6 @@ __all__ = [
     "resolve_solve_batch_max",
     "resolve_solve_batch_window",
     "resolve_solve_table",
-    "resolve_spool_dir",
     "resolve_store",
     "resolve_trace_file",
     "resolve_workers",
@@ -104,13 +103,8 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
     ),
     "REPRO_BACKEND": (
         _parse_text("REPRO_BACKEND"),
-        "execution backend spec: serial, process[:n], spool[:dir], "
-        "chaos[:inner] (default: automatic)",
-    ),
-    "REPRO_SPOOL_DIR": (
-        _parse_text("REPRO_SPOOL_DIR"),
-        "default spool directory for the spool backend and "
-        "`python -m repro worker`",
+        "execution backend spec: serial, process[:n], chaos[:inner] "
+        "(default: automatic)",
     ),
     "REPRO_MAX_RETRIES": (
         _parse_int("REPRO_MAX_RETRIES"),
@@ -250,22 +244,6 @@ def resolve_backend(backend: Any) -> Any:
     if backend is None:
         return env_knob("REPRO_BACKEND")
     return backend
-
-
-def resolve_spool_dir(root: Union[str, Path, None]) -> Path:
-    """Explicit spool directory, or the ``REPRO_SPOOL_DIR`` default.
-
-    The spool backend cannot run without one, so exhausting both
-    sources is an error rather than a silent temp directory.
-    """
-    if root is None or root == "":
-        root = env_knob("REPRO_SPOOL_DIR")
-        if root is None:
-            raise ValidationError(
-                "the spool backend needs a directory: pass "
-                "backend='spool:<dir>' or set REPRO_SPOOL_DIR"
-            )
-    return Path(root)
 
 
 def resolve_max_retries(max_retries: int | None) -> int:
@@ -448,8 +426,9 @@ class RunContext:
     Resolved field types
     --------------------
     * ``workers`` — ``int`` (>= 1); the automatic backend policy runs a
-      process pool when it is above 1 and more than one unit is pending
-      (the spool backend's parallelism is its attached workers instead)
+      process pool when it is above 1 and more than one unit is pending,
+      and a ``process`` backend without an explicit size uses it as its
+      pool size
     * ``store`` — :class:`~repro.runtime.store.ResultStore` or ``None``
     * ``progress`` — a telemetry subscriber (a callable receiving each
       :class:`~repro.runtime.telemetry.TelemetryEvent` of the run) or

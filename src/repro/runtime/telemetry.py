@@ -4,8 +4,8 @@ Every plan execution owns one :class:`RunTelemetry` — an in-process
 event bus the scheduler, executor, and backends emit structured
 lifecycle events into: plan/cache-scan start and finish, units queued /
 submitted / finished / failed, cache hits, shard merges, retries,
-quarantines, spool lease reclaims and dead letters, chaos injections,
-and worker-side execution spans.  Each :class:`TelemetryEvent` carries
+quarantines, chaos injections, and the run's solve-table and
+solve-batch usage.  Each :class:`TelemetryEvent` carries
 the run id, a monotonic timestamp relative to the run start, a wall
 clock, and a flat dict of JSON-ready primitive fields.
 
@@ -13,8 +13,7 @@ Two built-in subscribers cover the common cases:
 
 * :class:`JsonlTraceSink` appends one JSON object per event to a
   journal file (``--trace FILE`` / ``REPRO_TRACE_FILE``), giving a
-  machine-readable record of *where a run's time went* — including
-  spans stamped by detached spool workers on other hosts;
+  machine-readable record of *where a run's time went*;
 * :class:`MetricsAggregate` folds the same events into in-memory run
   metrics (cache hit ratio, queue-wait vs execute time, retry and
   fault counts, per-cell-kind and per-backend totals) attached to the
@@ -24,7 +23,9 @@ Progress is a subscriber too: a run's ``RunContext(progress=...)`` is
 either the stderr :class:`~repro.runtime.progress.ProgressReporter`
 (``progress=True``) or any callable, and it receives every
 :class:`TelemetryEvent` of the run — the same ``event`` name and
-``fields`` the journal records, plus the in-process ``payload``.
+``fields`` the journal records, plus an in-process ``payload`` on a
+few events.  The reporter renders from the fields alone, so a journal
+line and a live event render the same.
 
 Because the aggregate consumes nothing but the primitive event fields,
 it can be *replayed* from a journal file alone
@@ -74,15 +75,19 @@ __all__ = [
 #: counts are the run's own serves rather than the shared table's delta
 #: over the run (which counted overlapping runs' serves twice).  5: the
 #: adaptive chunk-sizing event type is gone, because a fixed
-#: ``chunk_size`` is the one shard-size setting.
-TRACE_SCHEMA_VERSION = 5
+#: ``chunk_size`` is the one shard-size setting.  6: the detached-worker
+#: backend is gone, and with it the ``worker_span``, ``lease_reclaim``
+#: and ``dead_letter`` event types; ``retry`` carries the ``error`` of
+#: the failed attempt; ``solve_table`` sums the counts every unit of the
+#: run made, pool workers' included, and loses ``entries``.
+TRACE_SCHEMA_VERSION = 6
 
 #: Every event type the runtime emits.  The journal-schema check (CI
 #: and ``python -m repro trace check``) rejects anything else, so a
 #: new emission site must register its type here.
 EVENT_TYPES = frozenset(
     {
-        "run_start",  # plan name, cell count, workers, backend spec
+        "run_start",  # plan name, cell count, workers, schema version
         "scan_start",  # cache scan beginning
         "cache_hit",  # one cell served whole from the store
         "shard_cache_hit",  # one shard window resumed from the store
@@ -91,14 +96,11 @@ EVENT_TYPES = frozenset(
         "unit_submitted",  # one unit handed to the backend (per attempt)
         "unit_finished",  # one unit returned a value
         "unit_failed",  # one attempt raised
-        "retry",  # a failed unit was resubmitted
+        "retry",  # a failed unit was resubmitted; carries its error
         "quarantine",  # a unit exhausted retries under on_error=continue
         "cell_finished",  # one cell result complete (computed or cached)
         "shard_merged",  # a sharded cell's partials merged
         "shard_progress",  # intermediate shard completion (ticker feed)
-        "worker_span",  # worker-side execution span (spool backends)
-        "lease_reclaim",  # a stale spool lease was requeued
-        "dead_letter",  # a spool task was buried in dead/
         "chaos_inject",  # the chaos backend faulted a unit
         "solve_batch_flush",  # cross-request interval-solve batch flushed
         "solve_table",  # run's small-n solve-table usage (hits/builds)
@@ -127,9 +129,10 @@ class TelemetryEvent:
     fields:
         Flat JSON-ready payload: strings, numbers, booleans, ``None``.
     payload:
-        Optional rich in-process object (a ``CellResult``, a
-        ``TaskFailure``) for same-process subscribers like the progress
-        reporter.  Never serialised into the journal.
+        Optional rich in-process object (the ``CellResult`` of a
+        ``cell_finished``, the ``CellSpec`` of a ``shard_progress``)
+        for same-process subscribers.  Never serialised into the
+        journal; the built-in subscribers do not read it.
     """
 
     event: str
@@ -251,8 +254,7 @@ class MetricsAggregate:
     Queue wait is measured scheduler-side: the gap between a unit's
     submission to the backend and the collection of its result, minus
     the worker-reported execute seconds — i.e. everything that is not
-    compute (queueing, claim latency, result round-trip).  Worker-side
-    spans refine that for spool runs with per-claim latency.
+    compute (queueing, dispatch, result round-trip).
     """
 
     def __init__(self) -> None:
@@ -264,9 +266,7 @@ class MetricsAggregate:
         self.retries = 0
         self.failures = 0
         self.quarantined = 0
-        self.dead_letters = 0
         self.chaos_injections = 0
-        self.lease_reclaims = 0
         self.solve_flushes = 0
         self.solve_coalesced_flushes = 0
         self.solve_rows = 0
@@ -286,7 +286,6 @@ class MetricsAggregate:
         self.by_kind: dict[str, dict] = defaultdict(_zero_totals)
         self.by_backend: dict[str, dict] = defaultdict(_zero_totals)
         self.units: dict[str, dict] = {}
-        self.worker_spans: list[dict] = []
         self._submitted: dict[tuple[str, int], float] = {}
 
     # -- event folding --------------------------------------------------
@@ -311,12 +310,8 @@ class MetricsAggregate:
             self.retries += 1
         elif event.event == "quarantine":
             self.quarantined += 1
-        elif event.event == "dead_letter":
-            self.dead_letters += 1
         elif event.event == "chaos_inject":
             self.chaos_injections += 1
-        elif event.event == "lease_reclaim":
-            self.lease_reclaims += 1
         elif event.event == "solve_batch_flush":
             # One event per flush this run rode; `rows_own` is this
             # run's share, `callers` the coalesced-caller count of the
@@ -328,8 +323,8 @@ class MetricsAggregate:
             if callers > 1:
                 self.solve_coalesced_flushes += 1
         elif event.event == "solve_table":
-            # One per run, carrying the run's own serves of the
-            # process-wide shared table, so multi-run aggregates sum.
+            # One per run, carrying the run's own serves (its pool
+            # workers' included), so multi-run aggregates sum.
             self.table_hits += int(fields.get("hits", 0))
             self.table_misses += int(fields.get("misses", 0))
             self.table_ineligible += int(fields.get("ineligible", 0))
@@ -342,8 +337,6 @@ class MetricsAggregate:
         elif event.event == "cell_finished":
             if not fields.get("cached", False):
                 self.cache_misses += 1
-        elif event.event == "worker_span":
-            self.worker_spans.append(dict(fields))
         elif event.event == "run_finish":
             self.status = fields.get("status")
             self.wall_seconds = fields.get("seconds", event.t)
@@ -417,9 +410,7 @@ class MetricsAggregate:
                 "failed_attempts": self.failures,
                 "retries": self.retries,
                 "quarantined": self.quarantined,
-                "dead_letters": self.dead_letters,
                 "chaos_injections": self.chaos_injections,
-                "lease_reclaims": self.lease_reclaims,
             },
             "timing": {
                 "execute_seconds": round(self.execute_seconds, 6),
@@ -457,7 +448,6 @@ class MetricsAggregate:
                 }
                 for name, totals in sorted(self.by_backend.items())
             },
-            "worker_spans": len(self.worker_spans),
         }
 
 
@@ -602,9 +592,7 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
         f"  failed attempts    : {faults['failed_attempts']}",
         f"  retries            : {faults['retries']}",
         f"  quarantined        : {faults['quarantined']}",
-        f"  dead letters       : {faults['dead_letters']}",
         f"  chaos injections   : {faults['chaos_injections']}",
-        f"  lease reclaims     : {faults['lease_reclaims']}",
     ]
     batching = aggregate.get("solve_batching", {})
     if batching.get("flushes"):
@@ -651,6 +639,4 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
                 f"{entry['queue_wait_seconds']:>9.3f}  "
                 f"{entry['attempts']:>3}"
             )
-    if aggregate["worker_spans"]:
-        lines += ["", f"worker spans recorded: {aggregate['worker_spans']}"]
     return "\n".join(lines)

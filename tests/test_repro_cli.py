@@ -160,6 +160,20 @@ class TestRuntimeOptions:
             main([*command, "--chunk-seconds", "1"])
         assert "--chunk-seconds" in capsys.readouterr().err
 
+    def test_worker_subcommand_is_gone(self, capsys):
+        # Units run in process or on a local pool; nothing serves a queue.
+        with pytest.raises(SystemExit) as info:
+            main(["worker"])
+        assert info.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    def test_an_unknown_backend_is_an_error_line(self, capsys):
+        argv = ["study", "--reps", "2", "--quiet", "--backend", "teleport:/tmp/q"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "unknown execution backend 'teleport:/tmp/q'" in err
+        assert "chaos, process, serial" in err
+
 
 @pytest.fixture
 def nell_file(tmp_path, nell_kg):
@@ -189,8 +203,9 @@ class TestPartitionAudit:
     def test_relative_kg_path_becomes_an_absolute_spec(
         self, nell_file, tmp_path, monkeypatch, capsys
     ):
-        # Detached workers may run in another directory, so the cell
-        # must name the KG by absolute path.
+        # The path is a cell field and so part of the cache token: the
+        # cell names the KG by absolute path, so the same file keys the
+        # same results from any working directory.
         import repro.cli as cli
 
         plans = []

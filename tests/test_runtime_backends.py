@@ -2,16 +2,15 @@
 
 The contract under test is the tentpole guarantee of the scheduler /
 backend split: an :class:`ExecutionBackend` changes *where* units of
-work run and nothing else.  For the same plan, the serial, process-pool,
-and spool backends produce bit-identical ``PlanOutcome.results`` under
-arbitrary chunkings, cache tokens never depend on the backend, and a
-run interrupted on one backend resumes on any other at the
+work run and nothing else.  For the same plan, the serial and
+process-pool backends produce bit-identical ``PlanOutcome.results``
+under arbitrary chunkings, cache tokens never depend on the backend,
+and a run interrupted on one backend resumes on any other at the
 finished-shard boundary.
 """
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +21,18 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
+    BackendFuture,
     CellShard,
     CellSpec,
+    ChaosBackend,
     CoverageCell,
     ExecutionBackend,
     ParallelExecutor,
+    PlanExecutionError,
     ProcessPoolBackend,
     ResultStore,
     RunContext,
     SerialBackend,
-    SpoolBackend,
     StudyCell,
     StudyPlan,
     cache_token,
@@ -41,6 +42,10 @@ from repro.runtime import (
     shard_ranges,
     shard_token,
 )
+
+#: Every backend spec that executes units: the two transports and the
+#: fault-injecting wrapper around each.
+BACKENDS = ("serial", "process", "chaos:serial", "chaos:process")
 
 
 def study_cell(**overrides) -> StudyCell:
@@ -86,12 +91,47 @@ def assert_results_equal(a, b) -> None:
         assert a == b
 
 
+@dataclass(frozen=True)
+class FailingCell(CellSpec):
+    pass
+
+
+@register_cell_runner(FailingCell)
+def _run_failing_cell(cell, settings, rep_range):
+    raise ValidationError("intentional failure")
+
+
+@dataclass(frozen=True)
+class UnpicklableResultCell(CellSpec):
+    pass
+
+
+@register_cell_runner(UnpicklableResultCell)
+def _run_unpicklable_result(cell, settings, rep_range):
+    return lambda: None  # a value no process boundary could carry
+
+
+def local_cell_type():
+    """A cell class defined in a function: it cannot pickle, so no unit
+    of it can reach another process."""
+
+    @dataclass(frozen=True)
+    class LocalCell(CellSpec):
+        pass
+
+    @register_cell_runner(LocalCell)
+    def _run_local(cell, settings, rep_range):
+        return ("ran", cell.key)
+
+    return LocalCell
+
+
 class TestBackendSelection:
     @pytest.fixture(autouse=True)
     def _clear_backend_env(self, monkeypatch):
         # These tests probe the *selection* rules, so the suite-wide CI
-        # env (e.g. the REPRO_BACKEND=spool leg) must not preempt them;
-        # tests that want the env set it explicitly.
+        # env (e.g. the chaos job's REPRO_BACKEND) must not preempt
+        # them; tests that want the env set it explicitly.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
     def test_auto_is_serial_at_one_worker(self):
@@ -115,15 +155,15 @@ class TestBackendSelection:
         outcome = ParallelExecutor(RunContext(workers=4)).run(plan)
         assert outcome.backend == "serial"
 
-    def test_explicit_argument_beats_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_BACKEND", f"spool:{tmp_path / 'q'}")
+    def test_explicit_argument_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         plan = plan_of([study_cell(), coverage_cell()])
         outcome = ParallelExecutor(RunContext(workers=2, backend="serial")).run(plan)
         assert outcome.backend == "serial"
 
     def test_invalid_backend_fails_at_construction(self, monkeypatch):
-        with pytest.raises(ValidationError):
-            RunContext(backend="teleport")
+        with pytest.raises(ValidationError, match="chaos, process, serial"):
+            RunContext(backend="teleport:/tmp/q")
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(ValidationError):
             RunContext()
@@ -134,72 +174,181 @@ class TestBackendSelection:
         monkeypatch.delenv("REPRO_BACKEND")
         assert RunContext().backend is None
 
-    def test_make_backend_parses_specs(self, tmp_path):
+    def test_make_backend_parses_specs(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         pool = make_backend("process:3")
         assert isinstance(pool, ProcessPoolBackend)
         assert pool.workers == 3
-        spool = make_backend(f"spool:{tmp_path / 'q'}")
-        assert isinstance(spool, SpoolBackend)
         with pytest.raises(ValidationError):
             make_backend("bogus")
 
-    def test_spool_without_directory_fails(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPOOL_DIR", raising=False)
-        plan = plan_of([study_cell()])
-        with pytest.raises(ValidationError):
-            ParallelExecutor(RunContext(backend="spool")).run(plan)
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [
+            (" Serial ", SerialBackend),
+            ("PROCESS:2", ProcessPoolBackend),
+            ("Chaos:serial", ChaosBackend),
+        ],
+    )
+    def test_spec_names_ignore_case_and_padding(self, spec, kind):
+        assert isinstance(make_backend(spec), kind)
+        assert RunContext(backend=spec).backend == spec
 
-    def test_spool_directory_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "q"))
-        plan = plan_of([study_cell()])
-        outcome = ParallelExecutor(RunContext(backend="spool")).run(plan)
-        assert outcome.backend == "spool"
-        assert outcome.cache_misses == 1
+    def test_a_backend_instance_passes_through_untouched(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        instance = SerialBackend()
+        assert RunContext(backend=instance).backend is instance
+        plan = plan_of([study_cell(), coverage_cell()])
+        outcome = ParallelExecutor(RunContext(workers=2, backend=instance)).run(plan)
+        assert outcome.backend == "serial"
 
 
 class TestBackendBitIdentity:
     @given(
         seed=st.integers(0, 2**16),
         repetitions=st.integers(2, 5),
+        chunk_serial=st.one_of(st.none(), st.integers(1, 8)),
         chunk_process=st.integers(1, 8),
-        chunk_spool=st.integers(1, 8),
     )
     @hyp_settings(max_examples=5, deadline=None)
-    def test_property_three_backends_any_chunking(
-        self, seed, repetitions, chunk_process, chunk_spool
+    def test_property_serial_and_process_any_chunking(
+        self, seed, repetitions, chunk_serial, chunk_process
     ):
-        # The acceptance property: for the same StudyPlan, the serial,
-        # process-pool, and spool backends produce bit-identical
-        # results under arbitrary (and different!) chunkings.
+        # The acceptance property: for the same StudyPlan, the serial
+        # and process-pool backends produce bit-identical results under
+        # arbitrary (and different!) chunkings.
         plan = plan_of(
             [study_cell(), coverage_cell(repetitions=None)],
             repetitions=repetitions,
             seed=seed,
         )
-        serial = ParallelExecutor(RunContext(workers=1, backend="serial")).run(plan)
+        serial = ParallelExecutor(
+            RunContext(workers=1, backend="serial", chunk_size=chunk_serial)
+        ).run(plan)
         process = ParallelExecutor(
             RunContext(workers=2, backend="process", chunk_size=chunk_process)
         ).run(plan)
-        with tempfile.TemporaryDirectory() as spool_dir:
-            spool = ParallelExecutor(
-                RunContext(
-                    workers=1, backend=f"spool:{spool_dir}", chunk_size=chunk_spool
-                )
-            ).run(plan)
-        assert serial.results.keys() == process.results.keys() == spool.results.keys()
+        assert serial.results.keys() == process.results.keys()
         for key in serial.results:
             assert_results_equal(serial.results[key], process.results[key])
-            assert_results_equal(serial.results[key], spool.results[key])
 
-    def test_spool_matches_serial_on_multi_cell_grid(self, tmp_path):
+    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
+    def test_matches_serial_on_multi_cell_grid(self, backend):
         plan = plan_of([study_cell(), coverage_cell()], repetitions=5)
         serial = ParallelExecutor(RunContext(workers=1)).run(plan)
-        spool = ParallelExecutor(
-            RunContext(backend=SpoolBackend(tmp_path / "q"), chunk_size=2)
+        other = ParallelExecutor(
+            RunContext(workers=2, backend=backend, chunk_size=2, max_retries=1)
         ).run(plan)
+        assert other.backend == backend
+        assert other.failures == ()
         for key in serial.results:
-            assert_results_equal(serial.results[key], spool.results[key])
+            assert_results_equal(serial.results[key], other.results[key])
+
+
+class TestUnitFailures:
+    """A unit's failure reaches the run the same way on every transport."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_task_error_propagates_to_the_run(self, backend):
+        cell = FailingCell(key=("boom",), label="boom", method="-")
+        plan = plan_of([cell, study_cell()])
+        with pytest.raises(PlanExecutionError, match="intentional failure") as info:
+            ParallelExecutor(
+                RunContext(workers=2, backend=backend, max_retries=0)
+            ).run(plan)
+        # The abort carries the failure record, cause included.
+        (failure,) = info.value.failures
+        assert failure.label == "boom"
+        assert failure.backend == backend
+        assert failure.error == "ValidationError: intentional failure"
+        assert "intentional failure" in failure.traceback
+
+    def test_a_local_cell_type_runs_in_process(self):
+        # No process boundary: the serial backend runs units that could
+        # never pickle.
+        LocalCell = local_cell_type()
+        plan = plan_of([LocalCell(key=("local",), label="local", method="-")])
+        outcome = ParallelExecutor(RunContext(backend="serial")).run(plan)
+        assert outcome.results[("local",)] == ("ran", ("local",))
+
+    def test_an_unpicklable_unit_fails_on_the_pool_without_hanging(self):
+        LocalCell = local_cell_type()
+        plan = plan_of([LocalCell(key=(k,), label=k, method="-") for k in "ab"])
+        with pytest.raises(PlanExecutionError, match="pickle") as info:
+            ParallelExecutor(
+                RunContext(workers=2, backend="process", max_retries=0)
+            ).run(plan)
+        failure = info.value.failures[-1]
+        assert failure.backend == "process"
+        assert failure.error.startswith("AttributeError: Can't pickle local object")
+
+    def test_an_unpicklable_result_fails_its_unit_on_the_pool(self):
+        cell = UnpicklableResultCell(key=("lam",), label="lam", method="-")
+        plan = plan_of([cell, study_cell()])
+        with pytest.raises(PlanExecutionError, match="pickle") as info:
+            ParallelExecutor(
+                RunContext(workers=2, backend="process", max_retries=0)
+            ).run(plan)
+        (failure,) = info.value.failures
+        assert failure.label == "lam"
+        # The worker's traceback crossed the boundary with the error.
+        assert "Can't pickle local object" in failure.traceback
+
+    def test_an_unpicklable_result_is_quarantined_under_continue(self):
+        cell = UnpicklableResultCell(key=("lam",), label="lam", method="-")
+        plan = plan_of([cell, study_cell()])
+        outcome = ParallelExecutor(
+            RunContext(
+                workers=2, backend="process", max_retries=0, on_error="continue"
+            )
+        ).run(plan)
+        assert [failure.label for failure in outcome.failures] == ["lam"]
+        assert list(outcome.results) == [study_cell().key]
+        reference = ParallelExecutor(RunContext(workers=1)).run(
+            plan_of([study_cell()])
+        )
+        assert_results_equal(
+            reference.results[study_cell().key], outcome.results[study_cell().key]
+        )
+
+
+class TestPoolLifecycle:
+    @pytest.mark.parametrize(
+        "pinned, workers, tasks, size",
+        [(None, 4, 1, 1), (None, 2, 5, 2), (3, 1, 5, 3)],
+    )
+    def test_the_pool_is_sized_to_the_work(self, pinned, workers, tasks, size):
+        # min(workers, tasks), where a "process:<n>" spec pins workers.
+        backend = ProcessPoolBackend(pinned)
+        backend.open(workers, tasks, ExperimentSettings(repetitions=2))
+        try:
+            assert backend._pool._max_workers == size
+        finally:
+            backend.close()
+        assert backend._pool is None
+
+    def test_close_shuts_the_pool_down_after_a_failed_run(self):
+        backend = ProcessPoolBackend(2)
+        cell = FailingCell(key=("boom",), label="boom", method="-")
+        with pytest.raises(PlanExecutionError):
+            ParallelExecutor(
+                RunContext(backend=backend, max_retries=0)
+            ).run(plan_of([cell, study_cell()]))
+        assert backend._pool is None
+        assert backend.telemetry is None
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_one_backend_instance_serves_consecutive_runs(self, backend):
+        instance = make_backend(backend)
+        plan = plan_of([study_cell(), coverage_cell()], repetitions=3)
+        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
+        for _ in range(2):
+            outcome = ParallelExecutor(
+                RunContext(workers=2, backend=instance, chunk_size=2)
+            ).run(plan)
+            assert outcome.backend == backend
+            for key in reference.results:
+                assert_results_equal(reference.results[key], outcome.results[key])
 
 
 class TestCrossBackendResume:
@@ -209,16 +358,31 @@ class TestCrossBackendResume:
         plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
         store = ResultStore(tmp_path / "cache")
         first = ParallelExecutor(
-            RunContext(backend=SpoolBackend(tmp_path / "q"), store=store)
+            RunContext(workers=2, backend="process", store=store)
         ).run(plan)
         assert first.cache_misses == len(plan)
-        for backend in ("serial", "process"):
+        for backend in ("serial", "chaos:serial"):
             again = ParallelExecutor(
                 RunContext(workers=2, backend=backend, store=store)
             ).run(plan)
             assert again.cache_hits == len(plan), backend
             for key in first.results:
                 assert_results_equal(first.results[key], again.results[key])
+
+    @pytest.mark.parametrize("first", [b for b in BACKENDS if b != "process"])
+    def test_a_store_filled_on_any_backend_serves_the_pool(self, tmp_path, first):
+        plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
+        store = ResultStore(tmp_path / "cache")
+        filled = ParallelExecutor(
+            RunContext(workers=2, backend=first, store=store, max_retries=1)
+        ).run(plan)
+        assert filled.cache_misses == len(plan)
+        again = ParallelExecutor(
+            RunContext(workers=2, backend="process", store=store)
+        ).run(plan)
+        assert again.cache_hits == len(plan)
+        for key in filled.results:
+            assert_results_equal(filled.results[key], again.results[key])
 
     def test_interrupted_on_one_backend_resumes_on_another(self, tmp_path):
         # Interruption model: a sharded cell finished only some of its
@@ -246,7 +410,7 @@ class TestCrossBackendResume:
             )
 
         resumed = ParallelExecutor(
-            RunContext(backend=SpoolBackend(tmp_path / "q"), store=store, chunk_size=3)
+            RunContext(workers=2, backend="process", store=store, chunk_size=3)
         ).run(plan)
         entry = resumed.cells[0]
         assert entry.shards == 4
@@ -256,16 +420,16 @@ class TestCrossBackendResume:
         reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         assert_results_equal(reference.results[cell.key], resumed.results[cell.key])
 
-    def test_spool_run_killed_mid_plan_resumes_serially(self, tmp_path):
-        # Whole-cell granularity: a spool run that completed a prefix
-        # of the grid resumes serially from the store.
+    def test_pool_run_killed_mid_plan_resumes_serially(self, tmp_path):
+        # Whole-cell granularity: a process-pool run that completed a
+        # prefix of the grid resumes serially from the store.
         plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
         store = ResultStore(tmp_path / "cache")
         prefix = StudyPlan(
             settings=plan.settings, cells=plan.cells[:1], name="prefix"
         )
         ParallelExecutor(
-            RunContext(backend=SpoolBackend(tmp_path / "q"), store=store)
+            RunContext(workers=2, backend="process", store=store)
         ).run(prefix)
         resumed = ParallelExecutor(
             RunContext(workers=1, backend="serial", store=store)
@@ -274,162 +438,30 @@ class TestCrossBackendResume:
         assert resumed.cache_misses == 1
 
 
-@dataclass(frozen=True)
-class FailingCell(CellSpec):
-    pass
-
-
-@register_cell_runner(FailingCell)
-def _run_failing_cell(cell, settings, rep_range):
-    raise ValidationError("intentional failure")
-
-
-class TestSpoolMechanics:
-    def test_spool_sweeps_its_files_after_a_run(self, tmp_path):
-        spool_dir = tmp_path / "q"
-        plan = plan_of([study_cell(), coverage_cell()], repetitions=4)
-        ParallelExecutor(
-            RunContext(backend=SpoolBackend(spool_dir), chunk_size=2)
-        ).run(plan)
-        assert list((spool_dir / "tasks").iterdir()) == []
-        assert list((spool_dir / "claimed").iterdir()) == []
-        assert list((spool_dir / "results").iterdir()) == []
-
-    def test_task_error_propagates_to_the_run(self, tmp_path):
-        from repro.runtime import PlanExecutionError
-
-        cell = FailingCell(key=("boom",), label="boom", method="-")
-        plan = plan_of([cell])
-        with pytest.raises(PlanExecutionError, match="intentional failure") as info:
-            ParallelExecutor(
-                RunContext(backend=SpoolBackend(tmp_path / "q"), max_retries=0)
-            ).run(plan)
-        # The abort carries the failure record, cause included.
-        (failure,) = info.value.failures
-        assert failure.label == "boom"
-        assert "ValidationError" in failure.error
-        # The failed run swept its spool files on close.
-        assert list((tmp_path / "q" / "tasks").iterdir()) == []
-
-    def test_unpicklable_task_runs_inline(self, tmp_path):
-        # A cell class defined locally cannot pickle, so it could never
-        # reach another process under ANY backend; the spool degrades
-        # to inline execution for exactly those units.
-        @dataclass(frozen=True)
-        class LocalCell(CellSpec):
-            pass
-
-        @register_cell_runner(LocalCell)
-        def _run_local(cell, settings, rep_range):
-            return ("ran", cell.key)
-
-        cell = LocalCell(key=("local",), label="local", method="-")
-        plan = plan_of([cell])
-        outcome = ParallelExecutor(
-            RunContext(backend=SpoolBackend(tmp_path / "q"))
-        ).run(plan)
-        assert outcome.results[("local",)] == ("ran", ("local",))
-        assert list((tmp_path / "q" / "tasks").iterdir()) == []
-
-    def test_corrupt_task_file_is_poisoned_not_fatal(self, tmp_path):
-        spool_dir = tmp_path / "q"
-        (spool_dir / "tasks").mkdir(parents=True)
-        (spool_dir / "tasks" / "garbage-000000.task").write_bytes(b"not a pickle")
-        plan = plan_of([study_cell()])
-        outcome = ParallelExecutor(
-            RunContext(backend=SpoolBackend(spool_dir))
-        ).run(plan)
-        assert outcome.cache_misses == 1
-        # The foreign file is back in the queue for a claimant that can
-        # read it; this run's own files are swept.
-        leftovers = [p.name for p in (spool_dir / "tasks").iterdir()]
-        assert leftovers == ["garbage-000000.task"]
-
-    def test_stale_claims_are_reclaimed(self, tmp_path):
-        # A worker that leased a task and died must not hang the run:
-        # once the lease goes stale the scheduler returns the task to
-        # the queue and (participating) executes it itself.  Driven
-        # through the backend directly so the "crashed worker" claim is
-        # deterministic rather than a race against participation.
-        import os
-        import time as _time
-
-        spool_dir = tmp_path / "q"
-        backend = SpoolBackend(spool_dir, reclaim_seconds=0.2, poll_interval=0.02)
-        settings = ExperimentSettings(repetitions=3, seed=0)
-        cell = study_cell()
-        backend.open(workers=1, tasks=1, settings=settings)
-        try:
-            future = backend.submit(CellShard(cell), settings)
-            task_file = next((spool_dir / "tasks").glob("*.task"))
-            claimed = spool_dir / "claimed" / task_file.name
-            os.rename(task_file, claimed)  # the crashed worker's lease
-            stale = _time.time() - 60.0
-            os.utime(claimed, (stale, stale))
-
-            ready, rest = backend.wait_any({future})
-            assert ready == {future} and rest == set()
-            value, seconds = future.result()
-        finally:
-            backend.close()
-        plan = StudyPlan(settings=settings, cells=(cell,), name="reclaim")
-        reference = ParallelExecutor(RunContext(workers=1)).run(plan)
-        assert_results_equal(reference.results[cell.key], value)
-
-
-@dataclass(frozen=True)
-class UnpicklableResultCell(CellSpec):
-    pass
-
-
-@register_cell_runner(UnpicklableResultCell)
-def _run_unpicklable_result(cell, settings, rep_range):
-    return lambda: None  # a value no process boundary could carry
-
-
-class TestSpoolResultEdgeCases:
-    def test_unpicklable_result_surfaces_as_spool_task_error(self, tmp_path):
-        from repro.runtime import PlanExecutionError
-
-        cell = UnpicklableResultCell(key=("lam",), label="lam", method="-")
-        plan = plan_of([cell])
-        with pytest.raises(PlanExecutionError, match="unpicklable result") as info:
-            ParallelExecutor(
-                RunContext(backend=SpoolBackend(tmp_path / "q"), max_retries=0)
-            ).run(plan)
-        (failure,) = info.value.failures
-        assert "SpoolTaskError" in failure.error
-
-
-class TestDefaultWaitAny:
-    def test_base_wait_any_polls_until_done(self):
-        # The protocol's default wait primitive: poll done() with a
-        # short sleep — what a minimal third-party backend inherits.
-        from repro.runtime import BackendFuture
-
-        class CountdownFuture(BackendFuture):
-            def __init__(self, polls):
-                self._polls = polls
-
-            def done(self):
-                self._polls -= 1
-                return self._polls <= 0
-
-            def result(self):
-                return ("ok", 0.0)
-
-        class MinimalBackend(ExecutionBackend):
-            name = "minimal"
-
+class TestAbstractProtocol:
+    def test_a_backend_must_define_submit_and_wait_any(self):
+        # No polling default: every backend says how it waits.
+        class NoWait(ExecutionBackend):
             def submit(self, task, settings):  # pragma: no cover - unused
                 raise NotImplementedError
 
-        fast, slow = CountdownFuture(1), CountdownFuture(3)
-        backend = MinimalBackend()
-        ready, rest = backend.wait_any({fast, slow})
-        assert ready == {fast} and rest == {slow}
-        ready, rest = backend.wait_any(rest)
-        assert ready == {slow} and rest == set()
+        with pytest.raises(TypeError, match="wait_any"):
+            NoWait()
+
+        class NoSubmit(ExecutionBackend):
+            def wait_any(self, outstanding):  # pragma: no cover - unused
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="submit"):
+            NoSubmit()
+
+    def test_a_future_must_define_done_and_result(self):
+        class NoResult(BackendFuture):
+            def done(self):  # pragma: no cover - unused
+                return True
+
+        with pytest.raises(TypeError, match="result"):
+            NoResult()
 
 
 class TestCustomBackendProtocol:

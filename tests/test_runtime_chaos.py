@@ -27,7 +27,6 @@ from repro.runtime import (
     ProcessPoolBackend,
     RunContext,
     SerialBackend,
-    SpoolBackend,
     StudyCell,
     StudyPlan,
     make_backend,
@@ -79,13 +78,18 @@ class TestSpecParsing:
         assert isinstance(backend.inner, SerialBackend)
         assert backend.name == "chaos:serial"
 
-    def test_nested_spec_reaches_the_inner_backend(self, tmp_path):
-        backend = make_backend("chaos:process:3")
+    def test_nested_spec_reaches_the_inner_backend(self):
+        # Everything after the first colon is the inner spec, its own
+        # argument included.
+        backend = make_backend("chaos:process:2")
         assert isinstance(backend.inner, ProcessPoolBackend)
-        assert backend.inner.workers == 3
-        spooled = make_backend(f"chaos:spool:{tmp_path / 'q'}")
-        assert isinstance(spooled.inner, SpoolBackend)
-        assert spooled.name == "chaos:spool"
+        assert backend.inner.workers == 2
+        assert backend.name == "chaos:process"
+
+    @pytest.mark.parametrize("inner", ["bogus", "teleport:/tmp/q"])
+    def test_an_unknown_inner_spec_is_rejected(self, inner):
+        with pytest.raises(ValidationError, match="chaos, process, serial"):
+            make_backend(f"chaos:{inner}")
 
     def test_seed_and_rate_resolve_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_SEED", "99")

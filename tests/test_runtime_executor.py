@@ -495,7 +495,7 @@ class TestSolveTable:
     def test_a_unit_with_no_ambient_table_uses_the_env_cap(
         self, monkeypatch, cap, caps
     ):
-        # Spawned and detached workers carry no run context: run_task
+        # Spawn-started pool workers carry no run context: run_task
         # installs the process-wide table for REPRO_SOLVE_TABLE.
         monkeypatch.setenv("REPRO_SOLVE_TABLE", cap)
         plan = srs_plan()
@@ -505,14 +505,41 @@ class TestSolveTable:
         assert all(stats["rows_solved"] > 0 for stats in tables)
 
     def test_a_unit_serves_through_the_ambient_table(self, monkeypatch):
+        # A unit counts its serves in its own tally over the run's
+        # table and returns the counts; the executor adds them to the
+        # run's tally, so a forked worker's serves reach the journal.
         monkeypatch.setenv("REPRO_SOLVE_TABLE", "1024")
         plan = srs_plan()
         tally = TableTally(shared_table(2048))
         with use_solve_table(tally):
-            run_task(CellShard(plan.cells[0]), plan.settings)
+            _, _, counts = run_task(CellShard(plan.cells[0]), plan.settings)
         (table,) = peek_tables()
         assert table["cap"] == 2048
-        assert tally.stats()["rows_solved"] == table["rows_solved"] > 0
+        assert counts["rows_solved"] == table["rows_solved"] > 0
+        assert tally.counts()["rows_solved"] == 0
+
+    def test_a_pool_run_journals_its_workers_serves(self, tmp_path):
+        # At one chunking the same serves happen wherever the units
+        # run; only which table held a row first (builds, rows solved)
+        # depends on the process that answered.
+        plan = srs_plan()
+        events = {}
+        for workers, backend in ((2, "process"), (1, "serial")):
+            reset_shared_tables()
+            journal = tmp_path / f"{backend}.jsonl"
+            execute(
+                plan,
+                context=RunContext(
+                    workers=workers, backend=backend, chunk_size=1, trace=journal
+                ),
+            )
+            events[backend] = table_event(journal)
+        pool, serial = events["process"], events["serial"]
+        assert pool["hits"] + pool["misses"] == serial["hits"] + serial["misses"] > 0
+        assert pool["ineligible"] == serial["ineligible"]
+        assert pool["rows_served"] == serial["rows_served"] > 0
+        assert pool["builds"] > 0 and pool["rows_solved"] > 0
+        assert "entries" not in pool
 
 
 class TestConfiguration:

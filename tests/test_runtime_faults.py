@@ -26,7 +26,6 @@ from repro.runtime import (
     ProcessPoolBackend,
     RunContext,
     SerialBackend,
-    SpoolBackend,
     StudyCell,
     StudyPlan,
     read_journal,
@@ -37,6 +36,7 @@ from repro.runtime.faults import (
     RETRY_BACKOFF_BASE,
     RETRY_BACKOFF_CAP,
     RETRY_JITTER,
+    failure_from,
     retry_delay,
 )
 from repro.runtime.settings import resolve_max_retries, resolve_on_error
@@ -172,9 +172,16 @@ class TestRetryDelay:
             RunContext(backend="serial", max_retries=2, trace=journal)
         ).run(plan)
         token = unit_token(CellShard(flaky), plan.settings)
-        retries = [r for r in read_journal(journal) if r["event"] == "retry"]
+        records = read_journal(journal)
+        retries = [r for r in records if r["event"] == "retry"]
         assert [r["attempt"] for r in retries] == [2, 3]
         assert all(r["max_attempts"] == 3 for r in retries)
+        # Each retry names the error of the failed attempt before it.
+        failed = [r["error"] for r in records if r["event"] == "unit_failed"]
+        assert [r["error"] for r in retries] == failed == [
+            "ValidationError: transient failure #1",
+            "ValidationError: transient failure #2",
+        ]
         assert [r["delay"] for r in retries] == [
             round(retry_delay(k, token), 6) for k in (1, 2)
         ]
@@ -209,17 +216,9 @@ class TestEnvResolution:
             resolve_on_error("explode")
 
 
-def _backend_for(name: str, tmp_path):
-    if name == "serial":
-        return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(2)
-    return SpoolBackend(tmp_path / "q")
-
-
 class TestRetries:
-    @pytest.mark.parametrize("backend_name", ["serial", "process", "spool"])
-    def test_transient_failure_retries_to_success(self, tmp_path, backend_name):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_transient_failure_retries_to_success(self, tmp_path, backend):
         marker = tmp_path / "attempts"
         flaky = FlakyCell(
             key=("flaky",),
@@ -230,7 +229,7 @@ class TestRetries:
         )
         plan = plan_of([flaky, study_cell()])
         outcome = ParallelExecutor(
-            RunContext(backend=_backend_for(backend_name, tmp_path), max_retries=3)
+            RunContext(backend=backend, workers=2, max_retries=3)
         ).run(plan)
         assert outcome.results[("flaky",)] == ("ok", ("flaky",), 3)
         assert outcome.retries == 2
@@ -278,7 +277,7 @@ class TestRetries:
             RunContext(backend=SerialBackend(), progress=seen.append, max_retries=2)
         ).run(plan_of([flaky]))
         retries = [event for event in seen if event.event == "retry"]
-        assert [(e.payload.label, e.fields["attempt"]) for e in retries] == [
+        assert [(e.fields["label"], e.fields["attempt"]) for e in retries] == [
             ("flaky", 2),
             ("flaky", 3),
         ]
@@ -320,6 +319,49 @@ class TestOnErrorRaise:
         failure = info.value.failures[0]
         assert failure.traceback is not None
         assert "persistent failure" in failure.traceback
+
+
+class TestFailureRecord:
+    """``failure_from``: the one-line error and the best traceback."""
+
+    @staticmethod
+    def record(exc: BaseException):
+        shard = CellShard(BrokenCell(key=("broken",), label="broken", method="-"))
+        return failure_from(shard, "tok", 2, exc, "process")
+
+    def test_a_pool_workers_traceback_is_preferred(self):
+        from concurrent.futures.process import _RemoteTraceback
+
+        try:
+            try:
+                raise _RemoteTraceback('\n"""\nworker side: persistent failure\n"""')
+            except _RemoteTraceback as remote:
+                raise ValidationError("persistent failure") from remote
+        except ValidationError as exc:
+            failure = self.record(exc)
+        assert failure.traceback == '\n"""\nworker side: persistent failure\n"""'
+        assert (failure.label, failure.token, failure.attempts, failure.backend) == (
+            "broken", "tok", 2, "process",
+        )
+        assert failure.error == "ValidationError: persistent failure"
+
+    def test_a_local_error_keeps_its_own_traceback(self):
+        try:
+            try:
+                raise KeyError("inner")
+            except KeyError as cause:
+                raise ValidationError("persistent failure") from cause
+        except ValidationError as exc:
+            failure = self.record(exc)
+        assert failure.traceback.startswith("Traceback (most recent call last)")
+        assert "ValidationError: persistent failure" in failure.traceback
+
+    def test_an_error_that_was_never_raised_has_no_traceback(self):
+        failure = self.record(ValidationError("built, not raised"))
+        assert failure.traceback is None
+        assert failure.summary() == (
+            "broken: ValidationError: built, not raised (after 2 attempts)"
+        )
 
 
 class TestOnErrorContinue:
@@ -367,7 +409,7 @@ class TestOnErrorContinue:
         bad, good = scheduler.scan()
         failure = failure_from(bad, "token", 1, ValidationError("shard died"), "serial")
         scheduler.quarantine(bad, failure)
-        value, seconds = run_task(good, plan.settings)
+        value, seconds, _ = run_task(good, plan.settings)
         scheduler.finish(good, value, seconds)
         assert scheduler.cells() == ()
         assert [f.label for f in scheduler.failed()] == [failure.label]
@@ -383,7 +425,7 @@ class TestOnErrorContinue:
                 max_retries=0,
             )
         ).run(plan_of([broken, study_cell()]))
-        quarantined = [e.payload.label for e in seen if e.event == "quarantine"]
+        quarantined = [e.fields["label"] for e in seen if e.event == "quarantine"]
         assert quarantined == ["broken"]
 
     def test_progress_reporter_prints_retry_and_quarantine_lines(

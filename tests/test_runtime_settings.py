@@ -44,7 +44,6 @@ class TestKnobRegistry:
             "REPRO_SOLVE_BATCH_MAX",
             "REPRO_SOLVE_BATCH_WINDOW",
             "REPRO_SOLVE_TABLE",
-            "REPRO_SPOOL_DIR",
             "REPRO_TRACE_FILE",
             "REPRO_WORKERS",
         ]

@@ -290,7 +290,7 @@ class TestChunkedEqualsSerial:
         # A kind that registers only a runner runs whole even under an
         # executor-wide chunk size, and its one payload is the result.
         # (PlainCell is module-level so the plan survives a
-        # process/spool/chaos backend forced through REPRO_BACKEND.)
+        # process/chaos backend forced through REPRO_BACKEND.)
         settings = ExperimentSettings(repetitions=5)
         cell = PlainCell(key=("s",), label="s", method="-")
         assert kind_for(cell).repetitions is None

@@ -2,20 +2,17 @@
 
 The contract under test is two-sided.  *Completeness*: a traced run's
 journal narrates every executed unit queued → submitted → finished
-(worker-side spans included when the work crossed a spool), and the
-in-memory aggregate can be reproduced from the journal alone.
+(retries and injected faults included), and the in-memory aggregate
+can be reproduced from the journal alone.
 *Non-interference*: tracing on or off changes no result bytes, cache
 entries, or tokens — telemetry is strictly observational.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 import pickle
-import subprocess
-import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,17 +26,17 @@ from repro.cli import main
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
-    CellShard,
     CellSpec,
     ChaosBackend,
     EVENT_TYPES,
     JsonlTraceSink,
     MetricsAggregate,
     ParallelExecutor,
+    ProcessPoolBackend,
+    ProgressReporter,
     ResultStore,
     RunContext,
     RunTelemetry,
-    SpoolBackend,
     StudyCell,
     StudyPlan,
     TelemetryEvent,
@@ -47,11 +44,17 @@ from repro.runtime import (
     register_cell_runner,
     render_summary,
     replay_metrics,
-    run_worker,
     summarize_journal,
 )
-from repro.runtime.backends.spool import _claim
 from repro.runtime.settings import resolve_trace_file
+from repro.runtime.telemetry import TRACE_SCHEMA_VERSION
+
+#: Every backend spec that executes units: the two transports and the
+#: fault-injecting wrapper around each.
+BACKENDS = ("serial", "process", "chaos:serial", "chaos:process")
+
+#: Event types of the deleted detached-worker backend (schema <= 5).
+REMOVED_EVENT_TYPES = ("worker_span", "lease_reclaim", "dead_letter")
 
 
 def study_cell(method: str = "Wilson") -> StudyCell:
@@ -78,6 +81,32 @@ def assert_studies_equal(a, b) -> None:
     assert np.array_equal(a.triples, b.triples)
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.converged, b.converged)
+
+
+@dataclass(frozen=True)
+class FailOnceCell(CellSpec):
+    """Fails its first attempt (a marker file records it), then succeeds."""
+
+    marker: str = ""
+
+
+@register_cell_runner(FailOnceCell)
+def _run_fail_once(cell, settings, rep_range):
+    marker = Path(cell.marker)
+    if not marker.exists():
+        marker.touch()
+        raise ValidationError("first attempt fails")
+    return ("ok", cell.key)
+
+
+@dataclass(frozen=True)
+class AlwaysFailsCell(CellSpec):
+    """Fails every attempt."""
+
+
+@register_cell_runner(AlwaysFailsCell)
+def _run_always_fails(cell, settings, rep_range):
+    raise ValidationError("every attempt fails")
 
 
 def journal_events(path, event=None) -> list[dict]:
@@ -170,12 +199,33 @@ class TestJournal:
     def test_a_progress_observer_sees_exactly_the_journal(self, tmp_path):
         # The observer API is the journal schema: a progress subscriber
         # receives every event of the run, under the name and with the
-        # fields the journal records.
+        # fields the journal records — a retried and a quarantined unit
+        # included — so the progress reporter prints the same lines from
+        # the journal as it does live.
         journal = tmp_path / "j.jsonl"
         seen: list[TelemetryEvent] = []
+        plan = StudyPlan(
+            settings=ExperimentSettings(repetitions=3, seed=0),
+            cells=(
+                study_cell("Wilson"),
+                FailOnceCell(
+                    key=("once",), label="once", method="-",
+                    marker=str(tmp_path / "failed-once"),
+                ),
+                AlwaysFailsCell(key=("never",), label="never", method="-"),
+            ),
+            name="telemetry",
+        )
         ParallelExecutor(
-            RunContext(progress=seen.append, trace=journal, workers=1, backend="serial")
-        ).run(small_plan())
+            RunContext(
+                progress=seen.append,
+                trace=journal,
+                workers=1,
+                backend="serial",
+                max_retries=1,
+                on_error="continue",
+            )
+        ).run(plan)
         records = [
             (
                 record["event"],
@@ -188,9 +238,26 @@ class TestJournal:
             for record in read_journal(journal)
         ]
         assert [(event.event, event.fields) for event in seen] == records
-        assert {"run_start", "cell_finished", "run_finish"} <= {
+        assert {"run_start", "cell_finished", "retry", "quarantine", "run_finish"} <= {
             event for event, _ in records
         }
+        live, replayed = io.StringIO(), io.StringIO()
+        live_reporter = ProgressReporter(stream=live)
+        for event in seen:
+            live_reporter(event)
+        replay_reporter = ProgressReporter(stream=replayed)
+        for event, fields in records:
+            replay_reporter(
+                TelemetryEvent(event=event, run_id="-", t=0.0, wall=0.0, fields=fields)
+            )
+        text = live.getvalue()
+        assert replayed.getvalue() == text
+        assert "[retry 2/2] once: ValidationError: first attempt fails (backoff" in text
+        assert "[retry 2/2] never: ValidationError: every attempt fails (backoff" in text
+        assert (
+            "[quarantined] never: ValidationError: every attempt fails "
+            "(after 2 attempts)\n"
+        ) in text
 
     def test_cached_rerun_journals_cache_hits_not_units(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -250,7 +317,7 @@ class TestMetrics:
         assert outcome.metrics.status == "ok"
         snapshot = outcome.metrics.as_dict()
         json.dumps(snapshot)  # JSON-ready, no numpy leakage
-        assert snapshot["schema_version"] == 5
+        assert snapshot["schema_version"] == 6
 
     def test_replay_reproduces_the_live_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -286,15 +353,15 @@ class TestMetrics:
 
     def test_solve_table_events_of_several_runs_sum(self):
         # Each run's event carries only that run's serves, so an
-        # aggregate over runs adds them.  The sidecar_loads of a
-        # schema-3 event is not carried over.
+        # aggregate over runs adds them.  The entries and sidecar_loads
+        # of older events are not carried over.
         metrics = MetricsAggregate()
         bus = RunTelemetry()
         bus.subscribe(metrics)
         counts = dict(
             hits=2, misses=1, ineligible=3, builds=1, rows_solved=4, rows_served=9
         )
-        bus.emit("solve_table", cap=64, entries=2, build_seconds=0.25, **counts)
+        bus.emit("solve_table", cap=64, build_seconds=0.25, **counts)
         bus.emit(
             "solve_table", cap=64, entries=3, build_seconds=0.5, sidecar_loads=5,
             **counts,
@@ -383,129 +450,23 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Worker-side spans, dead letters, chaos — the distributed story
+# Chaos around a process pool: the failure path, journalled
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnclaimableCell(CellSpec):
-    """Submitted but never executed: tests bury it via stale-lease
-    reclaim before any worker answers."""
-
-
-@register_cell_runner(UnclaimableCell)
-def _run_unclaimable(cell, settings, rep_range):  # pragma: no cover - never reached
-    raise AssertionError("should be buried before execution")
-
-
-class TestWorkerSpans:
-    def test_in_process_worker_stamps_spans_into_the_journal(self, tmp_path):
+class TestChaosJournal:
+    def test_chaos_over_a_process_pool_journals_every_fault(self, tmp_path, capsys):
+        # Chaos wrapped around a process pool, traced end to end: every
+        # executed unit shows a complete queued → finished span, every
+        # injected fault that raises is a retry carrying its error, the
+        # journal checks clean, and the summary reproduces the live
+        # aggregate from disk alone.
         journal = tmp_path / "j.jsonl"
-        spool_dir = tmp_path / "q"
-        worker = threading.Thread(
-            target=run_worker,
-            kwargs=dict(root=spool_dir, poll_interval=0.01, idle_timeout=1.0),
-        )
-        worker.start()
-        try:
-            backend = SpoolBackend(spool_dir, participate=False)
-            outcome = ParallelExecutor(RunContext(backend=backend, trace=journal)).run(
-                small_plan()
-            )
-        finally:
-            worker.join(timeout=30)
-        assert outcome.backend == "spool"
-        spans = journal_events(journal, "worker_span")
-        # One span per queued unit: an ambient chunk size may split a
-        # cell into several windows.
-        assert len(spans) == len(journal_events(journal, "unit_queued"))
-        for span in spans:
-            assert span["pid"] == os.getpid()  # in-process thread worker
-            assert span["host"]
-            assert span["execute_seconds"] >= 0.0
-            assert span["claim_latency"] >= 0.0
-            assert span["deliveries"] == 0
-        assert len(outcome.metrics.worker_spans) == len(spans)
-
-    def test_dead_letter_is_journaled_with_reclaims(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
-        root = tmp_path / "q"
-        sink = JsonlTraceSink(journal)
-        bus = RunTelemetry()
-        bus.subscribe(sink)
-        backend = SpoolBackend(
-            root, participate=False, reclaim_seconds=0.0, redeliver_cap=1
-        )
-        settings = ExperimentSettings(repetitions=1, seed=0)
-        backend.open(workers=1, tasks=1, settings=settings, telemetry=bus)
-        future = backend.submit(
-            CellShard(UnclaimableCell(key=("lost",), label="lost", method="-")),
-            settings,
-        )
-        task_id = future.task_id
-        for _ in range(2):  # one reclaim under cap, then burial
-            claimed = _claim(root, root / "tasks" / f"{task_id}.task")
-            assert claimed is not None
-            stale = time.time() - 60.0
-            os.utime(claimed, (stale, stale))
-            backend._reclaim_stale({future})
-        assert future.done()  # reads the burial result, emits dead_letter
-        backend.close()
-        assert backend.telemetry is None
-        bus.close()
-        reclaims = journal_events(journal, "lease_reclaim")
-        assert len(reclaims) == 2
-        assert all(r["task_id"] == task_id for r in reclaims)
-        dead = journal_events(journal, "dead_letter")
-        assert len(dead) == 1
-        assert dead[0]["task_id"] == task_id
-        assert dead[0]["label"] == "lost"
-        assert "redelivery cap" in dead[0]["reason"]
-        replayed = replay_metrics(read_journal(journal))
-        assert replayed.dead_letters == 1
-        assert replayed.lease_reclaims == 2
-
-    def test_chaos_over_spool_with_detached_worker(self, tmp_path):
-        # The acceptance scenario: chaos wrapped around a spool served
-        # by a *real* detached `python -m repro worker` interpreter,
-        # traced end to end.  Every executed unit must show a complete
-        # queued → finished span, worker-side spans must carry the
-        # foreign worker's pid, and the injected faults must surface as
-        # chaos_inject + retry events.
-        journal = tmp_path / "j.jsonl"
-        spool_dir = tmp_path / "q"
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
-        worker = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "worker",
-                str(spool_dir),
-                "--poll",
-                "0.02",
-                "--idle-timeout",
-                "10",
-                "--quiet",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            plan = small_plan()
-            backend = ChaosBackend(
-                SpoolBackend(spool_dir, participate=False), seed=1, rate=1.0
-            )
-            outcome = ParallelExecutor(
-                RunContext(backend=backend, max_retries=2, trace=journal)
-            ).run(plan)
-        finally:
-            out, err = worker.communicate(timeout=60)
-        assert worker.returncode == 0, err
+        plan = small_plan()
+        backend = ChaosBackend(ProcessPoolBackend(2), seed=1, rate=1.0)
+        outcome = ParallelExecutor(
+            RunContext(backend=backend, max_retries=2, trace=journal)
+        ).run(plan)
         reference = ParallelExecutor(RunContext(workers=1)).run(plan)
         for key in reference.results:
             assert_studies_equal(reference.results[key], outcome.results[key])
@@ -514,27 +475,120 @@ class TestWorkerSpans:
         injected = [r for r in records if r["event"] == "chaos_inject"]
         queued = [r for r in records if r["event"] == "unit_queued"]
         assert len(injected) == len(queued)  # rate=1.0: every unit faulted
-        spans = [r for r in records if r["event"] == "worker_span"]
-        assert spans, "no worker-side spans reached the journal"
-        assert all(span["pid"] != os.getpid() for span in spans)
-        # Faults that raise get retried; the journal shows the loop.
         raising = {"before", "after", "drop"}
-        expected_retries = sum(
-            1 for r in injected if r["kind"] in raising
-        )
+        expected_retries = sum(1 for r in injected if r["kind"] in raising)
         retries = [r for r in records if r["event"] == "retry"]
-        assert len(retries) == expected_retries
-        assert outcome.retries == expected_retries
-        # Completeness despite the chaos: every finished unit has its
-        # queued and submitted events, and attempts line up.
+        assert len(retries) == expected_retries == outcome.retries
+        failed = [r["error"] for r in records if r["event"] == "unit_failed"]
+        assert [r["error"] for r in retries] == failed
+        assert all(error.startswith("ChaosFault: injected") for error in failed)
         finished = [r for r in records if r["event"] == "unit_finished"]
-        assert {r["token"] for r in finished} == {
-            r["token"] for r in records if r["event"] == "unit_queued"
-        }
-        # The summarizer reproduces the live aggregate from disk alone.
+        assert {r["token"] for r in finished} == {r["token"] for r in queued}
         summary = summarize_journal(journal, run_id=outcome.metrics.run_id)
-        assert summary["aggregate"]["faults"] == outcome.metrics.as_dict()["faults"]
-        assert summary["aggregate"]["cache"] == outcome.metrics.as_dict()["cache"]
+        live = outcome.metrics.as_dict()
+        for section in ("faults", "cache", "solve_table"):
+            assert summary["aggregate"][section] == live[section], section
+        assert main(["trace", "check", str(journal)]) == 0
+        assert "schema-valid" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# Every backend journals a complete, schema-valid record
+# ----------------------------------------------------------------------
+
+
+def traced_run(tmp_path, backend, plan=None, **context):
+    """Run *plan* (default :func:`small_plan`) traced on *backend*."""
+    journal = tmp_path / "j.jsonl"
+    context.setdefault("max_retries", 1)
+    outcome = ParallelExecutor(
+        RunContext(
+            backend=backend, workers=2, chunk_size=2, trace=journal, **context
+        )
+    ).run(plan or small_plan())
+    return outcome, journal
+
+
+class TestJournalAcrossBackends:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_trace_check_passes(self, tmp_path, backend, capsys):
+        outcome, journal = traced_run(tmp_path, backend)
+        assert outcome.backend == backend
+        assert main(["trace", "check", str(journal)]) == 0
+        assert "1 run(s)" in capsys.readouterr().out
+        (start,) = journal_events(journal, "run_start")
+        assert start["schema"] == TRACE_SCHEMA_VERSION == 6
+        submitted = journal_events(journal, "unit_submitted")
+        assert submitted
+        assert {record["backend"] for record in submitted} == {backend}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_replay_reproduces_the_live_aggregate(self, tmp_path, backend):
+        outcome, journal = traced_run(tmp_path, backend)
+        live = outcome.metrics.as_dict()
+        again = replay_metrics(read_journal(journal)).as_dict()
+        for section in (
+            "events", "cache", "faults", "by_kind", "by_backend", "timing",
+            "solve_table",
+        ):
+            assert again[section] == live[section], section
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_every_retry_carries_the_error_of_its_failed_attempt(
+        self, tmp_path, backend
+    ):
+        plan = StudyPlan(
+            settings=ExperimentSettings(repetitions=3, seed=0),
+            cells=(
+                FailOnceCell(
+                    key=("once",), label="once", method="-",
+                    marker=str(tmp_path / "failed-once"),
+                ),
+                study_cell("Wilson"),
+            ),
+            name="telemetry",
+        )
+        outcome, journal = traced_run(tmp_path, backend, plan=plan)
+        assert outcome.retries == 1
+        records = read_journal(journal)
+        (failed,) = [r for r in records if r["event"] == "unit_failed"]
+        (retry,) = [r for r in records if r["event"] == "retry"]
+        assert records.index(failed) < records.index(retry)
+        assert retry["error"] == failed["error"] == (
+            "ValidationError: first attempt fails"
+        )
+        assert (retry["label"], retry["attempt"], retry["max_attempts"]) == (
+            "once", 2, 2,
+        )
+
+
+class TestSchema:
+    def test_worker_event_types_are_gone(self):
+        assert EVENT_TYPES.isdisjoint(REMOVED_EVENT_TYPES)
+        aggregate = MetricsAggregate().as_dict()
+        assert "worker_spans" not in aggregate
+        assert set(aggregate["faults"]) == {
+            "failed_attempts", "retries", "quarantined", "chaos_injections",
+        }
+
+    @pytest.mark.parametrize("event", REMOVED_EVENT_TYPES)
+    def test_a_journal_with_a_worker_event_fails_the_check(
+        self, tmp_path, event, capsys
+    ):
+        # A schema-5 detached-worker journal no longer validates.
+        _, journal = traced_run(tmp_path, "serial")
+        with journal.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"event": event, "run_id": "x", "t": 0.0}) + "\n")
+        with pytest.raises(ValidationError, match=event):
+            read_journal(journal)
+        assert main(["trace", "check", str(journal)]) == 1
+        assert event in capsys.readouterr().err
+
+    def test_the_solve_table_event_has_no_entries_count(self, tmp_path):
+        _, journal = traced_run(tmp_path, "serial")
+        (table,) = journal_events(journal, "solve_table")
+        assert "entries" not in table
+        assert table["hits"] + table["misses"] > 0
 
 
 # ----------------------------------------------------------------------
