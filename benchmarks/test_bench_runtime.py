@@ -19,6 +19,11 @@ metrics — the telemetry aggregate of each benchmarked run plus its
 wall-clock — additionally land in ``benchmarks/BENCH_runtime.json``, a
 schema-versioned trajectory file kept *outside* ``benchmarks/results``
 so the results drift gate never diffs hardware-dependent numbers.
+
+Every timed run starts with empty process-wide solve tables: a pool
+forked after a serial run would otherwise inherit the tables that run
+filled, and the speedup would compare a cold serial run with a warm
+parallel one.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.table3 import table3_plan
+from repro.intervals.table import reset_shared_tables
 from repro.runtime import (
     DynamicAuditCell,
     ParallelExecutor,
@@ -106,11 +112,13 @@ def test_bench_runtime_parallel_cache(tmp_path, bench_settings, monkeypatch):
     )
     plan = table3_plan(settings)  # 2 datasets x 2 strategies x 3 methods
 
+    reset_shared_tables()
     start = time.perf_counter()
     serial = ParallelExecutor(RunContext(workers=1)).run(plan)
     serial_wall = time.perf_counter() - start
 
     store = ResultStore(tmp_path / "cache")
+    reset_shared_tables()
     start = time.perf_counter()
     parallel = ParallelExecutor(RunContext(workers=4, store=store)).run(plan)
     parallel_wall = time.perf_counter() - start
@@ -122,6 +130,7 @@ def test_bench_runtime_parallel_cache(tmp_path, bench_settings, monkeypatch):
     assert identical
     assert parallel.cache_misses == len(plan)
 
+    reset_shared_tables()
     start = time.perf_counter()
     cached = ParallelExecutor(RunContext(workers=4, store=store)).run(plan)
     cached_wall = time.perf_counter() - start
@@ -198,10 +207,12 @@ def test_bench_runtime_repetition_sharding(monkeypatch):
     )
     plan = StudyPlan(settings=settings, cells=(cell,), name="sharding")
 
+    reset_shared_tables()
     start = time.perf_counter()
     serial = ParallelExecutor(RunContext(workers=1)).run(plan)
     serial_wall = time.perf_counter() - start
 
+    reset_shared_tables()
     start = time.perf_counter()
     sharded = ParallelExecutor(RunContext(workers=4, chunk_size=chunk_size)).run(plan)
     sharded_wall = time.perf_counter() - start
@@ -286,12 +297,14 @@ def test_bench_runtime_audit_sharding(monkeypatch):
     )
     plan = StudyPlan(settings=settings, cells=(cell,), name="audit-sharding")
 
+    reset_shared_tables()
     start = time.perf_counter()
     serial = ParallelExecutor(RunContext(workers=1)).run(plan)
     serial_wall = time.perf_counter() - start
 
     chunk_size = 2
     mode = f"chunk_size={chunk_size} (fixed)"
+    reset_shared_tables()
     start = time.perf_counter()
     sharded = ParallelExecutor(RunContext(workers=4, chunk_size=chunk_size)).run(plan)
     sharded_wall = time.perf_counter() - start

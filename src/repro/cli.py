@@ -25,10 +25,9 @@ layer: ``--workers`` fans work out over processes with bit-identical
 results, ``--cache-dir`` persists completed cells so re-runs are
 served from disk and interrupted runs resume, ``--chunk-size`` shards
 within cells (at most that many repetitions per shard), and
-``--backend`` picks where units of work execute (``serial``,
-``process[:n]``, or ``chaos[:inner]`` for fault injection).  A
-partition-audit shards over the KG's predicates; a study cell shards
-over its repetitions.
+``--backend`` picks where units of work execute (``serial`` or
+``process[:n]``).  A partition-audit shards over the KG's predicates;
+a study cell shards over its repetitions.
 ``--max-retries`` / ``--on-error`` control the fault model: how often a
 failed unit is resubmitted, and whether an exhausted unit aborts the
 run or is quarantined while the rest completes.
@@ -380,9 +379,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="execution backend: serial, process[:n] (a local process "
-        "pool), or chaos[:inner] for fault injection "
-        "(default: $REPRO_BACKEND or automatic)",
+        help="execution backend: serial, or process[:n] for a local "
+        "process pool of n workers (default: $REPRO_BACKEND or automatic)",
     )
     parser.add_argument(
         "--max-retries",

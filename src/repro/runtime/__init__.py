@@ -32,10 +32,9 @@ explicit nor an installed context): ``REPRO_WORKERS`` sets the worker
 count, ``REPRO_CACHE_DIR`` roots a result store, ``REPRO_CHUNK_SIZE``
 turns on repetition sharding at a fixed granularity (the one
 shard-size setting), and ``REPRO_BACKEND`` picks the execution backend
-(``serial``, ``process[:n]``, or ``chaos[:inner]`` for fault
-injection).  Cache tokens never depend on the backend, so a run
-interrupted on one backend resumes on another at the finished-shard
-boundary.
+(``serial`` or ``process[:n]``).  Cache tokens never depend on the
+backend, so a run interrupted on one backend resumes on another at the
+finished-shard boundary.
 
 Execution is fault-tolerant: ``REPRO_MAX_RETRIES`` (or
 ``max_retries=``) resubmits failed units on a deterministic backoff
@@ -48,8 +47,8 @@ returns the survivors plus the failure records on the
 
 Every run is observable: a :class:`RunTelemetry` event bus narrates
 the full lifecycle (cache scan, unit queued/submitted/finished,
-retries, quarantines, chaos injections, solve-table usage) into an
-always-on in-memory :class:`MetricsAggregate` (``outcome.metrics``)
+retries, quarantines, solve-table usage) into an always-on in-memory
+:class:`MetricsAggregate` (``outcome.metrics``)
 and — when ``REPRO_TRACE_FILE`` or ``trace=``/``--trace`` names a
 file — a JSONL journal summarised by ``python -m repro trace
 summarize``.  Progress is one more subscriber: ``RunContext(progress=
@@ -70,8 +69,6 @@ standalone solves byte for byte.
 
 from .backends import (
     BackendFuture,
-    ChaosBackend,
-    ChaosFault,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -155,8 +152,6 @@ __all__ = [
     "TaskFailure",
     "unit_token",
     "BackendFuture",
-    "ChaosBackend",
-    "ChaosFault",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -3,21 +3,20 @@
 ``repro.runtime`` separates *scheduling* (what runs next, how window
 payloads merge, what the cache can serve — :mod:`repro.runtime.
 scheduler`) from *dispatch* (where a unit of work physically executes —
-this package).  Three backends ship:
+this package).  Two backends ship:
 
 * :class:`SerialBackend` — in-process, one task at a time; the
   ``workers=1`` path.
 * :class:`ProcessPoolBackend` — a local ``ProcessPoolExecutor``; the
   classic ``--workers N`` fan-out.
-* :class:`ChaosBackend` — a fault-injection wrapper around either of
-  the above (``chaos:<inner-spec>``), driving the retry/quarantine
-  machinery with a deterministic, seeded fault schedule.
 
 Selection flows through ``--backend`` / ``REPRO_BACKEND`` (specs:
-``serial``, ``process[:n]``, ``chaos[:inner]``); unset means automatic
-(serial at ``workers=1``, process pool otherwise).  Whatever the
-backend, results are bit-identical and cache tokens are unchanged, so a
-run interrupted on one backend resumes on another.
+``serial``, ``process[:n]``); unset means automatic (serial at
+``workers=1``, process pool otherwise).  :func:`register_backend` adds
+a spec, which is how the test suite runs every plan under its seeded
+fault injector.  Whatever the backend, results are bit-identical and
+cache tokens are unchanged, so a run interrupted on one backend resumes
+on another.
 """
 
 from .base import (
@@ -28,14 +27,11 @@ from .base import (
     resolve_backend_spec,
     run_task,
 )
-from .chaos import ChaosBackend, ChaosFault
 from .pool import ProcessPoolBackend
 from .serial import SerialBackend
 
 __all__ = [
     "BackendFuture",
-    "ChaosBackend",
-    "ChaosFault",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",

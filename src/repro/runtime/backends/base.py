@@ -20,9 +20,9 @@ tokens never depend on the backend choice: a run started on one backend
 resumes on any other at the finished-shard boundary.
 
 Backends register under a spec-string name (``"serial"``,
-``"process"``/``"process:<n>"``, ``"chaos:<inner>"``) resolved by
-:func:`make_backend`; ``REPRO_BACKEND`` supplies the process-wide
-default (see :func:`resolve_backend_spec`).
+``"process"``/``"process:<n>"``) resolved by :func:`make_backend`;
+``REPRO_BACKEND`` supplies the process-wide default (see
+:func:`resolve_backend_spec`).
 """
 
 from __future__ import annotations
@@ -116,37 +116,11 @@ class ExecutionBackend(abc.ABC):
     #: Spec-string name, recorded on the run's :class:`PlanOutcome`.
     name: str = "?"
 
-    #: The current run's :class:`~repro.runtime.telemetry.RunTelemetry`
-    #: bus — *context-scoped*: it arrives as the ``telemetry`` keyword
-    #: of :meth:`open` (one run's bus, never process state) and is
-    #: cleared by :meth:`close`, so ``None`` between runs.  Backends
-    #: with their own observability (chaos injections) emit through it
-    #: when present — strictly optional, and strictly non-semantic: a
-    #: backend must behave identically with telemetry attached or not.
-    telemetry = None
-
-    def open(
-        self,
-        workers: int,
-        tasks: int,
-        settings: "ExperimentSettings",
-        telemetry=None,
-    ) -> None:
-        """Prepare for one run of up to *tasks* units (lifecycle hook).
-
-        *telemetry* is the run's event bus (or ``None``); the base hook
-        binds it for the duration of the run.  Overrides should call
-        ``super().open(workers, tasks, settings, telemetry)`` first.
-        """
-        self.telemetry = telemetry
+    def open(self, workers: int, tasks: int, settings: "ExperimentSettings") -> None:
+        """Prepare for one run of up to *tasks* units (lifecycle hook)."""
 
     def close(self) -> None:
-        """Release run-scoped resources (lifecycle hook).
-
-        The base hook detaches the run's telemetry bus; overrides
-        should end with ``super().close()``.
-        """
-        self.telemetry = None
+        """Release run-scoped resources (lifecycle hook)."""
 
     @abc.abstractmethod
     def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
@@ -174,7 +148,9 @@ def register_backend(name: str):
 
     The factory receives the spec's argument part (the text after the
     first ``:``, empty when absent), so ``"process:4"`` reaches the
-    process factory as ``"4"``.
+    process factory as ``"4"``.  A factory raises
+    :class:`~repro.exceptions.ValidationError` for an argument it
+    cannot take, and starts nothing: resources wait for ``open``.
     """
 
     def decorate(factory: Callable[[str], ExecutionBackend]):
@@ -207,20 +183,15 @@ def resolve_backend_spec(
     Returns ``None`` for the automatic policy (serial at ``workers=1``,
     process pool otherwise), a validated spec string, or a ready
     instance passed through untouched.  The environment fallback comes
-    from :mod:`repro.runtime.settings`; validation against the registry
-    happens here — at context construction — so a typo in
-    ``REPRO_BACKEND`` fails fast instead of at the first plan
+    from :mod:`repro.runtime.settings`; validation happens here — at
+    context construction — by building the spec's backend through its
+    factory, which checks the argument as well as the name, so a typo
+    in ``REPRO_BACKEND`` fails fast instead of at the first plan
     execution.
     """
     backend = resolve_backend(backend)
-    if backend is None:
-        return None
-    if isinstance(backend, ExecutionBackend):
+    if backend is None or isinstance(backend, ExecutionBackend):
         return backend
     spec = str(backend)
-    head = spec.partition(":")[0].strip().lower()
-    if head not in _BACKENDS:
-        raise ValidationError(
-            f"unknown execution backend {spec!r}; expected one of: {_known()}"
-        )
+    make_backend(spec)
     return spec

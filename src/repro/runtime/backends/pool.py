@@ -10,7 +10,10 @@ Worker-side failures surface through :meth:`_PoolFuture.result` with
 the remote traceback chained on ``__cause__`` (stdlib behaviour), which
 :func:`repro.runtime.faults.failure_from` folds into the
 :class:`~repro.runtime.faults.TaskFailure` record when the executor's
-retry policy gives up on a unit.
+retry policy gives up on a unit.  A worker that dies breaks the whole
+pool, failing every unit in flight with ``BrokenProcessPool``; the
+next submit — the first retry — replaces the pool with a fresh one of
+the same size.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import multiprocessing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import Future as _Future
 from concurrent.futures import wait as _wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any
 
+from ...exceptions import ValidationError
 from ..spec import CellShard
 from .base import BackendFuture, ExecutionBackend, register_backend, run_task
 
@@ -50,7 +55,15 @@ class _PoolFuture(BackendFuture):
 
 @register_backend("process")
 def _make_pool(arg: str) -> "ProcessPoolBackend":
-    return ProcessPoolBackend(int(arg) if arg else None)
+    if not arg.strip():
+        return ProcessPoolBackend()
+    try:
+        workers = int(arg)
+    except ValueError:
+        raise ValidationError(
+            f"process backend pool size must be an integer, got {arg!r}"
+        ) from None
+    return ProcessPoolBackend(workers)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -67,24 +80,39 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, workers: int | None = None):
+        if workers is not None and workers < 1:
+            raise ValidationError(
+                f"process backend pool size must be >= 1, got {workers}"
+            )
         self.workers = workers
         self._pool: ProcessPoolExecutor | None = None
 
-    def open(self, workers: int, tasks: int, settings, telemetry=None) -> None:
-        super().open(workers, tasks, settings, telemetry)
+    def open(self, workers: int, tasks: int, settings) -> None:
         count = self.workers if self.workers is not None else workers
+        self._size = max(1, min(count, tasks))
+        self._start_pool()
+
+    def _start_pool(self) -> None:
         self._pool = ProcessPoolExecutor(
-            max_workers=max(1, min(count, tasks)), mp_context=_pool_context()
+            max_workers=self._size, mp_context=_pool_context()
         )
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        super().close()
 
     def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
-        return _PoolFuture(self._pool.submit(run_task, task, settings))
+        try:
+            future = self._pool.submit(run_task, task, settings)
+        except BrokenProcessPool:
+            # A worker died (OOM-killed, signalled): the pool failed
+            # every unit it held and takes no more.  The retry of one
+            # of them runs on a fresh pool of the same size.
+            self._pool.shutdown()
+            self._start_pool()
+            future = self._pool.submit(run_task, task, settings)
+        return _PoolFuture(future)
 
     def wait_any(self, outstanding):
         raw = {future._future: future for future in outstanding}

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
+from ...exceptions import ValidationError
 from ..spec import CellShard
 from .base import BackendFuture, ExecutionBackend, register_backend, run_task
 
@@ -56,6 +57,8 @@ class _SerialFuture(BackendFuture):
 
 @register_backend("serial")
 def _make_serial(arg: str) -> "SerialBackend":
+    if arg.strip():
+        raise ValidationError(f"the serial backend takes no argument, got {arg!r}")
     return SerialBackend()
 
 
@@ -67,13 +70,11 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._queue: deque[_SerialFuture] = deque()
 
-    def open(self, workers, tasks, settings, telemetry=None) -> None:
-        super().open(workers, tasks, settings, telemetry)
+    def open(self, workers, tasks, settings) -> None:
         self._queue.clear()
 
     def close(self) -> None:
         self._queue.clear()
-        super().close()
 
     def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
         future = _SerialFuture(task, settings)

@@ -45,8 +45,8 @@ retries either aborts the run (``on_error="raise"``, with the full
 :class:`~repro.runtime.faults.PlanExecutionError`) or is quarantined
 while the rest of the plan drains (``on_error="continue"``, failures
 reported on the outcome).  Because cells are seeded at plan-build
-time, a retry recomputes byte-identical numbers — the chaos backend
-(``chaos:<inner>``) exploits that to prove the failure path.
+time, a retry recomputes byte-identical numbers — the test suite's
+seeded fault injector exploits that to prove the failure path.
 
 Configuration is an immutable, per-request
 :class:`~repro.runtime.settings.RunContext`: every setting is resolved
@@ -254,10 +254,7 @@ class ParallelExecutor:
                         "unit_queued", token=tokens[id(shard)], **_unit_fields(shard)
                     )
                 backend.open(
-                    workers=context.workers,
-                    tasks=len(pending),
-                    settings=settings,
-                    telemetry=telemetry,
+                    workers=context.workers, tasks=len(pending), settings=settings
                 )
                 try:
                     # future -> (unit, attempt number); failed futures are

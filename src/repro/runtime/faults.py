@@ -1,8 +1,9 @@
 """Fault model for plan execution: retries, failure records, quarantine.
 
 Long Monte-Carlo campaigns fail for two very different reasons.  A
-*transient* fault — a worker OOM-killed under memory pressure, an
-injected chaos fault — disappears when the unit of work runs again; a
+*transient* fault — a pool worker OOM-killed under memory pressure,
+which fails every unit in flight on that pool until the retry runs on a
+fresh one — disappears when the unit of work runs again; a
 *persistent* fault (a bug in a cell runner, a poison payload) does
 not, no matter how often it is retried.  This module gives the runtime
 the vocabulary to tell them apart:
@@ -28,8 +29,8 @@ cells plus the ``failures`` tuple.
 
 Because every cell is seeded at plan-build time, a retried unit
 recomputes byte-identical numbers; retrying is therefore always safe,
-and the chaos backend (:mod:`repro.runtime.backends.chaos`) leans on
-exactly that property to prove the whole failure path end to end.
+and the test suite's seeded fault injector leans on exactly that
+property to prove the whole failure path end to end.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ def unit_token(shard: CellShard, settings: "ExperimentSettings") -> str:
 
     The whole-cell unit uses its cell's ordinary cache token; a window
     of a split cell extends it with its repetition window.  The token
-    seeds the retry jitter and the chaos backend's fault schedule, so
-    both are reproducible across reruns — it is a *fault identity*,
-    deliberately independent of the backend and of which attempt is
-    executing.
+    seeds the retry jitter, so the retry schedule is reproducible
+    across reruns — it is a *fault identity*, deliberately independent
+    of the backend and of which attempt is executing.
     """
     token = cache_token(shard.cell, settings)
     if shard.rep_range is None:

@@ -39,8 +39,6 @@ __all__ = [
     "env_knob",
     "resolve_backend",
     "resolve_cache_dir",
-    "resolve_chaos_rate",
-    "resolve_chaos_seed",
     "resolve_chunk_size",
     "resolve_max_retries",
     "resolve_on_error",
@@ -103,7 +101,7 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
     ),
     "REPRO_BACKEND": (
         _parse_text("REPRO_BACKEND"),
-        "execution backend spec: serial, process[:n], chaos[:inner] "
+        "execution backend spec: serial or process[:n] "
         "(default: automatic)",
     ),
     "REPRO_MAX_RETRIES": (
@@ -120,15 +118,6 @@ KNOBS: dict[str, tuple[Callable[[str], Any], str]] = {
         _parse_text("REPRO_TRACE_FILE"),
         "JSONL journal file appended with structured lifecycle events "
         "(default: no journal)",
-    ),
-    "REPRO_CHAOS_SEED": (
-        _parse_int("REPRO_CHAOS_SEED"),
-        "fault-schedule seed for the chaos backend (int; default 0)",
-    ),
-    "REPRO_CHAOS_RATE": (
-        _parse_float("REPRO_CHAOS_RATE"),
-        "fraction of units the chaos backend faults "
-        "(float in [0, 1]; default 0.25)",
     ),
     "REPRO_SERVICE": (
         _parse_text("REPRO_SERVICE"),
@@ -359,27 +348,6 @@ def resolve_solve_table(cap: int | None) -> int:
     if cap < 0:
         raise ValidationError(f"solve_table cap must be >= 0, got {cap}")
     return cap
-
-
-def resolve_chaos_seed(seed: int | None) -> int:
-    """Explicit seed, or the ``REPRO_CHAOS_SEED`` default (0)."""
-    if seed is None:
-        seed = env_knob("REPRO_CHAOS_SEED")
-        if seed is None:
-            return 0
-    return int(seed)
-
-
-def resolve_chaos_rate(rate: float | None) -> float:
-    """Explicit rate, or the ``REPRO_CHAOS_RATE`` default (0.25)."""
-    if rate is None:
-        rate = env_knob("REPRO_CHAOS_RATE")
-        if rate is None:
-            return 0.25
-    rate = float(rate)
-    if not 0.0 <= rate <= 1.0:
-        raise ValidationError(f"chaos rate must be in [0, 1], got {rate}")
-    return rate
 
 
 def resolve_progress(progress: Any) -> Callable | None:

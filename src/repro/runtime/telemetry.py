@@ -4,10 +4,10 @@ Every plan execution owns one :class:`RunTelemetry` — an in-process
 event bus the scheduler, executor, and backends emit structured
 lifecycle events into: plan/cache-scan start and finish, units queued /
 submitted / finished / failed, cache hits, shard merges, retries,
-quarantines, chaos injections, and the run's solve-table and
-solve-batch usage.  Each :class:`TelemetryEvent` carries
-the run id, a monotonic timestamp relative to the run start, a wall
-clock, and a flat dict of JSON-ready primitive fields.
+quarantines, and the run's solve-table and solve-batch usage.  Each
+:class:`TelemetryEvent` carries the run id, a monotonic timestamp
+relative to the run start, a wall clock, and a flat dict of JSON-ready
+primitive fields.
 
 Two built-in subscribers cover the common cases:
 
@@ -79,8 +79,10 @@ __all__ = [
 #: backend is gone, and with it the ``worker_span``, ``lease_reclaim``
 #: and ``dead_letter`` event types; ``retry`` carries the ``error`` of
 #: the failed attempt; ``solve_table`` sums the counts every unit of the
-#: run made, pool workers' included, and loses ``entries``.
-TRACE_SCHEMA_VERSION = 6
+#: run made, pool workers' included, and loses ``entries``.  7: the
+#: fault-injecting backend moved into the test suite, and its
+#: injection event type and fault count left the schema with it.
+TRACE_SCHEMA_VERSION = 7
 
 #: Every event type the runtime emits.  The journal-schema check (CI
 #: and ``python -m repro trace check``) rejects anything else, so a
@@ -101,7 +103,6 @@ EVENT_TYPES = frozenset(
         "cell_finished",  # one cell result complete (computed or cached)
         "shard_merged",  # a sharded cell's partials merged
         "shard_progress",  # intermediate shard completion (ticker feed)
-        "chaos_inject",  # the chaos backend faulted a unit
         "solve_batch_flush",  # cross-request interval-solve batch flushed
         "solve_table",  # run's small-n solve-table usage (hits/builds)
         "run_finish",  # run over; status ok/aborted, wall seconds
@@ -266,7 +267,6 @@ class MetricsAggregate:
         self.retries = 0
         self.failures = 0
         self.quarantined = 0
-        self.chaos_injections = 0
         self.solve_flushes = 0
         self.solve_coalesced_flushes = 0
         self.solve_rows = 0
@@ -310,8 +310,6 @@ class MetricsAggregate:
             self.retries += 1
         elif event.event == "quarantine":
             self.quarantined += 1
-        elif event.event == "chaos_inject":
-            self.chaos_injections += 1
         elif event.event == "solve_batch_flush":
             # One event per flush this run rode; `rows_own` is this
             # run's share, `callers` the coalesced-caller count of the
@@ -410,7 +408,6 @@ class MetricsAggregate:
                 "failed_attempts": self.failures,
                 "retries": self.retries,
                 "quarantined": self.quarantined,
-                "chaos_injections": self.chaos_injections,
             },
             "timing": {
                 "execute_seconds": round(self.execute_seconds, 6),
@@ -592,7 +589,6 @@ def render_summary(summary: dict, fmt: str = "text") -> str:
         f"  failed attempts    : {faults['failed_attempts']}",
         f"  retries            : {faults['retries']}",
         f"  quarantined        : {faults['quarantined']}",
-        f"  chaos injections   : {faults['chaos_injections']}",
     ]
     batching = aggregate.get("solve_batching", {})
     if batching.get("flushes"):

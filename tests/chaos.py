@@ -1,59 +1,73 @@
-"""Chaos backend: deterministic fault injection around any real backend.
+"""Seeded fault injection for the test suite: the ``chaos`` backend spec.
 
-``chaos:<inner-spec>`` wraps another backend (``chaos:serial``,
+``chaos:<inner-spec>`` wraps a real backend (``chaos:serial``,
 ``chaos:process:4`` — the inner spec is everything after the first
 colon) and injects faults into a reproducible subset of the units
 flowing through it:
 
-* **raise-before** — the unit fails without ever reaching the inner
-  backend (a submit-side crash);
-* **raise-after** — the unit executes on the inner backend, then its
-  result is replaced by an error (a crash between compute and
-  delivery);
+* **before** — the unit fails without ever reaching the inner backend
+  (a submit-side crash);
+* **after** — the unit executes on the inner backend, then its result
+  is replaced by an error (a crash between compute and delivery);
 * **drop** — the computed result is discarded once, as if the
   transport lost it;
 * **delay** — the unit is held for a deterministic few milliseconds
   before clean submission (no fault, just schedule perturbation).
 
-The schedule is a pure function of ``(seed, unit token)`` —
-``REPRO_CHAOS_SEED`` / ``REPRO_CHAOS_RATE`` — so a chaotic run is
-*exactly* repeatable: same seed, same faults, same retry schedule.
-Each unit is faulted at most once per run (its first submission), so
-any retry policy with at least one retry is guaranteed to converge.
+The schedule is a pure function of ``(seed, unit token)``, so a chaotic
+run is *exactly* repeatable: same seed, same faults, same retry
+schedule.  Each unit is faulted at most once per run (its first
+submission), so any retry policy with at least one retry converges.
 
 This is the executable proof of the runtime's central claim: because
 every cell is seeded at plan-build time and retries recompute
 byte-identical numbers, a run under injected faults plus retries must
 produce bit-identical results and cache state to a fault-free serial
-run.  The hypothesis suite drives exactly that property.
+run.
+
+The product knows only the ``serial`` and ``process`` specs.
+``tests/conftest.py`` registers ``chaos`` through
+:func:`repro.runtime.register_backend` for the test session, at the
+fixed schedule :data:`SEED` / :data:`RATE`, so
+``REPRO_BACKEND=chaos:process`` runs every plan of the suite under
+the same injected faults locally and in CI.  The journal records the
+failures and retries an injection causes, not the injection itself:
+each backend keeps its run's injections in
+:attr:`ChaosBackend.injections`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Union
+from typing import Any, Union
 
-from ...exceptions import ReproError
-from ..faults import _unit_fraction, unit_token
-from ..settings import resolve_chaos_rate, resolve_chaos_seed
-from ..spec import CellShard
-from .base import BackendFuture, ExecutionBackend, make_backend, register_backend
+from repro.exceptions import ReproError
+from repro.runtime import (
+    BackendFuture,
+    CellShard,
+    ExecutionBackend,
+    make_backend,
+    unit_token,
+)
+from repro.runtime.faults import _unit_fraction
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...experiments.config import ExperimentSettings
+__all__ = ["FAULT_KINDS", "RATE", "SEED", "ChaosBackend", "ChaosFault"]
 
-__all__ = ["ChaosBackend", "ChaosFault"]
+#: Fault-schedule seed and rate of the ``chaos`` spec (and the
+#: constructor's defaults).
+SEED = 1234
+RATE = 0.2
 
 #: Fault kinds, in hash-bucket order (index chosen by the unit's hash).
-_FAULT_KINDS = ("before", "after", "drop", "delay")
+FAULT_KINDS = ("before", "after", "drop", "delay")
 
 #: Longest injected delay, seconds (the "delay" fault kind).
 _MAX_DELAY = 0.05
 
 
 class ChaosFault(ReproError):
-    """An injected fault from the chaos backend — always transient:
-    the same unit is never faulted twice in one run."""
+    """An injected fault — always transient: the same unit is never
+    faulted twice in one run."""
 
 
 class _FailedFuture(BackendFuture):
@@ -83,14 +97,9 @@ class _ChaosFuture(BackendFuture):
         value = self._inner.result()
         if self._fault is not None:
             # The unit really executed; chaos loses the answer in
-            # transit (raise-after / drop).  Retries recompute it.
+            # transit (after / drop).  Retries recompute it.
             raise self._fault
         return value
-
-
-@register_backend("chaos")
-def _make_chaos(arg: str) -> "ChaosBackend":
-    return ChaosBackend(arg or None)
 
 
 class ChaosBackend(ExecutionBackend):
@@ -100,61 +109,62 @@ class ChaosBackend(ExecutionBackend):
     ----------
     inner:
         Inner backend spec (``"serial"``, ``"process:4"``) or a
-        constructed :class:`ExecutionBackend`; ``None`` wraps a serial
-        backend.
+        constructed :class:`~repro.runtime.ExecutionBackend`; ``None``
+        wraps a serial backend.
     seed:
-        Fault-schedule seed; ``None`` reads ``REPRO_CHAOS_SEED``
-        (default 0).  Same seed ⇒ identical fault schedule.
+        Fault-schedule seed.  Same seed ⇒ identical fault schedule.
     rate:
-        Fraction of units faulted, in ``[0, 1]``; ``None`` reads
-        ``REPRO_CHAOS_RATE`` (default 0.25).
+        Fraction of units faulted, in ``[0, 1]``.
+
+    Attributes
+    ----------
+    injections:
+        The current (or last) run's injections, in submit order, as
+        ``(kind, token, label)`` triples.
     """
 
     def __init__(
         self,
         inner: Union[str, ExecutionBackend, None] = None,
-        seed: int | None = None,
-        rate: float | None = None,
+        seed: int = SEED,
+        rate: float = RATE,
     ):
         if isinstance(inner, ExecutionBackend):
             self.inner = inner
         else:
             self.inner = make_backend(inner or "serial")
-        self.seed = resolve_chaos_seed(seed)
-        self.rate = resolve_chaos_rate(rate)
+        self.seed = int(seed)
+        self.rate = float(rate)
         self.name = f"chaos:{self.inner.name}"
+        self.injections: list[tuple[str, str, str]] = []
         self._injected: set[str] = set()
 
-    def open(self, workers: int, tasks: int, settings, telemetry=None) -> None:
-        super().open(workers, tasks, settings, telemetry)
+    def open(self, workers: int, tasks: int, settings) -> None:
+        self.injections = []
         self._injected = set()
-        # Forward the run's telemetry bus so an inner backend's own
-        # events still surface when wrapped in chaos.
-        self.inner.open(workers, tasks, settings, telemetry=telemetry)
+        self.inner.open(workers, tasks, settings)
 
     def close(self) -> None:
         self.inner.close()
-        super().close()
 
-    def _fault_for(self, token: str) -> str | None:
+    def fault_for(self, token: str) -> str | None:
         """The fault kind scheduled for *token*, or ``None`` for a
         clean pass — a pure function of (seed, token)."""
         if _unit_fraction(f"chaos:{self.seed}:{token}:gate") >= self.rate:
             return None
         bucket = _unit_fraction(f"chaos:{self.seed}:{token}:kind")
-        return _FAULT_KINDS[int(bucket * len(_FAULT_KINDS)) % len(_FAULT_KINDS)]
+        return FAULT_KINDS[int(bucket * len(FAULT_KINDS)) % len(FAULT_KINDS)]
 
-    def submit(self, task: CellShard, settings: "ExperimentSettings") -> BackendFuture:
+    def submit(self, task: CellShard, settings) -> BackendFuture:
         token = unit_token(task, settings)
         kind = None
         if token not in self._injected:
-            kind = self._fault_for(token)
+            kind = self.fault_for(token)
+        label = task.label
         if kind is not None:
             # At most one fault per unit per run, so retries converge.
             self._injected.add(token)
-        label = task.label
-        if kind is not None and self.telemetry is not None:
-            self.telemetry.emit("chaos_inject", kind=kind, token=token, label=label)
+            self.injections.append((kind, token, label))
         if kind == "before":
             return _FailedFuture(
                 ChaosFault(f"injected fault before executing {label}")

@@ -1,16 +1,31 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its ``chaos`` backend spec."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from chaos import ChaosBackend
 from repro.intervals.table import reset_shared_tables
 from repro.kg.datasets import load_dataset
 from repro.kg.generators import generate_profiled_kg
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.synthetic import SyntheticKG
 from repro.kg.triple import Triple
+from repro.runtime import register_backend
+
+
+def pytest_configure():
+    """Register ``chaos[:inner]`` as a backend spec for this session.
+
+    It goes through the same registry as ``serial`` and ``process``, so
+    ``REPRO_BACKEND=chaos:process`` runs every plan of the suite under
+    the injector's fixed fault schedule.
+    """
+
+    @register_backend("chaos")
+    def _make_chaos(arg: str) -> ChaosBackend:
+        return ChaosBackend(arg or None)
 
 
 @pytest.fixture(autouse=True)

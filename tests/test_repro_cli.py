@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,30 @@ class TestRuntimeOptions:
         err = capsys.readouterr().err
         assert "unknown execution backend 'teleport:/tmp/q'" in err
         assert "chaos, process, serial" in err
+
+    def test_a_bad_pool_size_is_an_error_line(self, capsys):
+        argv = ["study", "--reps", "2", "--quiet", "--backend", "process:abc"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: process backend pool size must be an integer, got 'abc'"
+        ]
+
+    def test_the_product_has_no_chaos_backend(self):
+        # A fresh interpreter: the suite's own ``chaos`` spec is not
+        # registered there, whatever REPRO_BACKEND this run exports.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "study", "--reps", "2", "--quiet",
+             "--backend", "chaos"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: unknown execution backend 'chaos'; "
+            "expected one of: process, serial"
+        ]
 
 
 @pytest.fixture

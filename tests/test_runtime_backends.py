@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from chaos import ChaosBackend
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
     BackendFuture,
     CellShard,
     CellSpec,
-    ChaosBackend,
     CoverageCell,
     ExecutionBackend,
     ParallelExecutor,
@@ -44,7 +44,7 @@ from repro.runtime import (
 )
 
 #: Every backend spec that executes units: the two transports and the
-#: fault-injecting wrapper around each.
+#: suite's fault-injecting wrapper around each (``conftest.py``).
 BACKENDS = ("serial", "process", "chaos:serial", "chaos:process")
 
 
@@ -168,6 +168,15 @@ class TestBackendSelection:
         with pytest.raises(ValidationError):
             RunContext()
 
+    @pytest.mark.parametrize(
+        "spec", ["process:abc", "process:0", "process:-2", "serial:7", "chaos:bogus"]
+    )
+    def test_a_bad_spec_argument_fails_at_construction(self, spec):
+        # The spec is built through its factory, argument included; no
+        # pool starts before the run opens its backend.
+        with pytest.raises(ValidationError):
+            RunContext(backend=spec)
+
     def test_env_read_when_unconfigured(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process")
         assert RunContext().backend == "process"
@@ -187,6 +196,8 @@ class TestBackendSelection:
         [
             (" Serial ", SerialBackend),
             ("PROCESS:2", ProcessPoolBackend),
+            (" process: 3 ", ProcessPoolBackend),
+            ("serial:", SerialBackend),
             ("Chaos:serial", ChaosBackend),
         ],
     )
@@ -335,7 +346,6 @@ class TestPoolLifecycle:
                 RunContext(backend=backend, max_retries=0)
             ).run(plan_of([cell, study_cell()]))
         assert backend._pool is None
-        assert backend.telemetry is None
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_one_backend_instance_serves_consecutive_runs(self, backend):
@@ -476,15 +486,13 @@ class TestCustomBackendProtocol:
             def __init__(self):
                 self._inner = SerialBackend()
 
-            def open(self, workers, tasks, settings, telemetry=None):
-                super().open(workers, tasks, settings, telemetry)
-                events.append(("open", workers, tasks, telemetry is not None))
-                self._inner.open(workers, tasks, settings, telemetry)
+            def open(self, workers, tasks, settings):
+                events.append(("open", workers, tasks))
+                self._inner.open(workers, tasks, settings)
 
             def close(self):
                 events.append(("close",))
                 self._inner.close()
-                super().close()
 
             def submit(self, task, settings):
                 events.append(("submit", type(task).__name__))
@@ -499,9 +507,10 @@ class TestCustomBackendProtocol:
             RunContext(workers=3, backend=backend, chunk_size=2)
         ).run(plan)
         assert outcome.backend == "recording"
-        assert events[0] == ("open", 3, 8, True)  # 2 reps-shards + 6 cov-shards
+        assert events[0] == ("open", 3, 8)  # 2 reps-shards + 6 cov-shards
         assert events[-1] == ("close",)
-        assert backend.telemetry is None  # the run's bus is detached on close
+        # A backend only dispatches: the run's telemetry never reaches it.
+        assert not hasattr(backend, "telemetry")
         assert [e for e in events if e[0] == "submit"] == [
             ("submit", "CellShard")
         ] * 8

@@ -1,10 +1,11 @@
-"""Chaos-backend tests: seeded fault injection proves the failure path.
+"""Seeded fault injection proves the failure path.
 
-The property pinned down here is the PR's acceptance criterion: for
-*any* seeded fault schedule, a run under the chaos backend plus a
-retry policy produces bit-identical results — and an identical result
-cache — to a fault-free serial run.  Reproducibility extends through
-the failure path.
+The property pinned down here: for *any* seeded fault schedule, a run
+under the suite's fault injector (:mod:`chaos`, the ``chaos`` backend
+spec ``conftest.py`` registers) plus a retry policy produces
+bit-identical results — and an identical result cache — to a
+fault-free serial run.  Reproducibility extends through the failure
+path.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from chaos import FAULT_KINDS, ChaosBackend
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
     CellShard,
-    ChaosBackend,
     ParallelExecutor,
     ProcessPoolBackend,
     RunContext,
@@ -31,11 +32,6 @@ from repro.runtime import (
     StudyPlan,
     make_backend,
     unit_token,
-)
-from repro.runtime.backends.chaos import (
-    _FAULT_KINDS,
-    resolve_chaos_rate,
-    resolve_chaos_seed,
 )
 
 
@@ -72,6 +68,8 @@ def cache_tokens(root) -> list[str]:
 
 
 class TestSpecParsing:
+    """The ``chaos`` spec as the suite registers it."""
+
     def test_bare_chaos_wraps_serial(self):
         backend = make_backend("chaos")
         assert isinstance(backend, ChaosBackend)
@@ -91,57 +89,31 @@ class TestSpecParsing:
         with pytest.raises(ValidationError, match="chaos, process, serial"):
             make_backend(f"chaos:{inner}")
 
-    def test_seed_and_rate_resolve_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "99")
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "0.5")
-        backend = ChaosBackend()
-        assert backend.seed == 99
-        assert backend.rate == 0.5
-        # Explicit arguments beat the environment.
-        pinned = ChaosBackend(seed=1, rate=0.1)
-        assert (pinned.seed, pinned.rate) == (1, 0.1)
-
-    def test_env_defaults_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
-        monkeypatch.delenv("REPRO_CHAOS_RATE", raising=False)
-        assert resolve_chaos_seed(None) == 0
-        assert resolve_chaos_rate(None) == 0.25
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "entropy")
-        with pytest.raises(ValidationError, match="REPRO_CHAOS_SEED"):
-            resolve_chaos_seed(None)
-        monkeypatch.setenv("REPRO_CHAOS_RATE", "lots")
-        with pytest.raises(ValidationError, match="REPRO_CHAOS_RATE"):
-            resolve_chaos_rate(None)
-        with pytest.raises(ValidationError, match="rate"):
-            resolve_chaos_rate(1.5)
-
 
 class TestFaultSchedule:
     def test_schedule_is_a_pure_function_of_seed_and_token(self):
         a = ChaosBackend(SerialBackend(), seed=7, rate=0.5)
         b = ChaosBackend(SerialBackend(), seed=7, rate=0.5)
         tokens = [f"token-{i}" for i in range(64)]
-        assert [a._fault_for(t) for t in tokens] == [b._fault_for(t) for t in tokens]
+        assert [a.fault_for(t) for t in tokens] == [b.fault_for(t) for t in tokens]
         shifted = ChaosBackend(SerialBackend(), seed=8, rate=0.5)
-        assert [a._fault_for(t) for t in tokens] != [
-            shifted._fault_for(t) for t in tokens
+        assert [a.fault_for(t) for t in tokens] != [
+            shifted.fault_for(t) for t in tokens
         ]
 
     def test_rate_one_faults_every_unit_with_all_kinds(self):
         backend = ChaosBackend(SerialBackend(), seed=3, rate=1.0)
-        kinds = {backend._fault_for(f"token-{i}") for i in range(256)}
+        kinds = {backend.fault_for(f"token-{i}") for i in range(256)}
         assert None not in kinds
-        assert kinds == set(_FAULT_KINDS)
+        assert kinds == set(FAULT_KINDS)
 
     def test_rate_zero_injects_nothing(self):
         plan = small_plan()
+        backend = ChaosBackend(SerialBackend(), seed=1, rate=0.0)
         outcome = ParallelExecutor(
-            RunContext(
-                backend=ChaosBackend(SerialBackend(), seed=1, rate=0.0),
-                max_retries=0,
-                on_error="raise",
-            )
+            RunContext(backend=backend, max_retries=0, on_error="raise")
         ).run(plan)
+        assert backend.injections == []
         assert outcome.retries == 0
         assert outcome.failures == ()
         assert outcome.backend == "chaos:serial"
@@ -152,16 +124,18 @@ class TestFaultSchedule:
         # exactly one retry — predictable from the schedule alone.
         plan = small_plan()
         backend = ChaosBackend(SerialBackend(), seed=11, rate=1.0)
-        expected = sum(
-            1
+        scheduled = [
+            backend.fault_for(unit_token(CellShard(cell), plan.settings))
             for cell in plan.cells
-            if backend._fault_for(unit_token(CellShard(cell), plan.settings)) != "delay"
-        )
+        ]
+        expected = sum(1 for kind in scheduled if kind != "delay")
         outcome = ParallelExecutor(
             RunContext(backend=backend, max_retries=2, on_error="raise")
         ).run(plan)
         assert outcome.retries == expected
         assert outcome.failures == ()
+        # The injector's own record is the schedule, once per unit.
+        assert [kind for kind, _, _ in backend.injections] == scheduled
 
     def test_unretried_chaos_fault_aborts_with_chaosfault_history(self):
         from repro.runtime import PlanExecutionError
@@ -171,7 +145,7 @@ class TestFaultSchedule:
         failing = [
             cell
             for cell in plan.cells
-            if backend._fault_for(unit_token(CellShard(cell), plan.settings)) != "delay"
+            if backend.fault_for(unit_token(CellShard(cell), plan.settings)) != "delay"
         ]
         assert failing  # seed 1 chosen so at least one unit fails
         with pytest.raises(PlanExecutionError, match="injected") as info:
@@ -182,18 +156,12 @@ class TestFaultSchedule:
 
     def test_identical_seeds_reproduce_the_run_exactly(self):
         plan = small_plan()
-        first = ParallelExecutor(
-            RunContext(
-                backend=ChaosBackend(SerialBackend(), seed=5, rate=0.8),
-                max_retries=3,
-            )
-        ).run(plan)
-        second = ParallelExecutor(
-            RunContext(
-                backend=ChaosBackend(SerialBackend(), seed=5, rate=0.8),
-                max_retries=3,
-            )
-        ).run(plan)
+        backends = [ChaosBackend(SerialBackend(), seed=5, rate=0.8) for _ in "ab"]
+        first, second = (
+            ParallelExecutor(RunContext(backend=backend, max_retries=3)).run(plan)
+            for backend in backends
+        )
+        assert backends[0].injections == backends[1].injections
         assert first.retries == second.retries
         for key in first.results:
             assert_studies_equal(first.results[key], second.results[key])

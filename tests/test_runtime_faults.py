@@ -11,9 +11,13 @@ fault-free run would have.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
@@ -107,6 +111,24 @@ def _count_settings_repetitions(cell, settings):
 )
 def _run_broken_splittable(cell, settings, rep_range):
     raise ValidationError("persistent failure")
+
+
+@dataclass(frozen=True)
+class KillOnceCell(CellSpec):
+    """SIGKILLs the pool worker that runs its first attempt (a marker
+    file records it): the OOM-kill case, which breaks the whole pool."""
+
+    marker: str = ""
+
+
+@register_cell_runner(KillOnceCell)
+def _run_kill_once(cell, settings, rep_range):
+    marker = Path(cell.marker)
+    # Only ever kill a pool worker, never the process running the suite.
+    if not marker.exists() and multiprocessing.parent_process() is not None:
+        marker.touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return ("ok", cell.key)
 
 
 def study_cell(method: str = "Wilson") -> StudyCell:
@@ -282,6 +304,50 @@ class TestRetries:
             ("flaky", 3),
         ]
         assert all(e.fields["max_attempts"] == 3 for e in retries)
+
+
+class TestKilledWorker:
+    """A pool worker that dies breaks its pool; retries run on a new one.
+
+    Backend and workers are pinned, so the CI legs' ``REPRO_*`` knobs
+    leave the scenario alone.
+    """
+
+    @staticmethod
+    def plan(tmp_path) -> StudyPlan:
+        killer = KillOnceCell(
+            key=("kill",), label="kill", method="-", marker=str(tmp_path / "killed")
+        )
+        return plan_of([killer, study_cell("Wilson"), study_cell("aHPD")])
+
+    def test_retries_complete_the_plan_on_a_fresh_pool(self, tmp_path):
+        plan = self.plan(tmp_path)
+        journal = tmp_path / "j.jsonl"
+        outcome = ParallelExecutor(
+            RunContext(workers=2, backend="process", max_retries=3, trace=journal)
+        ).run(plan)
+        assert outcome.failures == ()
+        # Every unit in flight on the broken pool fails once, so the
+        # count depends on timing; the killed unit is always one.
+        assert outcome.retries >= 1
+        retries = [r for r in read_journal(journal) if r["event"] == "retry"]
+        assert len(retries) == outcome.retries
+        assert "kill" in {r["label"] for r in retries}
+        assert all(r["error"].startswith("BrokenProcessPool") for r in retries)
+        reference = ParallelExecutor(RunContext(workers=1, backend="serial")).run(plan)
+        assert outcome.results.keys() == reference.results.keys()
+        assert outcome.results[("kill",)] == reference.results[("kill",)]
+        for method in ("Wilson", "aHPD"):
+            key = study_cell(method).key
+            got, want = outcome.results[key], reference.results[key]
+            for field in ("triples", "estimates", "cost_hours", "converged"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_without_retries_the_run_aborts_with_the_failure(self, tmp_path):
+        with pytest.raises(PlanExecutionError, match="BrokenProcessPool"):
+            ParallelExecutor(
+                RunContext(workers=2, backend="process", max_retries=0)
+            ).run(self.plan(tmp_path))
 
 
 class TestOnErrorRaise:

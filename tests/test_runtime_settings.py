@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.runtime import ResultStore
+from repro.runtime import ResultStore, SerialBackend
 from repro.runtime.settings import (
     KNOBS,
     ON_ERROR_MODES,
@@ -21,6 +21,9 @@ from repro.runtime.settings import (
     resolve_max_retries,
     resolve_on_error,
     resolve_service_address,
+    resolve_solve_batch_max,
+    resolve_solve_batch_window,
+    resolve_solve_table,
     resolve_workers,
 )
 
@@ -35,8 +38,6 @@ class TestKnobRegistry:
         assert sorted(KNOBS) == [
             "REPRO_BACKEND",
             "REPRO_CACHE_DIR",
-            "REPRO_CHAOS_RATE",
-            "REPRO_CHAOS_SEED",
             "REPRO_CHUNK_SIZE",
             "REPRO_MAX_RETRIES",
             "REPRO_ON_ERROR",
@@ -84,11 +85,16 @@ class TestKnobRegistry:
     def test_parsed_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert env_knob("REPRO_WORKERS") == 4
+        monkeypatch.setenv("REPRO_SOLVE_BATCH_WINDOW", "0.25")
+        assert env_knob("REPRO_SOLVE_BATCH_WINDOW") == 0.25
 
     def test_malformed_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "lots")
         with pytest.raises(ValidationError, match="REPRO_CHUNK_SIZE"):
             env_knob("REPRO_CHUNK_SIZE")
+        monkeypatch.setenv("REPRO_SOLVE_BATCH_WINDOW", "soon")
+        with pytest.raises(ValidationError, match="REPRO_SOLVE_BATCH_WINDOW"):
+            env_knob("REPRO_SOLVE_BATCH_WINDOW")
 
     def test_unregistered_name_raises(self):
         with pytest.raises(ValidationError, match="unregistered"):
@@ -105,7 +111,9 @@ class TestResolvers:
         with pytest.raises(ValidationError, match="workers"):
             resolve_workers(0)
 
-    def test_chunk_size_validation(self):
+    def test_chunk_size_validation(self, monkeypatch):
+        # The ragged-chunk CI leg exports REPRO_CHUNK_SIZE suite-wide.
+        monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
         assert resolve_chunk_size(None) is None
         assert resolve_chunk_size(5) == 5
         with pytest.raises(ValidationError, match="chunk_size"):
@@ -146,6 +154,14 @@ class TestResolvers:
                 if action.dest == "on_error"
             ]
             assert tuple(flag.choices) == ON_ERROR_MODES
+
+    def test_solve_settings_floors(self):
+        with pytest.raises(ValidationError, match="solve_batch_window"):
+            resolve_solve_batch_window(-0.5)
+        with pytest.raises(ValidationError, match="solve_batch_max"):
+            resolve_solve_batch_max(0)
+        with pytest.raises(ValidationError, match="solve_table"):
+            resolve_solve_table(-1)
 
     def test_service_address(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
@@ -220,6 +236,15 @@ class TestRunContext:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValidationError, match="unknown execution backend"):
             RunContext(backend="quantum")
+
+    def test_describe_names_a_backend_instance(self):
+        assert RunContext(backend=SerialBackend()).describe()["backend"] == "serial"
+
+    def test_rejects_a_bad_progress_or_solve_pool(self):
+        with pytest.raises(ValidationError, match="progress"):
+            RunContext(progress="loud")
+        with pytest.raises(ValidationError, match="solve_pool"):
+            RunContext(solve_pool=object())
 
 
 class TestPerfbenchContexts:

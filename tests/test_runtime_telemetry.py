@@ -22,12 +22,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from chaos import ChaosBackend
 from repro.cli import main
 from repro.exceptions import ValidationError
 from repro.experiments.config import ExperimentSettings
 from repro.runtime import (
     CellSpec,
-    ChaosBackend,
     EVENT_TYPES,
     JsonlTraceSink,
     MetricsAggregate,
@@ -50,7 +50,7 @@ from repro.runtime.settings import resolve_trace_file
 from repro.runtime.telemetry import TRACE_SCHEMA_VERSION
 
 #: Every backend spec that executes units: the two transports and the
-#: fault-injecting wrapper around each.
+#: suite's fault-injecting wrapper around each (``conftest.py``).
 BACKENDS = ("serial", "process", "chaos:serial", "chaos:process")
 
 #: Event types of the deleted detached-worker backend (schema <= 5).
@@ -317,7 +317,7 @@ class TestMetrics:
         assert outcome.metrics.status == "ok"
         snapshot = outcome.metrics.as_dict()
         json.dumps(snapshot)  # JSON-ready, no numpy leakage
-        assert snapshot["schema_version"] == 6
+        assert snapshot["schema_version"] == 7
 
     def test_replay_reproduces_the_live_aggregate(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -458,9 +458,9 @@ class TestChaosJournal:
     def test_chaos_over_a_process_pool_journals_every_fault(self, tmp_path, capsys):
         # Chaos wrapped around a process pool, traced end to end: every
         # executed unit shows a complete queued → finished span, every
-        # injected fault that raises is a retry carrying its error, the
-        # journal checks clean, and the summary reproduces the live
-        # aggregate from disk alone.
+        # injected fault that raises (by the injector's own record) is
+        # a retry carrying its error, the journal checks clean, and the
+        # summary reproduces the live aggregate from disk alone.
         journal = tmp_path / "j.jsonl"
         plan = small_plan()
         backend = ChaosBackend(ProcessPoolBackend(2), seed=1, rate=1.0)
@@ -472,13 +472,18 @@ class TestChaosJournal:
             assert_studies_equal(reference.results[key], outcome.results[key])
 
         records = read_journal(journal)
-        injected = [r for r in records if r["event"] == "chaos_inject"]
         queued = [r for r in records if r["event"] == "unit_queued"]
-        assert len(injected) == len(queued)  # rate=1.0: every unit faulted
+        # rate=1.0: every unit faulted, once.
+        assert sorted(token for _, token, _ in backend.injections) == sorted(
+            r["token"] for r in queued
+        )
         raising = {"before", "after", "drop"}
-        expected_retries = sum(1 for r in injected if r["kind"] in raising)
+        faulted = sorted(
+            token for kind, token, _ in backend.injections if kind in raising
+        )
         retries = [r for r in records if r["event"] == "retry"]
-        assert len(retries) == expected_retries == outcome.retries
+        assert len(retries) == len(faulted) == outcome.retries
+        assert sorted(r["token"] for r in retries) == faulted
         failed = [r["error"] for r in records if r["event"] == "unit_failed"]
         assert [r["error"] for r in retries] == failed
         assert all(error.startswith("ChaosFault: injected") for error in failed)
@@ -517,7 +522,7 @@ class TestJournalAcrossBackends:
         assert main(["trace", "check", str(journal)]) == 0
         assert "1 run(s)" in capsys.readouterr().out
         (start,) = journal_events(journal, "run_start")
-        assert start["schema"] == TRACE_SCHEMA_VERSION == 6
+        assert start["schema"] == TRACE_SCHEMA_VERSION == 7
         submitted = journal_events(journal, "unit_submitted")
         assert submitted
         assert {record["backend"] for record in submitted} == {backend}
@@ -568,8 +573,21 @@ class TestSchema:
         aggregate = MetricsAggregate().as_dict()
         assert "worker_spans" not in aggregate
         assert set(aggregate["faults"]) == {
-            "failed_attempts", "retries", "quarantined", "chaos_injections",
+            "failed_attempts", "retries", "quarantined",
         }
+
+    def test_the_injection_event_type_is_gone(self, tmp_path, capsys):
+        # Fault injection lives in the test suite, which counts its own
+        # injections: a schema-6 journal line of the event fails.
+        assert "chaos_inject" not in EVENT_TYPES
+        _, journal = traced_run(tmp_path, "serial")
+        with journal.open("a", encoding="utf-8") as handle:
+            line = {"event": "chaos_inject", "run_id": "x", "t": 0.0}
+            handle.write(json.dumps(line) + "\n")
+        with pytest.raises(ValidationError, match="chaos_inject"):
+            read_journal(journal)
+        assert main(["trace", "check", str(journal)]) == 1
+        assert "chaos_inject" in capsys.readouterr().err
 
     @pytest.mark.parametrize("event", REMOVED_EVENT_TYPES)
     def test_a_journal_with_a_worker_event_fails_the_check(
